@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .costs import INF, Cost, is_finite
-from .geometry import Drawing, Point
+from .geometry import Drawing, Point, frac_str
 from .instance import EnergyInstance, Labeling, make_instance
 from .reductions.trace import ReductionTrace, trace_from_json
 from .reductions.wsat import W3SatTriv
@@ -42,10 +42,6 @@ def _frac_token(tok: str, line_no: int) -> Fraction:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError):
         raise ParseError(line_no, f"expected rational, got {tok!r}") from None
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _ints(tokens, line_no):
@@ -163,7 +159,7 @@ def serialize_instance(instance: EnergyInstance, d: Drawing | None = None) -> st
     if d is not None:
         for u in ids:
             x, y = d.coords[u]
-            out.append(f"coord {u} {_frac_str(Fraction(x))} {_frac_str(Fraction(y))}")
+            out.append(f"coord {u} {frac_str(Fraction(x))} {frac_str(Fraction(y))}")
     for u in ids:
         out.append(f"unary {u} " + " ".join(_cost_str(c) for c in instance.unary[u]))
     for (u, v) in sorted(instance.edges):

@@ -1,15 +1,19 @@
 """Exact rational 2D geometry for straight-line instance drawings.
 
-Every predicate runs on Fractions; no floating point anywhere, so "no
-crossings remain" is a decidable postcondition.  Degenerate drawings are
-rejected, never perturbed.
+Every predicate is exact, with no floating point anywhere, so "no
+crossings remain" is a decidable postcondition.  segment_intersection
+works on Fractions; the whole-drawing scans (list_crossings,
+validate_general_position) scale the drawing by one common denominator
+and work on integers, skipping edge pairs whose bounding boxes are
+disjoint.  Degenerate drawings are rejected, never perturbed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .instance import EnergyInstance
 
@@ -42,6 +46,11 @@ class Crossing:
     edge_a: tuple[int, int]
     edge_b: tuple[int, int]
     point: Point
+
+
+def frac_str(f: Fraction) -> str:
+    """Exact "num/den" text of a rational coordinate."""
+    return f"{f.numerator}/{f.denominator}"
 
 
 def make_point(x, y) -> Point:
@@ -101,27 +110,81 @@ def segment_intersection(p1: Point, p2: Point, p3: Point, p4: Point) -> Point | 
     return None
 
 
-def point_on_open_segment(q: Point, a: Point, b: Point) -> bool:
-    if _cross(a, b, q) != 0:
-        return False
-    return min(a, b) < q < max(a, b)
+def _integer_coords(instance: EnergyInstance, d: Drawing) -> tuple[dict[int, tuple[int, int]], int]:
+    """Every node's coordinates times one common denominator, and that denominator."""
+    if not d.covers(instance):
+        raise GeometryError("drawing does not cover the instance")
+    coords = {u: d.coords[u] for u in instance.nodes}
+    den = lcm(*(c.denominator for p in coords.values() for c in p))
+    return ({u: (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+             for u, (x, y) in coords.items()}, den)
+
+
+def _pair_scan(instance: EnergyInstance, d: Drawing) -> list[tuple[int, int, Point | None]]:
+    """(i, j, point) for every pair of edges i < j that share no endpoint but meet.
+
+    point is the proper crossing point, or None for a collinear overlap.
+    Same answers as segment_intersection on every pair, in lexicographic
+    edge order, but computed on integers: the coordinates are scaled by one
+    common denominator, edges are swept by the left end of their bounding
+    boxes, and pairs whose boxes are strictly disjoint (which can neither
+    cross nor overlap) are never tested.
+    """
+    pts, den = _integer_coords(instance, d)
+    segs = []
+    for (u, v) in instance.edges:
+        (x1, y1), (x2, y2) = pts[u], pts[v]
+        segs.append((min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2),
+                     u, v, x1, y1, x2, y2))
+    order = sorted(range(len(segs)), key=lambda i: segs[i][0])
+    hits = []
+    for a, i in enumerate(order):
+        _, xhi, ylo, yhi, u, v, x1, y1, x2, y2 = segs[i]
+        dx, dy = x2 - x1, y2 - y1
+        for b in range(a + 1, len(order)):
+            j = order[b]
+            s = segs[j]
+            if s[0] > xhi:
+                break
+            if s[3] < ylo or yhi < s[2] or s[4] == u or s[4] == v or s[5] == u or s[5] == v:
+                continue
+            x3, y3, x4, y4 = s[6:]
+            ex, ey = x4 - x3, y4 - y3
+            d1 = ex * (y1 - y3) - ey * (x1 - x3)
+            d2 = ex * (y2 - y3) - ey * (x2 - x3)
+            if d1 == 0 and d2 == 0:
+                # Collinear with boxes that meet.  Segments on one line that
+                # only touch share an end point, hence a node (the drawing
+                # gives every node its own point); these share none, so
+                # they overlap.
+                hits.append((min(i, j), max(i, j), None))
+                continue
+            if d1 == 0 or d2 == 0 or (d1 > 0) == (d2 > 0):
+                continue
+            d3 = dx * (y3 - y1) - dy * (x3 - x1)
+            d4 = dx * (y4 - y1) - dy * (x4 - x1)
+            if d3 == 0 or d4 == 0 or (d3 > 0) == (d4 > 0):
+                continue
+            # d1, d2 interpolate to zero at the crossing: t = d1 / (d1 - d2).
+            q = (d1 - d2) * den
+            hits.append((min(i, j), max(i, j),
+                         (Fraction(x1 * (d1 - d2) + d1 * dx, q),
+                          Fraction(y1 * (d1 - d2) + d1 * dy, q))))
+    hits.sort(key=lambda h: (h[0], h[1]))
+    return hits
 
 
 def list_crossings(instance: EnergyInstance, d: Drawing) -> list[Crossing]:
-    """All proper crossings between edges sharing no endpoint, in lexicographic edge order."""
-    if not d.covers(instance):
-        raise GeometryError("drawing does not cover the instance")
-    out = []
+    """All proper crossings between edges sharing no endpoint, in lexicographic edge order.
+
+    Raises GeneralPositionError if two such edges overlap collinearly.
+    """
     edges = instance.edges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            ea, eb = edges[i], edges[j]
-            if set(ea) & set(eb):
-                continue
-            p = segment_intersection(d.coords[ea[0]], d.coords[ea[1]],
-                                     d.coords[eb[0]], d.coords[eb[1]])
-            if p is not None:
-                out.append(Crossing(ea, eb, p))
+    out = []
+    for i, j, p in _pair_scan(instance, d):
+        if p is None:
+            raise GeneralPositionError("collinear overlapping segments")
+        out.append(Crossing(edges[i], edges[j], p))
     return out
 
 
@@ -137,31 +200,29 @@ def validate_general_position(instance: EnergyInstance, d: Drawing) -> list[Posi
     Checks: no node interior to a non-incident edge, no collinear edge
     overlaps, no three edges through a common interior point.
     """
-    if not d.covers(instance):
-        raise GeometryError("drawing does not cover the instance")
+    pts, _ = _integer_coords(instance, d)
+    by_x = sorted((pts[w][0], k) for k, w in enumerate(instance.nodes))
+    xs = [x for x, _ in by_x]
     violations = []
     for (u, v) in instance.edges:
-        a, b = d.coords[u], d.coords[v]
-        for w in instance.nodes:
-            if w in (u, v):
-                continue
-            if point_on_open_segment(d.coords[w], a, b):
-                violations.append(PositionViolation("node-on-edge", (w, (u, v))))
-    point_to_edges: dict[Point, set] = {}
+        a, b = pts[u], pts[v]
+        lo, hi = min(a, b), max(a, b)
+        on_edge = []
+        for _, k in by_x[bisect_left(xs, lo[0]):bisect_right(xs, hi[0])]:
+            w = instance.nodes[k]
+            q = pts[w]
+            if (w != u and w != v and lo < q < hi
+                    and (b[0] - a[0]) * (q[1] - a[1]) == (b[1] - a[1]) * (q[0] - a[0])):
+                on_edge.append(k)
+        violations.extend(PositionViolation("node-on-edge", (instance.nodes[k], (u, v)))
+                          for k in sorted(on_edge))
     edges = instance.edges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            ea, eb = edges[i], edges[j]
-            if set(ea) & set(eb):
-                continue
-            try:
-                p = segment_intersection(d.coords[ea[0]], d.coords[ea[1]],
-                                         d.coords[eb[0]], d.coords[eb[1]])
-            except GeneralPositionError:
-                violations.append(PositionViolation("collinear-overlap", (ea, eb)))
-                continue
-            if p is not None:
-                point_to_edges.setdefault(p, set()).update((ea, eb))
+    point_to_edges: dict[Point, set] = {}
+    for i, j, p in _pair_scan(instance, d):
+        if p is None:
+            violations.append(PositionViolation("collinear-overlap", (edges[i], edges[j])))
+        else:
+            point_to_edges.setdefault(p, set()).update((edges[i], edges[j]))
     for p, es in point_to_edges.items():
         if len(es) > 2:
             violations.append(PositionViolation("concurrent-edges", (p, tuple(sorted(es)))))
@@ -193,11 +254,14 @@ def rational_sqrt_lower(value: Fraction, bits: int = 32) -> Fraction:
 
 
 def free_radius(instance: EnergyInstance, d: Drawing, p: Point,
-                exclude: set[tuple[int, int]] = frozenset()) -> Fraction:
+                exclude: set[tuple[int, int]] = frozenset(),
+                crossings: list[Crossing] | None = None) -> Fraction:
     """A positive radius around p clear of nodes, non-excluded edges, and other crossings.
 
     Returns a deterministic rational lower bound on half the exact minimum
-    distance (the exact value is generally irrational).
+    distance (the exact value is generally irrational).  crossings, when
+    given, must be list_crossings(instance, d); a caller that needs many
+    radii on one drawing passes it to avoid rescanning every edge pair.
     """
     exclude = {tuple(sorted(e)) for e in exclude}
     min_d2 = None
@@ -210,7 +274,9 @@ def free_radius(instance: EnergyInstance, d: Drawing, p: Point,
         if d2 == 0:
             raise GeometryError(f"point lies on non-excluded edge {e}")
         min_d2 = _min_opt(min_d2, d2)
-    for c in list_crossings(instance, d):
+    if crossings is None:
+        crossings = list_crossings(instance, d)
+    for c in crossings:
         if c.point == p:
             continue
         min_d2 = _min_opt(min_d2, _dist2_point(p, c.point))

@@ -4,27 +4,42 @@ Each proper crossing of edges (u, v) and (s, t) is replaced by a planar
 assembly: copy nodes v', v'' on the (u, v) line and t', t'' on the (s, t)
 line, a SPLIT on each copy breaking its 3-label value into two Boolean
 channels, and four UNCROSSCOPY crossovers letting the two horizontal
-channel wires pass the two vertical ones.  The original interaction f_uv
-moves to edge (u, v'), equality ties v'' to v, and the channel wires force
-v' = v'' (likewise for t).  Everything new lives strictly inside a disk of
-exact-rational free radius around the crossing point, so no other edge or
-crossing is disturbed.
+channel wires pass the two vertical ones.  The channel wires force
+v' = v'' (likewise for t).
+
+planarize works in one pass.  It lists the source drawing's crossings
+once and takes every crossing's free radius against that list, so the
+disks the templates live in are pairwise disjoint and clear of every
+other node and edge; then it places all templates at once.  An edge
+crossed k times becomes a chain of k + 1 stubs through its copy nodes,
+ordered by the exact parameter of each crossing along the edge: the
+original interaction f_uv goes on the stub at u, and equality ties each
+copy to the next one and the last copy to v.  Each template's scale is
+rounded down to a power of two, so the gadget offsets are dyadic and the
+output's coordinate denominators stay small.  "No crossings left" is
+checked once at the end and raises PlanarizeError if it fails.
+replace_crossing is the same routine for a single crossing; it checks
+that every other crossing keeps its exact point.
+
+The trace holds one CrossingRecord per replaced crossing, in the order of
+list_crossings on the source, and its edges are always source edges.
 
 The assembly adds 24 auxiliary nodes per crossing: 4 copies, 8 channel
 halves, 4 wire junctions, and 8 crossover internals.  (A tighter wiring
 with two fewer nodes exists but shares channel nodes between gadgets in a
 way the fixed template cannot draw without new crossings; the per-crossing
-constant is exposed as AUX_PER_CROSSING and asserted in tests.)
+constant is exposed as AUX_PER_CROSSING and checked in tests.)
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..geometry import (Crossing, Drawing, GeometryError, Point, free_radius,
-                        list_crossings, segment_intersection,
+from ..geometry import (Crossing, Drawing, GeometryError, Point, frac_str,
+                        free_radius, list_crossings, segment_intersection,
                         validate_general_position)
-from ..instance import EnergyInstance, InstanceError, Labeling, evaluate, is_finite
+from ..instance import (EnergyInstance, InstanceError, Labeling, evaluate, is_finite,
+                        normalize_edge)
 from .gadgets import (GadgetFragment, equality3, merge_fragments, split_gadget,
                       uncross_copy_gadget)
 from .trace import CrossingRecord, ReductionTrace
@@ -34,10 +49,6 @@ AUX_PER_CROSSING = 24
 
 class PlanarizeError(ValueError):
     pass
-
-
-def _frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
 
 
 # Local template, coordinates in the (dA, dB) basis centered on the crossing:
@@ -78,40 +89,14 @@ def _segment_param(p: Point, a: Point, b: Point) -> Fraction:
     return (p[1] - a[1]) / (b[1] - a[1])
 
 
-def replace_crossing(instance: EnergyInstance, d: Drawing, trace: ReductionTrace,
-                     c: Crossing) -> tuple[EnergyInstance, Drawing, ReductionTrace]:
-    """Remove one crossing; returns the rewired instance, drawing, and trace."""
-    e1, e2 = tuple(c.edge_a), tuple(c.edge_b)
-    u, v = e1
-    s, t = e2
-    for e in (e1, e2):
-        if e not in instance.pairwise:
-            raise PlanarizeError(f"crossing references unknown edge {e}")
-    pu, pv, ps, pt = (d.coords[n] for n in (u, v, s, t))
-    if segment_intersection(pu, pv, ps, pt) != c.point:
-        raise PlanarizeError("stale crossing: edges no longer meet at the recorded point")
-    p = c.point
-    r = free_radius(instance, d, p, exclude={e1, e2})
+def _dyadic_floor(x: Fraction) -> Fraction:
+    """Largest power of two not above x > 0."""
+    power = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
+    return power / 2 if power > x else power
 
-    d_a = (pv[0] - pu[0], pv[1] - pu[1])
-    d_b = (pt[0] - ps[0], pt[1] - ps[1])
-    t_p = _segment_param(p, pu, pv)
-    t_q = _segment_param(p, ps, pt)
-    basis_l1 = abs(d_a[0]) + abs(d_a[1]) + abs(d_b[0]) + abs(d_b[1])
-    scale = Fraction(1, 2) * min(t_p, 1 - t_p, t_q, 1 - t_q, r / (2 * basis_l1))
-    if scale <= 0:
-        raise PlanarizeError("free radius unusable at crossing point")
 
-    def place(g: Point) -> Point:
-        return (p[0] + scale * (g[0] * d_a[0] + g[1] * d_b[0]),
-                p[1] + scale * (g[0] * d_a[1] + g[1] * d_b[1]))
-
-    fresh = trace.next_fresh_id
-    if fresh is None:
-        fresh = max(instance.nodes) + 1
-    ids = {name: fresh + i for i, name in enumerate(_TEMPLATE_ORDER)}
-
-    frag = merge_fragments(
+def _template_fragment(ids: dict[str, int]) -> GadgetFragment:
+    return merge_fragments(
         split_gadget(ids["vp"], ids["D1"], ids["F1"]),
         split_gadget(ids["vpp"], ids["D2"], ids["F2"]),
         split_gadget(ids["tp"], ids["D3"], ids["F3"]),
@@ -128,49 +113,110 @@ def replace_crossing(instance: EnergyInstance, d: Drawing, trace: ReductionTrace
                             br=ids["Jb2"], x1=ids["G22x1"], x2=ids["G22x2"]),
     )
 
+
+def _replace_crossings(instance: EnergyInstance, d: Drawing, trace: ReductionTrace,
+                       targets: list[Crossing], crossings: list[Crossing]
+                       ) -> tuple[EnergyInstance, Drawing, ReductionTrace]:
+    """Replace every crossing in targets at once.
+
+    crossings is list_crossings(instance, d); every free radius is taken
+    against it, so the templates' disks are pairwise disjoint.  Each crossed
+    edge becomes a chain of stubs through its copy nodes, in the order of
+    the crossings' parameters along it.
+    """
+    fresh = trace.next_fresh_id
+    if fresh is None:
+        fresh = max(instance.nodes) + 1
     labels = dict(instance.labels)
     unary = dict(instance.unary)
-    pairwise = {e: tbl for e, tbl in instance.pairwise.items() if e not in (e1, e2)}
-    labels.update(frag.labels)
-    unary.update(frag.unary)
-    pairwise.update(frag.pairwise)
-    # The original interactions move to the copies; equality ties them back.
-    pairwise[(u, ids["vp"])] = instance.pairwise[e1]
-    pairwise[(v, ids["vpp"])] = equality3()
-    pairwise[(s, ids["tp"])] = instance.pairwise[e2]
-    pairwise[(t, ids["tpp"])] = equality3()
-
-    nodes = instance.nodes + tuple(ids[name] for name in _TEMPLATE_ORDER)
-    edges = tuple(sorted(pairwise))
-    out = EnergyInstance(nodes=nodes, labels=labels, unary=unary,
-                         edges=edges, pairwise=pairwise, constant=instance.constant)
-
+    gadget_pairwise = {}
     coords = dict(d.coords)
-    for name in _TEMPLATE_ORDER:
-        coords[ids[name]] = place(_TEMPLATE[name])
-    out_d = Drawing(coords)
+    # crossed edge -> [(parameter along the edge, copy toward its first
+    # node, copy toward its second node)]
+    chains: dict[tuple[int, int], list[tuple[Fraction, int, int]]] = {}
+    records = []
+    for c in targets:
+        e1, e2 = c.edge_a, c.edge_b
+        pu, pv, ps, pt = (d.coords[n] for n in e1 + e2)
+        p = c.point
+        r = free_radius(instance, d, p, exclude={e1, e2}, crossings=crossings)
 
-    # Surviving crossings of the two split edges move onto the stub edges but
-    # keep their exact intersection points, so points are the stable identity.
-    before = sorted(x.point for x in list_crossings(instance, d))
-    after = sorted(x.point for x in list_crossings(out, out_d))
-    before.remove(p)
-    assert after == before, "replacement template changed the crossing set"
+        d_a = (pv[0] - pu[0], pv[1] - pu[1])
+        d_b = (pt[0] - ps[0], pt[1] - ps[1])
+        t_p = _segment_param(p, pu, pv)
+        t_q = _segment_param(p, ps, pt)
+        basis_l1 = abs(d_a[0]) + abs(d_a[1]) + abs(d_b[0]) + abs(d_b[1])
+        scale = Fraction(1, 2) * min(t_p, 1 - t_p, t_q, 1 - t_q, r / (2 * basis_l1))
+        if scale <= 0:
+            raise PlanarizeError("free radius unusable at crossing point")
+        scale = _dyadic_floor(scale)
 
-    record = CrossingRecord(edge_a=e1, edge_b=e2,
-                            point=(_frac_str(p[0]), _frac_str(p[1])),
-                            aux_nodes=tuple(ids[name] for name in _TEMPLATE_ORDER))
+        ids = {name: fresh + i for i, name in enumerate(_TEMPLATE_ORDER)}
+        fresh += AUX_PER_CROSSING
+        frag = _template_fragment(ids)
+        labels.update(frag.labels)
+        unary.update(frag.unary)
+        gadget_pairwise.update(frag.pairwise)
+        for name in _TEMPLATE_ORDER:
+            g = _TEMPLATE[name]
+            coords[ids[name]] = (p[0] + scale * (g[0] * d_a[0] + g[1] * d_b[0]),
+                                 p[1] + scale * (g[0] * d_a[1] + g[1] * d_b[1]))
+        aux = tuple(ids[name] for name in _TEMPLATE_ORDER)
+        chains.setdefault(e1, []).append((t_p, ids["vp"], ids["vpp"]))
+        chains.setdefault(e2, []).append((t_q, ids["tp"], ids["tpp"]))
+        records.append(CrossingRecord(edge_a=e1, edge_b=e2,
+                                      point=(frac_str(p[0]), frac_str(p[1])),
+                                      aux_nodes=aux))
+
+    pairwise = {e: tbl for e, tbl in instance.pairwise.items() if e not in chains}
+    pairwise.update(gadget_pairwise)
+    # The original interaction moves to the first stub; equality ties the
+    # copies along the chain and back to the far endpoint.
+    for (u, v), chain in chains.items():
+        chain.sort()
+        pairwise[(u, chain[0][1])] = instance.pairwise[(u, v)]
+        for (_, _, far), (_, near, _) in zip(chain, chain[1:]):
+            pairwise[normalize_edge(far, near)] = equality3()
+        pairwise[(v, chain[-1][2])] = equality3()
+
+    aux_nodes = tuple(n for rec in records for n in rec.aux_nodes)
+    out = EnergyInstance(nodes=instance.nodes + aux_nodes, labels=labels, unary=unary,
+                         edges=tuple(sorted(pairwise)), pairwise=pairwise,
+                         constant=instance.constant)
     out_trace = ReductionTrace(kind=trace.kind,
                                original_nodes=trace.original_nodes,
-                               aux_nodes=trace.aux_nodes + record.aux_nodes,
+                               aux_nodes=trace.aux_nodes + aux_nodes,
                                big_m=trace.big_m,
-                               next_fresh_id=fresh + AUX_PER_CROSSING,
-                               crossings=trace.crossings + (record,))
+                               next_fresh_id=fresh,
+                               crossings=trace.crossings + tuple(records))
+    return out, Drawing(coords), out_trace
+
+
+def replace_crossing(instance: EnergyInstance, d: Drawing, trace: ReductionTrace,
+                     c: Crossing) -> tuple[EnergyInstance, Drawing, ReductionTrace]:
+    """Remove one crossing; returns the rewired instance, drawing, and trace.
+
+    Every other crossing keeps its exact point (a crossing of a split edge
+    moves onto one of its stubs); that is checked, not assumed.
+    """
+    for e in (c.edge_a, c.edge_b):
+        if e not in instance.pairwise:
+            raise PlanarizeError(f"crossing references unknown edge {e}")
+    pu, pv, ps, pt = (d.coords[n] for n in c.edge_a + c.edge_b)
+    if segment_intersection(pu, pv, ps, pt) != c.point:
+        raise PlanarizeError("stale crossing: edges no longer meet at the recorded point")
+    crossings = list_crossings(instance, d)
+    out, out_d, out_trace = _replace_crossings(instance, d, trace, [c], crossings)
+    before = sorted(x.point for x in crossings)
+    before.remove(c.point)
+    after = sorted(x.point for x in list_crossings(out, out_d))
+    if after != before:
+        raise PlanarizeError("replacement template changed the crossing set")
     return out, out_d, out_trace
 
 
 def planarize(instance: EnergyInstance, d: Drawing) -> tuple[EnergyInstance, Drawing, ReductionTrace]:
-    """Replace crossings (first in lexicographic edge order) until none remain."""
+    """Replace every crossing in one pass; raises PlanarizeError if any remains."""
     if any(instance.labels[n] != 3 for n in instance.nodes):
         raise InstanceError("planarize requires every node to have 3 labels")
     violations = validate_general_position(instance, d)
@@ -179,13 +225,15 @@ def planarize(instance: EnergyInstance, d: Drawing) -> tuple[EnergyInstance, Dra
     trace = ReductionTrace(kind="planarize", original_nodes=instance.nodes,
                            aux_nodes=(),
                            next_fresh_id=(max(instance.nodes) + 1 if instance.nodes else 0))
-    initial = len(list_crossings(instance, d))
-    for _ in range(initial + 1):
-        crossings = list_crossings(instance, d)
-        if not crossings:
-            return instance, d, trace
-        instance, d, trace = replace_crossing(instance, d, trace, crossings[0])
-    raise PlanarizeError("iteration bound exceeded: crossings did not decrease")
+    crossings = list_crossings(instance, d)
+    if not crossings:
+        return instance, d, trace
+    out, out_d, out_trace = _replace_crossings(instance, d, trace, crossings, crossings)
+    left = list_crossings(out, out_d)
+    if left:
+        raise PlanarizeError(f"{len(left)} crossings left after planarization, "
+                             f"first {left[0]}")
+    return out, out_d, out_trace
 
 
 def planar_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -> Labeling:

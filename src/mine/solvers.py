@@ -135,7 +135,8 @@ def solve_elimination(instance: EnergyInstance, order=None,
 
     value: Cost = instance.constant
     for scope, table in factors:
-        assert scope == ()
+        if scope != ():
+            raise SolverError(f"elimination left a factor over {scope}")
         value = ext_add(value, table[()])
 
     x: Labeling = {}
@@ -419,9 +420,9 @@ def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
     # Arc s->u is cut exactly when u lands on the sink side, so sink side = label 1.
     x = {u: (0 if idx[u] in source_side else 1) for u in instance.nodes}
     value = check_range(constant + flow)
-    result = SolveResult(x, value, "mincut", True)
-    assert evaluate(instance, x) == value
-    return result
+    if evaluate(instance, x) != value:
+        raise SolverError("min-cut labeling does not attain the cut value")
+    return SolveResult(x, value, "mincut", True)
 
 
 # ---------------------------------------------------------------------------
@@ -459,13 +460,12 @@ def alpha_expansion(instance: EnergyInstance, init: Labeling | None = None) -> S
     while improved:
         improved = False
         for alpha in range(k):
-            move = _expansion_move_instance(instance, x, alpha)
-            assert is_submodular_binary(move)
-            res = solve_submodular_qpbo(move)
+            res = solve_submodular_qpbo(_expansion_move_instance(instance, x, alpha))
             if res.value < current:
                 x = {u: (alpha if res.labeling[u] == 1 else x[u]) for u in instance.nodes}
                 current = res.value
                 moves.append(current)
                 improved = True
-    assert evaluate(instance, x) == current
+    if evaluate(instance, x) != current:
+        raise SolverError("alpha-expansion labeling does not attain its recorded energy")
     return SolveResult(x, current, "alpha-expansion", False, tuple(moves))

@@ -1,11 +1,14 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mine.geometry import (Drawing, GeneralPositionError, GeometryError,
-                           circle_layout, free_radius, list_crossings,
-                           make_point, rational_sqrt_lower, segment_intersection,
-                           validate_general_position)
+from mine.geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
+                           PositionViolation, circle_layout, free_radius,
+                           list_crossings, make_point, rational_sqrt_lower,
+                           segment_intersection, validate_general_position)
 from mine.instance import make_instance
 
 
@@ -146,3 +149,149 @@ def test_circle_layout_distinct_points_on_circle():
     assert len(set(d.coords.values())) == 6
     for (x, y) in d.coords.values():
         assert x * x + y * y == 1
+
+
+# ---------------------------------------------------------------------------
+# The integer scan against an all-pairs loop over segment_intersection
+
+
+def _reference_crossings(inst, d):
+    out = []
+    for i, ea in enumerate(inst.edges):
+        for eb in inst.edges[i + 1:]:
+            if set(ea) & set(eb):
+                continue
+            p = segment_intersection(d.coords[ea[0]], d.coords[ea[1]],
+                                     d.coords[eb[0]], d.coords[eb[1]])
+            if p is not None:
+                out.append(Crossing(ea, eb, p))
+    return out
+
+
+def _on_open_segment(q, a, b):
+    cross = (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0])
+    return cross == 0 and min(a, b) < q < max(a, b)
+
+
+def _reference_violations(inst, d):
+    violations = []
+    for (u, v) in inst.edges:
+        for w in inst.nodes:
+            if w not in (u, v) and _on_open_segment(d.coords[w], d.coords[u], d.coords[v]):
+                violations.append(PositionViolation("node-on-edge", (w, (u, v))))
+    point_to_edges = {}
+    for i, ea in enumerate(inst.edges):
+        for eb in inst.edges[i + 1:]:
+            if set(ea) & set(eb):
+                continue
+            try:
+                p = segment_intersection(d.coords[ea[0]], d.coords[ea[1]],
+                                         d.coords[eb[0]], d.coords[eb[1]])
+            except GeneralPositionError:
+                violations.append(PositionViolation("collinear-overlap", (ea, eb)))
+                continue
+            if p is not None:
+                point_to_edges.setdefault(p, set()).update((ea, eb))
+    for p, es in point_to_edges.items():
+        if len(es) > 2:
+            violations.append(PositionViolation("concurrent-edges", (p, tuple(sorted(es)))))
+    return violations
+
+
+def _graph(points, edges):
+    inst = make_instance({u: 2 for u in range(len(points))},
+                         pairwise={e: _table(2, 2) for e in edges})
+    return inst, Drawing({u: pt(*p) for u, p in enumerate(points)})
+
+
+# Hand-made drawings with every degeneracy the scan must classify like the
+# reference: collinear edges that touch at a node or lie apart on one line,
+# collinear overlaps, shared endpoints, a node inside an edge (whose boxes
+# touch without overlapping), three edges through one point.
+DEGENERATE = {
+    "collinear-touch": ([(0, 0), (1, 0), (2, 0), (3, 0), (1, 1)],
+                        [(0, 1), (1, 2), (2, 3), (1, 4), (0, 4)]),
+    "collinear-overlap": ([(0, 0), (2, 0), (1, 0), (3, 0), (1, 1)], [(0, 1), (2, 3), (1, 4)]),
+    "shared-endpoint": ([(0, 0), (2, 2), (2, 0), (0, 2)], [(0, 1), (0, 2), (0, 3), (2, 3)]),
+    "node-on-edge": ([(0, 0), (2, 0), (1, 0), (1, 2), (3, 1)], [(0, 1), (2, 3), (3, 4)]),
+    "three-concurrent": ([(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1)],
+                         [(0, 1), (2, 3), (4, 5)]),
+}
+
+
+def _dyadic(value):
+    return F(value).limit_denominator(64)
+
+
+@st.composite
+def small_drawings(draw):
+    # Few distinct values on a small grid make collinear, touching and
+    # concurrent configurations common; halves and quarters keep it dyadic.
+    coord = st.sampled_from([F(n, 2) for n in range(-3, 4)] + [F(1, 4), F(-3, 4)])
+    points = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=9, unique=True))
+    n = len(points)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=14, unique=True))
+    inst = make_instance({u: 2 for u in range(n)},
+                         pairwise={e: _table(2, 2) for e in edges})
+    return inst, Drawing(dict(enumerate(points)))
+
+
+def _assert_scan_matches_reference(inst, d):
+    assert validate_general_position(inst, d) == _reference_violations(inst, d)
+    try:
+        expected = _reference_crossings(inst, d)
+    except GeneralPositionError:
+        with pytest.raises(GeneralPositionError):
+            list_crossings(inst, d)
+        return
+    assert list_crossings(inst, d) == expected
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_scan_matches_reference_on_degenerate_drawings(name):
+    points, edges = DEGENERATE[name]
+    inst, d = _graph([(_dyadic(x), _dyadic(y)) for x, y in points], edges)
+    _assert_scan_matches_reference(inst, d)
+
+
+def test_degenerate_drawings_show_each_case():
+    kinds = {}
+    for name, (points, edges) in DEGENERATE.items():
+        inst, d = _graph([(_dyadic(x), _dyadic(y)) for x, y in points], edges)
+        kinds[name] = {v.kind for v in _reference_violations(inst, d)}
+    assert kinds["collinear-touch"] == set()
+    assert "collinear-overlap" in kinds["collinear-overlap"]
+    assert kinds["shared-endpoint"] == set()
+    assert kinds["node-on-edge"] == {"node-on-edge"}
+    assert kinds["three-concurrent"] == {"concurrent-edges"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_drawings())
+def test_scan_matches_reference_on_random_drawings(drawing):
+    _assert_scan_matches_reference(*drawing)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_drawings(), st.integers(-5, 5), st.integers(1, 7))
+def test_scan_matches_reference_after_rational_map(drawing, shift, den):
+    # Non-dyadic denominators exercise the common-denominator scaling.
+    inst, d = drawing
+    moved = Drawing({u: (x / den + shift, y / (den + 1) - shift)
+                     for u, (x, y) in d.coords.items()})
+    _assert_scan_matches_reference(inst, moved)
+
+
+def test_scan_matches_reference_on_crowded_grid_drawings():
+    # Dense drawings on a 5x5 grid: most have collinear pairs, nodes on
+    # edges or concurrent crossings.
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        points = rng.sample([(x, y) for x in range(5) for y in range(5)], rng.randint(4, 9))
+        pairs = [(u, v) for u in range(len(points)) for v in range(u + 1, len(points))]
+        inst, d = _graph(points, rng.sample(pairs, min(len(pairs), rng.randint(3, 12))))
+        kinds.update(v.kind for v in _reference_violations(inst, d))
+        _assert_scan_matches_reference(inst, d)
+    assert kinds == {"node-on-edge", "collinear-overlap", "concurrent-edges"}

@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
 
 from mine.costs import INF, is_finite
-from mine.geometry import Drawing, list_crossings
+from mine.generate import random_crossed_3label
+from mine.geometry import Drawing, GeometryError, list_crossings
 from mine.instance import InstanceError, evaluate, make_instance
-from mine.reductions.planar import (AUX_PER_CROSSING, planar_sigma, planarize,
-                                    replace_crossing)
+from mine.reductions.gadgets import equality3
+from mine.reductions.planar import (AUX_PER_CROSSING, PlanarizeError, planar_sigma,
+                                    planarize, replace_crossing)
 from mine.reductions.trace import ReductionTrace, trace_from_json
 from mine.solvers import solve_brute_force, solve_elimination
 
@@ -86,7 +89,7 @@ def test_planarize_rejects_degenerate_drawing():
     inst = make_instance({u: 3 for u in range(3)},
                          pairwise={(0, 1): rand_table(random.Random(0))})
     d = Drawing({0: (F(0), F(0)), 1: (F(2), F(0)), 2: (F(1), F(0))})  # node on edge
-    with pytest.raises(Exception):
+    with pytest.raises(GeometryError):
         planarize(inst, d)
 
 
@@ -119,7 +122,7 @@ def test_replace_crossing_requires_current_crossing():
                            aux_nodes=(), next_fresh_id=4)
     from mine.geometry import Crossing
     stale = Crossing((0, 1), (2, 3), (F(1), F(1)))
-    with pytest.raises(Exception):
+    with pytest.raises(PlanarizeError):
         replace_crossing(inst, d, trace, stale)
 
 
@@ -136,3 +139,122 @@ def test_trace_round_trips_through_json():
     _, _, trace = planarize(inst, d)
     back = trace_from_json(trace.to_json())
     assert back == trace
+
+
+# ---------------------------------------------------------------------------
+# Edges crossed more than once become chains of stubs
+
+
+def segments_instance(segments, seed=3):
+    """One edge per segment ((x1, y1), (x2, y2)), nodes numbered in order."""
+    rng = random.Random(seed)
+    coords = {}
+    pairwise = {}
+    for i, (a, b) in enumerate(segments):
+        coords[2 * i], coords[2 * i + 1] = (F(a[0]), F(a[1])), (F(b[0]), F(b[1]))
+        pairwise[(2 * i, 2 * i + 1)] = rand_table(rng)
+    inst = make_instance({u: 3 for u in coords},
+                         {u: tuple(rng.randint(0, 6) for _ in range(3)) for u in coords},
+                         pairwise)
+    return inst, Drawing(coords)
+
+
+def grid_instance(n):
+    """n horizontal and n vertical segments: n * n crossings, n per edge."""
+    horizontal = [((0, y), (n + 1, y)) for y in range(1, n + 1)]
+    vertical = [((x, 0), (x, n + 1)) for x in range(1, n + 1)]
+    return segments_instance(horizontal + vertical)
+
+
+def test_edge_crossed_twice_keeps_optimum():
+    inst, d = segments_instance([((-4, 0), (4, 0)), ((-2, -1), (-1, 2)), ((2, -2), (3, 1))])
+    assert len(list_crossings(inst, d)) == 2
+    out, od, trace = planarize(inst, d)
+    assert list_crossings(out, od) == []
+    assert len(trace.aux_nodes) == 2 * AUX_PER_CROSSING
+    assert solve_elimination(out).value == solve_brute_force(inst).value
+    # f_01 sits on the stub from node 0 to the copy at the crossing nearest
+    # to it; the stub from node 1 carries equality.
+    near_0, near_1 = trace.crossings
+    assert F(near_0.point[0]) < 0 < F(near_1.point[0])
+    assert out.pairwise[(0, near_0.aux_nodes[0])] == inst.pairwise[(0, 1)]
+    assert out.pairwise[(1, near_1.aux_nodes[1])] == equality3()
+    # Each labeling of the original nodes keeps its energy once the
+    # auxiliaries are minimized over.
+    rng = random.Random(5)
+    for _ in range(8):
+        x = {u: rng.randrange(3) for u in inst.nodes}
+        assert solve_elimination(_pin(out, x)).value == evaluate(inst, x)
+
+
+def test_two_by_two_crossings_keep_optimum():
+    inst, d = grid_instance(2)
+    assert len(list_crossings(inst, d)) == 4
+    out, od, trace = planarize(inst, d)
+    assert list_crossings(out, od) == []
+    e = solve_elimination(out)
+    assert e.value == solve_brute_force(inst).value
+    assert evaluate(inst, planar_sigma(inst, trace, e.labeling)) == e.value
+
+
+def test_five_by_five_grid_planarizes():
+    inst, d = grid_instance(5)
+    assert (len(inst.nodes), len(inst.edges)) == (20, 10)
+    crossings = list_crossings(inst, d)
+    assert len(crossings) == 25
+    assert all(sum(e in (c.edge_a, c.edge_b) for c in crossings) == 5 for e in inst.edges)
+    out, od, trace = planarize(inst, d)
+    assert list_crossings(out, od) == []
+    assert len(trace.aux_nodes) == 600
+    assert {(c.edge_a, c.edge_b) for c in trace.crossings} == \
+        {(c.edge_a, c.edge_b) for c in crossings}
+    assert nx.check_planarity(_nx_graph(out))[0]
+
+
+def test_replace_crossing_keeps_the_other_crossing():
+    for inst, d in (two_x_instance(),
+                    segments_instance([((-4, 0), (4, 0)), ((-2, -1), (-1, 2)),
+                                       ((2, -2), (3, 1))])):
+        first, second = list_crossings(inst, d)
+        trace = ReductionTrace(kind="planarize", original_nodes=inst.nodes,
+                               aux_nodes=(), next_fresh_id=max(inst.nodes) + 1)
+        out, od, _ = replace_crossing(inst, d, trace, first)
+        left = list_crossings(out, od)
+        assert [c.point for c in left] == [second.point]
+
+
+def test_leftover_crossing_raises(monkeypatch):
+    from mine.reductions import planar
+    monkeypatch.setattr(planar, "_replace_crossings",
+                        lambda instance, d, trace, targets, crossings: (instance, d, trace))
+    inst, d = x_instance()
+    with pytest.raises(PlanarizeError):
+        planarize(inst, d)
+
+
+# ---------------------------------------------------------------------------
+# Criterion 5's corpus: planar graphs, small coordinates
+
+
+def _nx_graph(instance):
+    g = nx.Graph()
+    g.add_nodes_from(instance.nodes)
+    g.add_edges_from(instance.edges)
+    return g
+
+
+@pytest.fixture(scope="module")
+def criterion5_outputs():
+    return [planarize(*random_crossed_3label(seed)) for seed in range(50)]
+
+
+def test_criterion5_outputs_are_planar_graphs(criterion5_outputs):
+    for out, _, _ in criterion5_outputs:
+        assert nx.check_planarity(_nx_graph(out))[0]
+
+
+def test_criterion5_output_denominators_fit_64_bits(criterion5_outputs):
+    for _, od, _ in criterion5_outputs:
+        for x, y in od.coords.values():
+            assert x.denominator.bit_length() <= 64
+            assert y.denominator.bit_length() <= 64

@@ -7,7 +7,7 @@ from mine.costs import INF
 from mine.generate import (random_forest, random_general, random_potts,
                            random_submodular)
 from mine.instance import evaluate, make_instance
-from mine.solvers import (FlowNetwork, SolverError, alpha_expansion,
+from mine.solvers import (FlowNetwork, SolveResult, SolverError, alpha_expansion,
                           is_metric, is_potts, is_submodular_binary,
                           is_submodular_lattice, max_flow, min_degree_order,
                           solve_brute_force, solve_elimination,
@@ -230,6 +230,13 @@ def test_submodular_qpbo_random_batch():
         assert solve_submodular_qpbo(inst).value == solve_brute_force(inst).value, seed
 
 
+def test_submodular_qpbo_checks_its_labeling(monkeypatch):
+    import mine.solvers
+    monkeypatch.setattr(mine.solvers, "evaluate", lambda inst, x: evaluate(inst, x) + 1)
+    with pytest.raises(SolverError):
+        solve_submodular_qpbo(random_submodular(3, max_nodes=5))
+
+
 # --- alpha expansion ----------------------------------------------------
 
 def test_alpha_expansion_at_optimum_is_stable():
@@ -245,6 +252,21 @@ def test_alpha_expansion_requires_metric():
     inst = make_instance({0: 2, 1: 2}, pairwise={(0, 1): ((0, 2), (1, 0))})
     with pytest.raises(SolverError):
         alpha_expansion(inst)
+
+
+def test_alpha_expansion_checks_its_final_energy(monkeypatch):
+    # A move solver that reports one less than its labeling costs makes the
+    # recorded energy disagree with the labeling.
+    import mine.solvers
+    exact = mine.solvers.solve_submodular_qpbo
+
+    def optimistic(move):
+        r = exact(move)
+        return SolveResult(r.labeling, r.value - 1, r.method, r.exact)
+
+    monkeypatch.setattr(mine.solvers, "solve_submodular_qpbo", optimistic)
+    with pytest.raises(SolverError):
+        alpha_expansion(random_potts(1, max_nodes=5))
 
 
 def test_alpha_expansion_ratio_and_monotone_moves():
