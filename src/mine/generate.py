@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .costs import INF
-from .geometry import Drawing, list_crossings, validate_general_position
+from .geometry import Drawing, _position_and_crossings
 from .instance import EnergyInstance, make_instance
 from .reductions.wsat import W3SatTriv
 
@@ -150,8 +150,7 @@ def random_crossed_3label(seed, max_nodes: int = 6,
         points = rng.sample([(x, y) for x in range(-8, 9) for y in range(-8, 9)], n)
         d = Drawing({u: (Fraction(x), Fraction(y))
                      for u, (x, y) in zip(instance.nodes, points)})
-        if validate_general_position(instance, d):
-            continue
-        if 1 <= len(list_crossings(instance, d)) <= 3:
+        violations, crossings = _position_and_crossings(instance, d)
+        if not violations and 1 <= len(crossings) <= 3:
             return instance, d
     raise GenerationError(f"no drawable instance found for seed {seed!r}")

@@ -200,6 +200,15 @@ def validate_general_position(instance: EnergyInstance, d: Drawing) -> list[Posi
     Checks: no node interior to a non-incident edge, no collinear edge
     overlaps, no three edges through a common interior point.
     """
+    return _position_and_crossings(instance, d)[0]
+
+
+def _position_and_crossings(instance: EnergyInstance,
+                            d: Drawing) -> tuple[list[PositionViolation], list[Crossing]]:
+    """validate_general_position's violations and the proper crossings, from one pair scan.
+
+    When there are no violations the crossings are list_crossings(instance, d).
+    """
     pts, _ = _integer_coords(instance, d)
     by_x = sorted((pts[w][0], k) for k, w in enumerate(instance.nodes))
     xs = [x for x, _ in by_x]
@@ -217,16 +226,18 @@ def validate_general_position(instance: EnergyInstance, d: Drawing) -> list[Posi
         violations.extend(PositionViolation("node-on-edge", (instance.nodes[k], (u, v)))
                           for k in sorted(on_edge))
     edges = instance.edges
+    crossings = []
     point_to_edges: dict[Point, set] = {}
     for i, j, p in _pair_scan(instance, d):
         if p is None:
             violations.append(PositionViolation("collinear-overlap", (edges[i], edges[j])))
         else:
+            crossings.append(Crossing(edges[i], edges[j], p))
             point_to_edges.setdefault(p, set()).update((edges[i], edges[j]))
     for p, es in point_to_edges.items():
         if len(es) > 2:
             violations.append(PositionViolation("concurrent-edges", (p, tuple(sorted(es)))))
-    return violations
+    return violations, crossings
 
 
 def _dist2_point(p: Point, q: Point) -> Fraction:

@@ -2,20 +2,30 @@
 
 Brute force and variable elimination serve as oracles; tree DP, the
 submodular min-cut route, and alpha-expansion cover the tractable and
-approximable families.  All solvers are deterministic: ties break toward
-the lexicographically smallest labeling (in instance node order) for the
-enumerating solvers, and toward the canonical reachable-set cut for the
-flow-based one.
+approximable families.  All solvers are deterministic: brute force
+returns the lexicographically smallest optimal labeling (in instance node
+order); elimination, going back through its order, gives each node the
+first label that attains its bucket's minimum under the labels already
+chosen (label 0 when every label costs INF); the flow-based solver
+returns the canonical reachable-set cut.
+
+Costs stay exact everywhere, and a partial sum of finite costs that
+leaves the signed 64-bit range raises CostOverflowError.  Elimination
+keeps every factor as a flat row-major list of ints over its sorted
+scope, with INF encoded as an int beyond any finite sum, and sums each
+bucket with whole-list passes.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
+from operator import add
 
-from .costs import INF, Cost, check_range, ext_add, is_finite
+from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
 from .instance import EnergyInstance, InstanceError, Labeling, evaluate
 
 DEFAULT_BRUTE_LIMIT = 2**24
@@ -34,11 +44,21 @@ class SolveResult:
     method: str
     exact: bool
     move_values: tuple = ()  # alpha-expansion: energy after each accepted move
+    stats: dict = field(default_factory=dict, compare=False)  # solver counters
 
 
 def brute_force_limit() -> int:
+    """The configuration bound from MINE_BRUTE_LIMIT, a positive integer, if set."""
     raw = os.environ.get(BRUTE_LIMIT_ENV)
-    return int(raw) if raw else DEFAULT_BRUTE_LIMIT
+    if not raw:
+        return DEFAULT_BRUTE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = None
+    if limit is None or limit < 1:
+        raise SolverError(f"{BRUTE_LIMIT_ENV} must be a positive integer, got {raw!r}")
+    return limit
 
 
 def solve_brute_force(instance: EnergyInstance, limit: int | None = None) -> SolveResult:
@@ -86,63 +106,139 @@ def min_degree_order(instance: EnergyInstance) -> list[int]:
 
 def solve_elimination(instance: EnergyInstance, order=None,
                       width_limit: int | None = None) -> SolveResult:
-    """Exact minimum via bucket elimination along the given (or min-degree) order."""
+    """Exact minimum via bucket elimination along the given (or min-degree) order.
+
+    Every factor is a flat row-major list over its sorted scope.  The bucket
+    of node u is summed over its joint scope (the sorted separator, then u
+    last and fastest) one factor at a time, each factor broadcast to the
+    joint scope by list repetition; each message entry is the minimum of one
+    run of k_u joint entries, and its argmin the first label attaining it
+    (label 0 when every label costs INF).  Internally INF is an int larger
+    than any sum of finite entries could reach, read back as INF at the end.
+    A partial bucket sum of finite entries outside the signed 64-bit range
+    raises CostOverflowError, checked in bucket order: buckets whose
+    factors' finite ranges cannot add up to such a sum skip the check.
+    ``stats`` holds ``max_separator`` (the most nodes in one separator) and
+    ``joint_entries`` (the joint entries summed over all buckets).
+    """
     if order is None:
         order = min_degree_order(instance)
     if sorted(order) != sorted(instance.nodes):
         raise SolverError("elimination order must be a permutation of the nodes")
     if width_limit is None:
         width_limit = DEFAULT_ELIM_LIMIT
+    labels = instance.labels
 
-    # Factors: (scope tuple, table dict scope-assignment -> Cost).
-    factors = []
-    for u in instance.nodes:
-        factors.append(((u,), {(a,): instance.unary[u][a]
-                               for a in range(instance.labels[u])}))
-    for (u, v) in instance.edges:
-        table = instance.pairwise[(u, v)]
-        factors.append(((u, v), {(a, b): table[a][b]
-                                 for a in range(instance.labels[u])
-                                 for b in range(instance.labels[v])}))
+    scopes = [(u,) for u in instance.nodes] + list(instance.edges)
+    tables = ([list(instance.unary[u]) for u in instance.nodes]
+              + [[c for row in instance.pairwise[e] for c in row] for e in instance.edges])
+    # Every value formed below is a sum of entries of distinct input factors,
+    # so finite ones stay within +-finite_cap, and any sum holding an INF
+    # (encoded as inf) exceeds finite_cap.
+    finites = [[c for c in table if is_finite(c)] for table in tables]
+    big = max([-I64_MIN] + [abs(c) for finite in finites for c in finite])
+    finite_cap = len(tables) * big
+    inf = 2 * finite_cap
+    factors = []  # (scope, flat table, min and max finite entry or None)
+    for scope, table, finite in zip(scopes, tables, finites):
+        if len(finite) < len(table):
+            table = [c if is_finite(c) else inf for c in table]
+        factors.append((scope, table, min(finite, default=None), max(finite, default=None)))
 
-    eliminated = []  # (node, separator scope, argmin table)
+    eliminated = []  # (node, separator, argmin per separator entry)
+    max_separator = joint_entries = 0
     for u in order:
         bucket = [f for f in factors if u in f[0]]
         factors = [f for f in factors if u not in f[0]]
-        sep = sorted({w for scope, _ in bucket for w in scope if w != u})
+        sep = sorted({w for f in bucket for w in f[0] if w != u})
         size = 1
         for w in sep:
-            size *= instance.labels[w]
+            size *= labels[w]
         if size > width_limit:
             raise SolverError(f"separator size {size} exceeds elimination bound")
-        message: dict[tuple, Cost] = {}
-        argmin: dict[tuple, int] = {}
-        for sep_assign in product(*(range(instance.labels[w]) for w in sep)):
-            ctx = dict(zip(sep, sep_assign))
-            best: Cost = None
-            best_label = None
-            for a in range(instance.labels[u]):
-                ctx[u] = a
-                v: Cost = 0
-                for scope, table in bucket:
-                    v = ext_add(v, table[tuple(ctx[w] for w in scope)])
-                if best is None or v < best:
-                    best, best_label = v, a
-            message[sep_assign] = best
-            argmin[sep_assign] = best_label
-        factors.append((tuple(sep), message))
-        eliminated.append((u, tuple(sep), argmin))
+        k = labels[u]
+        joint = sep + [u]
+        max_separator = max(max_separator, len(sep))
+        joint_entries += size * k
+
+        # Partial sums need a range check only from the first factor whose
+        # prefix of finite minima or maxima leaves int64; a factor with no
+        # finite entry makes every later partial sum INF.
+        check_from = len(bucket)
+        lo = hi = 0
+        for i, (_, _, f_lo, f_hi) in enumerate(bucket):
+            if f_lo is None:
+                break
+            lo += f_lo
+            hi += f_hi
+            if lo < I64_MIN or hi > I64_MAX:
+                check_from = i
+                break
+        acc = None
+        for i, (scope, table, _, _) in enumerate(bucket):
+            column = _broadcast(table, scope, joint, labels)
+            acc = column if acc is None else list(map(add, acc, column))
+            if i >= check_from:
+                for v in acc:
+                    if v < I64_MIN or I64_MAX < v <= finite_cap:
+                        check_range(v)
+
+        message = acc if k == 1 else list(map(min, *(acc[a::k] for a in range(k))))
+        argmin = [0 if m > I64_MAX else acc.index(m, j, j + k) - j
+                  for j, m in zip(range(0, len(acc), k), message)]
+        if any(f[2] is None for f in bucket):
+            m_lo = m_hi = None
+        else:
+            m_lo = max(I64_MIN, sum(f[2] for f in bucket))
+            m_hi = min(I64_MAX, sum(f[3] for f in bucket))
+        factors.append((tuple(sep), message, m_lo, m_hi))
+        eliminated.append((u, sep, argmin))
 
     value: Cost = instance.constant
-    for scope, table in factors:
+    for scope, table, _, _ in factors:
         if scope != ():
             raise SolverError(f"elimination left a factor over {scope}")
-        value = ext_add(value, table[()])
+        value = ext_add(value, INF if table[0] > I64_MAX else table[0])
 
     x: Labeling = {}
     for u, sep, argmin in reversed(eliminated):
-        x[u] = argmin[tuple(x[w] for w in sep)]
-    return SolveResult(x, value, "elimination", True)
+        j = 0
+        for w in sep:
+            j = j * labels[w] + x[w]
+        x[u] = argmin[j]
+    return SolveResult(x, value, "elimination", True,
+                       stats={"max_separator": max_separator,
+                              "joint_entries": joint_entries})
+
+
+def _broadcast(table: list, scope: tuple, joint: list, labels) -> list:
+    """A factor's flat table repeated out to the joint scope's row-major order.
+
+    scope is sorted and a subset of joint, which is sorted except for its
+    last node; that node moves to the end of the table first.
+    """
+    last = joint[-1]
+    p = scope.index(last)
+    if p < len(scope) - 1:
+        k = labels[last]
+        inner = math.prod(labels[w] for w in scope[p + 1:])
+        block = inner * k
+        table = list(chain.from_iterable(chain.from_iterable(
+            zip(*(table[b + a * inner:b + (a + 1) * inner] for a in range(k)))
+            for b in range(0, len(table), block))))
+    present = set(scope)
+    out = table
+    block = 1
+    for w in reversed(joint):
+        k = labels[w]
+        if w not in present and k > 1:
+            if block == 1:
+                out = list(chain.from_iterable(zip(*[out] * k)))
+            else:
+                out = list(chain.from_iterable(out[i:i + block] * k
+                                               for i in range(0, len(out), block)))
+        block *= k
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,254 @@
+"""Flat-table bucket elimination against the dict-based loop it replaced.
+
+_reference_elimination is the earlier implementation, kept verbatim as an
+oracle: every joint entry builds a dict context and pays one tuple key,
+one dict lookup and one ext_add per factor.  The solver must return an
+equal SolveResult (labeling, value, method, exact) on every input and
+raise the same errors.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from mine.costs import I64_MAX, I64_MIN, INF, CostOverflowError, ext_add
+from mine.generate import random_general
+from mine.instance import evaluate, make_instance
+from mine.solvers import (DEFAULT_ELIM_LIMIT, SolveResult, SolverError,
+                          min_degree_order, solve_brute_force, solve_elimination,
+                          solve_tree_dp)
+
+
+def _reference_elimination(instance, order=None, width_limit=None):
+    if order is None:
+        order = min_degree_order(instance)
+    if sorted(order) != sorted(instance.nodes):
+        raise SolverError("elimination order must be a permutation of the nodes")
+    if width_limit is None:
+        width_limit = DEFAULT_ELIM_LIMIT
+
+    # Factors: (scope tuple, table dict scope-assignment -> Cost).
+    factors = []
+    for u in instance.nodes:
+        factors.append(((u,), {(a,): instance.unary[u][a]
+                               for a in range(instance.labels[u])}))
+    for (u, v) in instance.edges:
+        table = instance.pairwise[(u, v)]
+        factors.append(((u, v), {(a, b): table[a][b]
+                                 for a in range(instance.labels[u])
+                                 for b in range(instance.labels[v])}))
+
+    eliminated = []  # (node, separator scope, argmin table)
+    for u in order:
+        bucket = [f for f in factors if u in f[0]]
+        factors = [f for f in factors if u not in f[0]]
+        sep = sorted({w for scope, _ in bucket for w in scope if w != u})
+        size = 1
+        for w in sep:
+            size *= instance.labels[w]
+        if size > width_limit:
+            raise SolverError(f"separator size {size} exceeds elimination bound")
+        message = {}
+        argmin = {}
+        for sep_assign in product(*(range(instance.labels[w]) for w in sep)):
+            ctx = dict(zip(sep, sep_assign))
+            best = None
+            best_label = None
+            for a in range(instance.labels[u]):
+                ctx[u] = a
+                v = 0
+                for scope, table in bucket:
+                    v = ext_add(v, table[tuple(ctx[w] for w in scope)])
+                if best is None or v < best:
+                    best, best_label = v, a
+            message[sep_assign] = best
+            argmin[sep_assign] = best_label
+        factors.append((tuple(sep), message))
+        eliminated.append((u, tuple(sep), argmin))
+
+    value = instance.constant
+    for scope, table in factors:
+        if scope != ():
+            raise SolverError(f"elimination left a factor over {scope}")
+        value = ext_add(value, table[()])
+
+    x = {}
+    for u, sep, argmin in reversed(eliminated):
+        x[u] = argmin[tuple(x[w] for w in sep)]
+    return SolveResult(x, value, "elimination", True)
+
+
+def _outcome(solve, instance, order=None, width_limit=None):
+    try:
+        return solve(instance, order, width_limit)
+    except (SolverError, CostOverflowError) as exc:
+        return type(exc)
+
+
+def assert_same(instance, order=None, width_limit=None):
+    expected = _outcome(_reference_elimination, instance, order, width_limit)
+    assert _outcome(solve_elimination, instance, order, width_limit) == expected
+    return expected
+
+
+def potts_grid(side, k, seed):
+    rng = random.Random(seed)
+    n = side * side
+    unary = {u: tuple(rng.randint(0, 20) for _ in range(k)) for u in range(n)}
+    pairwise = {}
+    for u in range(n):
+        for v in ([u + 1] if (u + 1) % side else []) + ([u + side] if u + side < n else []):
+            w = rng.randint(1, 10)
+            pairwise[(u, v)] = tuple(tuple(0 if a == b else w for b in range(k))
+                                     for a in range(k))
+    return make_instance({u: k for u in range(n)}, unary, pairwise)
+
+
+# --- equal results ------------------------------------------------------
+
+def test_random_general_with_infinities_and_mixed_labels():
+    for seed in range(200):
+        inst = random_general(seed, max_nodes=7, max_labels=4, inf_prob=0.3)
+        assert isinstance(assert_same(inst), SolveResult), seed
+
+
+def test_reversed_and_shuffled_orders():
+    for seed in range(100):
+        inst = random_general(f"order-{seed}", max_nodes=7, max_labels=4, inf_prob=0.3)
+        order = list(inst.nodes)
+        assert_same(inst, order[::-1])
+        random.Random(seed).shuffle(order)
+        assert_same(inst, order)
+
+
+def test_criterion5_planarized_outputs(criterion5_outputs):
+    for out, _, _ in criterion5_outputs:
+        assert_same(out)
+
+
+@pytest.mark.parametrize("side", [4, 5, 6])
+def test_three_label_potts_grids(side):
+    for seed in range(3):
+        result = assert_same(potts_grid(side, 3, seed))
+        assert evaluate(potts_grid(side, 3, seed), result.labeling) == result.value
+
+
+def test_zero_and_one_node_instances():
+    empty = make_instance({})
+    assert solve_elimination(empty) == SolveResult({}, 0, "elimination", True)
+    assert_same(make_instance({}, constant=-7))
+    one = make_instance({5: 3}, {5: (4, INF, 1)}, constant=2)
+    assert assert_same(one) == SolveResult({5: 2}, 3, "elimination", True)
+    assert_same(make_instance({0: 1}, {0: (-3,)}))
+
+
+def test_all_inf_run_takes_label_zero():
+    # Every pair of labels is forbidden, so each run of the first message
+    # is all INF; INF sums must not be told apart by the finite unary costs
+    # riding on them, and the first label wins as in the reference.
+    inst = make_instance({0: 3, 1: 2}, {0: (5, 0, 3), 1: (2, 0)},
+                         {(0, 1): ((INF, INF), (INF, INF), (INF, INF))})
+    result = assert_same(inst, [0, 1])
+    assert result == SolveResult({0: 0, 1: 0}, INF, "elimination", True)
+    brute = solve_brute_force(inst)
+    assert (brute.labeling, brute.value) == (result.labeling, result.value)
+
+
+def test_partial_inf_run_takes_first_finite_minimum():
+    inst = make_instance({0: 3, 1: 2}, {0: (0, 4, 4), 1: (0, 0)},
+                         {(0, 1): ((INF, 0), (INF, 0), (INF, INF))})
+    assert assert_same(inst, [0, 1]) == SolveResult({0: 0, 1: 1}, 0, "elimination", True)
+
+
+def test_over_wide_separator_raises_same_error():
+    inst = make_instance({u: 3 for u in range(4)},
+                         pairwise={(u, v): ((0,) * 3,) * 3
+                                   for u in range(4) for v in range(u + 1, 4)})
+    with pytest.raises(SolverError) as expected:
+        _reference_elimination(inst, width_limit=26)
+    with pytest.raises(SolverError) as got:
+        solve_elimination(inst, width_limit=26)
+    assert str(got.value) == str(expected.value) == "separator size 27 exceeds elimination bound"
+    assert_same(inst, width_limit=27)
+
+
+def test_bad_order_raises():
+    inst = random_general("bad-order", max_nodes=4)
+    with pytest.raises(SolverError):
+        solve_elimination(inst, order=list(inst.nodes) + [max(inst.nodes) + 1])
+
+
+# --- overflow -----------------------------------------------------------
+
+def test_partial_bucket_sum_leaving_int64_raises():
+    # I64_MAX + 1 - 1 fits, but the partial sum I64_MAX + 1 does not.
+    inst = make_instance({0: 1, 1: 1}, {0: (I64_MAX,), 1: (-1,)}, {(0, 1): ((1,),)})
+    with pytest.raises(CostOverflowError):
+        _reference_elimination(inst)
+    with pytest.raises(CostOverflowError):
+        solve_elimination(inst)
+
+
+def test_sum_landing_on_int64_max_does_not_raise():
+    inst = make_instance({0: 1, 1: 1}, {0: (I64_MAX - 1,), 1: (0,)}, {(0, 1): ((1,),)})
+    assert assert_same(inst).value == I64_MAX
+    low = make_instance({0: 2}, {0: (I64_MIN, 0)})
+    assert assert_same(low) == SolveResult({0: 0}, I64_MIN, "elimination", True)
+
+
+def test_overflow_rule_near_the_int64_boundary():
+    # Entries at and beyond the int64 ends, mixed with INF: the solver must
+    # raise exactly when the reference does and agree otherwise.
+    rng = random.Random(5)
+
+    def cost():
+        return rng.choice([rng.randint(-3, 3), I64_MAX - rng.randint(0, 3),
+                           I64_MIN + rng.randint(0, 3), I64_MAX // 2, I64_MIN // 2,
+                           2**64 + 5, -(2**64), INF])
+
+    raised = 0
+    for _ in range(600):
+        n = rng.randint(1, 4)
+        labels = {u: rng.randint(1, 3) for u in range(n)}
+        unary = {}
+        for u in range(n):
+            row = [cost() for _ in range(labels[u])]
+            row[rng.randrange(labels[u])] = rng.randint(-3, 3)
+            unary[u] = tuple(row)
+        pairwise = {(u, v): tuple(tuple(cost() for _ in range(labels[v]))
+                                  for _ in range(labels[u]))
+                    for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6}
+        inst = make_instance(labels, unary, pairwise,
+                             constant=rng.choice([0, I64_MAX, I64_MIN]))
+        order = list(inst.nodes)
+        rng.shuffle(order)
+        raised += assert_same(inst, order) is CostOverflowError
+    assert 100 < raised < 500  # both outcomes are well represented
+
+
+# --- counters -----------------------------------------------------------
+
+def test_stats_on_a_chain():
+    # Order 0, 1, 2: separators {1}, {2}, {} over 2 labels each.
+    inst = make_instance({0: 2, 1: 2, 2: 2},
+                         pairwise={(0, 1): ((0, 1), (1, 0)), (1, 2): ((0, 1), (1, 0))})
+    result = solve_elimination(inst)
+    assert result.stats == {"max_separator": 1, "joint_entries": 4 + 4 + 2}
+
+
+def test_stats_on_a_three_by_three_grid():
+    # Min-degree order 0, 2, 6, 8 (separators of 2), then 1 and 3 (3 each),
+    # then 4, 5, 7 (2, 1, 0): 4 * 2**3 + 2 * 2**4 + 2**3 + 2**2 + 2**1 entries.
+    inst = potts_grid(3, 2, 0)
+    assert min_degree_order(inst) == [0, 2, 6, 8, 1, 3, 4, 5, 7]
+    result = solve_elimination(inst)
+    assert result.stats == {"max_separator": 3, "joint_entries": 78}
+
+
+def test_stats_do_not_take_part_in_equality():
+    inst = potts_grid(3, 2, 1)
+    result = solve_elimination(inst)
+    assert result.stats
+    assert result == SolveResult(result.labeling, result.value, "elimination", True)
+    assert solve_tree_dp(make_instance({0: 2})).stats == {}

@@ -295,3 +295,35 @@ def test_scan_matches_reference_on_crowded_grid_drawings():
         kinds.update(v.kind for v in _reference_violations(inst, d))
         _assert_scan_matches_reference(inst, d)
     assert kinds == {"node-on-edge", "collinear-overlap", "concurrent-edges"}
+
+
+def _two_scans(instance, d):
+    violations = validate_general_position(instance, d)
+    return violations, ([] if violations else list_crossings(instance, d))
+
+
+def test_generator_single_scan_matches_two_call_route(monkeypatch):
+    import mine.generate
+    from mine.fileformat import serialize_instance
+    one = [serialize_instance(*mine.generate.random_crossed_3label(seed)) for seed in range(50)]
+    monkeypatch.setattr(mine.generate, "_position_and_crossings", _two_scans)
+    two = [serialize_instance(*mine.generate.random_crossed_3label(seed)) for seed in range(50)]
+    assert one == two
+
+
+def test_position_and_crossings_agree_with_the_public_scans():
+    # Points on a 4 x 4 grid: both degenerate and general-position drawings.
+    from mine.generate import random_general
+    from mine.geometry import _position_and_crossings
+    rng = random.Random(8)
+    kinds = set()
+    for seed in range(80):
+        inst = random_general(seed, max_nodes=7)
+        points = rng.sample([(x, y) for x in range(4) for y in range(4)], len(inst.nodes))
+        d = Drawing({u: pt(x, y) for u, (x, y) in zip(inst.nodes, points)})
+        violations, crossings = _position_and_crossings(inst, d)
+        assert violations == validate_general_position(inst, d)
+        if not violations:
+            assert crossings == list_crossings(inst, d)
+        kinds.add((bool(violations), bool(crossings)))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}

@@ -232,3 +232,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert run_cli(["reduce", "qpbo-to-klabel", three, str(tmp_path / "o"),
                     "--k", "3"]) == 3                            # precondition
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5", "0", "1.5"])
+def test_cli_bad_brute_limit_is_a_precondition_error(tmp_path, capsys, monkeypatch, raw):
+    path = _write(tmp_path, "a.mine", MINIMAL)
+    monkeypatch.setenv("MINE_BRUTE_LIMIT", raw)
+    assert run_cli(["solve", path, "--method", "brute"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: MINE_BRUTE_LIMIT must be a positive integer, got {raw!r}\n"
+
+
+def test_cli_brute_limit_is_applied(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "a.mine", MINIMAL)
+    monkeypatch.setenv("MINE_BRUTE_LIMIT", "1")
+    assert run_cli(["solve", path, "--method", "brute"]) == 3
+    assert "bound 1" in capsys.readouterr().err
+    monkeypatch.setenv("MINE_BRUTE_LIMIT", "2")
+    assert run_cli(["solve", path, "--method", "brute"]) == 0
+    assert capsys.readouterr().out == "0 0\nvalue 0\n"

@@ -5,7 +5,6 @@ import networkx as nx
 import pytest
 
 from mine.costs import INF, is_finite
-from mine.generate import random_crossed_3label
 from mine.geometry import Drawing, GeometryError, list_crossings
 from mine.instance import InstanceError, evaluate, make_instance
 from mine.reductions.gadgets import equality3
@@ -241,11 +240,6 @@ def _nx_graph(instance):
     g.add_nodes_from(instance.nodes)
     g.add_edges_from(instance.edges)
     return g
-
-
-@pytest.fixture(scope="module")
-def criterion5_outputs():
-    return [planarize(*random_crossed_3label(seed)) for seed in range(50)]
 
 
 def test_criterion5_outputs_are_planar_graphs(criterion5_outputs):
