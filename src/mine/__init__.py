@@ -1,9 +1,9 @@
 """Exact toolkit for pairwise discrete energy minimization at desk scale."""
 
 from .costs import INF, Cost, CostOverflowError, check_range, ext_add, is_finite
-from .instance import (EnergyInstance, InstanceError, Labeling, big_m,
-                       check_labeling, evaluate, finite_big_m, make_instance,
-                       materialize_infinities, normalize_edge)
+from .instance import (EnergyInstance, InstanceError, Labeling, all_labelings,
+                       big_m, check_labeling, evaluate, make_instance,
+                       normalize_edge)
 from .geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
                        circle_layout, free_radius, list_crossings, make_point,
                        validate_general_position)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .costs import is_finite
 from .geometry import Drawing, list_crossings
 from .instance import EnergyInstance
-from .solvers import (is_binary, is_metric, is_potts, is_submodular_binary,
-                      is_submodular_lattice)
+from .solvers import (all_finite, is_binary, is_forest, is_metric, is_potts,
+                      is_submodular_binary, is_submodular_lattice)
 
 UNDETECTED_FAMILIES = ("outerplanar", "bounded treewidth > 1", "permuted submodular")
 
@@ -47,36 +46,12 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
-def _is_forest(instance: EnergyInstance) -> bool:
-    parent = {u: u for u in instance.nodes}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for (u, v) in instance.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
-def _all_finite(instance: EnergyInstance) -> bool:
-    if any(not is_finite(c) for u in instance.nodes for c in instance.unary[u]):
-        return False
-    return all(is_finite(c) for e in instance.edges
-               for row in instance.pairwise[e] for c in row)
-
-
 def classify(instance: EnergyInstance, d: Drawing | None = None) -> ComplexityReport:
-    forest = _is_forest(instance)
+    forest = is_forest(instance)
     binary = is_binary(instance)
     counts = {instance.labels[u] for u in instance.nodes}
     uniform_k = len(counts) <= 1
-    finite = _all_finite(instance)
+    finite = all_finite(instance)
 
     planar = None
     if d is not None and d.covers(instance):

@@ -98,9 +98,3 @@ def ext_sum(values) -> Cost:
     for v in values:
         total = ext_add(total, v)
     return total
-
-
-def ext_abs(c: Cost) -> Cost:
-    if isinstance(c, _PlusInfinity):
-        return INF
-    return check_range(abs(c))

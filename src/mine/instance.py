@@ -8,9 +8,10 @@ operation here is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
-from .costs import INF, Cost, CostOverflowError, check_range, ext_add, is_finite
+from .costs import Cost, check_range, ext_add, is_finite
 
 Labeling = dict[int, int]
 
@@ -70,15 +71,6 @@ class EnergyInstance:
             return self.pairwise[(u, v)][a][b]
         return self.pairwise[(v, u)][b][a]
 
-    def neighbors(self, u: int) -> list[int]:
-        out = []
-        for (a, b) in self.edges:
-            if a == u:
-                out.append(b)
-            elif b == u:
-                out.append(a)
-        return out
-
 
 def make_instance(labels: dict[int, int],
                   unary: dict[int, tuple[Cost, ...]] | None = None,
@@ -110,6 +102,13 @@ def check_labeling(instance: EnergyInstance, x: Labeling) -> None:
             raise InstanceError(f"node {u}: label {a} out of range")
 
 
+def all_labelings(instance: EnergyInstance):
+    """Every labeling of the instance, lexicographically in instance node order."""
+    nodes = instance.nodes
+    for combo in product(*(range(instance.labels[u]) for u in nodes)):
+        yield dict(zip(nodes, combo))
+
+
 def evaluate(instance: EnergyInstance, x: Labeling) -> Cost:
     """Energy of labeling x: constant + sum of unary + sum of pairwise costs."""
     check_labeling(instance, x)
@@ -137,36 +136,3 @@ def big_m(instance: EnergyInstance) -> int:
                 total = check_range(total + abs(c))
     return total
 
-
-def finite_big_m(instance: EnergyInstance) -> int:
-    """big_m computed over the finite entries only (INF entries skipped)."""
-    total = 1 + abs(instance.constant)
-    for u in instance.nodes:
-        for c in instance.unary[u]:
-            if is_finite(c):
-                total = check_range(total + abs(c))
-    for e in instance.edges:
-        for row in instance.pairwise[e]:
-            for c in row:
-                if is_finite(c):
-                    total = check_range(total + abs(c))
-    return total
-
-
-def materialize_infinities(instance: EnergyInstance) -> EnergyInstance:
-    """Replace every +INF entry by the big-M constant of the finite part.
-
-    Labelings with finite original energy keep their energy exactly, and the
-    finite-optimal argmin set is preserved.
-    """
-    m = finite_big_m(instance)
-
-    def fix(c: Cost) -> int:
-        return c if is_finite(c) else m
-
-    unary = {u: tuple(fix(c) for c in instance.unary[u]) for u in instance.nodes}
-    pairwise = {e: tuple(tuple(fix(c) for c in row) for row in instance.pairwise[e])
-                for e in instance.edges}
-    return EnergyInstance(nodes=instance.nodes, labels=dict(instance.labels),
-                          unary=unary, edges=instance.edges, pairwise=pairwise,
-                          constant=instance.constant)

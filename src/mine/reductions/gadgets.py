@@ -46,11 +46,6 @@ def equality3() -> tuple[tuple[Cost, ...], ...]:
     return relation_table((3, 3), [(a, a) for a in range(3)])
 
 
-def equality2() -> tuple[tuple[Cost, ...], ...]:
-    # Equality of simulated 2-label nodes inside 3x3 tables.
-    return relation_table((3, 3), [(0, 0), (1, 1)])
-
-
 # SPLIT relations: boundary B in {0,1,2}; channel D reads 0 for labels {0,1}
 # side, channel F distinguishes label 1 from {0,2}.
 SPLIT_B_D = relation_table((3, 3), [(0, 0), (1, 0), (1, 1), (2, 1)])

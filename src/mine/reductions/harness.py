@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 
 from ..costs import is_finite
-from ..instance import EnergyInstance, Labeling, evaluate
+from ..instance import EnergyInstance, Labeling, all_labelings, evaluate
 
 
 @dataclass(frozen=True)
@@ -29,12 +28,6 @@ class SourceAdapter:
     feasible_solutions: Callable
     is_feasible: Callable
     measure: Callable
-
-
-def all_labelings(instance: EnergyInstance):
-    nodes = instance.nodes
-    for combo in product(*(range(instance.labels[u]) for u in nodes)):
-        yield dict(zip(nodes, combo))
 
 
 def _energy_feasible(instance: EnergyInstance):
@@ -101,7 +94,7 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
             report.counterexamples.append(Counterexample(idx, "well-formed", None,
                                                          "pi did not return an EnergyInstance"))
             continue
-        if set(trace.original_nodes) | set(trace.aux_nodes) != set(target.nodes):
+        if trace.target_nodes() != set(target.nodes):
             report.counterexamples.append(Counterexample(idx, "well-formed", None,
                                                          "trace does not partition the target nodes"))
             continue

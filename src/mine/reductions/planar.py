@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..geometry import (Crossing, Drawing, GeometryError, Point, frac_str,
-                        free_radius, list_crossings, segment_intersection,
-                        validate_general_position)
+from ..geometry import (Crossing, Drawing, GeometryError, Point,
+                        _position_and_crossings, frac_str, free_radius,
+                        list_crossings, segment_intersection)
 from ..instance import (EnergyInstance, InstanceError, Labeling, evaluate, is_finite,
                         normalize_edge)
 from .gadgets import (GadgetFragment, equality3, merge_fragments, split_gadget,
@@ -219,13 +219,12 @@ def planarize(instance: EnergyInstance, d: Drawing) -> tuple[EnergyInstance, Dra
     """Replace every crossing in one pass; raises PlanarizeError if any remains."""
     if any(instance.labels[n] != 3 for n in instance.nodes):
         raise InstanceError("planarize requires every node to have 3 labels")
-    violations = validate_general_position(instance, d)
+    violations, crossings = _position_and_crossings(instance, d)
     if violations:
         raise GeometryError(f"drawing not in general position: {violations}")
     trace = ReductionTrace(kind="planarize", original_nodes=instance.nodes,
                            aux_nodes=(),
                            next_fresh_id=(max(instance.nodes) + 1 if instance.nodes else 0))
-    crossings = list_crossings(instance, d)
     if not crossings:
         return instance, d, trace
     out, out_d, out_trace = _replace_crossings(instance, d, trace, crossings, crossings)
@@ -239,12 +238,15 @@ def planarize(instance: EnergyInstance, d: Drawing) -> tuple[EnergyInstance, Dra
 def planar_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -> Labeling:
     """Restriction of y to the original nodes when that is finite, else all-zeros.
 
-    The gadgets carry only 0/+INF costs, so any y whose restriction has
-    finite original energy costs at least as much in the planarized
-    instance (equal when the gadget relations hold, +INF otherwise).
+    y must label exactly the planarized instance's nodes.  The gadgets carry
+    only 0/+INF costs, so any y whose restriction has finite original energy
+    costs at least as much in the planarized instance (equal when the gadget
+    relations hold, +INF otherwise).
     """
     if trace.kind != "planarize":
         raise InstanceError("trace kind mismatch")
+    if set(y) != trace.target_nodes():
+        raise InstanceError("solution does not label exactly the planarized instance's nodes")
     restriction = {n: y[n] for n in original.nodes}
     if is_finite(evaluate(original, restriction)):
         return restriction

@@ -22,11 +22,11 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain
 from operator import add
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
-from .instance import EnergyInstance, InstanceError, Labeling, evaluate
+from .instance import EnergyInstance, Labeling, all_labelings, evaluate
 
 DEFAULT_BRUTE_LIMIT = 2**24
 DEFAULT_ELIM_LIMIT = 2**24
@@ -72,13 +72,10 @@ def solve_brute_force(instance: EnergyInstance, limit: int | None = None) -> Sol
             raise SolverError(f"configuration count exceeds brute-force bound {limit}")
     best_x = None
     best: Cost = None
-    for combo in product(*(range(instance.labels[u]) for u in instance.nodes)):
-        x = dict(zip(instance.nodes, combo))
+    for x in all_labelings(instance):
         v = evaluate(instance, x)
         if best is None or v < best:
             best, best_x = v, x
-    if best_x is None:  # zero nodes
-        return SolveResult({}, instance.constant, "brute", True)
     return SolveResult(best_x, best, "brute", True)
 
 
@@ -88,10 +85,7 @@ def solve_brute_force(instance: EnergyInstance, limit: int | None = None) -> Sol
 
 def min_degree_order(instance: EnergyInstance) -> list[int]:
     """Min-degree elimination order over the instance graph (ties: smallest id)."""
-    adj = {u: set() for u in instance.nodes}
-    for (u, v) in instance.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = {u: set(nbrs) for u, nbrs in adjacency(instance).items()}
     remaining = set(instance.nodes)
     order = []
     while remaining:
@@ -247,12 +241,9 @@ def _broadcast(table: list, scope: tuple, joint: list, labels) -> list:
 
 def solve_tree_dp(instance: EnergyInstance) -> SolveResult:
     """Exact minimum on forests by leaf-to-root message passing."""
-    adj = {u: [] for u in instance.nodes}
-    for (u, v) in instance.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    if len(instance.edges) > len(instance.nodes) - _component_count(instance, adj):
+    if not is_forest(instance):
         raise SolverError("instance graph contains a cycle")
+    adj = adjacency(instance)  # edge order: each partial sum below is range-checked
 
     value: Cost = instance.constant
     x: Labeling = {}
@@ -301,23 +292,6 @@ def solve_tree_dp(instance: EnergyInstance) -> SolveResult:
                 if parent.get(w) == u:
                     x[w] = pick[w][x[u]]
     return SolveResult(x, value, "tree-dp", True)
-
-
-def _component_count(instance, adj) -> int:
-    seen = set()
-    count = 0
-    for u in instance.nodes:
-        if u in seen:
-            continue
-        count += 1
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(adj[w])
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +368,49 @@ def max_flow(network: FlowNetwork) -> tuple[int, tuple[frozenset, frozenset]]:
 
 
 # ---------------------------------------------------------------------------
-# Interaction-type checks
+# Graph structure and interaction-type checks (the classifier's too)
+
+
+def adjacency(instance: EnergyInstance) -> dict[int, list[int]]:
+    """Each node's neighbours, in the order of instance.edges."""
+    adj = {u: [] for u in instance.nodes}
+    for (u, v) in instance.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def is_forest(instance: EnergyInstance) -> bool:
+    """No cycle: the edge count equals the node count minus the component count."""
+    nodes, edges = instance.nodes, instance.edges
+    if nodes and len(edges) >= len(nodes):  # a forest has E <= V - 1: skip the walk
+        return False
+    adj = adjacency(instance)
+    seen = set()
+    components = 0
+    for root in nodes:
+        if root in seen:
+            continue
+        components += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return len(edges) == len(nodes) - components
+
+
+def all_finite(instance: EnergyInstance) -> bool:
+    return (all(is_finite(c) for u in instance.nodes for c in instance.unary[u])
+            and all(is_finite(c) for e in instance.edges
+                    for row in instance.pairwise[e] for c in row))
 
 
 def _require_finite_tables(instance: EnergyInstance) -> None:
-    for u in instance.nodes:
-        if not all(is_finite(c) for c in instance.unary[u]):
-            raise SolverError("infinite unary entry")
-    for e in instance.edges:
-        if not all(is_finite(c) for row in instance.pairwise[e] for c in row):
-            raise SolverError("infinite pairwise entry")
+    if not all_finite(instance):
+        raise SolverError("infinite unary or pairwise entry")
 
 
 def is_binary(instance: EnergyInstance) -> bool:

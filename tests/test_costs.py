@@ -2,8 +2,7 @@ import pytest
 
 from mine.costs import (INF, CostOverflowError, I64_MAX, check_range, ext_add,
                         ext_sum, is_finite)
-from mine.instance import (InstanceError, big_m, evaluate, finite_big_m,
-                           make_instance, materialize_infinities)
+from mine.instance import InstanceError, big_m, evaluate, make_instance
 
 
 def test_inf_absorbs_addition():
@@ -92,34 +91,6 @@ def test_big_m_rejects_inf():
     inst = make_instance({0: 2}, {0: (0, INF)})
     with pytest.raises(InstanceError):
         big_m(inst)
-    assert finite_big_m(inst) == 1
-
-
-def test_materialize_noop_on_finite():
-    inst = make_instance({0: 2}, {0: (0, 5)})
-    assert materialize_infinities(inst).unary[0] == (0, 5)
-
-
-def test_materialize_single_inf_unary():
-    inst = make_instance({0: 2}, {0: (0, INF)})
-    assert materialize_infinities(inst).unary[0] == (0, 1)
-
-
-def test_materialize_preserves_finite_energies_and_argmin():
-    inst = make_instance({0: 3, 1: 3},
-                         {0: (0, 0, INF), 1: (2, 0, 0)},
-                         {(0, 1): ((0, INF, 1), (INF, 0, 4), (0, 0, 0))})
-    fixed = materialize_infinities(inst)
-    best = min((evaluate(inst, {0: a, 1: b}), (a, b))
-               for a in range(3) for b in range(3) if is_finite(evaluate(inst, {0: a, 1: b})))
-    best_fixed = min((evaluate(fixed, {0: a, 1: b}), (a, b))
-                     for a in range(3) for b in range(3))
-    assert best == best_fixed
-    for a in range(3):
-        for b in range(3):
-            e = evaluate(inst, {0: a, 1: b})
-            if is_finite(e):
-                assert evaluate(fixed, {0: a, 1: b}) == e
 
 
 def test_instance_validation():

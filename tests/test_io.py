@@ -189,6 +189,27 @@ def test_cli_planarize_preserves_optimum(tmp_path, capsys):
     assert lines[-1] == f"value {solve_brute_force(inst).value}"
 
 
+@pytest.mark.parametrize("dropped", [0, -1])  # an original node, an auxiliary node
+def test_cli_planar_sigma_rejects_an_incomplete_solution(tmp_path, capsys, dropped):
+    inst, d = random_crossed_3label("cli-planar")
+    src = _write(tmp_path, "x.mine", serialize_instance(inst, d))
+    out = str(tmp_path / "x.planar.mine")
+    tr = str(tmp_path / "x.trace.json")
+    assert run_cli(["reduce", "planarize", src, out, "--trace", tr]) == 0
+    target, _ = parse_instance(Path(out).read_text())
+    y = {u: 0 for u in target.nodes}
+    full = _write(tmp_path, "full.sol", serialize_solution(y))
+    del y[target.nodes[dropped]]
+    short = _write(tmp_path, "short.sol", serialize_solution(y))
+    capsys.readouterr()
+    assert run_cli(["sigma", src, "--trace", tr, "--solution", full]) == 0
+    capsys.readouterr()
+    assert run_cli(["sigma", src, "--trace", tr, "--solution", short]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_classify_renders_report(tmp_path, capsys):
     path = _write(tmp_path, "a.mine", MINIMAL)
     assert run_cli(["classify", path]) == 0

@@ -242,6 +242,22 @@ def _nx_graph(instance):
     return g
 
 
+def test_planarize_scans_the_source_once(monkeypatch):
+    import mine.geometry as geometry
+    calls = []
+    scan = geometry._pair_scan
+
+    def counted(instance, d):
+        calls.append(len(instance.nodes))
+        return scan(instance, d)
+
+    monkeypatch.setattr(geometry, "_pair_scan", counted)
+    inst, d = two_x_instance()
+    out, _, _ = planarize(inst, d)
+    # the source drawing, then the "no crossings left" check on the output
+    assert calls == [len(inst.nodes), len(out.nodes)]
+
+
 def test_criterion5_outputs_are_planar_graphs(criterion5_outputs):
     for out, _, _ in criterion5_outputs:
         assert nx.check_planarity(_nx_graph(out))[0]

@@ -1,17 +1,19 @@
 import random
 from itertools import product
 
+import networkx as nx
 import pytest
 
-from mine.costs import INF
+from mine.costs import I64_MAX, INF, CostOverflowError, is_finite
 from mine.generate import (random_forest, random_general, random_potts,
                            random_submodular)
-from mine.instance import evaluate, make_instance
-from mine.solvers import (FlowNetwork, SolveResult, SolverError, alpha_expansion,
-                          is_metric, is_potts, is_submodular_binary,
-                          is_submodular_lattice, max_flow, min_degree_order,
-                          solve_brute_force, solve_elimination,
-                          solve_submodular_qpbo, solve_tree_dp)
+from mine.instance import all_labelings, evaluate, make_instance
+from mine.solvers import (FlowNetwork, SolveResult, SolverError, adjacency,
+                          all_finite, alpha_expansion, is_forest, is_metric,
+                          is_potts, is_submodular_binary, is_submodular_lattice,
+                          max_flow, min_degree_order, solve_brute_force,
+                          solve_elimination, solve_submodular_qpbo,
+                          solve_tree_dp)
 
 
 def potts_table(k, c):
@@ -38,6 +40,20 @@ def test_brute_all_inf_still_returns():
     r = solve_brute_force(inst)
     assert r.value is INF
     assert r.labeling == {0: 0, 1: 0}
+
+
+def test_brute_returns_first_minimum_over_all_labelings():
+    for seed in range(200):
+        inst = random_general(seed, inf_prob=0.3)
+        values = [(evaluate(inst, x), x) for x in all_labelings(inst)]
+        best = min(v for v, _ in values)
+        first = next(x for v, x in values if v == best)
+        assert solve_brute_force(inst) == SolveResult(first, best, "brute", True)
+
+
+def test_brute_zero_nodes():
+    r = solve_brute_force(make_instance({}, constant=-4))
+    assert r.labeling == {} and r.value == -4
 
 
 def test_brute_limit(monkeypatch):
@@ -78,6 +94,48 @@ def test_min_degree_order_is_permutation():
     assert sorted(min_degree_order(inst)) == sorted(inst.nodes)
 
 
+# --- graph structure ----------------------------------------------------
+
+def _structure_corpus():
+    for seed in range(200):
+        yield random_forest(seed)
+        yield random_general(seed)
+        yield random_potts(seed)
+
+
+def test_structure_matches_networkx():
+    cyclic_sparse = 0  # cyclic with fewer edges than nodes
+    for inst in _structure_corpus():
+        g = nx.Graph()
+        g.add_nodes_from(inst.nodes)
+        g.add_edges_from(inst.edges)
+        assert is_forest(inst) == nx.is_forest(g)
+        adj = adjacency(inst)
+        assert list(adj) == list(g.adj)
+        assert all(adj[u] == list(g.adj[u]) for u in inst.nodes)
+        cyclic_sparse += not is_forest(inst) and len(inst.edges) < len(inst.nodes)
+    assert cyclic_sparse > 0
+
+
+def test_structure_of_the_empty_instance():
+    empty = make_instance({})
+    assert is_forest(empty)  # networkx rejects the null graph
+    assert adjacency(empty) == {}
+    assert all_finite(empty)
+
+
+def test_all_finite_matches_a_direct_scan():
+    verdicts = set()
+    for seed in range(200):
+        inst = random_general(seed, inf_prob=0.3)
+        entries = [c for u in inst.nodes for c in inst.unary[u]]
+        entries += [c for e in inst.edges for row in inst.pairwise[e] for c in row]
+        expected = all(is_finite(c) for c in entries)
+        assert all_finite(inst) == expected
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 # --- tree DP ------------------------------------------------------------
 
 def test_tree_dp_single_node():
@@ -89,6 +147,20 @@ def test_tree_dp_chain_and_star_match_brute():
     for seed in ("chain4", "star"):
         inst = random_forest(seed, max_nodes=6)
         assert solve_tree_dp(inst).value == solve_brute_force(inst).value
+
+
+def test_tree_dp_adds_child_messages_in_edge_order():
+    # Root 0 adds its children's messages in the order of its edges, and
+    # every partial sum is range-checked: big then small overflows.
+    zero = ((0,),)
+    big, small = I64_MAX - 5, -20
+    inst = make_instance({0: 1, 1: 1, 2: 1}, {0: (10,), 1: (big,), 2: (small,)},
+                         {(0, 1): zero, (0, 2): zero})
+    with pytest.raises(CostOverflowError):
+        solve_tree_dp(inst)
+    swapped = make_instance({0: 1, 1: 1, 2: 1}, {0: (10,), 1: (small,), 2: (big,)},
+                            {(0, 1): zero, (0, 2): zero})
+    assert solve_tree_dp(swapped).value == I64_MAX - 15
 
 
 def test_tree_dp_rejects_cycle():

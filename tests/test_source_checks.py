@@ -1,9 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import tokenize
+from collections import Counter
 from pathlib import Path
 
 import mine
+
+# Hooks the standard library calls by name: argparse calls _Parser.error.
+CALLED_BY_STDLIB = {"cli.py:error"}
 
 
 def test_no_assert_statements_in_package():
@@ -14,3 +19,35 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _names(path):
+    """Names a file defines with def or class, and every other name token in it."""
+    defined, named = [], Counter()
+    prev = None
+    with open(path, encoding="utf-8") as f:
+        for tok in tokenize.generate_tokens(f.readline):
+            if tok.type == tokenize.NAME:
+                if prev in ("def", "class"):
+                    defined.append(tok.string)
+                else:
+                    named[tok.string] += 1
+            prev = tok.string
+    return defined, named
+
+
+def test_every_definition_in_package_is_named_elsewhere():
+    # A function, class or method nothing names is dead code.
+    package = Path(mine.__file__).parent
+    repo = Path(__file__).resolve().parent.parent
+    defined, named = [], Counter()
+    for root in (package, repo / "tests", repo / "perfbench"):
+        for path in sorted(root.rglob("*.py")):
+            names, tokens = _names(path)
+            named.update(tokens)
+            if root == package:
+                defined += [(path.name, name) for name in names]
+    unnamed = [f"{file}:{name}" for file, name in defined
+               if not (name.startswith("__") and name.endswith("__")) and not named[name]
+               and f"{file}:{name}" not in CALLED_BY_STDLIB]
+    assert unnamed == []
