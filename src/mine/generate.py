@@ -133,10 +133,9 @@ def random_drawing(seed, instance: EnergyInstance) -> Drawing:
     return Drawing(coords)
 
 
-def random_crossed_3label(seed, max_nodes: int = 6,
-                          max_attempts: int = 2000) -> tuple[EnergyInstance, Drawing]:
-    """3-label instance plus a general-position drawing with 1-3 crossings."""
-    for attempt in range(max_attempts):
+def random_crossed_3label(seed, max_nodes: int = 6) -> tuple[EnergyInstance, Drawing]:
+    """3-label instance plus a general-position drawing with 1-3 crossings (2000 tries)."""
+    for attempt in range(2000):
         rng = _rng(seed, attempt)
         n = rng.randint(4, max_nodes)
         labels = {u: 3 for u in range(n)}

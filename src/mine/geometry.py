@@ -252,14 +252,14 @@ def _dist2_segment(p: Point, a: Point, b: Point) -> Fraction:
     return _dist2_point(p, foot)
 
 
-def rational_sqrt_lower(value: Fraction, bits: int = 32) -> Fraction:
-    """Deterministic rational lower bound on sqrt(value), positive for value > 0."""
+def rational_sqrt_lower(value: Fraction) -> Fraction:
+    """Rational lower bound on sqrt(value) to 32 fractional bits, positive for value > 0."""
     if value < 0:
         raise GeometryError("negative radicand")
     if value == 0:
         return Fraction(0)
     a, b = value.numerator, value.denominator
-    shift = 1 << bits
+    shift = 1 << 32
     # sqrt(a/b) = sqrt(a*b)/b >= isqrt(a*b*shift^2) / (b*shift)
     return Fraction(isqrt(a * b * shift * shift), b * shift)
 

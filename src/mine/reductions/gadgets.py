@@ -23,7 +23,6 @@ places.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..costs import INF, Cost
 from ..instance import EnergyInstance, make_instance
@@ -60,14 +59,11 @@ CROSS_INTERNAL = relation_table((3, 3), [(0, 2), (1, 2), (2, 0), (2, 1)])
 
 @dataclass
 class GadgetFragment:
-    """Instance fragment: nodes, {0, INF} tables, designated boundary nodes."""
+    """Instance fragment: nodes and their {0, INF} tables."""
 
-    boundary: tuple[int, ...]
-    internal: tuple[int, ...]
     labels: dict[int, int] = field(default_factory=dict)
     unary: dict[int, tuple[Cost, ...]] = field(default_factory=dict)
     pairwise: dict[tuple[int, int], tuple[tuple[Cost, ...], ...]] = field(default_factory=dict)
-    coords: dict[int, tuple[Fraction, Fraction]] = field(default_factory=dict)
 
     def to_instance(self) -> EnergyInstance:
         return make_instance(self.labels, self.unary, self.pairwise)
@@ -75,14 +71,13 @@ class GadgetFragment:
 
 def split_gadget(boundary_id: int, d_id: int, f_id: int) -> GadgetFragment:
     """SPLIT: 3-label boundary node plus its two Boolean channel halves."""
-    frag = GadgetFragment(boundary=(boundary_id,), internal=(d_id, f_id))
-    frag.labels = {boundary_id: 3, d_id: 3, f_id: 3}
-    frag.unary = {boundary_id: TRI_UNARY, d_id: SIM2_UNARY, f_id: SIM2_UNARY}
-    frag.pairwise = {
-        tuple(sorted((boundary_id, d_id))): _orient(SPLIT_B_D, boundary_id, d_id),
-        tuple(sorted((boundary_id, f_id))): _orient(SPLIT_B_F, boundary_id, f_id),
-    }
-    return frag
+    return GadgetFragment(
+        labels={boundary_id: 3, d_id: 3, f_id: 3},
+        unary={boundary_id: TRI_UNARY, d_id: SIM2_UNARY, f_id: SIM2_UNARY},
+        pairwise={
+            tuple(sorted((boundary_id, d_id))): _orient(SPLIT_B_D, boundary_id, d_id),
+            tuple(sorted((boundary_id, f_id))): _orient(SPLIT_B_F, boundary_id, f_id),
+        })
 
 
 def uncross_copy_gadget(tl: int, tr: int, bl: int, br: int,
@@ -92,20 +87,19 @@ def uncross_copy_gadget(tl: int, tr: int, bl: int, br: int,
     tl and br are the "heavy" ports (wired to both internals), tr and bl
     the "light" ones (one internal each).
     """
-    frag = GadgetFragment(boundary=(tl, tr, bl, br), internal=(x1, x2))
-    frag.labels = {n: 3 for n in (tl, tr, bl, br, x1, x2)}
-    frag.unary = {tl: SIM2_UNARY, tr: SIM2_UNARY, bl: SIM2_UNARY, br: SIM2_UNARY,
-                  x1: TRI_UNARY, x2: TRI_UNARY}
-    frag.pairwise = {
-        tuple(sorted((tl, x1))): _orient(HEAVY_PORT, tl, x1),
-        tuple(sorted((tl, x2))): _orient(HEAVY_PORT, tl, x2),
-        tuple(sorted((br, x1))): _orient(HEAVY_PORT, br, x1),
-        tuple(sorted((br, x2))): _orient(HEAVY_PORT, br, x2),
-        tuple(sorted((tr, x1))): _orient(LIGHT_PORT_X1, tr, x1),
-        tuple(sorted((bl, x2))): _orient(LIGHT_PORT_X2, bl, x2),
-        tuple(sorted((x1, x2))): _orient(CROSS_INTERNAL, x1, x2),
-    }
-    return frag
+    return GadgetFragment(
+        labels={n: 3 for n in (tl, tr, bl, br, x1, x2)},
+        unary={tl: SIM2_UNARY, tr: SIM2_UNARY, bl: SIM2_UNARY, br: SIM2_UNARY,
+               x1: TRI_UNARY, x2: TRI_UNARY},
+        pairwise={
+            tuple(sorted((tl, x1))): _orient(HEAVY_PORT, tl, x1),
+            tuple(sorted((tl, x2))): _orient(HEAVY_PORT, tl, x2),
+            tuple(sorted((br, x1))): _orient(HEAVY_PORT, br, x1),
+            tuple(sorted((br, x2))): _orient(HEAVY_PORT, br, x2),
+            tuple(sorted((tr, x1))): _orient(LIGHT_PORT_X1, tr, x1),
+            tuple(sorted((bl, x2))): _orient(LIGHT_PORT_X2, bl, x2),
+            tuple(sorted((x1, x2))): _orient(CROSS_INTERNAL, x1, x2),
+        })
 
 
 def _orient(table, u: int, v: int):
@@ -117,7 +111,7 @@ def _orient(table, u: int, v: int):
 
 def merge_fragments(*frags: GadgetFragment) -> GadgetFragment:
     """Union of fragments; shared nodes must agree on labels and unary tables."""
-    out = GadgetFragment(boundary=(), internal=())
+    out = GadgetFragment()
     for f in frags:
         for n, k in f.labels.items():
             if out.labels.setdefault(n, k) != k:
@@ -130,5 +124,4 @@ def merge_fragments(*frags: GadgetFragment) -> GadgetFragment:
             if e in out.pairwise and out.pairwise[e] != t:
                 raise ValueError(f"edge {e}: conflicting tables")
             out.pairwise[e] = t
-        out.coords.update(f.coords)
     return out

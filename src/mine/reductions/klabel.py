@@ -7,7 +7,8 @@ share their optimal value exactly.
 
 from __future__ import annotations
 
-from ..instance import EnergyInstance, InstanceError, Labeling, big_m, evaluate
+from ..instance import (EnergyInstance, InstanceError, Labeling, big_m, check_labeling,
+                        evaluate)
 from .trace import ReductionTrace
 
 
@@ -35,14 +36,21 @@ def qpbo_to_klabel(instance: EnergyInstance, k: int) -> tuple[EnergyInstance, Re
     return target, trace
 
 
-def klabel_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling,
-                 target: EnergyInstance | None = None) -> Labeling:
-    """Reverse map: y itself below the M threshold, else the fixed all-zeros labeling."""
+def klabel_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -> Labeling:
+    """Reverse map: y itself below the M threshold, else the fixed all-zeros labeling.
+
+    On labels 0 and 1 the padded instance costs what original costs, term by
+    term, so y is scored on original; a padding label maps to all zeros.
+    """
     if trace.kind != "qpbo-to-klabel":
         raise InstanceError("trace kind mismatch")
-    if target is None:
-        k = max((max(y.values()) + 1 if y else 2), 2)
-        target, _ = qpbo_to_klabel(original, k)
-    if evaluate(target, y) < trace.big_m and all(y[u] < 2 for u in original.nodes):
+    if any(original.labels[u] != 2 for u in original.nodes):
+        raise InstanceError("qpbo_to_klabel requires a binary instance")
+    if trace.big_m != big_m(original):
+        raise InstanceError("trace threshold does not match the instance's big-M")
+    if any(a >= 2 for a in y.values()):
+        # Still reject a y with the wrong node set or a negative label.
+        check_labeling(original, {u: min(a, 1) for u, a in y.items()})
+    elif evaluate(original, y) < trace.big_m:
         return dict(y)
     return {u: 0 for u in original.nodes}

@@ -61,10 +61,9 @@ def brute_force_limit() -> int:
     return limit
 
 
-def solve_brute_force(instance: EnergyInstance, limit: int | None = None) -> SolveResult:
+def solve_brute_force(instance: EnergyInstance) -> SolveResult:
     """Global minimum by full enumeration, lexicographically smallest argmin."""
-    if limit is None:
-        limit = brute_force_limit()
+    limit = brute_force_limit()
     total = 1
     for u in instance.nodes:
         total *= instance.labels[u]
@@ -320,40 +319,38 @@ class FlowNetwork:
 
 
 def max_flow(network: FlowNetwork) -> tuple[int, tuple[frozenset, frozenset]]:
-    """Edmonds-Karp max flow; returns flow value and the (source side, sink side) min cut."""
-    residual: dict[int, dict[int, int]] = {}
-    for (u, v), cap in network.capacity.items():
-        check_range(cap)
-        residual.setdefault(u, {})[v] = residual.setdefault(u, {}).get(v, 0) + cap
-        residual.setdefault(v, {}).setdefault(u, 0)
+    """Edmonds-Karp max flow; returns flow value and the (source side, sink side) min cut.
+
+    Neither depends on the order arcs are searched in: the flow value is
+    unique, and the source side, the set reachable from the source in the
+    final residual graph, is the same for every maximum flow.
+    """
     s, t = network.source, network.sink
-    residual.setdefault(s, {})
-    residual.setdefault(t, {})
+    residual: dict[int, dict[int, int]] = {s: {}, t: {}}
+    for (u, v), cap in network.capacity.items():
+        residual.setdefault(u, {})[v] = check_range(cap)
+        residual.setdefault(v, {}).setdefault(u, 0)
     flow = 0
     while True:
         prev = {s: None}
         queue = deque([s])
         while queue and t not in prev:
             u = queue.popleft()
-            for v in sorted(residual[u]):
-                if v not in prev and residual[u][v] > 0:
+            for v, r in residual[u].items():
+                if r > 0 and v not in prev:
                     prev[v] = u
                     queue.append(v)
         if t not in prev:
             break
-        bottleneck = None
+        path = []  # the augmenting path's arcs, sink to source
         v = t
         while prev[v] is not None:
-            u = prev[v]
-            r = residual[u][v]
-            bottleneck = r if bottleneck is None else min(bottleneck, r)
-            v = u
-        v = t
-        while prev[v] is not None:
-            u = prev[v]
+            path.append((prev[v], v))
+            v = prev[v]
+        bottleneck = min(residual[u][v] for u, v in path)
+        for u, v in path:
             residual[u][v] -= bottleneck
             residual[v][u] += bottleneck
-            v = u
         flow = check_range(flow + bottleneck)
     reachable = {s}
     stack = [s]
@@ -363,8 +360,7 @@ def max_flow(network: FlowNetwork) -> tuple[int, tuple[frozenset, frozenset]]:
             if r > 0 and v not in reachable:
                 reachable.add(v)
                 stack.append(v)
-    nodes = network.nodes()
-    return flow, (frozenset(reachable), frozenset(nodes - reachable))
+    return flow, (frozenset(reachable), frozenset(network.nodes() - reachable))
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +404,6 @@ def all_finite(instance: EnergyInstance) -> bool:
                     for row in instance.pairwise[e] for c in row))
 
 
-def _require_finite_tables(instance: EnergyInstance) -> None:
-    if not all_finite(instance):
-        raise SolverError("infinite unary or pairwise entry")
-
-
 def is_binary(instance: EnergyInstance) -> bool:
     return all(instance.labels[u] == 2 for u in instance.nodes)
 
@@ -421,7 +412,6 @@ def is_submodular_binary(instance: EnergyInstance) -> bool:
     """f(0,1) + f(1,0) >= f(0,0) + f(1,1) on every edge of a binary instance."""
     if not is_binary(instance):
         raise SolverError("submodularity check requires a binary instance")
-    _require_finite_tables(instance)
     for e in instance.edges:
         t = instance.pairwise[e]
         if t[0][1] + t[1][0] < t[0][0] + t[1][1]:
@@ -431,7 +421,6 @@ def is_submodular_binary(instance: EnergyInstance) -> bool:
 
 def is_submodular_lattice(instance: EnergyInstance) -> bool:
     """f(i,j+1) + f(i+1,j) >= f(i,j) + f(i+1,j+1) for all adjacent index pairs."""
-    _require_finite_tables(instance)
     for (u, v) in instance.edges:
         t = instance.pairwise[(u, v)]
         for i in range(instance.labels[u] - 1):
@@ -450,7 +439,6 @@ def _uniform_label_count(instance: EnergyInstance) -> int:
 
 def is_potts(instance: EnergyInstance) -> bool:
     """Zero diagonal, single constant c_uv >= 0 off-diagonal, per edge."""
-    _require_finite_tables(instance)
     k = _uniform_label_count(instance)
     for e in instance.edges:
         t = instance.pairwise[e]
@@ -465,7 +453,6 @@ def is_potts(instance: EnergyInstance) -> bool:
 
 def is_metric(instance: EnergyInstance) -> bool:
     """Zero diagonal, symmetric, non-negative, triangle inequality per edge."""
-    _require_finite_tables(instance)
     k = _uniform_label_count(instance)
     for e in instance.edges:
         t = instance.pairwise[e]
@@ -487,42 +474,52 @@ def is_metric(instance: EnergyInstance) -> bool:
 # Submodular QPBO via min cut
 
 
-def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
-    """Exact minimum of a binary submodular instance via the posiform min-cut construction."""
-    if not is_submodular_binary(instance):
-        raise SolverError("instance is not binary submodular")
+def _min_cut(nodes, unary, edges, pairwise, constant: int) -> tuple[Labeling, int]:
+    """Minimum of a binary energy given as plain data, by the posiform min cut.
+
+    unary[u] is a (label 0, label 1) pair and pairwise[e] a 2x2 table, all
+    finite.  Returns the canonical cut's labeling and value; a table with
+    f(0,1) + f(1,0) < f(0,0) + f(1,1) raises SolverError (negative capacity).
+    """
     # Internal flow ids: 0..n-1 for nodes, n = source, n + 1 = sink.
-    idx = {u: i for i, u in enumerate(instance.nodes)}
-    _SOURCE = len(instance.nodes)
-    _SINK = len(instance.nodes) + 1
-    constant = instance.constant
-    unary1 = {u: instance.unary[u][1] - instance.unary[u][0] for u in instance.nodes}
-    for u in instance.nodes:
-        constant = check_range(constant + instance.unary[u][0])
-    network = FlowNetwork(source=_SOURCE, sink=_SINK)
+    idx = {u: i for i, u in enumerate(nodes)}
+    source, sink = len(nodes), len(nodes) + 1
+    unary1 = {u: unary[u][1] - unary[u][0] for u in nodes}
+    for u in nodes:
+        constant = check_range(constant + unary[u][0])
+    network = FlowNetwork(source=source, sink=sink)
     pair_terms = []  # (u, v, beta) for beta * [x_u = 0][x_v = 1]
-    for (u, v) in instance.edges:
-        t = instance.pairwise[(u, v)]
-        a, b, c, d = t[0][0], t[0][1], t[1][0], t[1][1]
+    for (u, v) in edges:
+        (a, b), (c, d) = pairwise[(u, v)]
         # f_uv = a + (c - a)[x_u=1] + (d - c)[x_v=1] + (b + c - a - d)[x_u=0][x_v=1]
         constant = check_range(constant + a)
         unary1[u] = check_range(unary1[u] + c - a)
         unary1[v] = check_range(unary1[v] + d - c)
-        beta = b + c - a - d
-        pair_terms.append((u, v, beta))
-    for u in instance.nodes:
+        pair_terms.append((u, v, b + c - a - d))
+    for u in nodes:
         w = unary1[u]
         if w >= 0:
-            network.add_arc(_SOURCE, idx[u], w)  # cut when x_u = 1
+            network.add_arc(source, idx[u], w)  # cut when x_u = 1
         else:
             constant = check_range(constant + w)
-            network.add_arc(idx[u], _SINK, -w)  # cut when x_u = 0
+            network.add_arc(idx[u], sink, -w)  # cut when x_u = 0
     for (u, v, beta) in pair_terms:
         network.add_arc(idx[u], idx[v], beta)  # cut when x_u = 0, x_v = 1
     flow, (source_side, _) = max_flow(network)
     # Arc s->u is cut exactly when u lands on the sink side, so sink side = label 1.
-    x = {u: (0 if idx[u] in source_side else 1) for u in instance.nodes}
-    value = check_range(constant + flow)
+    x = {u: (0 if idx[u] in source_side else 1) for u in nodes}
+    return x, check_range(constant + flow)
+
+
+def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
+    """Exact minimum of a binary submodular instance via the posiform min-cut construction."""
+    submodular = is_submodular_binary(instance)  # raises on a non-binary instance
+    if not all_finite(instance):
+        raise SolverError("infinite unary or pairwise entry")
+    if not submodular:
+        raise SolverError("instance is not binary submodular")
+    x, value = _min_cut(instance.nodes, instance.unary, instance.edges,
+                        instance.pairwise, instance.constant)
     if evaluate(instance, x) != value:
         raise SolverError("min-cut labeling does not attain the cut value")
     return SolveResult(x, value, "mincut", True)
@@ -532,41 +529,41 @@ def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
 # Alpha expansion
 
 
-def _expansion_move_instance(instance: EnergyInstance, x: Labeling, alpha: int) -> EnergyInstance:
-    """Binary instance for the move: label 0 keeps x, label 1 switches to alpha."""
-    labels = {u: 2 for u in instance.nodes}
-    unary = {u: (instance.unary[u][x[u]], instance.unary[u][alpha]) for u in instance.nodes}
-    pairwise = {}
-    for (u, v) in instance.edges:
-        t = instance.pairwise[(u, v)]
-        pairwise[(u, v)] = ((t[x[u]][x[v]], t[x[u]][alpha]),
-                            (t[alpha][x[v]], t[alpha][alpha]))
-    return EnergyInstance(nodes=instance.nodes, labels=labels, unary=unary,
-                          edges=instance.edges, pairwise=pairwise,
-                          constant=instance.constant)
-
-
-def alpha_expansion(instance: EnergyInstance, init: Labeling | None = None) -> SolveResult:
+def alpha_expansion(instance: EnergyInstance) -> SolveResult:
     """Move-making approximation for metric instances; 2-approximate on Potts.
 
-    Sweeps labels in ascending order, accepting only strictly improving
-    expansion moves, until a full sweep makes no progress.  Every move
-    subproblem is binary submodular and solved exactly by min cut.
+    Starts from all zeros and sweeps labels in ascending order, accepting
+    only strictly improving expansion moves, until a full sweep makes no
+    progress.  Each move is a binary energy, label 0 keeping the current
+    label and label 1 switching to alpha, read straight off the instance;
+    on a metric instance it is submodular and solved exactly by min cut.
     """
+    if not all_finite(instance):
+        raise SolverError("infinite unary or pairwise entry")
     if not is_metric(instance):
         raise SolverError("alpha expansion requires a metric instance")
     k = _uniform_label_count(instance)
-    x = dict(init) if init is not None else {u: 0 for u in instance.nodes}
+    nodes, unary, pairwise = instance.nodes, instance.unary, instance.pairwise
+    x = {u: 0 for u in nodes}
     current = evaluate(instance, x)
     moves = [current]
     improved = True
     while improved:
         improved = False
         for alpha in range(k):
-            res = solve_submodular_qpbo(_expansion_move_instance(instance, x, alpha))
-            if res.value < current:
-                x = {u: (alpha if res.labeling[u] == 1 else x[u]) for u in instance.nodes}
-                current = res.value
+            move_unary = {u: (unary[u][x[u]], unary[u][alpha]) for u in nodes}
+            move_pairwise = {(u, v): ((t[x[u]][x[v]], t[x[u]][alpha]),
+                                      (t[alpha][x[v]], t[alpha][alpha]))
+                             for (u, v), t in pairwise.items()}
+            cut, value = _min_cut(nodes, move_unary, instance.edges, move_pairwise,
+                                  instance.constant)
+            moved = {u: (alpha if cut[u] == 1 else x[u]) for u in nodes}
+            # The move energy of the cut is the instance energy of moved,
+            # term by term and in the same order.
+            if evaluate(instance, moved) != value:
+                raise SolverError("min-cut labeling does not attain the cut value")
+            if value < current:
+                x, current = moved, value
                 moves.append(current)
                 improved = True
     if evaluate(instance, x) != current:

@@ -1,10 +1,14 @@
 import pytest
 
+from mine.cli import run_cli
+from mine.costs import INF, CostOverflowError
+from mine.fileformat import serialize_instance, serialize_solution, write_trace
 from mine.generate import random_qpbo
 from mine.instance import InstanceError, big_m, evaluate, make_instance
 from mine.reductions.harness import (ENERGY_SOURCE, all_labelings,
                                      verify_ap_reduction)
 from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
+from mine.reductions.trace import ReductionTrace
 
 
 def optimum(inst):
@@ -52,16 +56,15 @@ def test_optimum_preserved_random():
 
 def test_sigma_identity_below_threshold():
     inst = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)})
-    target, trace = qpbo_to_klabel(inst, 3)
+    _, trace = qpbo_to_klabel(inst, 3)
     y = {0: 0, 1: 1}
-    assert klabel_sigma(inst, trace, y, target=target) == y
-    assert klabel_sigma(inst, trace, y) == y  # target rebuilt from the trace
+    assert klabel_sigma(inst, trace, y) == y
 
 
 def test_sigma_padded_label_maps_to_all_zeros():
     inst = make_instance({0: 2}, {0: (0, 5)})
-    target, trace = qpbo_to_klabel(inst, 3)
-    assert klabel_sigma(inst, trace, {0: 2}, target=target) == {0: 0}
+    _, trace = qpbo_to_klabel(inst, 3)
+    assert klabel_sigma(inst, trace, {0: 2}) == {0: 0}
 
 
 def test_sigma_measure_transfer_exhaustive():
@@ -69,7 +72,7 @@ def test_sigma_measure_transfer_exhaustive():
         inst = random_qpbo(seed, max_nodes=3)
         target, trace = qpbo_to_klabel(inst, 3)
         for y in all_labelings(target):
-            x = klabel_sigma(inst, trace, y, target=target)
+            x = klabel_sigma(inst, trace, y)
             assert evaluate(inst, x) <= evaluate(target, y), (seed, y)
 
 
@@ -80,3 +83,104 @@ def test_ratio_transfer_via_harness():
     assert report.ok, report.counterexamples[:3]
     # negative-optimum instances are flagged, not failed
     assert all(0 <= i < len(instances) for i in report.ratio_undefined)
+
+
+# --- the reverse map against the padded instance it no longer builds ----
+
+def _reference_klabel_sigma(original, trace, y):
+    """The reverse map as it was: rebuild the padded instance, score y on it."""
+    if trace.kind != "qpbo-to-klabel":
+        raise InstanceError("trace kind mismatch")
+    k = max((max(y.values()) + 1 if y else 2), 2)
+    target, _ = qpbo_to_klabel(original, k)
+    if evaluate(target, y) < trace.big_m and all(y[u] < 2 for u in original.nodes):
+        return dict(y)
+    return {u: 0 for u in original.nodes}
+
+
+def _outcome(sigma, *args):
+    try:
+        return sigma(*args)
+    except (InstanceError, CostOverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_sigma_matches_the_padded_instance_on_every_labeling():
+    checked = 0
+    for seed in range(60):
+        inst = random_qpbo(seed, max_nodes=5)
+        for k in (3, 4, 5):
+            target, trace = qpbo_to_klabel(inst, k)
+            for y in all_labelings(target):
+                assert klabel_sigma(inst, trace, y) == _reference_klabel_sigma(inst, trace, y)
+                checked += 1
+    assert checked > 50_000
+
+
+def test_sigma_keeps_every_rejection_of_the_padded_instance():
+    inst = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)},
+                         {(0, 1): ((1, 0), (0, 3))})
+    _, trace = qpbo_to_klabel(inst, 3)
+    nonbinary = make_instance({0: 3, 1: 2})
+    with_inf = make_instance({0: 2, 1: 2}, {0: (0, INF)})
+    cases = [
+        (inst, ReductionTrace(kind="planarize", original_nodes=(0, 1), aux_nodes=()),
+         {0: 0, 1: 0}),
+        (nonbinary, trace, {0: 0, 1: 0}),
+        (with_inf, trace, {0: 0, 1: 0}),
+        (inst, trace, {0: 0}),  # a node missing
+        (inst, trace, {0: 2}),
+        (inst, trace, {0: 0, 1: 0, 2: 0}),  # a node too many
+        (inst, trace, {0: 2, 1: 0, 2: 0}),
+        (inst, trace, {0: -1, 1: 0}),  # a negative label
+        (inst, trace, {0: 2, 1: -1}),
+    ]
+    for original, tr, y in cases:
+        expected = _outcome(_reference_klabel_sigma, original, tr, y)
+        assert expected[0] is InstanceError, (original, y)
+        assert _outcome(klabel_sigma, original, tr, y) == expected, (original, y)
+
+
+def test_sigma_maps_a_padding_label_to_zeros_without_summing_its_cost():
+    # The padded energy of y is 2M > I64_MAX, which the rebuild route summed
+    # and raised on; y uses a padding label, so it maps to all zeros.
+    c = 2**61
+    inst = make_instance({0: 2, 1: 2}, {0: (0, c), 1: (0, c)})
+    _, trace = qpbo_to_klabel(inst, 3)
+    y = {0: 2, 1: 2}
+    with pytest.raises(CostOverflowError):
+        _reference_klabel_sigma(inst, trace, y)
+    assert klabel_sigma(inst, trace, y) == {0: 0, 1: 0}
+
+
+def test_sigma_rejects_a_trace_of_another_instance(tmp_path, capsys):
+    inst = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)},
+                         {(0, 1): ((1, 0), (0, 3))})
+    other = make_instance({0: 2, 1: 2}, {0: (0, 9), 1: (2, 0)},
+                          {(0, 1): ((1, 0), (0, 3))})
+    assert big_m(other) != big_m(inst)
+    _, trace = qpbo_to_klabel(inst, 3)
+    with pytest.raises(InstanceError):
+        klabel_sigma(other, trace, {0: 0, 1: 0})
+
+    paths = {name: tmp_path / name for name in ("inst.mine", "other.mine", "t.json", "y.sol")}
+    paths["inst.mine"].write_text(serialize_instance(inst))
+    paths["other.mine"].write_text(serialize_instance(other))
+    paths["t.json"].write_text(write_trace(trace))
+    paths["y.sol"].write_text(serialize_solution({0: 0, 1: 1}))
+    args = ["--trace", str(paths["t.json"]), "--solution", str(paths["y.sol"])]
+    assert run_cli(["sigma", str(paths["inst.mine"])] + args) == 0
+    capsys.readouterr()
+    assert run_cli(["sigma", str(paths["other.mine"])] + args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sigma_builds_no_instance(instance_constructions):
+    inst = random_qpbo(7, max_nodes=5)
+    target, trace = qpbo_to_klabel(inst, 4)
+    assert instance_constructions == [2]  # the counter counts
+    for y in all_labelings(target):
+        klabel_sigma(inst, trace, y)
+    assert instance_constructions == [2]

@@ -4,10 +4,12 @@ from itertools import product
 import networkx as nx
 import pytest
 
+from mine.cli import run_cli
 from mine.costs import I64_MAX, INF, CostOverflowError, is_finite
+from mine.fileformat import serialize_instance
 from mine.generate import (random_forest, random_general, random_potts,
                            random_submodular)
-from mine.instance import all_labelings, evaluate, make_instance
+from mine.instance import EnergyInstance, all_labelings, evaluate, make_instance
 from mine.solvers import (FlowNetwork, SolveResult, SolverError, adjacency,
                           all_finite, alpha_expansion, is_forest, is_metric,
                           is_potts, is_submodular_binary, is_submodular_lattice,
@@ -199,24 +201,52 @@ def cut_value(network, src_side):
                if u in src_side and v not in src_side)
 
 
-def test_max_flow_equals_min_enumerated_cut():
+def _random_networks():
+    """20 seeded networks of 3-6 nodes: (node count, arcs in the order added)."""
     rng = random.Random(77)
     for _ in range(20):
         n_nodes = rng.randint(3, 6)
-        net = FlowNetwork(source=0, sink=n_nodes - 1)
-        for u in range(n_nodes):
-            for v in range(n_nodes):
-                if u != v and rng.random() < 0.5:
-                    net.add_arc(u, v, rng.randint(0, 6))
+        arcs = [(u, v, rng.randint(0, 6)) for u in range(n_nodes) for v in range(n_nodes)
+                if u != v and rng.random() < 0.5]
+        yield n_nodes, arcs
+
+
+def _network(n_nodes, arcs):
+    net = FlowNetwork(source=0, sink=n_nodes - 1)
+    for u, v, cap in arcs:
+        net.add_arc(u, v, cap)
+    return net
+
+
+def _source_sides(n_nodes):
+    """Every source side of an s-t cut, by enumeration of the inner nodes."""
+    inner = range(1, n_nodes - 1)
+    for picks in product((0, 1), repeat=len(inner)):
+        yield {0} | {u for u, p in zip(inner, picks) if p}
+
+
+def test_max_flow_equals_min_enumerated_cut():
+    for n_nodes, arcs in _random_networks():
+        net = _network(n_nodes, arcs)
         flow, (src_side, _) = max_flow(net)
-        best = None
-        inner = [u for u in range(1, n_nodes - 1)]
-        for picks in product((0, 1), repeat=len(inner)):
-            side = {0} | {u for u, p in zip(inner, picks) if p}
-            c = cut_value(net, side)
-            best = c if best is None else min(best, c)
+        best = min(cut_value(net, side) for side in _source_sides(n_nodes))
         assert flow == best
         assert cut_value(net, src_side) == flow
+
+
+def test_max_flow_cut_is_the_smallest_min_cut_in_any_arc_order():
+    # Every minimum cut's source side contains the one max_flow returns,
+    # whatever order the arcs were added (and so searched) in.
+    for n_nodes, arcs in _random_networks():
+        net = _network(n_nodes, arcs)
+        flow, sides = max_flow(net)
+        minimum = [side for side in _source_sides(n_nodes) if cut_value(net, side) == flow]
+        assert sides[0] == frozenset.intersection(*map(frozenset, minimum))
+        assert sides[1] == net.nodes() - sides[0]
+        for seed in range(5):
+            shuffled = list(arcs)
+            random.Random(seed).shuffle(shuffled)
+            assert max_flow(_network(n_nodes, shuffled)) == (flow, sides)
 
 
 # --- interaction checks -------------------------------------------------
@@ -233,9 +263,42 @@ def test_is_submodular_binary_tables():
 def test_submodular_binary_preconditions():
     with pytest.raises(SolverError):
         is_submodular_binary(make_instance({0: 3}, {0: (0, 0, 0)}))
-    with pytest.raises(SolverError):
-        is_submodular_binary(make_instance({0: 2, 1: 2},
-                                           pairwise={(0, 1): ((0, INF), (0, 0))}))
+
+
+def test_interaction_checks_compare_inf_in_the_extended_order():
+    pair = {0: 2, 1: 2}
+    assert is_submodular_binary(make_instance(pair, pairwise={(0, 1): ((0, INF), (0, 0))}))
+    assert not is_submodular_binary(make_instance(pair, pairwise={(0, 1): ((INF, 0), (0, 0))}))
+    assert not is_submodular_lattice(make_instance(pair, pairwise={(0, 1): ((0, 0), (0, INF))}))
+    far = make_instance(pair, pairwise={(0, 1): ((0, INF), (INF, 0))})
+    assert is_potts(far) and is_metric(far)
+    assert not is_metric(make_instance(pair, pairwise={(0, 1): ((0, INF), (1, 0))}))
+
+
+INF_CASES = [  # method, an instance with an INF entry, the stderr the CLI prints
+    ("mincut", make_instance({0: 2, 1: 2}, pairwise={(0, 1): ((0, INF), (0, 0))}),
+     "error: infinite unary or pairwise entry\n"),
+    ("mincut", make_instance({0: 2, 1: 2}, pairwise={(0, 1): ((INF, 0), (0, 0))}),
+     "error: infinite unary or pairwise entry\n"),
+    ("mincut", make_instance({0: 3, 1: 2}, {0: (0, 0, INF)}),
+     "error: submodularity check requires a binary instance\n"),
+    ("alphaexp", make_instance({0: 3, 1: 3}, pairwise={(0, 1): potts_table(3, INF)}),
+     "error: infinite unary or pairwise entry\n"),
+    ("alphaexp", make_instance({0: 3, 1: 2}, {0: (0, 0, INF)}),
+     "error: infinite unary or pairwise entry\n"),
+    ("alphaexp", make_instance({0: 2, 1: 2}, {0: (0, INF)}, {(0, 1): ((0, 2), (1, 0))}),
+     "error: infinite unary or pairwise entry\n"),
+]
+
+
+@pytest.mark.parametrize("method, inst, err", INF_CASES)
+def test_cut_solvers_reject_inf_entries(tmp_path, capsys, method, inst, err):
+    path = tmp_path / "inf.mine"
+    path.write_text(serialize_instance(inst))
+    assert run_cli(["solve", str(path), "--method", method]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 def test_lattice_submodular_absolute_difference():
@@ -327,17 +390,32 @@ def test_alpha_expansion_requires_metric():
 
 
 def test_alpha_expansion_checks_its_final_energy(monkeypatch):
-    # A move solver that reports one less than its labeling costs makes the
-    # recorded energy disagree with the labeling.
+    # A cut routine that reports one less than its labeling costs makes the
+    # move energy disagree with the labeling.
     import mine.solvers
-    exact = mine.solvers.solve_submodular_qpbo
+    exact = mine.solvers._min_cut
 
-    def optimistic(move):
-        r = exact(move)
-        return SolveResult(r.labeling, r.value - 1, r.method, r.exact)
+    def optimistic(*args):
+        x, value = exact(*args)
+        return x, value - 1
 
-    monkeypatch.setattr(mine.solvers, "solve_submodular_qpbo", optimistic)
-    with pytest.raises(SolverError):
+    monkeypatch.setattr(mine.solvers, "_min_cut", optimistic)
+    with pytest.raises(SolverError, match="does not attain"):
+        alpha_expansion(random_potts(1, max_nodes=5))
+
+
+def test_alpha_expansion_checks_every_move(monkeypatch):
+    # A cut routine that reports one more than its labeling costs only makes
+    # moves look worse: the final energy still agrees, each move's does not.
+    import mine.solvers
+    exact = mine.solvers._min_cut
+
+    def pessimistic(*args):
+        x, value = exact(*args)
+        return x, value + 1
+
+    monkeypatch.setattr(mine.solvers, "_min_cut", pessimistic)
+    with pytest.raises(SolverError, match="does not attain the cut value"):
         alpha_expansion(random_potts(1, max_nodes=5))
 
 
@@ -350,6 +428,72 @@ def test_alpha_expansion_ratio_and_monotone_moves():
             assert r.value <= 2 * opt, seed
         assert all(b <= a for a, b in zip(r.move_values, r.move_values[1:])), seed
         assert evaluate(inst, r.labeling) == r.value
+
+
+def _expansion_move_instance(instance, x, alpha):
+    """Binary instance for the move: label 0 keeps x, label 1 switches to alpha."""
+    labels = {u: 2 for u in instance.nodes}
+    unary = {u: (instance.unary[u][x[u]], instance.unary[u][alpha]) for u in instance.nodes}
+    pairwise = {}
+    for (u, v) in instance.edges:
+        t = instance.pairwise[(u, v)]
+        pairwise[(u, v)] = ((t[x[u]][x[v]], t[x[u]][alpha]),
+                            (t[alpha][x[v]], t[alpha][alpha]))
+    return EnergyInstance(nodes=instance.nodes, labels=labels, unary=unary,
+                          edges=instance.edges, pairwise=pairwise,
+                          constant=instance.constant)
+
+
+def _reference_alpha_expansion(instance):
+    """Alpha-expansion as it was: each move a validated instance for the min-cut solver."""
+    if not is_metric(instance):
+        raise SolverError("alpha expansion requires a metric instance")
+    k = instance.labels[instance.nodes[0]]
+    x = {u: 0 for u in instance.nodes}
+    current = evaluate(instance, x)
+    moves = [current]
+    improved = True
+    while improved:
+        improved = False
+        for alpha in range(k):
+            res = solve_submodular_qpbo(_expansion_move_instance(instance, x, alpha))
+            if res.value < current:
+                x = {u: (alpha if res.labeling[u] == 1 else x[u]) for u in instance.nodes}
+                current = res.value
+                moves.append(current)
+                improved = True
+    return SolveResult(x, current, "alpha-expansion", False, tuple(moves))
+
+
+def potts_grid(seed, rows, cols, k):
+    """rows x cols 4-neighbour Potts grid: unary costs 0-20, edge weights 1-10."""
+    rng = random.Random(f"grid:{seed}")
+    node = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
+    unary = {u: tuple(rng.randint(0, 20) for _ in range(k)) for u in node.values()}
+    pairwise = {}
+    for (r, c), u in node.items():
+        for nb in ((r + 1, c), (r, c + 1)):
+            if nb in node:
+                pairwise[(u, node[nb])] = potts_table(k, rng.randint(1, 10))
+    return make_instance({u: k for u in node.values()}, unary, pairwise)
+
+
+def test_alpha_expansion_matches_the_move_instance_route():
+    corpus = [random_potts(seed) for seed in range(100)]
+    corpus += [potts_grid(seed, n, n, 3) for n in (5, 8) for seed in range(3)]
+    moves = 0
+    for inst in corpus:
+        r = alpha_expansion(inst)
+        assert r == _reference_alpha_expansion(inst)  # move_values included
+        moves += len(r.move_values) - 1
+    assert moves > len(corpus)
+
+
+def test_alpha_expansion_builds_no_instance(instance_constructions):
+    inst = potts_grid(0, 5, 5, 3)
+    assert instance_constructions == [1]  # the counter counts
+    alpha_expansion(inst)
+    assert instance_constructions == [1]
 
 
 # --- oracle agreement ---------------------------------------------------
