@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .costs import INF, Cost, is_finite
+from .costs import INF, Cost, CostOverflowError, check_range, is_finite
 from .geometry import Drawing, Point, frac_str
 from .instance import EnergyInstance, Labeling, make_instance
 from .reductions.trace import ReductionTrace, trace_from_json
@@ -28,9 +28,17 @@ def _cost_token(tok: str, line_no: int) -> Cost:
     if tok == "INF":
         return INF
     try:
-        return int(tok)
+        v = int(tok)
     except ValueError:
         raise ParseError(line_no, f"expected integer or INF, got {tok!r}") from None
+    return _in_range(v, line_no)
+
+
+def _in_range(v: int, line_no: int) -> int:
+    try:
+        return check_range(v)
+    except CostOverflowError as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 def _cost_str(c: Cost) -> str:
@@ -84,7 +92,7 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
         elif kw == "constant":
             if len(rest) != 1:
                 raise ParseError(line_no, "constant takes one integer")
-            constant = _ints(rest, line_no)[0]
+            constant = _in_range(_ints(rest, line_no)[0], line_no)
         elif kw == "unary":
             if len(rest) < 2:
                 raise ParseError(line_no, "unary needs a node id and entries")

@@ -265,14 +265,14 @@ def rational_sqrt_lower(value: Fraction) -> Fraction:
 
 
 def free_radius(instance: EnergyInstance, d: Drawing, p: Point,
-                exclude: set[tuple[int, int]] = frozenset(),
-                crossings: list[Crossing] | None = None) -> Fraction:
+                exclude: set[tuple[int, int]] = frozenset(), *,
+                crossings: list[Crossing]) -> Fraction:
     """A positive radius around p clear of nodes, non-excluded edges, and other crossings.
 
     Returns a deterministic rational lower bound on half the exact minimum
-    distance (the exact value is generally irrational).  crossings, when
-    given, must be list_crossings(instance, d); a caller that needs many
-    radii on one drawing passes it to avoid rescanning every edge pair.
+    distance (the exact value is generally irrational).  crossings must be
+    list_crossings(instance, d): the caller lists them once for every radius
+    it takes on the drawing, so no call rescans the edge pairs.
     """
     exclude = {tuple(sorted(e)) for e in exclude}
     min_d2 = None
@@ -285,8 +285,6 @@ def free_radius(instance: EnergyInstance, d: Drawing, p: Point,
         if d2 == 0:
             raise GeometryError(f"point lies on non-excluded edge {e}")
         min_d2 = _min_opt(min_d2, d2)
-    if crossings is None:
-        crossings = list_crossings(instance, d)
     for c in crossings:
         if c.point == p:
             continue

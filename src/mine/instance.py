@@ -2,16 +2,17 @@
 
 An instance is a labeled graph: each node u carries a unary cost table of
 length k_u, each undirected edge (u, v) a k_u x k_v pairwise table, plus a
-finite constant offset.  Instances are immutable after construction; every
-operation here is a pure function.
+finite constant offset.  Every table entry is INF or an int (never a bool)
+in the signed 64-bit range; construction checks it.  Instances are
+immutable after construction; every operation here is a pure function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
-from .costs import Cost, check_range, ext_add, is_finite
+from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
 
 Labeling = dict[int, int]
 
@@ -24,6 +25,18 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     if u == v:
         raise InstanceError(f"self-loop on node {u}")
     return (u, v) if u < v else (v, u)
+
+
+def _check_costs(entries: list) -> None:
+    """Every entry is INF or an int (not a bool) in the signed 64-bit range."""
+    kinds = set(map(type, entries))
+    if not kinds <= {int, type(INF)}:
+        raise InstanceError(f"cost entries must be ints or INF, got "
+                            f"{sorted(k.__name__ for k in kinds - {int, type(INF)})}")
+    if type(INF) in kinds:
+        entries = [c for c in entries if c is not INF]
+    if entries and not (I64_MIN <= min(entries) and max(entries) <= I64_MAX):
+        raise InstanceError("cost entry outside signed 64-bit range")
 
 
 @dataclass(frozen=True)
@@ -61,7 +74,9 @@ class EnergyInstance:
             table = self.pairwise[(u, v)]
             if len(table) != self.labels[u] or any(len(row) != self.labels[v] for row in table):
                 raise InstanceError(f"edge {(u, v)}: pairwise table has wrong dimensions")
-        if not isinstance(self.constant, int):
+        _check_costs([*chain.from_iterable(self.unary.values()),
+                      *chain.from_iterable(chain.from_iterable(self.pairwise.values()))])
+        if type(self.constant) is not int:
             raise InstanceError("constant offset must be a finite integer")
         check_range(self.constant)
 

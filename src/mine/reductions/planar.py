@@ -18,8 +18,6 @@ copy to the next one and the last copy to v.  Each template's scale is
 rounded down to a power of two, so the gadget offsets are dyadic and the
 output's coordinate denominators stay small.  "No crossings left" is
 checked once at the end and raises PlanarizeError if it fails.
-replace_crossing is the same routine for a single crossing; it checks
-that every other crossing keeps its exact point.
 
 The trace holds one CrossingRecord per replaced crossing, in the order of
 list_crossings on the source, and its edges are always source edges.
@@ -37,14 +35,12 @@ from fractions import Fraction
 
 from ..geometry import (Crossing, Drawing, GeometryError, Point,
                         _position_and_crossings, frac_str, free_radius,
-                        list_crossings, segment_intersection)
+                        list_crossings)
 from ..instance import (EnergyInstance, InstanceError, Labeling, evaluate, is_finite,
                         normalize_edge)
 from .gadgets import (GadgetFragment, equality3, merge_fragments, split_gadget,
                       uncross_copy_gadget)
 from .trace import CrossingRecord, ReductionTrace
-
-AUX_PER_CROSSING = 24
 
 
 class PlanarizeError(ValueError):
@@ -54,7 +50,8 @@ class PlanarizeError(ValueError):
 # Local template, coordinates in the (dA, dB) basis centered on the crossing:
 # dA points along u -> v, dB along s -> t.  Channel wires for v run
 # horizontally (D on top, F below), channel wires for t vertically (D left,
-# F right); the four crossovers sit where they meet.
+# F right); the four crossovers sit where they meet.  The insertion order is
+# the id-allocation order: the trace records each crossing's auxiliaries in it.
 _Q = Fraction  # noqa: E741 - shorthand for the table below
 
 _TEMPLATE = {
@@ -74,12 +71,7 @@ _TEMPLATE = {
     "G22x1": (_Q(3, 16), _Q(-7, 32)), "G22x2": (_Q(5, 16), _Q(-9, 32)),
 }
 
-# Fixed id-allocation order: the trace records auxiliaries in this order.
-_TEMPLATE_ORDER = ("vp", "vpp", "tp", "tpp",
-                   "D1", "F1", "D2", "F2", "D3", "F3", "D4", "F4",
-                   "Ja1", "Ja2", "Jb1", "Jb2",
-                   "G11x1", "G11x2", "G12x1", "G12x2",
-                   "G21x1", "G21x2", "G22x1", "G22x2")
+AUX_PER_CROSSING = len(_TEMPLATE)
 
 
 def _segment_param(p: Point, a: Point, b: Point) -> Fraction:
@@ -114,19 +106,17 @@ def _template_fragment(ids: dict[str, int]) -> GadgetFragment:
     )
 
 
-def _replace_crossings(instance: EnergyInstance, d: Drawing, trace: ReductionTrace,
-                       targets: list[Crossing], crossings: list[Crossing]
+def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Crossing]
                        ) -> tuple[EnergyInstance, Drawing, ReductionTrace]:
-    """Replace every crossing in targets at once.
+    """Replace every crossing at once; returns the instance, drawing and trace.
 
     crossings is list_crossings(instance, d); every free radius is taken
     against it, so the templates' disks are pairwise disjoint.  Each crossed
     edge becomes a chain of stubs through its copy nodes, in the order of
-    the crossings' parameters along it.
+    the crossings' parameters along it.  Auxiliary ids start after the
+    largest source id.
     """
-    fresh = trace.next_fresh_id
-    if fresh is None:
-        fresh = max(instance.nodes) + 1
+    fresh = max(instance.nodes) + 1
     labels = dict(instance.labels)
     unary = dict(instance.unary)
     gadget_pairwise = {}
@@ -135,7 +125,7 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, trace: ReductionTra
     # node, copy toward its second node)]
     chains: dict[tuple[int, int], list[tuple[Fraction, int, int]]] = {}
     records = []
-    for c in targets:
+    for c in crossings:
         e1, e2 = c.edge_a, c.edge_b
         pu, pv, ps, pt = (d.coords[n] for n in e1 + e2)
         p = c.point
@@ -151,17 +141,16 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, trace: ReductionTra
             raise PlanarizeError("free radius unusable at crossing point")
         scale = _dyadic_floor(scale)
 
-        ids = {name: fresh + i for i, name in enumerate(_TEMPLATE_ORDER)}
+        ids = {name: fresh + i for i, name in enumerate(_TEMPLATE)}
         fresh += AUX_PER_CROSSING
         frag = _template_fragment(ids)
         labels.update(frag.labels)
         unary.update(frag.unary)
         gadget_pairwise.update(frag.pairwise)
-        for name in _TEMPLATE_ORDER:
-            g = _TEMPLATE[name]
-            coords[ids[name]] = (p[0] + scale * (g[0] * d_a[0] + g[1] * d_b[0]),
-                                 p[1] + scale * (g[0] * d_a[1] + g[1] * d_b[1]))
-        aux = tuple(ids[name] for name in _TEMPLATE_ORDER)
+        for name, (ga, gb) in _TEMPLATE.items():
+            coords[ids[name]] = (p[0] + scale * (ga * d_a[0] + gb * d_b[0]),
+                                 p[1] + scale * (ga * d_a[1] + gb * d_b[1]))
+        aux = tuple(ids.values())
         chains.setdefault(e1, []).append((t_p, ids["vp"], ids["vpp"]))
         chains.setdefault(e2, []).append((t_q, ids["tp"], ids["tpp"]))
         records.append(CrossingRecord(edge_a=e1, edge_b=e2,
@@ -183,36 +172,10 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, trace: ReductionTra
     out = EnergyInstance(nodes=instance.nodes + aux_nodes, labels=labels, unary=unary,
                          edges=tuple(sorted(pairwise)), pairwise=pairwise,
                          constant=instance.constant)
-    out_trace = ReductionTrace(kind=trace.kind,
-                               original_nodes=trace.original_nodes,
-                               aux_nodes=trace.aux_nodes + aux_nodes,
-                               big_m=trace.big_m,
-                               next_fresh_id=fresh,
-                               crossings=trace.crossings + tuple(records))
+    out_trace = ReductionTrace(kind="planarize", original_nodes=instance.nodes,
+                               aux_nodes=aux_nodes, next_fresh_id=fresh,
+                               crossings=tuple(records))
     return out, Drawing(coords), out_trace
-
-
-def replace_crossing(instance: EnergyInstance, d: Drawing, trace: ReductionTrace,
-                     c: Crossing) -> tuple[EnergyInstance, Drawing, ReductionTrace]:
-    """Remove one crossing; returns the rewired instance, drawing, and trace.
-
-    Every other crossing keeps its exact point (a crossing of a split edge
-    moves onto one of its stubs); that is checked, not assumed.
-    """
-    for e in (c.edge_a, c.edge_b):
-        if e not in instance.pairwise:
-            raise PlanarizeError(f"crossing references unknown edge {e}")
-    pu, pv, ps, pt = (d.coords[n] for n in c.edge_a + c.edge_b)
-    if segment_intersection(pu, pv, ps, pt) != c.point:
-        raise PlanarizeError("stale crossing: edges no longer meet at the recorded point")
-    crossings = list_crossings(instance, d)
-    out, out_d, out_trace = _replace_crossings(instance, d, trace, [c], crossings)
-    before = sorted(x.point for x in crossings)
-    before.remove(c.point)
-    after = sorted(x.point for x in list_crossings(out, out_d))
-    if after != before:
-        raise PlanarizeError("replacement template changed the crossing set")
-    return out, out_d, out_trace
 
 
 def planarize(instance: EnergyInstance, d: Drawing) -> tuple[EnergyInstance, Drawing, ReductionTrace]:
@@ -222,12 +185,11 @@ def planarize(instance: EnergyInstance, d: Drawing) -> tuple[EnergyInstance, Dra
     violations, crossings = _position_and_crossings(instance, d)
     if violations:
         raise GeometryError(f"drawing not in general position: {violations}")
-    trace = ReductionTrace(kind="planarize", original_nodes=instance.nodes,
-                           aux_nodes=(),
-                           next_fresh_id=(max(instance.nodes) + 1 if instance.nodes else 0))
     if not crossings:
-        return instance, d, trace
-    out, out_d, out_trace = _replace_crossings(instance, d, trace, crossings, crossings)
+        return instance, d, ReductionTrace(
+            kind="planarize", original_nodes=instance.nodes, aux_nodes=(),
+            next_fresh_id=(max(instance.nodes) + 1 if instance.nodes else 0))
+    out, out_d, out_trace = _replace_crossings(instance, d, crossings)
     left = list_crossings(out, out_d)
     if left:
         raise PlanarizeError(f"{len(left)} crossings left after planarization, "
@@ -238,13 +200,16 @@ def planarize(instance: EnergyInstance, d: Drawing) -> tuple[EnergyInstance, Dra
 def planar_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -> Labeling:
     """Restriction of y to the original nodes when that is finite, else all-zeros.
 
-    y must label exactly the planarized instance's nodes.  The gadgets carry
-    only 0/+INF costs, so any y whose restriction has finite original energy
-    costs at least as much in the planarized instance (equal when the gadget
+    original must have exactly the trace's original nodes, and y must label
+    exactly the planarized instance's nodes.  The gadgets carry only 0/+INF
+    costs, so any y whose restriction has finite original energy costs at
+    least as much in the planarized instance (equal when the gadget
     relations hold, +INF otherwise).
     """
     if trace.kind != "planarize":
         raise InstanceError("trace kind mismatch")
+    if original.nodes != trace.original_nodes:
+        raise InstanceError("source instance's nodes are not the trace's original nodes")
     if set(y) != trace.target_nodes():
         raise InstanceError("solution does not label exactly the planarized instance's nodes")
     restriction = {n: y[n] for n in original.nodes}

@@ -3,12 +3,14 @@
 The forward map turns each clause into a cubic penalty worth M when the
 clause fails, quadratizes every cubic monomial with one fresh auxiliary
 variable, and adds the variable weights as unary terms.  The reverse map
-restricts low-energy labelings and falls back to all-true otherwise.
+restricts low-energy labelings and falls back to all-true otherwise; it
+rebuilds the target from the formula and rejects a trace of another one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from ..costs import check_range
@@ -167,17 +169,24 @@ def w3sat_to_qpbo(sat: W3SatTriv) -> tuple[EnergyInstance, ReductionTrace]:
     return instance, trace
 
 
-def w3sat_sigma(sat: W3SatTriv, trace: ReductionTrace, y: Labeling,
-                instance: EnergyInstance | None = None) -> dict[int, bool]:
+@lru_cache(maxsize=1)
+def _reduced(sat: W3SatTriv) -> tuple[EnergyInstance, ReductionTrace]:
+    """w3sat_to_qpbo(sat), kept for the last formula: the AP harness maps
+    every labeling of one formula's target in a row."""
+    return w3sat_to_qpbo(sat)
+
+
+def w3sat_sigma(sat: W3SatTriv, trace: ReductionTrace, y: Labeling) -> dict[int, bool]:
     """Reverse map: restriction of y when its energy stays below M, else all-true.
 
-    Reproducible from (sat, trace) alone; pass the reduced instance to skip
-    rebuilding it.
+    The target instance is rebuilt from sat, once per formula; trace must be
+    the trace w3sat_to_qpbo(sat) returns, else SatError.
     """
     if trace.kind != "w3sat-to-qpbo":
         raise SatError("trace kind mismatch")
-    if instance is None:
-        instance, _ = w3sat_to_qpbo(sat)
+    instance, own = _reduced(sat)
+    if trace != own:
+        raise SatError("trace was not made from this formula")
     energy = evaluate(instance, y)
     if energy >= trace.big_m:
         return sat.all_true()

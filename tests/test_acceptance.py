@@ -109,7 +109,7 @@ def test_criterion_2_w3sat_ap_reduction():
             m2_star = None
             for y in all_labelings(target):
                 m2 = evaluate(target, y)
-                x = w3sat_sigma(sat, trace, y, instance=target)
+                x = w3sat_sigma(sat, trace, y)
                 assert sat.is_feasible(x)
                 assert sat.measure(x) <= m2
                 m2_star = m2 if m2_star is None else min(m2_star, m2)

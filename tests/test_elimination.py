@@ -14,7 +14,7 @@ import pytest
 
 from mine.costs import I64_MAX, I64_MIN, INF, CostOverflowError, ext_add
 from mine.generate import random_general
-from mine.instance import evaluate, make_instance
+from mine.instance import InstanceError, evaluate, make_instance
 from mine.solvers import (DEFAULT_ELIM_LIMIT, SolveResult, SolverError,
                           min_degree_order, solve_brute_force, solve_elimination,
                           solve_tree_dp)
@@ -198,8 +198,9 @@ def test_sum_landing_on_int64_max_does_not_raise():
 
 
 def test_overflow_rule_near_the_int64_boundary():
-    # Entries at and beyond the int64 ends, mixed with INF: the solver must
-    # raise exactly when the reference does and agree otherwise.
+    # Entries at and beyond the int64 ends, mixed with INF: an instance with
+    # an entry beyond the ends is rejected at construction; on the others the
+    # solver must raise exactly when the reference does and agree otherwise.
     rng = random.Random(5)
 
     def cost():
@@ -207,8 +208,8 @@ def test_overflow_rule_near_the_int64_boundary():
                            I64_MIN + rng.randint(0, 3), I64_MAX // 2, I64_MIN // 2,
                            2**64 + 5, -(2**64), INF])
 
-    raised = 0
-    for _ in range(600):
+    raised = solved = rejected = 0
+    while solved < 600:
         n = rng.randint(1, 4)
         labels = {u: rng.randint(1, 3) for u in range(n)}
         unary = {}
@@ -219,12 +220,23 @@ def test_overflow_rule_near_the_int64_boundary():
         pairwise = {(u, v): tuple(tuple(cost() for _ in range(labels[v]))
                                   for _ in range(labels[u]))
                     for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6}
-        inst = make_instance(labels, unary, pairwise,
-                             constant=rng.choice([0, I64_MAX, I64_MIN]))
+        entries = [c for row in unary.values() for c in row]
+        entries += [c for table in pairwise.values() for row in table for c in row]
+        beyond = any(c in (2**64 + 5, -(2**64)) for c in entries)
+        try:
+            inst = make_instance(labels, unary, pairwise,
+                                 constant=rng.choice([0, I64_MAX, I64_MIN]))
+        except InstanceError:
+            assert beyond
+            rejected += 1
+            continue
+        assert not beyond
         order = list(inst.nodes)
         rng.shuffle(order)
         raised += assert_same(inst, order) is CostOverflowError
+        solved += 1
     assert 100 < raised < 500  # both outcomes are well represented
+    assert rejected > 100
 
 
 # --- counters -----------------------------------------------------------

@@ -115,7 +115,8 @@ def test_node_on_edge_violation():
 
 def test_free_radius_x_center():
     inst, d = x_instance()
-    r = free_radius(inst, d, (F(1, 2), F(1, 2)), exclude={(1, 3), (2, 4)})
+    r = free_radius(inst, d, (F(1, 2), F(1, 2)), exclude={(1, 3), (2, 4)},
+                    crossings=list_crossings(inst, d))
     assert r >= F(1, 4)
     # half the true nearest-node distance sqrt(1/2) is an upper bound
     assert r * r <= F(1, 2) / 4
@@ -124,7 +125,7 @@ def test_free_radius_x_center():
 def test_free_radius_midpoint_of_excluded_edge():
     inst = make_instance({0: 2, 1: 2}, pairwise={(0, 1): _table(2, 2)})
     d = Drawing({0: pt(0, 0), 1: pt(2, 0)})
-    r = free_radius(inst, d, pt(1, 0), exclude={(0, 1)})
+    r = free_radius(inst, d, pt(1, 0), exclude={(0, 1)}, crossings=list_crossings(inst, d))
     assert r == F(1, 2)
 
 
@@ -132,7 +133,7 @@ def test_free_radius_empty_drawing_rejected():
     inst = make_instance({})
     d = Drawing({})
     with pytest.raises(GeometryError):
-        free_radius(inst, d, pt(0, 0))
+        free_radius(inst, d, pt(0, 0), crossings=list_crossings(inst, d))
 
 
 def test_rational_sqrt_lower_bounds():

@@ -1,17 +1,21 @@
+import random
 from pathlib import Path
 
 import pytest
 
 from mine.cli import run_cli
-from mine.costs import INF
+from mine.costs import I64_MAX, I64_MIN, INF
 from mine.fileformat import (ParseError, parse_instance, parse_solution,
                              parse_wcnf3, read_trace, serialize_instance,
                              serialize_solution, serialize_wcnf3, write_trace)
 from mine.generate import (random_crossed_3label, random_drawing,
                            random_general, random_qpbo, random_w3sat)
-from mine.instance import make_instance
-from mine.reductions.klabel import qpbo_to_klabel
-from mine.solvers import solve_brute_force
+from mine.geometry import Drawing, circle_layout, list_crossings
+from mine.instance import InstanceError, evaluate, make_instance
+from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
+from mine.reductions.planar import planar_sigma
+from mine.reductions.wsat import W3SatTriv, w3sat_sigma
+from mine.solvers import solve_brute_force, solve_elimination
 
 
 # --- instance format ----------------------------------------------------
@@ -273,3 +277,174 @@ def test_cli_brute_limit_is_applied(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MINE_BRUTE_LIMIT", "2")
     assert run_cli(["solve", path, "--method", "brute"]) == 0
     assert capsys.readouterr().out == "0 0\nvalue 0\n"
+
+
+# --- cost range ---------------------------------------------------------
+
+@pytest.mark.parametrize("record", [
+    "unary 0 0 9223372036854775808",
+    "unary 0 -9223372036854775809 0",
+    "unary 0 0 99999999999999999999999",
+    "constant 9223372036854775808",
+    "constant -9223372036854775809",
+])
+def test_parse_rejects_costs_outside_int64_with_the_line(record):
+    text = f"MINE 1\nnodes 1\nlabels 2\n{record}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_instance(text)
+    assert exc.value.line_no == 4
+    assert "outside signed 64-bit range" in str(exc.value)
+
+
+def test_int64_ends_round_trip():
+    text = ("MINE 1\nnodes 2\nids 0 1\nlabels 2 2\nconstant -9223372036854775808\n"
+            "unary 0 9223372036854775807 -9223372036854775808\nunary 1 0 INF\n"
+            "edge 0 1 9223372036854775807 INF -9223372036854775808 0\n")
+    inst, _ = parse_instance(text)
+    assert inst.unary[0] == (I64_MAX, I64_MIN)
+    assert inst.constant == I64_MIN
+    assert serialize_instance(inst) == text
+
+
+@pytest.mark.parametrize("unary", [
+    (True, False), (0, True), (0, 1.0), (0, "1"), (0, I64_MAX + 1), (I64_MIN - 1, 0),
+])
+def test_instance_rejects_entries_that_are_not_int64_or_inf(unary):
+    with pytest.raises(InstanceError):
+        make_instance({0: 2}, {0: unary})
+    with pytest.raises(InstanceError):
+        make_instance({0: 2, 1: 2}, pairwise={(0, 1): ((0, 0), unary)})
+
+
+def test_instance_rejects_a_bool_constant():
+    with pytest.raises(InstanceError):
+        make_instance({0: 2}, constant=True)
+
+
+def test_cli_out_of_range_cost_is_a_parse_error(tmp_path, capsys):
+    path = _write(tmp_path, "big.mine",
+                  "MINE 1\nnodes 1\nlabels 3\nunary 0 0 99999999999999999999999 0\n")
+    for argv in (["classify", path], ["solve", path, "--method", "brute"]):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: line 4: ")
+
+
+# --- every reduction through the command line ---------------------------
+
+def _crossing_free_3label(seed):
+    """A 3-label path on 4 nodes, drawn in its order on a circle: no crossings."""
+    rng = random.Random(seed)
+    nodes = range(4)
+    inst = make_instance({u: 3 for u in nodes},
+                         {u: tuple(rng.randint(0, 5) for _ in range(3)) for u in nodes},
+                         {(u, u + 1): tuple(tuple(rng.randint(0, 5) for _ in range(3))
+                                            for _ in range(3)) for u in range(3)})
+    return inst, circle_layout(nodes)
+
+
+def test_cli_verify_ap_w3sat_to_qpbo(tmp_path, capsys):
+    for seed in range(4):
+        _write(tmp_path, f"{seed}.wcnf3", serialize_wcnf3(random_w3sat(seed)))
+    assert run_cli(["verify-ap", "--reduction", "w3sat-to-qpbo",
+                    "--corpus", str(tmp_path)]) == 0
+    # every one of these formulas has optimum 0, where the ratio is undefined
+    assert capsys.readouterr().out == \
+        "checked 4 instances, 0 counterexamples, 4 ratio-undefined\n"
+
+
+def test_cli_verify_ap_planarize_on_crossing_free_drawings(tmp_path, capsys):
+    for seed in range(3):
+        inst, d = _crossing_free_3label(seed)
+        assert list_crossings(inst, d) == []
+        _write(tmp_path, f"{seed}.mine", serialize_instance(inst, d))
+    assert run_cli(["verify-ap", "--reduction", "planarize",
+                    "--corpus", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == \
+        "checked 3 instances, 0 counterexamples, 0 ratio-undefined\n"
+
+
+def test_cli_verify_ap_planarize_needs_coordinates(tmp_path, capsys):
+    inst, d = _crossing_free_3label(0)
+    _write(tmp_path, "0.mine", serialize_instance(inst, d))
+    _write(tmp_path, "1.mine", serialize_instance(inst))
+    assert run_cli(["verify-ap", "--reduction", "planarize",
+                    "--corpus", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_verify_ap_exits_4_on_a_broken_reverse_map(tmp_path, capsys, monkeypatch):
+    import mine.cli as cli
+
+    def restriction_only(sat, trace, y):  # drops the all-true fallback
+        return {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
+
+    monkeypatch.setattr(cli, "w3sat_sigma", restriction_only)
+    clauses = tuple((s1 * 1, s2 * 2, s3 * 3)
+                    for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1))
+    _write(tmp_path, "unsat.wcnf3", serialize_wcnf3(W3SatTriv(3, clauses, (1, 1, 1))))
+    assert run_cli(["verify-ap", "--reduction", "w3sat-to-qpbo",
+                    "--corpus", str(tmp_path)]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("checked 1 instances, ")
+    assert len(lines) > 1
+    assert all(line.startswith("counterexample: instance 0 check ") for line in lines[1:])
+
+
+def _reduce_then_sigma(tmp_path, capsys, reduction, src_name, src_text, solve):
+    """`mine reduce`, a library solve of the target, `mine sigma`: (stdout, trace, y)."""
+    src = _write(tmp_path, src_name, src_text)
+    out, tr = str(tmp_path / "target.mine"), str(tmp_path / "t.json")
+    assert run_cli(["reduce", reduction, src, out, "--trace", tr]) == 0
+    y = solve(parse_instance(Path(out).read_text())[0]).labeling
+    sol = _write(tmp_path, "y.sol", serialize_solution(y))
+    capsys.readouterr()
+    assert run_cli(["sigma", src, "--trace", tr, "--solution", sol]) == 0
+    return capsys.readouterr().out, read_trace(Path(tr).read_text()), y
+
+
+def test_cli_sigma_prints_the_library_map_for_every_trace_kind(tmp_path, capsys):
+    sat = random_w3sat(2)
+    printed, trace, y = _reduce_then_sigma(tmp_path, capsys, "w3sat-to-qpbo", "f.wcnf3",
+                                           serialize_wcnf3(sat), solve_brute_force)
+    x = w3sat_sigma(sat, trace, y)
+    assert printed == serialize_solution({i: int(v) for i, v in x.items()}) + \
+        f"measure {sat.measure(x)}\n"
+
+    inst = random_qpbo(3, max_nodes=5)
+    printed, trace, y = _reduce_then_sigma(tmp_path, capsys, "qpbo-to-klabel", "q.mine",
+                                           serialize_instance(inst), solve_brute_force)
+    x = klabel_sigma(inst, trace, y)
+    assert printed == serialize_solution(x, evaluate(inst, x))
+
+    inst, d = random_crossed_3label(4)
+    printed, trace, y = _reduce_then_sigma(tmp_path, capsys, "planarize", "p.mine",
+                                           serialize_instance(inst, d), solve_elimination)
+    x = planar_sigma(inst, trace, y)
+    assert printed == serialize_solution(x, evaluate(inst, x))
+
+
+def test_cli_planar_sigma_rejects_a_source_with_other_node_ids(tmp_path, capsys):
+    inst, d = random_crossed_3label(0)
+    src = _write(tmp_path, "x.mine", serialize_instance(inst, d))
+    out, tr = str(tmp_path / "x.planar.mine"), str(tmp_path / "t.json")
+    assert run_cli(["reduce", "planarize", src, out, "--trace", tr]) == 0
+    target, _ = parse_instance(Path(out).read_text())
+    sol = _write(tmp_path, "y.sol", serialize_solution(solve_elimination(target).labeling))
+    shift = {u: u + 1000 for u in inst.nodes}
+    moved = make_instance({shift[u]: k for u, k in inst.labels.items()},
+                          {shift[u]: t for u, t in inst.unary.items()},
+                          {(shift[u], shift[v]): t for (u, v), t in inst.pairwise.items()},
+                          inst.constant)
+    other = _write(tmp_path, "moved.mine",
+                   serialize_instance(moved, Drawing({shift[u]: p for u, p in d.coords.items()})))
+    capsys.readouterr()
+    assert run_cli(["sigma", src, "--trace", tr, "--solution", sol]) == 0
+    capsys.readouterr()
+    assert run_cli(["sigma", other, "--trace", tr, "--solution", sol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

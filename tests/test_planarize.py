@@ -9,7 +9,7 @@ from mine.geometry import Drawing, GeometryError, list_crossings
 from mine.instance import InstanceError, evaluate, make_instance
 from mine.reductions.gadgets import equality3
 from mine.reductions.planar import (AUX_PER_CROSSING, PlanarizeError, planar_sigma,
-                                    planarize, replace_crossing)
+                                    planarize)
 from mine.reductions.trace import ReductionTrace, trace_from_json
 from mine.solvers import solve_brute_force, solve_elimination
 
@@ -115,16 +115,6 @@ def _pin(instance, partial):
                          instance.constant)
 
 
-def test_replace_crossing_requires_current_crossing():
-    inst, d = x_instance()
-    trace = ReductionTrace(kind="planarize", original_nodes=inst.nodes,
-                           aux_nodes=(), next_fresh_id=4)
-    from mine.geometry import Crossing
-    stale = Crossing((0, 1), (2, 3), (F(1), F(1)))
-    with pytest.raises(PlanarizeError):
-        replace_crossing(inst, d, trace, stale)
-
-
 def test_sigma_infinite_restriction_falls_back():
     inst = make_instance({0: 3, 1: 3}, {0: (0, INF, 0), 1: (0, 0, 0)},
                          {(0, 1): rand_table(random.Random(2))})
@@ -210,22 +200,10 @@ def test_five_by_five_grid_planarizes():
     assert nx.check_planarity(_nx_graph(out))[0]
 
 
-def test_replace_crossing_keeps_the_other_crossing():
-    for inst, d in (two_x_instance(),
-                    segments_instance([((-4, 0), (4, 0)), ((-2, -1), (-1, 2)),
-                                       ((2, -2), (3, 1))])):
-        first, second = list_crossings(inst, d)
-        trace = ReductionTrace(kind="planarize", original_nodes=inst.nodes,
-                               aux_nodes=(), next_fresh_id=max(inst.nodes) + 1)
-        out, od, _ = replace_crossing(inst, d, trace, first)
-        left = list_crossings(out, od)
-        assert [c.point for c in left] == [second.point]
-
-
 def test_leftover_crossing_raises(monkeypatch):
     from mine.reductions import planar
     monkeypatch.setattr(planar, "_replace_crossings",
-                        lambda instance, d, trace, targets, crossings: (instance, d, trace))
+                        lambda instance, d, crossings: (instance, d, None))
     inst, d = x_instance()
     with pytest.raises(PlanarizeError):
         planarize(inst, d)

@@ -3,6 +3,9 @@ from itertools import product
 
 import pytest
 
+from mine.cli import run_cli
+from mine.fileformat import serialize_solution, serialize_wcnf3, write_trace
+from mine.generate import random_w3sat
 from mine.instance import evaluate
 from mine.poly import poly, poly_evaluate
 from mine.reductions.harness import (SAT_SOURCE, all_labelings,
@@ -184,16 +187,13 @@ def test_sigma_thresholds_and_measure_transfer():
     sat = simple_sat()
     inst, trace = w3sat_to_qpbo(sat)
     for y in all_labelings(inst):
-        x = w3sat_sigma(sat, trace, y, instance=inst)
+        x = w3sat_sigma(sat, trace, y)
         assert sat.is_feasible(x)
         assert sat.measure(x) <= evaluate(inst, y)
         if evaluate(inst, y) >= trace.big_m:
             assert x == sat.all_true()
         else:
             assert sat.satisfies(x)
-    # reproducible without the instance in hand
-    y0 = {u: 0 for u in inst.nodes}
-    assert w3sat_sigma(sat, trace, y0) == w3sat_sigma(sat, trace, y0, instance=inst)
 
 
 def test_ap_harness_single_clause_enumeration():
@@ -211,7 +211,7 @@ def test_ap_harness_single_clause_enumeration():
 
 def test_ap_harness_catches_broken_sigma():
     # drop the M branch: restriction of an M-level labeling is infeasible
-    def bad_sigma(sat, trace, y, instance=None):
+    def bad_sigma(sat, trace, y):
         return {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
 
     clauses = tuple((s1 * 1, s2 * 2, s3 * 3)
@@ -221,3 +221,73 @@ def test_ap_harness_catches_broken_sigma():
                                  source=SAT_SOURCE)
     assert not report.ok
     assert any(ce.check == "sigma-feasible" for ce in report.counterexamples)
+
+
+# --- one target per formula ---------------------------------------------
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """A list that grows by one per w3sat_to_qpbo build, the reverse map's included."""
+    from mine.reductions import wsat
+    builds = []
+    build = wsat.w3sat_to_qpbo
+
+    def counting(sat):
+        builds.append(sat)
+        return build(sat)
+
+    # The reverse map memoizes the last build; a patched forward map must
+    # start and leave an empty memo.
+    wsat._reduced.cache_clear()
+    monkeypatch.setattr(wsat, "w3sat_to_qpbo", counting)
+    yield builds
+    wsat._reduced.cache_clear()
+
+
+def test_harness_builds_the_target_at_most_twice_per_formula(counted_builds):
+    from mine.reductions import wsat
+    sat = random_w3sat(3, max_vars=6, max_clauses=4)
+    report = verify_ap_reduction(wsat.w3sat_to_qpbo, w3sat_sigma, 1, [sat],
+                                 source=SAT_SOURCE)
+    assert report.ok and report.checked == 1
+    target, _ = w3sat_to_qpbo(sat)
+    assert 2 ** len(target.nodes) >= 16  # the map ran once per target labeling
+    assert 1 <= len(counted_builds) <= 2
+    assert all(s == sat for s in counted_builds)
+
+
+def test_equal_formulas_share_one_build(counted_builds):
+    sat = simple_sat()
+    _, trace = w3sat_to_qpbo(sat)
+    y = {1: 1, 2: 0, 3: 0, 4: 0}
+    w3sat_sigma(sat, trace, y)
+    w3sat_sigma(simple_sat(), trace, y)
+    assert counted_builds == [sat]
+
+
+def test_sigma_rejects_a_trace_of_another_formula():
+    sat = random_w3sat(1)
+    heavy = W3SatTriv(sat.num_vars, sat.clauses, tuple(9 for _ in sat.weights))
+    _, trace = w3sat_to_qpbo(sat)
+    y = {u: 0 for u in trace.target_nodes()}
+    assert sat.is_feasible(w3sat_sigma(sat, trace, y))
+    with pytest.raises(SatError):
+        w3sat_sigma(heavy, trace, y)
+
+
+def test_cli_sigma_rejects_a_trace_of_another_formula(tmp_path, capsys):
+    sat = random_w3sat(1)
+    heavy = W3SatTriv(sat.num_vars, sat.clauses, tuple(9 for _ in sat.weights))
+    _, trace = w3sat_to_qpbo(sat)
+    paths = {name: tmp_path / name for name in ("f.wcnf3", "heavy.wcnf3", "t.json", "y.sol")}
+    paths["f.wcnf3"].write_text(serialize_wcnf3(sat))
+    paths["heavy.wcnf3"].write_text(serialize_wcnf3(heavy))
+    paths["t.json"].write_text(write_trace(trace))
+    paths["y.sol"].write_text(serialize_solution({u: 0 for u in trace.target_nodes()}))
+    args = ["--trace", str(paths["t.json"]), "--solution", str(paths["y.sol"])]
+    assert run_cli(["sigma", str(paths["f.wcnf3"])] + args) == 0
+    capsys.readouterr()
+    assert run_cli(["sigma", str(paths["heavy.wcnf3"])] + args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
