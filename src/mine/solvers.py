@@ -7,7 +7,11 @@ returns the lexicographically smallest optimal labeling (in instance node
 order); elimination, going back through its order, gives each node the
 first label that attains its bucket's minimum under the labels already
 chosen (label 0 when every label costs INF); the flow-based solver
-returns the canonical reachable-set cut.
+returns the canonical reachable-set cut.  One max-flow core, Dinic's
+algorithm on flat residual arc lists, runs behind both `max_flow` and
+the posiform min cut that submodular min-cut and every alpha-expansion
+move share; those two solvers report its phase and augmenting-path
+counts in ``SolveResult.stats``.
 
 Costs stay exact everywhere, and a partial sum of finite costs that
 leaves the signed 64-bit range raises CostOverflowError.  Elimination
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import add
@@ -319,48 +322,113 @@ class FlowNetwork:
 
 
 def max_flow(network: FlowNetwork) -> tuple[int, tuple[frozenset, frozenset]]:
-    """Edmonds-Karp max flow; returns flow value and the (source side, sink side) min cut.
+    """Dinic max flow; returns flow value and the (source side, sink side) min cut.
 
     Neither depends on the order arcs are searched in: the flow value is
     unique, and the source side, the set reachable from the source in the
-    final residual graph, is the same for every maximum flow.
+    final residual graph, is the same for every maximum flow.  Every
+    capacity and the running flow are range-checked (CostOverflowError);
+    a negative capacity or a sink equal to the source raises SolverError.
+    An arc and its antiparallel arc share one residual pair.
     """
     s, t = network.source, network.sink
-    residual: dict[int, dict[int, int]] = {s: {}, t: {}}
-    for (u, v), cap in network.capacity.items():
-        residual.setdefault(u, {})[v] = check_range(cap)
-        residual.setdefault(v, {}).setdefault(u, 0)
-    flow = 0
+    if s == t:
+        raise SolverError("source and sink must be different nodes")
+    index = {s: 0, t: 1}  # internal ids: source 0, sink 1, the rest in arc order
+    pairs = {}  # (i, j) with i <= j -> [capacity i->j, capacity j->i]
+    for (u, v), c in network.capacity.items():
+        i = index.setdefault(u, len(index))
+        j = index.setdefault(v, len(index))
+        if i <= j:
+            pairs.setdefault((i, j), [0, 0])[0] = c
+        else:
+            pairs.setdefault((j, i), [0, 0])[1] = c
+    flow, reachable = _dinic(len(index), 0, 1,
+                             [(i, j, c, back) for (i, j), (c, back) in pairs.items()], {})
+    source_side = frozenset(u for u, i in index.items() if reachable[i])
+    return flow, (source_side, frozenset(index.keys() - source_side))
+
+
+def _dinic(n: int, s: int, t: int, arcs, counters: dict) -> tuple[int, list[bool]]:
+    """Dinic's max flow (1970) from s to t over nodes 0..n-1.
+
+    Each of arcs is (i, j, capacity i->j, capacity j->i): one residual arc
+    pair.  Arc a runs to head[a] with residual capacity cap[a], its reverse
+    is arc a ^ 1, and adj[u] lists the arcs out of u.  Each phase builds
+    the BFS level graph, stopping once the sink is labelled, then saturates
+    it by an iterative DFS that keeps a current-arc pointer per node.
+    Returns the flow value and, per node, whether the source reaches it in
+    the final residual graph.  Adds the phases (level graphs built, the
+    last one missing the sink) and augmenting paths to counters.
+    """
+    head: list[int] = []
+    cap: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for i, j, c, back in arcs:
+        if c < 0 or back < 0:
+            raise SolverError("negative capacity")
+        check_range(c)
+        check_range(back)
+        if c or back:
+            adj[i].append(len(head))
+            adj[j].append(len(head) + 1)
+            head += (j, i)
+            cap += (c, back)
+    flow = phases = paths = 0
     while True:
-        prev = {s: None}
-        queue = deque([s])
-        while queue and t not in prev:
-            u = queue.popleft()
-            for v, r in residual[u].items():
-                if r > 0 and v not in prev:
-                    prev[v] = u
+        phases += 1
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:  # the queue grows while it is walked
+            if level[t] >= 0:
+                break
+            d = level[u] + 1
+            for a in adj[u]:
+                v = head[a]
+                if cap[a] and level[v] < 0:
+                    level[v] = d
                     queue.append(v)
-        if t not in prev:
+        if level[t] < 0:
             break
-        path = []  # the augmenting path's arcs, sink to source
-        v = t
-        while prev[v] is not None:
-            path.append((prev[v], v))
-            v = prev[v]
-        bottleneck = min(residual[u][v] for u, v in path)
-        for u, v in path:
-            residual[u][v] -= bottleneck
-            residual[v][u] += bottleneck
-        flow = check_range(flow + bottleneck)
-    reachable = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v, r in residual[u].items():
-            if r > 0 and v not in reachable:
-                reachable.add(v)
-                stack.append(v)
-    return flow, (frozenset(reachable), frozenset(network.nodes() - reachable))
+        current = [0] * n  # current-arc pointer per node
+        path = []  # arcs from the source to u in the level graph
+        u = s
+        while True:
+            if u == t:
+                f = min([cap[a] for a in path])
+                for a in path:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                flow = check_range(flow + f)
+                paths += 1
+                for i, a in enumerate(path):  # back to the first saturated arc
+                    if not cap[a]:
+                        break
+                del path[i:]
+                u = head[path[-1]] if path else s
+                continue
+            out = adj[u]
+            i, m = current[u], len(out)
+            d = level[u] + 1
+            while i < m:
+                a = out[i]
+                if cap[a] and level[head[a]] == d:
+                    break
+                i += 1
+            current[u] = i
+            if i < m:
+                path.append(a)
+                u = head[a]
+            elif u == s:
+                break
+            else:  # dead end: drop u from this level graph and step back
+                level[u] = -1
+                u = head[path.pop() ^ 1]
+                current[u] += 1
+    counters["phases"] = counters.get("phases", 0) + phases
+    counters["augmenting_paths"] = counters.get("augmenting_paths", 0) + paths
+    return flow, [d >= 0 for d in level]
 
 
 # ---------------------------------------------------------------------------
@@ -474,40 +542,41 @@ def is_metric(instance: EnergyInstance) -> bool:
 # Submodular QPBO via min cut
 
 
-def _min_cut(nodes, unary, edges, pairwise, constant: int) -> tuple[Labeling, int]:
+def _min_cut(nodes, unary, edges, pairwise, constant: int,
+             counters: dict) -> tuple[Labeling, int]:
     """Minimum of a binary energy given as plain data, by the posiform min cut.
 
     unary[u] is a (label 0, label 1) pair and pairwise[e] a 2x2 table, all
     finite.  Returns the canonical cut's labeling and value; a table with
     f(0,1) + f(1,0) < f(0,0) + f(1,1) raises SolverError (negative capacity).
+    The edges are distinct node pairs, so each arc goes to the flow core as
+    its own residual pair; the core adds its counts to counters.
     """
     # Internal flow ids: 0..n-1 for nodes, n = source, n + 1 = sink.
+    n = len(nodes)
     idx = {u: i for i, u in enumerate(nodes)}
-    source, sink = len(nodes), len(nodes) + 1
     unary1 = {u: unary[u][1] - unary[u][0] for u in nodes}
     for u in nodes:
         constant = check_range(constant + unary[u][0])
-    network = FlowNetwork(source=source, sink=sink)
-    pair_terms = []  # (u, v, beta) for beta * [x_u = 0][x_v = 1]
+    pair_arcs = []  # beta * [x_u = 0][x_v = 1]: arc u->v, cut when x_u = 0, x_v = 1
     for (u, v) in edges:
         (a, b), (c, d) = pairwise[(u, v)]
         # f_uv = a + (c - a)[x_u=1] + (d - c)[x_v=1] + (b + c - a - d)[x_u=0][x_v=1]
         constant = check_range(constant + a)
         unary1[u] = check_range(unary1[u] + c - a)
         unary1[v] = check_range(unary1[v] + d - c)
-        pair_terms.append((u, v, b + c - a - d))
-    for u in nodes:
+        pair_arcs.append((idx[u], idx[v], b + c - a - d, 0))
+    arcs = []
+    for i, u in enumerate(nodes):
         w = unary1[u]
         if w >= 0:
-            network.add_arc(source, idx[u], w)  # cut when x_u = 1
+            arcs.append((n, i, w, 0))  # cut when x_u = 1
         else:
             constant = check_range(constant + w)
-            network.add_arc(idx[u], sink, -w)  # cut when x_u = 0
-    for (u, v, beta) in pair_terms:
-        network.add_arc(idx[u], idx[v], beta)  # cut when x_u = 0, x_v = 1
-    flow, (source_side, _) = max_flow(network)
+            arcs.append((i, n + 1, -w, 0))  # cut when x_u = 0
+    flow, reachable = _dinic(n + 2, n, n + 1, arcs + pair_arcs, counters)
     # Arc s->u is cut exactly when u lands on the sink side, so sink side = label 1.
-    x = {u: (0 if idx[u] in source_side else 1) for u in nodes}
+    x = {u: (0 if reachable[i] else 1) for i, u in enumerate(nodes)}
     return x, check_range(constant + flow)
 
 
@@ -518,11 +587,12 @@ def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
         raise SolverError("infinite unary or pairwise entry")
     if not submodular:
         raise SolverError("instance is not binary submodular")
+    counters: dict = {}
     x, value = _min_cut(instance.nodes, instance.unary, instance.edges,
-                        instance.pairwise, instance.constant)
+                        instance.pairwise, instance.constant, counters)
     if evaluate(instance, x) != value:
         raise SolverError("min-cut labeling does not attain the cut value")
-    return SolveResult(x, value, "mincut", True)
+    return SolveResult(x, value, "mincut", True, stats=counters)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +617,7 @@ def alpha_expansion(instance: EnergyInstance) -> SolveResult:
     x = {u: 0 for u in nodes}
     current = evaluate(instance, x)
     moves = [current]
+    counters = {"phases": 0, "augmenting_paths": 0, "moves_tried": 0}
     improved = True
     while improved:
         improved = False
@@ -556,7 +627,8 @@ def alpha_expansion(instance: EnergyInstance) -> SolveResult:
                                       (t[alpha][x[v]], t[alpha][alpha]))
                              for (u, v), t in pairwise.items()}
             cut, value = _min_cut(nodes, move_unary, instance.edges, move_pairwise,
-                                  instance.constant)
+                                  instance.constant, counters)
+            counters["moves_tried"] += 1
             moved = {u: (alpha if cut[u] == 1 else x[u]) for u in nodes}
             # The move energy of the cut is the instance energy of moved,
             # term by term and in the same order.
@@ -568,4 +640,4 @@ def alpha_expansion(instance: EnergyInstance) -> SolveResult:
                 improved = True
     if evaluate(instance, x) != current:
         raise SolverError("alpha-expansion labeling does not attain its recorded energy")
-    return SolveResult(x, current, "alpha-expansion", False, tuple(moves))
+    return SolveResult(x, current, "alpha-expansion", False, tuple(moves), counters)

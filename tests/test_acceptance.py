@@ -11,8 +11,10 @@ from contextlib import contextmanager
 from itertools import product
 
 from test_classifier import corpus as classifier_corpus
+from test_solvers import _reference_core, potts_grid
 
 from mine.classify import classify
+import mine.solvers
 from mine.costs import is_finite
 from mine.fileformat import parse_instance, serialize_instance
 from mine.generate import (random_crossed_3label, random_forest,
@@ -215,3 +217,19 @@ def test_criterion_9_round_trip_io():
             assert back == inst
             assert (bd.coords if bd else None) == (d.coords if d else None)
             assert serialize_instance(back, bd) == text
+
+
+def test_criterion_10_max_flow_at_scale(monkeypatch):
+    # Edmonds-Karp took 10-12 s for a 50x50 4-label alpha-expansion; the
+    # budget is a third of that.
+    with criterion(10, "max flow on 50x50 grids", 4):
+        potts = potts_grid(0, 50, 50, 4)
+        r = alpha_expansion(potts)
+        assert evaluate(potts, r.labeling) == r.value
+        assert all(b < a for a, b in zip(r.move_values, r.move_values[1:]))
+        assert len(r.move_values) > 1
+        binary = potts_grid(0, 50, 50, 2)
+        cut = solve_submodular_qpbo(binary)
+        monkeypatch.setattr(mine.solvers, "_dinic", _reference_core)
+        reference = solve_submodular_qpbo(binary)
+        assert cut == reference

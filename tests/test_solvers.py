@@ -1,11 +1,15 @@
 import random
+from collections import deque
+from dataclasses import replace
 from itertools import product
 
 import networkx as nx
 import pytest
 
 from mine.cli import run_cli
-from mine.costs import I64_MAX, INF, CostOverflowError, is_finite
+import mine.solvers
+from mine.costs import (I64_MAX, INF, CostOverflowError, check_range,
+                        is_finite)
 from mine.fileformat import serialize_instance
 from mine.generate import (random_forest, random_general, random_potts,
                            random_submodular)
@@ -249,6 +253,164 @@ def test_max_flow_cut_is_the_smallest_min_cut_in_any_arc_order():
             assert max_flow(_network(n_nodes, shuffled)) == (flow, sides)
 
 
+def test_max_flow_rejects_source_equal_to_sink():
+    with pytest.raises(SolverError, match="source and sink must be different nodes"):
+        max_flow(FlowNetwork(source=0, sink=0))
+
+
+def test_max_flow_rejects_a_negative_capacity_set_directly():
+    with pytest.raises(SolverError, match="negative capacity"):
+        max_flow(FlowNetwork(source=0, sink=1, capacity={(0, 1): -1}))
+
+
+def test_max_flow_range_checks_every_merged_capacity():
+    # The merged arc u->v is out of range, but at most 1 unit flows through
+    # it; 1->0 is the second arc of an antiparallel pair.
+    for u, v in ((0, 1), (1, 0)):
+        net = FlowNetwork(source=0, sink=2)
+        net.add_arc(0, 1, 1)
+        net.add_arc(1, 2, 1)
+        net.add_arc(u, v, I64_MAX)
+        net.add_arc(u, v, 1)
+        with pytest.raises(CostOverflowError):
+            max_flow(net)
+
+
+def test_max_flow_range_checks_the_running_flow():
+    # Two disjoint paths, each in range, whose flows add up past I64_MAX.
+    net = FlowNetwork(source=0, sink=3)
+    for u, v in ((0, 1), (1, 3), (0, 2), (2, 3)):
+        net.add_arc(u, v, I64_MAX)
+    with pytest.raises(CostOverflowError):
+        max_flow(net)
+
+
+def _reference_max_flow(network):
+    """Edmonds-Karp as it was: one BFS from the source per augmenting path."""
+    s, t = network.source, network.sink
+    residual = {s: {}, t: {}}
+    for (u, v), cap in network.capacity.items():
+        residual.setdefault(u, {})[v] = check_range(cap)
+        residual.setdefault(v, {}).setdefault(u, 0)
+    flow = 0
+    while True:
+        prev = {s: None}
+        queue = deque([s])
+        while queue and t not in prev:
+            u = queue.popleft()
+            for v, r in residual[u].items():
+                if r > 0 and v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        if t not in prev:
+            break
+        path = []
+        v = t
+        while prev[v] is not None:
+            path.append((prev[v], v))
+            v = prev[v]
+        bottleneck = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+        flow = check_range(flow + bottleneck)
+    reachable = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for v, r in residual[u].items():
+            if r > 0 and v not in reachable:
+                reachable.add(v)
+                stack.append(v)
+    return flow, (frozenset(reachable), frozenset(network.nodes() - reachable))
+
+
+def _core_network(s, t, arcs):
+    """The FlowNetwork with the flow core's arc pairs as its arcs."""
+    net = FlowNetwork(source=s, sink=t)
+    for i, j, c, back in arcs:
+        net.add_arc(i, j, c)
+        net.add_arc(j, i, back)
+    return net
+
+
+def _reference_core(n, s, t, arcs, counters):
+    """A stand-in for the flow core that runs _reference_max_flow instead."""
+    flow, (source_side, _) = _reference_max_flow(_core_network(s, t, arcs))
+    return flow, [u in source_side for u in range(n)]
+
+
+def _awkward_networks():
+    """40 seeded networks of 20-200 nodes built by add_arc, with their features."""
+    rng = random.Random(2016)
+    for k in range(40):
+        n_nodes = rng.randint(20, 200)
+        ids = rng.sample(range(-1000, 1000), n_nodes)  # non-contiguous, some negative
+        s, t = ids[0], ids[1]
+        net = FlowNetwork(source=s, sink=t)
+        features = set()
+        for i in range(rng.randint(3 * n_nodes, 6 * n_nodes)):
+            u, v = rng.choice(ids), rng.choice(ids)
+            if i < 6:  # a few arcs out of the source and into the sink
+                u, v = (s, u) if i % 2 else (v, t)
+            if k % 10 == 9 and v == t:
+                continue  # no arc into the sink: the sink is unreachable
+            cap = rng.choice((0, rng.randint(1, 9), rng.randint(1, 10**12)))
+            features.add("self-loop" if u == v else "zero" if cap == 0 else "arc")
+            if (v, u) in net.capacity and u != v:
+                features.add("antiparallel")
+            if (u, v) in net.capacity:
+                features.add("repeated")
+            net.add_arc(u, v, cap)
+        yield net, features
+
+
+def test_max_flow_matches_edmonds_karp_on_awkward_networks():
+    features = set()
+    flows = []
+    for net, found in _awkward_networks():
+        features |= found
+        result = max_flow(net)
+        assert result == _reference_max_flow(net)
+        flows.append(result[0])
+    assert features == {"arc", "self-loop", "zero", "antiparallel", "repeated"}
+    assert 0 in flows and sum(f > 0 for f in flows) > 30
+
+
+def _grid_cut_networks(monkeypatch):
+    """Every residual network the min-cut routine hands the flow core on seeded
+    20x20 binary and 12x12 4-label Potts grids, with the core's result."""
+    core = mine.solvers._dinic
+    seen = []
+
+    def recording(n, s, t, arcs, counters):
+        result = core(n, s, t, arcs, counters)
+        seen.append((_core_network(s, t, arcs), n, result))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mine.solvers, "_dinic", recording)
+        for seed in range(3):
+            solve_submodular_qpbo(potts_grid(seed, 20, 20, 2))
+            alpha_expansion(potts_grid(seed, 12, 12, 4))
+    return seen
+
+
+def test_min_cut_networks_match_edmonds_karp_and_networkx(monkeypatch):
+    networks = _grid_cut_networks(monkeypatch)
+    assert len(networks) > 3 + 3 * 4
+    for net, n_nodes, (flow, reachable) in networks:
+        expected = _reference_max_flow(net)
+        assert max_flow(net) == expected
+        assert flow == expected[0]
+        assert {u for u in range(n_nodes) if reachable[u]} == expected[1][0]
+        g = nx.DiGraph()
+        g.add_nodes_from((net.source, net.sink))
+        g.add_weighted_edges_from(((u, v, c) for (u, v), c in net.capacity.items()),
+                                  weight="capacity")
+        assert nx.minimum_cut_value(g, net.source, net.sink) == flow
+
+
 # --- interaction checks -------------------------------------------------
 
 def test_is_submodular_binary_tables():
@@ -481,12 +643,38 @@ def potts_grid(seed, rows, cols, k):
 def test_alpha_expansion_matches_the_move_instance_route():
     corpus = [random_potts(seed) for seed in range(100)]
     corpus += [potts_grid(seed, n, n, 3) for n in (5, 8) for seed in range(3)]
+    corpus += [potts_grid(seed, 20, 20, 4) for seed in range(3)]
     moves = 0
     for inst in corpus:
         r = alpha_expansion(inst)
         assert r == _reference_alpha_expansion(inst)  # move_values included
         moves += len(r.move_values) - 1
     assert moves > len(corpus)
+
+
+def test_cut_solvers_count_phases_paths_and_moves(monkeypatch):
+    cut = solve_submodular_qpbo(potts_grid(0, 3, 3, 2))
+    assert cut.stats == {"phases": 5, "augmenting_paths": 9}
+    assert replace(cut, stats={}) == cut  # the counters stay out of ==
+    # Alpha-expansion sums the core's counts over every move it tries.
+    core = mine.solvers._dinic
+    per_move = []
+
+    def recording(n, s, t, arcs, counters):
+        own = {}
+        result = core(n, s, t, arcs, own)
+        per_move.append(own)
+        for key, count in own.items():
+            counters[key] += count
+        return result
+
+    monkeypatch.setattr(mine.solvers, "_dinic", recording)
+    moves = alpha_expansion(potts_grid(0, 4, 4, 3))
+    assert moves.move_values == (137, 110, 102)
+    assert moves.stats == {"phases": 18, "augmenting_paths": 33, "moves_tried": 6}
+    assert len(per_move) == 6
+    assert sum(c["phases"] for c in per_move) == 18
+    assert sum(c["augmenting_paths"] for c in per_move) == 33
 
 
 def test_alpha_expansion_builds_no_instance(instance_constructions):
