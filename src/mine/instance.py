@@ -80,12 +80,6 @@ class EnergyInstance:
             raise InstanceError("constant offset must be a finite integer")
         check_range(self.constant)
 
-    def edge_cost(self, u: int, v: int, a: int, b: int) -> Cost:
-        """Cost of edge {u, v} with u labeled a, v labeled b (any orientation)."""
-        if u < v:
-            return self.pairwise[(u, v)][a][b]
-        return self.pairwise[(v, u)][b][a]
-
 
 def make_instance(labels: dict[int, int],
                   unary: dict[int, tuple[Cost, ...]] | None = None,

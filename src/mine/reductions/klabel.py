@@ -7,8 +7,7 @@ share their optimal value exactly.
 
 from __future__ import annotations
 
-from ..instance import (EnergyInstance, InstanceError, Labeling, big_m, check_labeling,
-                        evaluate)
+from ..instance import EnergyInstance, InstanceError, Labeling, big_m, check_labeling
 from .trace import ReductionTrace
 
 
@@ -40,7 +39,7 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -
     """Reverse map: y itself below the M threshold, else the fixed all-zeros labeling.
 
     On labels 0 and 1 the padded instance costs what original costs, term by
-    term, so y is scored on original; a padding label maps to all zeros.
+    term, so such a y is always below M; a padding label maps to all zeros.
     """
     if trace.kind != "qpbo-to-klabel":
         raise InstanceError("trace kind mismatch")
@@ -51,6 +50,6 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -
     if any(a >= 2 for a in y.values()):
         # Still reject a y with the wrong node set or a negative label.
         check_labeling(original, {u: min(a, 1) for u, a in y.items()})
-    elif evaluate(original, y) < trace.big_m:
-        return dict(y)
-    return {u: 0 for u in original.nodes}
+        return {u: 0 for u in original.nodes}
+    check_labeling(original, y)  # below M: big_m exceeds |energy| of every labeling
+    return dict(y)

@@ -6,8 +6,12 @@ approximable families.  All solvers are deterministic: brute force
 returns the lexicographically smallest optimal labeling (in instance node
 order); elimination, going back through its order, gives each node the
 first label that attains its bucket's minimum under the labels already
-chosen (label 0 when every label costs INF); the flow-based solver
-returns the canonical reachable-set cut.  One max-flow core, Dinic's
+chosen (label 0 when every label costs INF); tree DP is elimination
+along a leaf-first order, each component rooted at its first node in
+instance order, so it breaks ties the same way, and each node's bucket
+adds its unary, then the edge to its parent, then its children's
+messages in edge order, range-checking every partial sum; the flow-based
+solver returns the canonical reachable-set cut.  One max-flow core, Dinic's
 algorithm on flat residual arc lists, runs behind both `max_flow` and
 the posiform min cut that submodular min-cut and every alpha-expansion
 move share; those two solvers report its phase and augmenting-path
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import add
 
@@ -140,12 +144,20 @@ def solve_elimination(instance: EnergyInstance, order=None,
         if len(finite) < len(table):
             table = [c if is_finite(c) else inf for c in table]
         factors.append((scope, table, min(finite, default=None), max(finite, default=None)))
+    # Each node's unconsumed factors as positions in factors, so in creation
+    # order; a bucket sets the slots it takes to None.
+    pending = {u: [] for u in instance.nodes}
+    for i, (scope, _, _, _) in enumerate(factors):
+        for w in scope:
+            pending[w].append(i)
 
     eliminated = []  # (node, separator, argmin per separator entry)
     max_separator = joint_entries = 0
     for u in order:
-        bucket = [f for f in factors if u in f[0]]
-        factors = [f for f in factors if u not in f[0]]
+        taken = [i for i in pending.pop(u) if factors[i] is not None]
+        bucket = [factors[i] for i in taken]
+        for i in taken:
+            factors[i] = None
         sep = sorted({w for f in bucket for w in f[0] if w != u})
         size = 1
         for w in sep:
@@ -187,14 +199,16 @@ def solve_elimination(instance: EnergyInstance, order=None,
         else:
             m_lo = max(I64_MIN, sum(f[2] for f in bucket))
             m_hi = min(I64_MAX, sum(f[3] for f in bucket))
+        for w in sep:
+            pending[w].append(len(factors))
         factors.append((tuple(sep), message, m_lo, m_hi))
         eliminated.append((u, sep, argmin))
 
+    # Every node's bucket has run, so what is left is the empty-scope messages.
     value: Cost = instance.constant
-    for scope, table, _, _ in factors:
-        if scope != ():
-            raise SolverError(f"elimination left a factor over {scope}")
-        value = ext_add(value, INF if table[0] > I64_MAX else table[0])
+    for f in factors:
+        if f is not None:
+            value = ext_add(value, INF if f[1][0] > I64_MAX else f[1][0])
 
     x: Labeling = {}
     for u, sep, argmin in reversed(eliminated):
@@ -242,58 +256,14 @@ def _broadcast(table: list, scope: tuple, joint: list, labels) -> list:
 
 
 def solve_tree_dp(instance: EnergyInstance) -> SolveResult:
-    """Exact minimum on forests by leaf-to-root message passing."""
-    if not is_forest(instance):
-        raise SolverError("instance graph contains a cycle")
-    adj = adjacency(instance)  # edge order: each partial sum below is range-checked
+    """Exact minimum on forests: elimination along a leaf-first order.
 
-    value: Cost = instance.constant
-    x: Labeling = {}
-    visited = set()
-    for root in instance.nodes:
-        if root in visited:
-            continue
-        order = []  # DFS preorder of the component
-        stack = [(root, None)]
-        parent = {root: None}
-        while stack:
-            u, par = stack.pop()
-            visited.add(u)
-            order.append(u)
-            for w in adj[u]:
-                if w != par:
-                    if w in parent:
-                        raise SolverError("instance graph contains a cycle")
-                    parent[w] = u
-                    stack.append((w, u))
-        # Upward pass: cost-to-leaves for each (node, label).
-        msg: dict[int, list[Cost]] = {}
-        pick: dict[int, list[int]] = {}
-        for u in reversed(order):
-            table = list(instance.unary[u])
-            for w in adj[u]:
-                if parent.get(w) != u:
-                    continue
-                for a in range(instance.labels[u]):
-                    best: Cost = None
-                    best_b = None
-                    for b in range(instance.labels[w]):
-                        v = ext_add(msg[w][b], instance.edge_cost(u, w, a, b))
-                        if best is None or v < best:
-                            best, best_b = v, b
-                    table[a] = ext_add(table[a], best)
-                    pick.setdefault(w, [0] * instance.labels[u])[a] = best_b
-            msg[u] = table
-        root_best: Cost = None
-        for a in range(instance.labels[root]):
-            if root_best is None or msg[root][a] < root_best:
-                root_best, x[root] = msg[root][a], a
-        value = ext_add(value, root_best)
-        for u in order:
-            for w in adj[u]:
-                if parent.get(w) == u:
-                    x[w] = pick[w][x[u]]
-    return SolveResult(x, value, "tree-dp", True)
+    Every separator is at most the one parent node; ``stats`` are elimination's.
+    """
+    order = _forest_order(instance)
+    if order is None:
+        raise SolverError("instance graph contains a cycle")
+    return replace(solve_elimination(instance, order), method="tree-dp")
 
 
 # ---------------------------------------------------------------------------
@@ -445,25 +415,39 @@ def adjacency(instance: EnergyInstance) -> dict[int, list[int]]:
 
 
 def is_forest(instance: EnergyInstance) -> bool:
-    """No cycle: the edge count equals the node count minus the component count."""
-    nodes, edges = instance.nodes, instance.edges
-    if nodes and len(edges) >= len(nodes):  # a forest has E <= V - 1: skip the walk
-        return False
+    return _forest_order(instance) is not None
+
+
+def _forest_order(instance: EnergyInstance) -> list[int] | None:
+    """A leaf-first order of a forest's nodes, or None if the graph has a cycle.
+
+    Component by component, each rooted at its first node in instance.nodes:
+    the DFS preorder (neighbours pushed in adjacency order), reversed, so
+    every node comes after all its descendants.
+    """
+    nodes = instance.nodes
+    if nodes and len(instance.edges) >= len(nodes):  # a forest has E <= V - 1
+        return None
     adj = adjacency(instance)
-    seen = set()
-    components = 0
+    parent = {}
+    order = []
     for root in nodes:
-        if root in seen:
+        if root in parent:
             continue
-        components += 1
-        seen.add(root)
+        parent[root] = None
+        preorder = []
         stack = [root]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
+            u = stack.pop()
+            preorder.append(u)
+            for w in adj[u]:
+                if w != parent[u]:
+                    if w in parent:
+                        return None
+                    parent[w] = u
                     stack.append(w)
-    return len(edges) == len(nodes) - components
+        order += reversed(preorder)
+    return order
 
 
 def all_finite(instance: EnergyInstance) -> bool:
@@ -480,19 +464,17 @@ def is_submodular_binary(instance: EnergyInstance) -> bool:
     """f(0,1) + f(1,0) >= f(0,0) + f(1,1) on every edge of a binary instance."""
     if not is_binary(instance):
         raise SolverError("submodularity check requires a binary instance")
-    for e in instance.edges:
-        t = instance.pairwise[e]
-        if t[0][1] + t[1][0] < t[0][0] + t[1][1]:
-            return False
-    return True
+    return is_submodular_lattice(instance)  # at k = 2 the one lattice inequality
+
+
+# The interaction-type checks below test each distinct pairwise table once.
 
 
 def is_submodular_lattice(instance: EnergyInstance) -> bool:
     """f(i,j+1) + f(i+1,j) >= f(i,j) + f(i+1,j+1) for all adjacent index pairs."""
-    for (u, v) in instance.edges:
-        t = instance.pairwise[(u, v)]
-        for i in range(instance.labels[u] - 1):
-            for j in range(instance.labels[v] - 1):
+    for t in set(instance.pairwise.values()):
+        for i in range(len(t) - 1):
+            for j in range(len(t[0]) - 1):
                 if t[i][j + 1] + t[i + 1][j] < t[i][j] + t[i + 1][j + 1]:
                     return False
     return True
@@ -508,8 +490,7 @@ def _uniform_label_count(instance: EnergyInstance) -> int:
 def is_potts(instance: EnergyInstance) -> bool:
     """Zero diagonal, single constant c_uv >= 0 off-diagonal, per edge."""
     k = _uniform_label_count(instance)
-    for e in instance.edges:
-        t = instance.pairwise[e]
+    for t in set(instance.pairwise.values()):
         off = {t[a][b] for a in range(k) for b in range(k) if a != b}
         diag = {t[a][a] for a in range(k)}
         if diag != {0}:
@@ -522,8 +503,7 @@ def is_potts(instance: EnergyInstance) -> bool:
 def is_metric(instance: EnergyInstance) -> bool:
     """Zero diagonal, symmetric, non-negative, triangle inequality per edge."""
     k = _uniform_label_count(instance)
-    for e in instance.edges:
-        t = instance.pairwise[e]
+    for t in set(instance.pairwise.values()):
         for a in range(k):
             if t[a][a] != 0:
                 return False

@@ -263,4 +263,6 @@ def test_stats_do_not_take_part_in_equality():
     result = solve_elimination(inst)
     assert result.stats
     assert result == SolveResult(result.labeling, result.value, "elimination", True)
-    assert solve_tree_dp(make_instance({0: 2})).stats == {}
+    assert solve_brute_force(make_instance({0: 2})).stats == {}
+    assert solve_tree_dp(make_instance({0: 2})).stats == {"max_separator": 0,
+                                                          "joint_entries": 2}

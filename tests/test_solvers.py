@@ -1,4 +1,5 @@
 import random
+import time
 from collections import deque
 from dataclasses import replace
 from itertools import product
@@ -8,7 +9,7 @@ import pytest
 
 from mine.cli import run_cli
 import mine.solvers
-from mine.costs import (I64_MAX, INF, CostOverflowError, check_range,
+from mine.costs import (I64_MAX, INF, CostOverflowError, check_range, ext_add,
                         is_finite)
 from mine.fileformat import serialize_instance
 from mine.generate import (random_forest, random_general, random_potts,
@@ -175,6 +176,144 @@ def test_tree_dp_rejects_cycle():
                          pairwise={(0, 1): t, (1, 2): t, (0, 2): t})
     with pytest.raises(SolverError):
         solve_tree_dp(inst)
+
+
+def _reference_tree_dp(instance):
+    """The leaf-to-root message passing that tree DP ran before it became
+    elimination along a leaf-first order: each node adds every child's
+    message plus edge cost to its unary, child by child in edge order."""
+    adj = adjacency(instance)
+
+    def edge_cost(u, w, a, b):
+        return instance.pairwise[(u, w)][a][b] if u < w else instance.pairwise[(w, u)][b][a]
+
+    value = instance.constant
+    x = {}
+    visited = set()
+    for root in instance.nodes:
+        if root in visited:
+            continue
+        order = []  # DFS preorder of the component
+        stack = [(root, None)]
+        parent = {root: None}
+        while stack:
+            u, par = stack.pop()
+            visited.add(u)
+            order.append(u)
+            for w in adj[u]:
+                if w != par:
+                    if w in parent:
+                        raise SolverError("instance graph contains a cycle")
+                    parent[w] = u
+                    stack.append((w, u))
+        msg = {}
+        pick = {}
+        for u in reversed(order):
+            table = list(instance.unary[u])
+            for w in adj[u]:
+                if parent.get(w) != u:
+                    continue
+                for a in range(instance.labels[u]):
+                    best = None
+                    best_b = None
+                    for b in range(instance.labels[w]):
+                        v = ext_add(msg[w][b], edge_cost(u, w, a, b))
+                        if best is None or v < best:
+                            best, best_b = v, b
+                    table[a] = ext_add(table[a], best)
+                    pick.setdefault(w, [0] * instance.labels[u])[a] = best_b
+            msg[u] = table
+        root_best = None
+        for a in range(instance.labels[root]):
+            if root_best is None or msg[root][a] < root_best:
+                root_best, x[root] = msg[root][a], a
+        value = ext_add(value, root_best)
+        for u in order:
+            for w in adj[u]:
+                if parent.get(w) == u:
+                    x[w] = pick[w][x[u]]
+    return SolveResult(x, value, "tree-dp", True)
+
+
+def _tie_heavy_forest(rng):
+    """A random forest on 1-12 nodes with ids shuffled, so roots and edge
+    orientations vary; about one node in four starts a new tree.  Costs in
+    -2..2 tie often, and about one in seven is INF."""
+    n = rng.randint(1, 12)
+    ids = rng.sample(range(n), n)
+
+    def cost():
+        return INF if rng.random() < 0.15 else rng.randint(-2, 2)
+
+    labels = {u: rng.randint(1, 3) for u in ids}
+    unary = {}
+    for u in ids:
+        row = [cost() for _ in range(labels[u])]
+        if not any(is_finite(c) for c in row):
+            row[rng.randrange(len(row))] = 0
+        unary[u] = tuple(row)
+    pairwise = {}
+    for i in range(1, n):
+        if rng.random() < 0.75:
+            u, v = ids[rng.randrange(i)], ids[i]
+            pairwise[(u, v)] = tuple(tuple(cost() for _ in range(labels[v]))
+                                     for _ in range(labels[u]))
+    return make_instance(labels, unary, pairwise)
+
+
+def test_tree_dp_equals_the_message_passing_reference():
+    rng = random.Random(8)
+    seen = {"inf_entry": 0, "inf_value": 0, "isolated": 0, "components": 0, "tied_unary": 0}
+    label_counts = set()
+    for _ in range(3000):
+        inst = _tie_heavy_forest(rng)
+        result = solve_tree_dp(inst)
+        assert result == _reference_tree_dp(inst)
+        seen["inf_entry"] += not all_finite(inst)
+        seen["inf_value"] += result.value is INF
+        seen["isolated"] += len(inst.nodes) > 1 and not all(adjacency(inst).values())
+        seen["components"] += len(inst.nodes) - len(inst.edges) > 1
+        seen["tied_unary"] += any(len(set(inst.unary[u])) < inst.labels[u] for u in inst.nodes)
+        label_counts |= set(inst.labels.values())
+    assert all(seen.values()) and label_counts == {1, 2, 3}
+
+
+def test_tree_dp_overflow_follows_the_bucket_order():
+    # Chain 0 - 1 - 2 rooted at 0, one label each.  Node 1's bucket adds its
+    # unary, then the edge to its parent 0, then child 2's message; the
+    # message passing added the child's message before the parent edge.
+    big = I64_MAX - 5
+
+    def chain(parent_edge, child_message):
+        return make_instance({0: 1, 1: 1, 2: 1}, {0: (0,), 1: (big,), 2: (child_message,)},
+                             {(0, 1): ((parent_edge,),), (1, 2): ((0,),)})
+
+    raises_now = chain(10, -20)  # big + 10 leaves int64; big - 20 + 10 did not
+    with pytest.raises(CostOverflowError):
+        solve_tree_dp(raises_now)
+    assert _reference_tree_dp(raises_now).value == I64_MAX - 15
+    raised_before = chain(-20, 10)
+    assert solve_tree_dp(raised_before).value == I64_MAX - 15
+    with pytest.raises(CostOverflowError):
+        _reference_tree_dp(raised_before)
+
+
+@pytest.mark.parametrize("shape", ["random", "star", "path"])
+def test_tree_dp_on_twenty_thousand_nodes(shape):
+    n = 20_000
+    rng = random.Random(shape)
+    parent = {"random": lambda v: rng.randrange(v), "star": lambda v: 0,
+              "path": lambda v: v - 1}[shape]
+    inst = make_instance({u: 3 for u in range(n)},
+                         {u: tuple(rng.randint(0, 9) for _ in range(3)) for u in range(n)},
+                         {(parent(v), v): tuple(tuple(rng.randint(0, 9) for _ in range(3))
+                                                for _ in range(3))
+                          for v in range(1, n)})
+    start = time.perf_counter()
+    result = solve_tree_dp(inst)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10, f"{shape}: {elapsed:.2f}s against a 10s budget"
+    assert result == _reference_tree_dp(inst)
 
 
 # --- max flow -----------------------------------------------------------
