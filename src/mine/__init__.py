@@ -3,7 +3,7 @@
 from .costs import INF, Cost, CostOverflowError, check_range, ext_add, is_finite
 from .instance import (EnergyInstance, InstanceError, Labeling, all_labelings,
                        big_m, check_labeling, evaluate, make_instance,
-                       normalize_edge)
+                       normalize_edge, scored_labelings)
 from .geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
                        circle_layout, free_radius, list_crossings, make_point,
                        validate_general_position)

@@ -118,6 +118,67 @@ def all_labelings(instance: EnergyInstance):
         yield dict(zip(nodes, combo))
 
 
+def scored_labelings(instance: EnergyInstance):
+    """Every (labeling, evaluate(instance, labeling)) pair, in all_labelings order.
+
+    When |constant| plus the sum of every |finite entry| fits in int64, no
+    partial sum can leave that range, so each energy is updated from the
+    nodes the odometer changed: a suffix of the node order, whose unary
+    terms and the edges whose later endpoint lies in it are re-added to the
+    running sum of the unchanged prefix.  INF is encoded as an int above
+    twice that bound, so a sum holds an INF term exactly when it exceeds
+    the bound.  Otherwise every labeling is scored by evaluate, which
+    raises CostOverflowError where a partial sum overflows.
+    """
+    entries = chain(chain.from_iterable(instance.unary.values()),
+                    chain.from_iterable(chain.from_iterable(instance.pairwise.values())))
+    bound = abs(instance.constant) + sum(abs(c) for c in entries if c is not INF)
+    if bound > I64_MAX:
+        for x in all_labelings(instance):
+            yield x, evaluate(instance, x)
+        return
+    inf = 2 * bound + 1
+
+    def enc(table):
+        return [inf if c is INF else c for c in table]
+
+    nodes = instance.nodes
+    n = len(nodes)
+    pos = {u: p for p, u in enumerate(nodes)}
+    ks = [instance.labels[u] for u in nodes]
+    unary = [enc(instance.unary[u]) for u in nodes]
+    # later[q]: (p, rows) for each edge between position q and an earlier p,
+    # its cost at labels a, b of q, p being rows[a][b].
+    later = [[] for _ in nodes]
+    for (u, v) in instance.edges:
+        table = instance.pairwise[(u, v)]
+        p, q = pos[u], pos[v]
+        if p > q:
+            p, q = q, p
+        else:
+            table = zip(*table)
+        later[q].append((p, [enc(row) for row in table]))
+
+    combo = [0] * n
+    acc = [instance.constant] + [0] * n  # acc[q]: constant + terms of positions < q
+    i = 0
+    while True:
+        for q in range(i, n):
+            a = combo[q]
+            s = acc[q] + unary[q][a]
+            for p, rows in later[q]:
+                s += rows[a][combo[p]]
+            acc[q + 1] = s
+        yield dict(zip(nodes, combo)), (INF if acc[n] > bound else acc[n])
+        i = n - 1
+        while i >= 0 and combo[i] + 1 == ks[i]:
+            combo[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        combo[i] += 1
+
+
 def evaluate(instance: EnergyInstance, x: Labeling) -> Cost:
     """Energy of labeling x: constant + sum of unary + sum of pairwise costs."""
     check_labeling(instance, x)

@@ -1,3 +1,4 @@
+from ..instance import all_labelings
 from .trace import CrossingRecord, ReductionTrace, trace_from_json
 from .wsat import (Clause, SatError, W3SatTriv, clause_penalty, clause_to_poly,
                    clause_value, quadratize, validate_clause, w3sat_sigma,
@@ -7,8 +8,7 @@ from .gadgets import (GadgetFragment, merge_fragments, relation_table,
                       split_gadget, uncross_copy_gadget)
 from .planar import AUX_PER_CROSSING, PlanarizeError, planar_sigma, planarize
 from .harness import (APReport, Counterexample, ENERGY_SOURCE, SAT_SOURCE,
-                      SourceAdapter, all_labelings, default_oracle,
-                      verify_ap_reduction)
+                      SourceAdapter, default_oracle, verify_ap_reduction)
 
 __all__ = [
     "APReport", "AUX_PER_CROSSING", "Clause", "Counterexample", "CrossingRecord",

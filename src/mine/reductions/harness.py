@@ -8,7 +8,12 @@ R1(sigma(y)) <= 1 + alpha (R2(y) - 1).  Ratios need positive optima;
 instances where either side's optimum is non-positive are flagged
 "ratio-undefined" and skipped for the ratio check only.
 
-Only fit for instances small enough to enumerate exhaustively.
+Energy instances are enumerated with `scored_labelings`, which updates
+each labeling's energy from the nodes that changed, and only up to the
+brute-force bound (`solvers.check_enumerable`, MINE_BRUTE_LIMIT): a
+larger one raises SolverError.  Sigma runs once per target labeling, but
+the source scores each distinct sigma output of an instance once, so the
+source's feasibility and measure functions must be pure.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from fractions import Fraction
 from typing import Callable
 
 from ..costs import is_finite
-from ..instance import EnergyInstance, Labeling, all_labelings, evaluate
+from ..instance import EnergyInstance, Labeling, evaluate, scored_labelings
+from ..solvers import check_enumerable
 
 
 @dataclass(frozen=True)
@@ -31,7 +37,8 @@ class SourceAdapter:
 
 
 def _energy_feasible(instance: EnergyInstance):
-    return (x for x in all_labelings(instance) if is_finite(evaluate(instance, x)))
+    check_enumerable(instance)
+    return (x for x, value in scored_labelings(instance) if is_finite(value))
 
 
 ENERGY_SOURCE = SourceAdapter(
@@ -49,7 +56,8 @@ SAT_SOURCE = SourceAdapter(
 
 def default_oracle(target: EnergyInstance):
     """All (labeling, value) pairs of the target instance, by enumeration."""
-    return [(y, evaluate(target, y)) for y in all_labelings(target)]
+    check_enumerable(target)
+    return list(scored_labelings(target))
 
 
 @dataclass(frozen=True)
@@ -66,6 +74,10 @@ class APReport:
     checked: int = 0
     ratio_undefined: list[int] = field(default_factory=list)
     counterexamples: list[Counterexample] = field(default_factory=list)
+    # labelings: target labelings enumerated; sigma_calls; source_scored:
+    # distinct sigma outputs the source scored
+    stats: dict = field(default_factory=lambda: dict.fromkeys(
+        ("labelings", "sigma_calls", "source_scored"), 0), compare=False)
 
     @property
     def ok(self) -> bool:
@@ -78,10 +90,12 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
 
     pi(s) must return (target EnergyInstance, trace); sigma(s, trace, y) a
     source solution.  The oracle maps a target instance to all its
-    (labeling, value) pairs.
+    (labeling, value) pairs.  ``report.stats`` counts the target labelings
+    enumerated, the sigma calls and the distinct sigma outputs scored.
     """
     oracle = oracle or default_oracle
     report = APReport(alpha=Fraction(alpha))
+    stats = report.stats
     for idx, src in enumerate(instances):
         report.checked += 1
         try:
@@ -113,15 +127,25 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
         if not ratios_ok:
             report.ratio_undefined.append(idx)
 
+        stats["labelings"] += len(solutions)
+        scored = {}  # frozenset of a sigma output's items: [is_feasible, measure or None]
         for y, val in solutions:
             x = sigma(src, trace, y)
-            if not source.is_feasible(src, x):
+            stats["sigma_calls"] += 1
+            key = frozenset(x.items())
+            score = scored.get(key)
+            if score is None:
+                score = scored[key] = [source.is_feasible(src, x), None]
+                stats["source_scored"] += 1
+            if not score[0]:
                 report.counterexamples.append(Counterexample(idx, "sigma-feasible", dict(y),
                                                              f"sigma output {x} infeasible"))
                 continue
             if ratios_ok and is_finite(val):
+                if score[1] is None:
+                    score[1] = source.measure(src, x)
                 r2 = Fraction(val, opt2)
-                r1 = Fraction(source.measure(src, x), opt1)
+                r1 = Fraction(score[1], opt1)
                 if r1 > 1 + report.alpha * (r2 - 1):
                     report.counterexamples.append(Counterexample(
                         idx, "ratio-transfer", dict(y),

@@ -33,7 +33,7 @@ from itertools import chain
 from operator import add
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
-from .instance import EnergyInstance, Labeling, all_labelings, evaluate
+from .instance import EnergyInstance, Labeling, evaluate, scored_labelings
 
 DEFAULT_BRUTE_LIMIT = 2**24
 DEFAULT_ELIM_LIMIT = 2**24
@@ -68,18 +68,22 @@ def brute_force_limit() -> int:
     return limit
 
 
-def solve_brute_force(instance: EnergyInstance) -> SolveResult:
-    """Global minimum by full enumeration, lexicographically smallest argmin."""
+def check_enumerable(instance: EnergyInstance) -> None:
+    """SolverError unless the instance has at most brute_force_limit() labelings."""
     limit = brute_force_limit()
     total = 1
     for u in instance.nodes:
         total *= instance.labels[u]
         if total > limit:
             raise SolverError(f"configuration count exceeds brute-force bound {limit}")
+
+
+def solve_brute_force(instance: EnergyInstance) -> SolveResult:
+    """Global minimum by full enumeration, lexicographically smallest argmin."""
+    check_enumerable(instance)
     best_x = None
     best: Cost = None
-    for x in all_labelings(instance):
-        v = evaluate(instance, x)
+    for x, v in scored_labelings(instance):
         if best is None or v < best:
             best, best_x = v, x
     return SolveResult(best_x, best, "brute", True)

@@ -21,11 +21,10 @@ from mine.generate import (random_crossed_3label, random_forest,
                            random_general, random_potts, random_qpbo,
                            random_submodular, random_w3sat)
 from mine.geometry import list_crossings
-from mine.instance import evaluate, make_instance
+from mine.instance import all_labelings, evaluate, make_instance
 from mine.poly import poly, poly_evaluate
 from mine.reductions.gadgets import split_gadget, uncross_copy_gadget
-from mine.reductions.harness import (SAT_SOURCE, all_labelings,
-                                     verify_ap_reduction)
+from mine.reductions.harness import SAT_SOURCE, verify_ap_reduction
 from mine.reductions.klabel import qpbo_to_klabel
 from mine.reductions.planar import AUX_PER_CROSSING, planarize
 from mine.reductions.wsat import (W3SatTriv, clause_penalty, quadratize,
@@ -221,7 +220,8 @@ def test_criterion_9_round_trip_io():
 
 def test_criterion_10_max_flow_at_scale(monkeypatch):
     # Edmonds-Karp took 10-12 s for a 50x50 4-label alpha-expansion; the
-    # budget is a third of that.
+    # budget is a third of that.  The budget times the flow core in use;
+    # the Edmonds-Karp oracle's solve runs after it, untimed.
     with criterion(10, "max flow on 50x50 grids", 4):
         potts = potts_grid(0, 50, 50, 4)
         r = alpha_expansion(potts)
@@ -230,6 +230,6 @@ def test_criterion_10_max_flow_at_scale(monkeypatch):
         assert len(r.move_values) > 1
         binary = potts_grid(0, 50, 50, 2)
         cut = solve_submodular_qpbo(binary)
-        monkeypatch.setattr(mine.solvers, "_dinic", _reference_core)
-        reference = solve_submodular_qpbo(binary)
-        assert cut == reference
+    monkeypatch.setattr(mine.solvers, "_dinic", _reference_core)
+    reference = solve_submodular_qpbo(binary)
+    assert cut == reference

@@ -1,4 +1,5 @@
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -374,6 +375,20 @@ def test_cli_verify_ap_planarize_needs_coordinates(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_verify_ap_planarize_stops_at_the_enumeration_bound(tmp_path, capsys):
+    # One crossing: the target has 29 3-label nodes, 3^29 labelings, far
+    # above the 2^24 default bound; the harness used to enumerate them all.
+    assert run_cli(["gen", "--family", "random3label", "--seed", "0",
+                    "--out", str(tmp_path / "0.mine")]) == 0
+    start = time.perf_counter()
+    assert run_cli(["verify-ap", "--reduction", "planarize",
+                    "--corpus", str(tmp_path)]) == 3
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: configuration count exceeds brute-force bound {2**24}\n"
 
 
 def test_cli_verify_ap_exits_4_on_a_broken_reverse_map(tmp_path, capsys, monkeypatch):

@@ -4,9 +4,8 @@ from mine.cli import run_cli
 from mine.costs import INF, CostOverflowError
 from mine.fileformat import serialize_instance, serialize_solution, write_trace
 from mine.generate import random_qpbo
-from mine.instance import InstanceError, big_m, evaluate, make_instance
-from mine.reductions.harness import (ENERGY_SOURCE, all_labelings,
-                                     verify_ap_reduction)
+from mine.instance import InstanceError, all_labelings, big_m, evaluate, make_instance
+from mine.reductions.harness import ENERGY_SOURCE, verify_ap_reduction
 from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
 from mine.reductions.trace import ReductionTrace
 
@@ -184,3 +183,28 @@ def test_sigma_builds_no_instance(instance_constructions):
     for y in all_labelings(target):
         klabel_sigma(inst, trace, y)
     assert instance_constructions == [2]
+
+
+def test_sigma_keeps_big_m_of_the_last_instance(monkeypatch):
+    from mine.reductions import klabel
+    computed = []
+    monkeypatch.setattr(klabel, "_last_big_m", (None, None))
+    monkeypatch.setattr(klabel, "big_m", lambda inst: computed.append(inst) or big_m(inst))
+    a = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
+    b = make_instance({0: 2, 1: 2}, {0: (0, 9), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
+    target, trace = qpbo_to_klabel(a, 3)
+    del computed[:]
+    for y in all_labelings(target):
+        klabel_sigma(a, trace, y)
+    assert computed == [a] and klabel._last_big_m[0] is a
+    # a's trace on b: the memo is keyed by identity, so b's own big-M is
+    # computed and the threshold check still rejects the trace
+    with pytest.raises(InstanceError):
+        klabel_sigma(b, trace, {0: 0, 1: 0})
+    assert klabel._last_big_m == (b, big_m(b))
+    y = {0: 1, 1: 0}
+    assert klabel_sigma(a, trace, y) == y
+    # an equal instance that is another object is not taken for a
+    a2 = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
+    assert klabel_sigma(a2, trace, y) == y
+    assert [inst is a2 for inst in computed] == [False, False, False, True]

@@ -6,10 +6,9 @@ import pytest
 from mine.cli import run_cli
 from mine.fileformat import serialize_solution, serialize_wcnf3, write_trace
 from mine.generate import random_w3sat
-from mine.instance import evaluate
+from mine.instance import all_labelings, evaluate
 from mine.poly import poly, poly_evaluate
-from mine.reductions.harness import (SAT_SOURCE, all_labelings,
-                                     verify_ap_reduction)
+from mine.reductions.harness import SAT_SOURCE, verify_ap_reduction
 from mine.reductions.wsat import (SatError, W3SatTriv, clause_penalty,
                                   clause_to_poly, clause_value, quadratize,
                                   validate_clause, w3sat_sigma, w3sat_to_qpbo)
