@@ -35,7 +35,7 @@ COUNTEREXAMPLE_EXIT = 4
 
 _PRECONDITION_ERRORS = (InstanceError, SolverError, GeometryError, SatError,
                         PolyError, PlanarizeError, GenerationError,
-                        CostOverflowError, FileNotFoundError)
+                        CostOverflowError, OSError)
 
 
 class _UsageError(Exception):
@@ -93,8 +93,14 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _read(path: str | Path) -> str:
+    """A file's text; bytes that are not UTF-8 are a parse error at their line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"not UTF-8 text: {exc.reason}") from None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -177,18 +183,18 @@ def _corpus_files(directory: str, suffix: str) -> list[Path]:
 
 def _cmd_verify_ap(args) -> int:
     if args.reduction == "w3sat-to-qpbo":
-        instances = [parse_wcnf3(f.read_text())
+        instances = [parse_wcnf3(_read(f))
                      for f in _corpus_files(args.corpus, ".wcnf3")]
         report = verify_ap_reduction(w3sat_to_qpbo, w3sat_sigma, args.alpha,
                                      instances, source=SAT_SOURCE)
     elif args.reduction == "qpbo-to-klabel":
-        instances = [parse_instance(f.read_text())[0]
+        instances = [parse_instance(_read(f))[0]
                      for f in _corpus_files(args.corpus, ".mine")]
         report = verify_ap_reduction(lambda s: qpbo_to_klabel(s, args.k),
                                      klabel_sigma, args.alpha, instances,
                                      source=ENERGY_SOURCE)
     else:
-        pairs = [parse_instance(f.read_text())
+        pairs = [parse_instance(_read(f))
                  for f in _corpus_files(args.corpus, ".mine")]
         if any(d is None for _, d in pairs):
             raise InstanceError("planarize corpus files need coordinates")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .costs import INF, Cost, CostOverflowError, check_range, is_finite
+from .costs import I64_MAX, I64_MIN, INF, Cost, CostOverflowError, check_range, is_finite
 from .geometry import Drawing, Point, frac_str
 from .instance import EnergyInstance, Labeling, make_instance
 from .reductions.trace import ReductionTrace, trace_from_json
@@ -89,6 +89,8 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
             ids = _ints(rest, line_no)
         elif kw == "labels":
             label_counts = _ints(rest, line_no)
+            if any(not I64_MIN <= k <= I64_MAX for k in label_counts):
+                raise ParseError(line_no, "label count outside signed 64-bit range")
         elif kw == "constant":
             if len(rest) != 1:
                 raise ParseError(line_no, "constant takes one integer")
@@ -120,12 +122,14 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
         raise ParseError(1, "missing header 'MINE 1'")
     if n is None:
         raise ParseError(last, "missing 'nodes' record")
+    # The labels record bounds the node count by the file's length, so it is
+    # checked before the default ids are built.
+    if label_counts is None or len(label_counts) != n:
+        raise ParseError(last, "labels must give one count per node")
     if ids is None:
         ids = list(range(n))
     if len(ids) != n or len(set(ids)) != n:
         raise ParseError(last, "ids must list exactly the declared node count, no repeats")
-    if label_counts is None or len(label_counts) != n:
-        raise ParseError(last, "labels must give one count per node")
 
     labels = dict(zip(ids, label_counts))
     for u, tbl in unary.items():

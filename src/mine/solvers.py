@@ -19,13 +19,19 @@ counts in ``SolveResult.stats``.
 
 Costs stay exact everywhere, and a partial sum of finite costs that
 leaves the signed 64-bit range raises CostOverflowError.  Elimination
-keeps every factor as a flat row-major list of ints over its sorted
-scope, with INF encoded as an int beyond any finite sum, and sums each
-bucket with whole-list passes.
+plans first: one symbolic pass over the elimination graph gives every
+separator along the order, by default the min-fill order (fewest fill
+edges, then fewest live neighbours, then smallest id, with fill counts
+kept up to date by deltas), and an over-wide separator raises before any
+table is built.  It then keeps every factor as a flat row-major list of
+ints over its sorted scope, with INF encoded as an int beyond any finite
+sum, sums each bucket with whole-list passes, and keeps each bucket's
+factors for the backward pass, which takes each node's argmin there.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -93,61 +99,131 @@ def solve_brute_force(instance: EnergyInstance) -> SolveResult:
 # Variable elimination
 
 
-def min_degree_order(instance: EnergyInstance) -> list[int]:
-    """Min-degree elimination order over the instance graph (ties: smallest id)."""
+def min_fill_order(instance: EnergyInstance) -> list[int]:
+    """Min-fill elimination order (ties: fewer live neighbours, then smallest id)."""
+    return [u for u, _ in _elimination_plan(instance)]
+
+
+def _elimination_plan(instance: EnergyInstance, order=None):
+    """Yield (node, sorted separator) along an elimination order, lazily.
+
+    One symbolic pass over the elimination graph: a node's separator is its
+    live neighbours when it goes, which then become a clique.  Along a given
+    order the pass only records that.  With no order it picks the min-fill
+    node at each step (Koller & Friedman 2009, section 9.4.3), the node whose
+    elimination adds the fewest edges, ties going to fewer live neighbours,
+    then the smallest id.  Fill counts are kept up to date by deltas: adding
+    edge a-b raises a's fill by a's neighbours not adjacent to b (b's
+    likewise) and lowers each common neighbour's by one; dropping u once its
+    neighbours are a clique lowers each neighbour's fill by its neighbours
+    outside that clique.  A separator is yielded before its clique is built,
+    so a caller that stops at an over-wide one pays nothing for it.
+    """
     adj = {u: set(nbrs) for u, nbrs in adjacency(instance).items()}
-    remaining = set(instance.nodes)
-    order = []
-    while remaining:
-        u = min(remaining, key=lambda w: (len(adj[w] & remaining), w))
-        order.append(u)
-        nbrs = adj[u] & remaining
+    fill = heap = None
+    if order is None:
+        # Pairs of neighbours that are not adjacent: d(d - 1)/2 less the
+        # edges among them, each edge counted at its endpoints' common
+        # neighbours.  The heap holds stale keys too; a popped key is used
+        # only if it is still the node's current one.
+        fill = {u: len(nbrs) * (len(nbrs) - 1) // 2 for u, nbrs in adj.items()}
+        for a, b in instance.edges:
+            for c in adj[a] & adj[b]:
+                fill[c] -= 1
+        heap = [(f, len(adj[u]), u) for u, f in fill.items()]
+        heapq.heapify(heap)
+    for step in range(len(adj)):
+        if heap is None:
+            u = order[step]
+        else:
+            while True:
+                f, d, u = heapq.heappop(heap)
+                if u in adj and f == fill[u] and d == len(adj[u]):
+                    break
+        nbrs = adj.pop(u)
+        yield u, tuple(sorted(nbrs))
+        touched = set(nbrs)
+        for a in nbrs:  # the clique, with u still beside every neighbour
+            adj_a = adj[a]
+            for b in nbrs - adj_a:
+                if b == a:
+                    continue
+                adj_b = adj[b]
+                if fill is not None:
+                    common = adj_a & adj_b
+                    fill[a] += len(adj_a) - len(common)
+                    fill[b] += len(adj_b) - len(common)
+                    for c in common:
+                        fill[c] -= 1
+                    touched |= common
+                adj_a.add(b)
+                adj_b.add(a)
         for a in nbrs:
-            adj[a] |= nbrs - {a}
-        remaining.discard(u)
-    return order
+            adj[a].discard(u)
+        if fill is not None:
+            for a in nbrs:
+                fill[a] -= len(adj[a]) - (len(nbrs) - 1)
+            touched.discard(u)
+            for a in touched:
+                heapq.heappush(heap, (fill[a], len(adj[a]), a))
 
 
 def solve_elimination(instance: EnergyInstance, order=None,
                       width_limit: int | None = None) -> SolveResult:
-    """Exact minimum via bucket elimination along the given (or min-degree) order.
+    """Exact minimum via bucket elimination along the given (or min-fill) order.
 
-    Every factor is a flat row-major list over its sorted scope.  The bucket
-    of node u is summed over its joint scope (the sorted separator, then u
-    last and fastest) one factor at a time, each factor broadcast to the
-    joint scope by list repetition; each message entry is the minimum of one
-    run of k_u joint entries, and its argmin the first label attaining it
-    (label 0 when every label costs INF).  Internally INF is an int larger
-    than any sum of finite entries could reach, read back as INF at the end.
-    A partial bucket sum of finite entries outside the signed 64-bit range
-    raises CostOverflowError, checked in bucket order: buckets whose
-    factors' finite ranges cannot add up to such a sum skip the check.
-    ``stats`` holds ``max_separator`` (the most nodes in one separator) and
+    The plan comes first: one symbolic pass gives every node's separator
+    along the order (min_fill_order's when none is given), and the first
+    separator, in order, with more than width_limit label combinations
+    raises SolverError before any table is built.  Every factor is a flat
+    row-major list over its sorted scope.  The bucket of node u is summed
+    over its joint scope (the sorted separator, then u last and fastest)
+    one factor at a time, each factor broadcast to the joint scope by list
+    repetition; each message entry is the minimum of one run of k_u joint
+    entries.  Each bucket's factors are kept, and going back through the
+    order each node gets the first label that attains the minimum of its
+    bucket sum at its separator's chosen labels (label 0 when every label
+    costs INF).  Internally INF is an int larger than any sum of finite
+    entries could reach, read back as INF at the end.  A partial bucket sum
+    of finite entries outside the signed 64-bit range raises
+    CostOverflowError, checked in bucket order: buckets whose factors'
+    finite ranges cannot add up to such a sum skip the check.  ``stats``
+    holds ``max_separator`` (the most nodes in one separator) and
     ``joint_entries`` (the joint entries summed over all buckets).
     """
-    if order is None:
-        order = min_degree_order(instance)
-    if sorted(order) != sorted(instance.nodes):
+    if order is not None and sorted(order) != sorted(instance.nodes):
         raise SolverError("elimination order must be a permutation of the nodes")
     if width_limit is None:
         width_limit = DEFAULT_ELIM_LIMIT
     labels = instance.labels
+    plan = []  # (node, separator)
+    max_separator = joint_entries = 0
+    for u, sep in _elimination_plan(instance, order):
+        size = math.prod(labels[w] for w in sep)
+        if size > width_limit:
+            raise SolverError(f"separator size {size} exceeds elimination bound")
+        plan.append((u, sep))
+        max_separator = max(max_separator, len(sep))
+        joint_entries += size * labels[u]
 
-    scopes = [(u,) for u in instance.nodes] + list(instance.edges)
-    tables = ([list(instance.unary[u]) for u in instance.nodes]
-              + [[c for row in instance.pairwise[e] for c in row] for e in instance.edges])
     # Every value formed below is a sum of entries of distinct input factors,
     # so finite ones stay within +-finite_cap, and any sum holding an INF
-    # (encoded as inf) exceeds finite_cap.
-    finites = [[c for c in table if is_finite(c)] for table in tables]
-    big = max([-I64_MIN] + [abs(c) for finite in finites for c in finite])
-    finite_cap = len(tables) * big
+    # (encoded as inf) exceeds finite_cap.  The instance keeps every finite
+    # entry in the int64 range, so -I64_MIN bounds each one's magnitude.
+    scopes = [(u,) for u in instance.nodes] + list(instance.edges)
+    finite_cap = len(scopes) * -I64_MIN
     inf = 2 * finite_cap
+    tables = ([[inf if c is INF else c for c in instance.unary[u]] for u in instance.nodes]
+              + [[inf if c is INF else c for row in instance.pairwise[e] for c in row]
+                 for e in instance.edges])
     factors = []  # (scope, flat table, min and max finite entry or None)
-    for scope, table, finite in zip(scopes, tables, finites):
-        if len(finite) < len(table):
-            table = [c if is_finite(c) else inf for c in table]
-        factors.append((scope, table, min(finite, default=None), max(finite, default=None)))
+    for scope, table in zip(scopes, tables):
+        lo, hi = min(table), max(table)
+        if lo > finite_cap:
+            lo = hi = None
+        elif hi > finite_cap:
+            hi = max(filter(finite_cap.__ge__, table))
+        factors.append((scope, table, lo, hi))
     # Each node's unconsumed factors as positions in factors, so in creation
     # order; a bucket sets the slots it takes to None.
     pending = {u: [] for u in instance.nodes}
@@ -155,23 +231,14 @@ def solve_elimination(instance: EnergyInstance, order=None,
         for w in scope:
             pending[w].append(i)
 
-    eliminated = []  # (node, separator, argmin per separator entry)
-    max_separator = joint_entries = 0
-    for u in order:
+    buckets = []  # (node, the factors summed in its bucket)
+    for u, sep in plan:
         taken = [i for i in pending.pop(u) if factors[i] is not None]
         bucket = [factors[i] for i in taken]
         for i in taken:
             factors[i] = None
-        sep = sorted({w for f in bucket for w in f[0] if w != u})
-        size = 1
-        for w in sep:
-            size *= labels[w]
-        if size > width_limit:
-            raise SolverError(f"separator size {size} exceeds elimination bound")
         k = labels[u]
-        joint = sep + [u]
-        max_separator = max(max_separator, len(sep))
-        joint_entries += size * k
+        joint = [*sep, u]
 
         # Partial sums need a range check only from the first factor whose
         # prefix of finite minima or maxima leaves int64; a factor with no
@@ -196,8 +263,6 @@ def solve_elimination(instance: EnergyInstance, order=None,
                         check_range(v)
 
         message = acc if k == 1 else list(map(min, *(acc[a::k] for a in range(k))))
-        argmin = [0 if m > I64_MAX else acc.index(m, j, j + k) - j
-                  for j, m in zip(range(0, len(acc), k), message)]
         if any(f[2] is None for f in bucket):
             m_lo = m_hi = None
         else:
@@ -205,8 +270,8 @@ def solve_elimination(instance: EnergyInstance, order=None,
             m_hi = min(I64_MAX, sum(f[3] for f in bucket))
         for w in sep:
             pending[w].append(len(factors))
-        factors.append((tuple(sep), message, m_lo, m_hi))
-        eliminated.append((u, sep, argmin))
+        factors.append((sep, message, m_lo, m_hi))
+        buckets.append((u, bucket))
 
     # Every node's bucket has run, so what is left is the empty-scope messages.
     value: Cost = instance.constant
@@ -214,12 +279,26 @@ def solve_elimination(instance: EnergyInstance, order=None,
         if f is not None:
             value = ext_add(value, INF if f[1][0] > I64_MAX else f[1][0])
 
+    # Each factor's entries at x on its other nodes, for every label of u,
+    # are one strided slice of its table; their sum is the joint run the
+    # message took its minimum from.
     x: Labeling = {}
-    for u, sep, argmin in reversed(eliminated):
-        j = 0
-        for w in sep:
-            j = j * labels[w] + x[w]
-        x[u] = argmin[j]
+    for u, bucket in reversed(buckets):
+        k = labels[u]
+        total = None
+        for scope, table, _, _ in bucket:
+            base = stride = 0
+            for w in scope:
+                base *= labels[w]
+                stride *= labels[w]
+                if w == u:
+                    stride = 1
+                else:
+                    base += x[w]
+            column = table[base:base + stride * k:stride]
+            total = column if total is None else list(map(add, total, column))
+        best = min(total)
+        x[u] = 0 if best > I64_MAX else total.index(best)
     return SolveResult(x, value, "elimination", True,
                        stats={"max_separator": max_separator,
                               "joint_entries": joint_entries})

@@ -1,28 +1,33 @@
 """Flat-table bucket elimination against the dict-based loop it replaced.
 
-_reference_elimination is the earlier implementation, kept verbatim as an
-oracle: every joint entry builds a dict context and pays one tuple key,
-one dict lookup and one ext_add per factor.  The solver must return an
-equal SolveResult (labeling, value, method, exact) on every input and
-raise the same errors.
+_reference_elimination is the earlier implementation, kept as an oracle:
+every joint entry builds a dict context and pays one tuple key, one dict
+lookup and one ext_add per factor, and each separator is read off the
+bucket's scopes.  The solver must return an equal SolveResult (labeling,
+value, method, exact) with equal stats on every input and raise the same
+errors.  _reference_min_fill_order is the oracle for the order: it
+recomputes every live node's fill at every step.
 """
 
 import random
+import time
 from itertools import product
 
+import networkx as nx
 import pytest
+from networkx.algorithms.approximation import treewidth_min_fill_in
 
 from mine.costs import I64_MAX, I64_MIN, INF, CostOverflowError, ext_add
 from mine.generate import random_general
 from mine.instance import InstanceError, evaluate, make_instance
-from mine.solvers import (DEFAULT_ELIM_LIMIT, SolveResult, SolverError,
-                          min_degree_order, solve_brute_force, solve_elimination,
+from mine.solvers import (DEFAULT_ELIM_LIMIT, SolveResult, SolverError, adjacency,
+                          min_fill_order, solve_brute_force, solve_elimination,
                           solve_tree_dp)
 
 
 def _reference_elimination(instance, order=None, width_limit=None):
     if order is None:
-        order = min_degree_order(instance)
+        order = min_fill_order(instance)
     if sorted(order) != sorted(instance.nodes):
         raise SolverError("elimination order must be a permutation of the nodes")
     if width_limit is None:
@@ -40,6 +45,7 @@ def _reference_elimination(instance, order=None, width_limit=None):
                                  for b in range(instance.labels[v])}))
 
     eliminated = []  # (node, separator scope, argmin table)
+    max_separator = joint_entries = 0
     for u in order:
         bucket = [f for f in factors if u in f[0]]
         factors = [f for f in factors if u not in f[0]]
@@ -49,6 +55,8 @@ def _reference_elimination(instance, order=None, width_limit=None):
             size *= instance.labels[w]
         if size > width_limit:
             raise SolverError(f"separator size {size} exceeds elimination bound")
+        max_separator = max(max_separator, len(sep))
+        joint_entries += size * instance.labels[u]
         message = {}
         argmin = {}
         for sep_assign in product(*(range(instance.labels[w]) for w in sep)):
@@ -76,7 +84,39 @@ def _reference_elimination(instance, order=None, width_limit=None):
     x = {}
     for u, sep, argmin in reversed(eliminated):
         x[u] = argmin[tuple(x[w] for w in sep)]
-    return SolveResult(x, value, "elimination", True)
+    return SolveResult(x, value, "elimination", True,
+                       stats={"max_separator": max_separator,
+                              "joint_entries": joint_entries})
+
+
+def _eliminate(adj, u):
+    """Drop u from the elimination graph adj, its neighbours made a clique."""
+    nbrs = adj.pop(u)
+    for a in nbrs:
+        adj[a] |= nbrs - {a}
+        adj[a].discard(u)
+    return nbrs
+
+
+def _reference_min_fill_order(instance):
+    """Fewest fill edges first, then fewest live neighbours, then smallest id."""
+    adj = {u: set(nbrs) for u, nbrs in adjacency(instance).items()}
+
+    def key(w):
+        nbrs = adj[w]
+        fill = sum(1 for a in nbrs for b in nbrs if a < b and b not in adj[a])
+        return fill, len(nbrs), w
+
+    order = []
+    while adj:
+        order.append(min(adj, key=key))
+        _eliminate(adj, order[-1])
+    return order
+
+
+def _separators(instance, order):
+    adj = {u: set(nbrs) for u, nbrs in adjacency(instance).items()}
+    return [sorted(_eliminate(adj, u)) for u in order]
 
 
 def _outcome(solve, instance, order=None, width_limit=None):
@@ -88,7 +128,10 @@ def _outcome(solve, instance, order=None, width_limit=None):
 
 def assert_same(instance, order=None, width_limit=None):
     expected = _outcome(_reference_elimination, instance, order, width_limit)
-    assert _outcome(solve_elimination, instance, order, width_limit) == expected
+    got = _outcome(solve_elimination, instance, order, width_limit)
+    assert got == expected
+    if isinstance(expected, SolveResult):
+        assert got.stats == expected.stats
     return expected
 
 
@@ -179,6 +222,47 @@ def test_bad_order_raises():
         solve_elimination(inst, order=list(inst.nodes) + [max(inst.nodes) + 1])
 
 
+# --- the plan: min-fill order and separators ----------------------------
+
+def _grids():
+    for side in range(3, 9):
+        yield potts_grid(side, 2, side)
+
+
+def test_min_fill_order_equals_the_naive_reference(criterion5_outputs):
+    for seed in range(300):
+        inst = random_general(f"fill-{seed}", max_nodes=10, max_labels=3)
+        assert min_fill_order(inst) == _reference_min_fill_order(inst), seed
+    for out, _, _ in criterion5_outputs:
+        assert min_fill_order(out) == _reference_min_fill_order(out)
+    for inst in _grids():
+        assert min_fill_order(inst) == _reference_min_fill_order(inst)
+
+
+def test_max_separator_equals_networkx_min_fill_width(criterion5_outputs):
+    for inst in [out for out, _, _ in criterion5_outputs] + list(_grids()):
+        graph = nx.Graph()
+        graph.add_nodes_from(inst.nodes)
+        graph.add_edges_from(inst.edges)
+        width, _ = treewidth_min_fill_in(graph)
+        assert solve_elimination(inst).stats["max_separator"] == width
+
+
+def test_over_wide_separator_fails_before_any_table():
+    # A 16x16 3-label grid: along the min-fill order the first separator over
+    # the bound has 17 nodes, along the row-major order 16.  The width check
+    # runs on the whole plan before any table, so neither builds one.
+    inst = potts_grid(16, 3, 0)
+    for order in [None, list(inst.nodes)]:
+        seps = _separators(inst, order or min_fill_order(inst))
+        first = next(3 ** len(sep) for sep in seps if 3 ** len(sep) > DEFAULT_ELIM_LIMIT)
+        start = time.perf_counter()
+        with pytest.raises(SolverError) as got:
+            solve_elimination(inst, order)
+        assert time.perf_counter() - start < 1.0
+        assert str(got.value) == f"separator size {first} exceeds elimination bound"
+
+
 # --- overflow -----------------------------------------------------------
 
 def test_partial_bucket_sum_leaving_int64_raises():
@@ -250,10 +334,12 @@ def test_stats_on_a_chain():
 
 
 def test_stats_on_a_three_by_three_grid():
-    # Min-degree order 0, 2, 6, 8 (separators of 2), then 1 and 3 (3 each),
-    # then 4, 5, 7 (2, 1, 0): 4 * 2**3 + 2 * 2**4 + 2**3 + 2**2 + 2**1 entries.
+    # Min-fill order: the corners 0, 2, 6, 8 (one fill edge each, separators
+    # of 2), then 1 (one fill edge) and 3 (none left by then), separators of
+    # 3, then 4, 5, 7 (2, 1, 0): 4 * 2**3 + 2 * 2**4 + 2**3 + 2**2 + 2**1
+    # entries.
     inst = potts_grid(3, 2, 0)
-    assert min_degree_order(inst) == [0, 2, 6, 8, 1, 3, 4, 5, 7]
+    assert min_fill_order(inst) == [0, 2, 6, 8, 1, 3, 4, 5, 7]
     result = solve_elimination(inst)
     assert result.stats == {"max_separator": 3, "joint_entries": 78}
 

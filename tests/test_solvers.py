@@ -18,7 +18,7 @@ from mine.instance import EnergyInstance, all_labelings, evaluate, make_instance
 from mine.solvers import (FlowNetwork, SolveResult, SolverError, adjacency,
                           all_finite, alpha_expansion, is_forest, is_metric,
                           is_potts, is_submodular_binary, is_submodular_lattice,
-                          max_flow, min_degree_order, solve_brute_force,
+                          max_flow, min_fill_order, solve_brute_force,
                           solve_elimination, solve_submodular_qpbo,
                           solve_tree_dp)
 
@@ -96,9 +96,9 @@ def test_elimination_respects_explicit_order():
     assert solve_elimination(inst, order=order).value == solve_brute_force(inst).value
 
 
-def test_min_degree_order_is_permutation():
+def test_min_fill_order_is_permutation():
     inst = random_general("order", max_nodes=6)
-    assert sorted(min_degree_order(inst)) == sorted(inst.nodes)
+    assert sorted(min_fill_order(inst)) == sorted(inst.nodes)
 
 
 # --- graph structure ----------------------------------------------------
