@@ -8,11 +8,10 @@ from .geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
                        circle_layout, free_radius, list_crossings, make_point,
                        validate_general_position)
 from .poly import MultilinearPoly, PolyError, poly, poly_add, poly_evaluate, poly_scale
-from .solvers import (FlowNetwork, SolveResult, SolverError, alpha_expansion,
-                      is_binary, is_metric, is_potts, is_submodular_binary,
-                      is_submodular_lattice, max_flow, min_fill_order,
-                      solve_brute_force, solve_elimination, solve_submodular_qpbo,
-                      solve_tree_dp)
+from .solvers import (SolveResult, SolverError, alpha_expansion, is_binary,
+                      is_metric, is_potts, is_submodular_binary,
+                      is_submodular_lattice, min_fill_order, solve_brute_force,
+                      solve_elimination, solve_submodular_qpbo, solve_tree_dp)
 from .classify import ComplexityReport, classify
 
 __version__ = "0.1.0"

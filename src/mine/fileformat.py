@@ -3,12 +3,16 @@
 The instance format is line-oriented and canonical: sorted node ids,
 sorted edges, one record per line, "INF" for +infinity, coordinates as
 exact "num/den" rationals.  Serializing a parsed file reproduces it byte
-for byte, which is what lets tests pin golden files.
+for byte, which is what lets tests pin golden files.  The parser reads a
+coordinate only as an integer or "int/int" (no exponent or decimal
+point), and the label counts of one file may sum to at most 2^24
+(`solvers.DEFAULT_BRUTE_LIMIT`); either is a ParseError otherwise.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, CostOverflowError, check_range, is_finite
@@ -16,6 +20,9 @@ from .geometry import Drawing, Point, frac_str
 from .instance import EnergyInstance, Labeling, make_instance
 from .reductions.trace import ReductionTrace, trace_from_json
 from .reductions.wsat import W3SatTriv
+from .solvers import DEFAULT_BRUTE_LIMIT
+
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -47,9 +54,11 @@ def _cost_str(c: Cost) -> str:
 
 def _frac_token(tok: str, line_no: int) -> Fraction:
     try:
-        return Fraction(tok)
+        if _RATIONAL.fullmatch(tok):
+            return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(line_no, f"expected rational, got {tok!r}") from None
+        pass
+    raise ParseError(line_no, f"expected int or int/int, got {tok!r}")
 
 
 def _ints(tokens, line_no):
@@ -91,6 +100,8 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
             label_counts = _ints(rest, line_no)
             if any(not I64_MIN <= k <= I64_MAX for k in label_counts):
                 raise ParseError(line_no, "label count outside signed 64-bit range")
+            if sum(k for k in label_counts if k > 0) > DEFAULT_BRUTE_LIMIT:
+                raise ParseError(line_no, f"label counts add up to more than {DEFAULT_BRUTE_LIMIT}")
         elif kw == "constant":
             if len(rest) != 1:
                 raise ParseError(line_no, "constant takes one integer")

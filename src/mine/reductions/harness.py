@@ -9,22 +9,26 @@ instances where either side's optimum is non-positive are flagged
 "ratio-undefined" and skipped for the ratio check only.
 
 Energy instances are enumerated with `scored_labelings`, which updates
-each labeling's energy from the nodes that changed, and only up to the
-brute-force bound (`solvers.check_enumerable`, MINE_BRUTE_LIMIT): a
-larger one raises SolverError.  Sigma runs once per target labeling, but
-the source scores each distinct sigma output of an instance once, so the
-source's feasibility and measure functions must be pure.
+each labeling's energy from the nodes that changed.  Energy instances and
+weighted 3-SAT sources are enumerated only up to the brute-force bound
+(`solvers.check_enumerable`, MINE_BRUTE_LIMIT): a larger one raises
+SolverError before anything is enumerated.  Sigma runs once per target
+labeling, but the source scores each distinct sigma output of an
+instance once, so the source's feasibility and measure functions must be
+pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable
 
 from ..costs import is_finite
 from ..instance import EnergyInstance, Labeling, evaluate, scored_labelings
 from ..solvers import check_enumerable
+from .wsat import W3SatTriv
 
 
 @dataclass(frozen=True)
@@ -37,7 +41,7 @@ class SourceAdapter:
 
 
 def _energy_feasible(instance: EnergyInstance):
-    check_enumerable(instance)
+    check_enumerable(instance.labels.values())
     return (x for x, value in scored_labelings(instance) if is_finite(value))
 
 
@@ -47,8 +51,14 @@ ENERGY_SOURCE = SourceAdapter(
     measure=evaluate,
 )
 
+
+def _sat_feasible(sat: W3SatTriv):
+    check_enumerable(repeat(2, sat.num_vars))
+    return sat.feasible_solutions()
+
+
 SAT_SOURCE = SourceAdapter(
-    feasible_solutions=lambda sat: sat.feasible_solutions(),
+    feasible_solutions=_sat_feasible,
     is_feasible=lambda sat, x: sat.is_feasible(x),
     measure=lambda sat, x: sat.measure(x),
 )
@@ -56,7 +66,7 @@ SAT_SOURCE = SourceAdapter(
 
 def default_oracle(target: EnergyInstance):
     """All (labeling, value) pairs of the target instance, by enumeration."""
-    check_enumerable(target)
+    check_enumerable(target.labels.values())
     return list(scored_labelings(target))
 
 

@@ -11,11 +11,11 @@ along a leaf-first order, each component rooted at its first node in
 instance order, so it breaks ties the same way, and each node's bucket
 adds its unary, then the edge to its parent, then its children's
 messages in edge order, range-checking every partial sum; the flow-based
-solver returns the canonical reachable-set cut.  One max-flow core, Dinic's
-algorithm on flat residual arc lists, runs behind both `max_flow` and
-the posiform min cut that submodular min-cut and every alpha-expansion
-move share; those two solvers report its phase and augmenting-path
-counts in ``SolveResult.stats``.
+solver returns the canonical reachable-set cut.  One max-flow core,
+Dinic's algorithm on one-way arcs over node indices, has one caller: the
+posiform min cut that submodular min-cut and every alpha-expansion move
+share, each building its node index once per solve; both report the
+core's phase and augmenting-path counts in ``SolveResult.stats``.
 
 Costs stay exact everywhere, and a partial sum of finite costs that
 leaves the signed 64-bit range raises CostOverflowError.  Elimination
@@ -74,19 +74,19 @@ def brute_force_limit() -> int:
     return limit
 
 
-def check_enumerable(instance: EnergyInstance) -> None:
-    """SolverError unless the instance has at most brute_force_limit() labelings."""
+def check_enumerable(domain_sizes) -> None:
+    """SolverError unless the domain sizes multiply to at most brute_force_limit()."""
     limit = brute_force_limit()
     total = 1
-    for u in instance.nodes:
-        total *= instance.labels[u]
+    for k in domain_sizes:
+        total *= k
         if total > limit:
             raise SolverError(f"configuration count exceeds brute-force bound {limit}")
 
 
 def solve_brute_force(instance: EnergyInstance) -> SolveResult:
     """Global minimum by full enumeration, lexicographically smallest argmin."""
-    check_enumerable(instance)
+    check_enumerable(instance.labels.values())
     best_x = None
     best: Cost = None
     for x, v in scored_labelings(instance):
@@ -353,80 +353,33 @@ def solve_tree_dp(instance: EnergyInstance) -> SolveResult:
 # Max flow / min cut
 
 
-@dataclass
-class FlowNetwork:
-    """Directed network with integer capacities and designated source/sink."""
-
-    source: int
-    sink: int
-    capacity: dict[tuple[int, int], int] = field(default_factory=dict)
-
-    def add_arc(self, u: int, v: int, cap: int) -> None:
-        if cap < 0:
-            raise SolverError("negative capacity")
-        if cap:
-            self.capacity[(u, v)] = self.capacity.get((u, v), 0) + cap
-
-    def nodes(self) -> set[int]:
-        out = {self.source, self.sink}
-        for (u, v) in self.capacity:
-            out.update((u, v))
-        return out
-
-
-def max_flow(network: FlowNetwork) -> tuple[int, tuple[frozenset, frozenset]]:
-    """Dinic max flow; returns flow value and the (source side, sink side) min cut.
-
-    Neither depends on the order arcs are searched in: the flow value is
-    unique, and the source side, the set reachable from the source in the
-    final residual graph, is the same for every maximum flow.  Every
-    capacity and the running flow are range-checked (CostOverflowError);
-    a negative capacity or a sink equal to the source raises SolverError.
-    An arc and its antiparallel arc share one residual pair.
-    """
-    s, t = network.source, network.sink
-    if s == t:
-        raise SolverError("source and sink must be different nodes")
-    index = {s: 0, t: 1}  # internal ids: source 0, sink 1, the rest in arc order
-    pairs = {}  # (i, j) with i <= j -> [capacity i->j, capacity j->i]
-    for (u, v), c in network.capacity.items():
-        i = index.setdefault(u, len(index))
-        j = index.setdefault(v, len(index))
-        if i <= j:
-            pairs.setdefault((i, j), [0, 0])[0] = c
-        else:
-            pairs.setdefault((j, i), [0, 0])[1] = c
-    flow, reachable = _dinic(len(index), 0, 1,
-                             [(i, j, c, back) for (i, j), (c, back) in pairs.items()], {})
-    source_side = frozenset(u for u, i in index.items() if reachable[i])
-    return flow, (source_side, frozenset(index.keys() - source_side))
-
-
 def _dinic(n: int, s: int, t: int, arcs, counters: dict) -> tuple[int, list[bool]]:
-    """Dinic's max flow (1970) from s to t over nodes 0..n-1.
+    """Dinic's max flow (1970) from s to t over nodes 0..n-1, for `_min_cut`.
 
-    Each of arcs is (i, j, capacity i->j, capacity j->i): one residual arc
-    pair.  Arc a runs to head[a] with residual capacity cap[a], its reverse
-    is arc a ^ 1, and adj[u] lists the arcs out of u.  Each phase builds
-    the BFS level graph, stopping once the sink is labelled, then saturates
-    it by an iterative DFS that keeps a current-arc pointer per node.
-    Returns the flow value and, per node, whether the source reaches it in
-    the final residual graph.  Adds the phases (level graphs built, the
-    last one missing the sink) and augmenting paths to counters.
+    Each of arcs is (i, j, capacity), a one-way arc whose reverse starts at
+    0; a negative capacity raises SolverError, and every capacity and the
+    running flow are range-checked.  Arc a runs to head[a] with residual
+    capacity cap[a], its reverse is arc a ^ 1, and adj[u] lists the arcs
+    out of u.  Each phase builds the BFS level graph, stopping once the
+    sink is labelled, then saturates it by an iterative DFS with a
+    current-arc pointer per node.  Returns the flow value and, per node,
+    whether the source reaches it in the final residual graph (the same
+    after any maximum flow, whatever the arc order).  Adds the phases
+    (level graphs built, the last one missing the sink) and augmenting
+    paths to counters.
     """
     head: list[int] = []
     cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j, c, back in arcs:
-        if c < 0 or back < 0:
+    for i, j, c in arcs:
+        if c < 0:
             raise SolverError("negative capacity")
         check_range(c)
-        check_range(back)
-        if c or back:
+        if c:
             adj[i].append(len(head))
             adj[j].append(len(head) + 1)
             head += (j, i)
-            cap += (c, back)
+            cap += (c, 0)
     flow = phases = paths = 0
     while True:
         phases += 1
@@ -605,42 +558,44 @@ def is_metric(instance: EnergyInstance) -> bool:
 # Submodular QPBO via min cut
 
 
-def _min_cut(nodes, unary, edges, pairwise, constant: int,
-             counters: dict) -> tuple[Labeling, int]:
-    """Minimum of a binary energy given as plain data, by the posiform min cut.
+def _min_cut(unary, pairs, constant: int, counters: dict) -> tuple[list[int], int]:
+    """Minimum of a binary energy over nodes 0..n-1, by the posiform min cut.
 
-    unary[u] is a (label 0, label 1) pair and pairwise[e] a 2x2 table, all
-    finite.  Returns the canonical cut's labeling and value; a table with
-    f(0,1) + f(1,0) < f(0,0) + f(1,1) raises SolverError (negative capacity).
-    The edges are distinct node pairs, so each arc goes to the flow core as
-    its own residual pair; the core adds its counts to counters.
+    unary[i] is node i's (label 0, label 1) pair; pairs, read once, yields
+    (i, j, 2x2 table), i != j, no node pair twice; all entries finite.
+    Returns the canonical cut's labels by node index and its value; a
+    table with f(0,1) + f(1,0) < f(0,0) + f(1,1) raises SolverError
+    (negative capacity).  Each posiform term is one one-way arc of the
+    flow core, which adds its counts to counters.
     """
-    # Internal flow ids: 0..n-1 for nodes, n = source, n + 1 = sink.
-    n = len(nodes)
-    idx = {u: i for i, u in enumerate(nodes)}
-    unary1 = {u: unary[u][1] - unary[u][0] for u in nodes}
-    for u in nodes:
-        constant = check_range(constant + unary[u][0])
-    pair_arcs = []  # beta * [x_u = 0][x_v = 1]: arc u->v, cut when x_u = 0, x_v = 1
-    for (u, v) in edges:
-        (a, b), (c, d) = pairwise[(u, v)]
-        # f_uv = a + (c - a)[x_u=1] + (d - c)[x_v=1] + (b + c - a - d)[x_u=0][x_v=1]
+    # Flow ids: 0..n-1 for the nodes, n = source, n + 1 = sink.
+    n = len(unary)
+    unary1 = [c1 - c0 for c0, c1 in unary]
+    for c0, _ in unary:
+        constant = check_range(constant + c0)
+    pair_arcs = []  # beta * [x_i = 0][x_j = 1]: arc i->j, cut when x_i = 0, x_j = 1
+    for i, j, ((a, b), (c, d)) in pairs:
+        # f_ij = a + (c - a)[x_i=1] + (d - c)[x_j=1] + (b + c - a - d)[x_i=0][x_j=1]
         constant = check_range(constant + a)
-        unary1[u] = check_range(unary1[u] + c - a)
-        unary1[v] = check_range(unary1[v] + d - c)
-        pair_arcs.append((idx[u], idx[v], b + c - a - d, 0))
+        unary1[i] = check_range(unary1[i] + c - a)
+        unary1[j] = check_range(unary1[j] + d - c)
+        pair_arcs.append((i, j, b + c - a - d))
     arcs = []
-    for i, u in enumerate(nodes):
-        w = unary1[u]
+    for i, w in enumerate(unary1):
         if w >= 0:
-            arcs.append((n, i, w, 0))  # cut when x_u = 1
+            arcs.append((n, i, w))  # cut when x_i = 1
         else:
             constant = check_range(constant + w)
-            arcs.append((i, n + 1, -w, 0))  # cut when x_u = 0
+            arcs.append((i, n + 1, -w))  # cut when x_i = 0
     flow, reachable = _dinic(n + 2, n, n + 1, arcs + pair_arcs, counters)
-    # Arc s->u is cut exactly when u lands on the sink side, so sink side = label 1.
-    x = {u: (0 if reachable[i] else 1) for i, u in enumerate(nodes)}
-    return x, check_range(constant + flow)
+    # Arc s->i is cut exactly when i lands on the sink side, so sink side = label 1.
+    return [0 if r else 1 for r in reachable[:n]], check_range(constant + flow)
+
+
+def _edge_indices(instance: EnergyInstance) -> list[tuple[int, int, tuple]]:
+    """(i, j, table) per edge in instance.edges order, i and j node positions."""
+    index = {u: i for i, u in enumerate(instance.nodes)}
+    return [(index[u], index[v], instance.pairwise[(u, v)]) for (u, v) in instance.edges]
 
 
 def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
@@ -651,8 +606,9 @@ def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
     if not submodular:
         raise SolverError("instance is not binary submodular")
     counters: dict = {}
-    x, value = _min_cut(instance.nodes, instance.unary, instance.edges,
-                        instance.pairwise, instance.constant, counters)
+    cut, value = _min_cut([instance.unary[u] for u in instance.nodes],
+                          _edge_indices(instance), instance.constant, counters)
+    x = dict(zip(instance.nodes, cut))
     if evaluate(instance, x) != value:
         raise SolverError("min-cut labeling does not attain the cut value")
     return SolveResult(x, value, "mincut", True, stats=counters)
@@ -668,39 +624,43 @@ def alpha_expansion(instance: EnergyInstance) -> SolveResult:
     Starts from all zeros and sweeps labels in ascending order, accepting
     only strictly improving expansion moves, until a full sweep makes no
     progress.  Each move is a binary energy, label 0 keeping the current
-    label and label 1 switching to alpha, read straight off the instance;
-    on a metric instance it is submodular and solved exactly by min cut.
+    label and label 1 switching to alpha, read straight off the instance
+    and the current labels by node index; on a metric instance it is
+    submodular and solved exactly by min cut.
     """
     if not all_finite(instance):
         raise SolverError("infinite unary or pairwise entry")
     if not is_metric(instance):
         raise SolverError("alpha expansion requires a metric instance")
     k = _uniform_label_count(instance)
-    nodes, unary, pairwise = instance.nodes, instance.unary, instance.pairwise
-    x = {u: 0 for u in nodes}
-    current = evaluate(instance, x)
+    nodes = instance.nodes
+    rows = [instance.unary[u] for u in nodes]
+    pairs = _edge_indices(instance)
+    x = [0] * len(nodes)  # the current labels by node index
+    current = evaluate(instance, dict.fromkeys(nodes, 0))
     moves = [current]
     counters = {"phases": 0, "augmenting_paths": 0, "moves_tried": 0}
     improved = True
     while improved:
         improved = False
         for alpha in range(k):
-            move_unary = {u: (unary[u][x[u]], unary[u][alpha]) for u in nodes}
-            move_pairwise = {(u, v): ((t[x[u]][x[v]], t[x[u]][alpha]),
-                                      (t[alpha][x[v]], t[alpha][alpha]))
-                             for (u, v), t in pairwise.items()}
-            cut, value = _min_cut(nodes, move_unary, instance.edges, move_pairwise,
-                                  instance.constant, counters)
+            # A generator: each move table is freed once read, sparing the GC.
+            cut, value = _min_cut(
+                [(row[a], row[alpha]) for row, a in zip(rows, x)],
+                ((i, j, ((t[x[i]][x[j]], t[x[i]][alpha]), (t[alpha][x[j]], t[alpha][alpha])))
+                 for i, j, t in pairs),
+                instance.constant, counters)
             counters["moves_tried"] += 1
-            moved = {u: (alpha if cut[u] == 1 else x[u]) for u in nodes}
+            moved = [alpha if c else a for a, c in zip(x, cut)]
             # The move energy of the cut is the instance energy of moved,
             # term by term and in the same order.
-            if evaluate(instance, moved) != value:
+            if evaluate(instance, dict(zip(nodes, moved))) != value:
                 raise SolverError("min-cut labeling does not attain the cut value")
             if value < current:
                 x, current = moved, value
                 moves.append(current)
                 improved = True
-    if evaluate(instance, x) != current:
+    labeling = dict(zip(nodes, x))
+    if evaluate(instance, labeling) != current:
         raise SolverError("alpha-expansion labeling does not attain its recorded energy")
-    return SolveResult(x, current, "alpha-expansion", False, tuple(moves), counters)
+    return SolveResult(labeling, current, "alpha-expansion", False, tuple(moves), counters)

@@ -159,6 +159,15 @@ def test_harness_enumeration_is_bounded(monkeypatch):
             enumerate_all(inst)
 
 
+def test_sat_source_enumeration_is_bounded(monkeypatch):
+    sat = W3SatTriv(3, ((1, 2, 3),), (1, 1, 1))  # 8 assignments, 7 satisfying
+    monkeypatch.setenv("MINE_BRUTE_LIMIT", "8")
+    assert len(list(SAT_SOURCE.feasible_solutions(sat))) == 7
+    monkeypatch.setenv("MINE_BRUTE_LIMIT", "7")
+    with pytest.raises(SolverError, match="bound 7"):
+        SAT_SOURCE.feasible_solutions(sat)
+
+
 # --- verify_ap_reduction against the per-labeling loop --------------------
 
 def _reference_energy_feasible(instance):

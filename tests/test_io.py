@@ -391,6 +391,24 @@ def test_cli_verify_ap_planarize_stops_at_the_enumeration_bound(tmp_path, capsys
     assert captured.err == f"error: configuration count exceeds brute-force bound {2**24}\n"
 
 
+def test_cli_verify_ap_w3sat_stops_at_the_enumeration_bound(tmp_path, capsys, monkeypatch):
+    # 40 variables: 2^40 source assignments, which the harness used to list
+    # before any bound was checked, with or without MINE_BRUTE_LIMIT.
+    sat = W3SatTriv(40, ((1, 2, 3),), (1,) * 40)
+    _write(tmp_path, "big.wcnf3", serialize_wcnf3(sat))
+    for limit in (None, 4):
+        if limit is not None:
+            monkeypatch.setenv("MINE_BRUTE_LIMIT", str(limit))
+        start = time.perf_counter()
+        assert run_cli(["verify-ap", "--reduction", "w3sat-to-qpbo",
+                        "--corpus", str(tmp_path)]) == 3
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: configuration count exceeds brute-force "
+                                f"bound {limit or 2**24}\n")
+
+
 def test_cli_verify_ap_exits_4_on_a_broken_reverse_map(tmp_path, capsys, monkeypatch):
     import mine.cli as cli
 

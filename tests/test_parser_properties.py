@@ -13,6 +13,7 @@ Three properties, each over text hypothesis generates:
 """
 
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -158,3 +159,27 @@ def test_parser_rejects_huge_counts_before_building_anything(text, message):
     with pytest.raises(ParseError) as got:
         parse_instance(text)
     assert str(got.value) == message
+
+
+@pytest.mark.parametrize("labels", ["3000000000", "8388608 8388609", "3000000000 -2999999999"])
+def test_parser_caps_the_sum_of_label_counts_at_the_labels_line(labels):
+    # Each count alone may stay below 2^24; a negative one offsets nothing.
+    nodes = len(labels.split())
+    with pytest.raises(ParseError) as got:
+        parse_instance(f"MINE 1\nnodes {nodes}\nlabels {labels}\n")
+    assert str(got.value) == "line 3: label counts add up to more than 16777216"
+
+
+@pytest.mark.parametrize("token", ["1e3", "0.5", "1e4000000", "1E1000000", ".5", "1_000"])
+def test_coordinates_are_int_or_int_over_int(tmp_path, capsys, token):
+    text = f"MINE 1\nnodes 1\nlabels 1\ncoord 0 {token} 0\n"
+    with pytest.raises(ParseError, match=f"line 4: expected int or int/int, got '{token}'"):
+        parse_instance(text)
+    path = tmp_path / "exp.mine"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert run_cli(["classify", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("parse error: line 4: ")
+    back, drawing = parse_instance(text.replace(token, "-3/4"))
+    assert drawing.coords[0] == (Fraction(-3, 4), 0)

@@ -15,12 +15,11 @@ from mine.fileformat import serialize_instance
 from mine.generate import (random_forest, random_general, random_potts,
                            random_submodular)
 from mine.instance import EnergyInstance, all_labelings, evaluate, make_instance
-from mine.solvers import (FlowNetwork, SolveResult, SolverError, adjacency,
+from mine.solvers import (SolveResult, SolverError, _dinic, adjacency,
                           all_finite, alpha_expansion, is_forest, is_metric,
                           is_potts, is_submodular_binary, is_submodular_lattice,
-                          max_flow, min_fill_order, solve_brute_force,
-                          solve_elimination, solve_submodular_qpbo,
-                          solve_tree_dp)
+                          min_fill_order, solve_brute_force, solve_elimination,
+                          solve_submodular_qpbo, solve_tree_dp)
 
 
 def potts_table(k, c):
@@ -319,46 +318,31 @@ def test_tree_dp_on_twenty_thousand_nodes(shape):
 # --- max flow -----------------------------------------------------------
 
 def test_max_flow_single_arc():
-    n = FlowNetwork(source=0, sink=1)
-    n.add_arc(0, 1, 5)
-    flow, (src, snk) = max_flow(n)
-    assert flow == 5
-    assert 0 in src and 1 in snk
+    assert _dinic(2, 0, 1, [(0, 1, 5)], {}) == (5, [True, False])
 
 
 def test_max_flow_diamond():
-    n = FlowNetwork(source=0, sink=3)
-    for u, v in ((0, 1), (0, 2), (1, 3), (2, 3)):
-        n.add_arc(u, v, 1)
-    assert max_flow(n)[0] == 2
+    arcs = [(u, v, 1) for u, v in ((0, 1), (0, 2), (1, 3), (2, 3))]
+    assert _dinic(4, 0, 3, arcs, {})[0] == 2
 
 
 def test_max_flow_disconnected():
-    n = FlowNetwork(source=0, sink=9)
-    n.add_arc(0, 1, 4)
-    assert max_flow(n)[0] == 0
+    assert _dinic(10, 0, 9, [(0, 1, 4)], {}) == (0, [True, True] + [False] * 8)
 
 
-def cut_value(network, src_side):
-    return sum(cap for (u, v), cap in network.capacity.items()
-               if u in src_side and v not in src_side)
+def cut_value(arcs, src_side):
+    return sum(cap for u, v, cap in arcs if u in src_side and v not in src_side)
 
 
 def _random_networks():
-    """20 seeded networks of 3-6 nodes: (node count, arcs in the order added)."""
+    """20 seeded networks of 3-6 nodes, source 0 and sink the last node:
+    (node count, arcs)."""
     rng = random.Random(77)
     for _ in range(20):
         n_nodes = rng.randint(3, 6)
         arcs = [(u, v, rng.randint(0, 6)) for u in range(n_nodes) for v in range(n_nodes)
                 if u != v and rng.random() < 0.5]
         yield n_nodes, arcs
-
-
-def _network(n_nodes, arcs):
-    net = FlowNetwork(source=0, sink=n_nodes - 1)
-    for u, v, cap in arcs:
-        net.add_arc(u, v, cap)
-    return net
 
 
 def _source_sides(n_nodes):
@@ -370,66 +354,54 @@ def _source_sides(n_nodes):
 
 def test_max_flow_equals_min_enumerated_cut():
     for n_nodes, arcs in _random_networks():
-        net = _network(n_nodes, arcs)
-        flow, (src_side, _) = max_flow(net)
-        best = min(cut_value(net, side) for side in _source_sides(n_nodes))
+        flow, reachable = _dinic(n_nodes, 0, n_nodes - 1, arcs, {})
+        best = min(cut_value(arcs, side) for side in _source_sides(n_nodes))
         assert flow == best
-        assert cut_value(net, src_side) == flow
+        assert cut_value(arcs, {u for u in range(n_nodes) if reachable[u]}) == flow
 
 
 def test_max_flow_cut_is_the_smallest_min_cut_in_any_arc_order():
-    # Every minimum cut's source side contains the one max_flow returns,
-    # whatever order the arcs were added (and so searched) in.
+    # Every minimum cut's source side contains the one the core returns,
+    # whatever order the arcs are given (and so searched) in.
     for n_nodes, arcs in _random_networks():
-        net = _network(n_nodes, arcs)
-        flow, sides = max_flow(net)
-        minimum = [side for side in _source_sides(n_nodes) if cut_value(net, side) == flow]
-        assert sides[0] == frozenset.intersection(*map(frozenset, minimum))
-        assert sides[1] == net.nodes() - sides[0]
+        flow, reachable = _dinic(n_nodes, 0, n_nodes - 1, arcs, {})
+        minimum = [side for side in _source_sides(n_nodes) if cut_value(arcs, side) == flow]
+        assert {u for u in range(n_nodes) if reachable[u]} == set.intersection(*minimum)
         for seed in range(5):
             shuffled = list(arcs)
             random.Random(seed).shuffle(shuffled)
-            assert max_flow(_network(n_nodes, shuffled)) == (flow, sides)
-
-
-def test_max_flow_rejects_source_equal_to_sink():
-    with pytest.raises(SolverError, match="source and sink must be different nodes"):
-        max_flow(FlowNetwork(source=0, sink=0))
+            assert _dinic(n_nodes, 0, n_nodes - 1, shuffled, {}) == (flow, reachable)
 
 
 def test_max_flow_rejects_a_negative_capacity_set_directly():
     with pytest.raises(SolverError, match="negative capacity"):
-        max_flow(FlowNetwork(source=0, sink=1, capacity={(0, 1): -1}))
+        _dinic(2, 0, 1, [(0, 1, 1), (0, 1, -1)], {})
 
 
-def test_max_flow_range_checks_every_merged_capacity():
-    # The merged arc u->v is out of range, but at most 1 unit flows through
-    # it; 1->0 is the second arc of an antiparallel pair.
+def test_max_flow_range_checks_every_capacity():
+    # The arc u->v is out of range, but at most 1 unit flows through it;
+    # 1->0 points against the flow.
     for u, v in ((0, 1), (1, 0)):
-        net = FlowNetwork(source=0, sink=2)
-        net.add_arc(0, 1, 1)
-        net.add_arc(1, 2, 1)
-        net.add_arc(u, v, I64_MAX)
-        net.add_arc(u, v, 1)
         with pytest.raises(CostOverflowError):
-            max_flow(net)
+            _dinic(3, 0, 2, [(0, 1, 1), (1, 2, 1), (u, v, I64_MAX + 1)], {})
 
 
 def test_max_flow_range_checks_the_running_flow():
     # Two disjoint paths, each in range, whose flows add up past I64_MAX.
-    net = FlowNetwork(source=0, sink=3)
-    for u, v in ((0, 1), (1, 3), (0, 2), (2, 3)):
-        net.add_arc(u, v, I64_MAX)
+    arcs = [(u, v, I64_MAX) for u, v in ((0, 1), (1, 3), (0, 2), (2, 3))]
     with pytest.raises(CostOverflowError):
-        max_flow(net)
+        _dinic(4, 0, 3, arcs, {})
 
 
-def _reference_max_flow(network):
-    """Edmonds-Karp as it was: one BFS from the source per augmenting path."""
-    s, t = network.source, network.sink
+def _reference_max_flow(s, t, arcs):
+    """Edmonds-Karp as it was: one BFS from the source per augmenting path.
+
+    Repeated arcs add up.  Returns the flow value and the set of nodes the
+    source reaches in the final residual graph."""
     residual = {s: {}, t: {}}
-    for (u, v), cap in network.capacity.items():
-        residual.setdefault(u, {})[v] = check_range(cap)
+    for u, v, cap in arcs:
+        out = residual.setdefault(u, {})
+        out[v] = check_range(out.get(v, 0) + cap)
         residual.setdefault(v, {}).setdefault(u, 0)
     flow = 0
     while True:
@@ -461,70 +433,60 @@ def _reference_max_flow(network):
             if r > 0 and v not in reachable:
                 reachable.add(v)
                 stack.append(v)
-    return flow, (frozenset(reachable), frozenset(network.nodes() - reachable))
-
-
-def _core_network(s, t, arcs):
-    """The FlowNetwork with the flow core's arc pairs as its arcs."""
-    net = FlowNetwork(source=s, sink=t)
-    for i, j, c, back in arcs:
-        net.add_arc(i, j, c)
-        net.add_arc(j, i, back)
-    return net
+    return flow, reachable
 
 
 def _reference_core(n, s, t, arcs, counters):
     """A stand-in for the flow core that runs _reference_max_flow instead."""
-    flow, (source_side, _) = _reference_max_flow(_core_network(s, t, arcs))
+    flow, source_side = _reference_max_flow(s, t, arcs)
     return flow, [u in source_side for u in range(n)]
 
 
 def _awkward_networks():
-    """40 seeded networks of 20-200 nodes built by add_arc, with their features."""
+    """40 seeded arc lists over 20-200 nodes, with their features."""
     rng = random.Random(2016)
     for k in range(40):
         n_nodes = rng.randint(20, 200)
-        ids = rng.sample(range(-1000, 1000), n_nodes)  # non-contiguous, some negative
-        s, t = ids[0], ids[1]
-        net = FlowNetwork(source=s, sink=t)
+        s, t = rng.sample(range(n_nodes), 2)
+        arcs = []
         features = set()
         for i in range(rng.randint(3 * n_nodes, 6 * n_nodes)):
-            u, v = rng.choice(ids), rng.choice(ids)
+            u, v = rng.randrange(n_nodes), rng.randrange(n_nodes)
             if i < 6:  # a few arcs out of the source and into the sink
                 u, v = (s, u) if i % 2 else (v, t)
             if k % 10 == 9 and v == t:
                 continue  # no arc into the sink: the sink is unreachable
             cap = rng.choice((0, rng.randint(1, 9), rng.randint(1, 10**12)))
             features.add("self-loop" if u == v else "zero" if cap == 0 else "arc")
-            if (v, u) in net.capacity and u != v:
+            if any((a, b) == (v, u) for a, b, _ in arcs) and u != v:
                 features.add("antiparallel")
-            if (u, v) in net.capacity:
+            if any((a, b) == (u, v) for a, b, _ in arcs):
                 features.add("repeated")
-            net.add_arc(u, v, cap)
-        yield net, features
+            arcs.append((u, v, cap))
+        yield n_nodes, s, t, arcs, features
 
 
 def test_max_flow_matches_edmonds_karp_on_awkward_networks():
     features = set()
     flows = []
-    for net, found in _awkward_networks():
+    for n_nodes, s, t, arcs, found in _awkward_networks():
         features |= found
-        result = max_flow(net)
-        assert result == _reference_max_flow(net)
+        result = _dinic(n_nodes, s, t, arcs, {})
+        assert result == _reference_core(n_nodes, s, t, arcs, {})
         flows.append(result[0])
     assert features == {"arc", "self-loop", "zero", "antiparallel", "repeated"}
     assert 0 in flows and sum(f > 0 for f in flows) > 30
 
 
 def _grid_cut_networks(monkeypatch):
-    """Every residual network the min-cut routine hands the flow core on seeded
+    """Every arc list the min-cut routine hands the flow core on seeded
     20x20 binary and 12x12 4-label Potts grids, with the core's result."""
     core = mine.solvers._dinic
     seen = []
 
     def recording(n, s, t, arcs, counters):
         result = core(n, s, t, arcs, counters)
-        seen.append((_core_network(s, t, arcs), n, result))
+        seen.append((n, s, t, arcs, result))
         return result
 
     with monkeypatch.context() as patch:
@@ -538,16 +500,17 @@ def _grid_cut_networks(monkeypatch):
 def test_min_cut_networks_match_edmonds_karp_and_networkx(monkeypatch):
     networks = _grid_cut_networks(monkeypatch)
     assert len(networks) > 3 + 3 * 4
-    for net, n_nodes, (flow, reachable) in networks:
-        expected = _reference_max_flow(net)
-        assert max_flow(net) == expected
-        assert flow == expected[0]
-        assert {u for u in range(n_nodes) if reachable[u]} == expected[1][0]
+    for n, s, t, arcs, result in networks:
+        assert result == _reference_core(n, s, t, arcs, {})
+        assert _dinic(n, s, t, arcs, {}) == result
+        capacity = {}
+        for u, v, c in arcs:
+            capacity[(u, v)] = capacity.get((u, v), 0) + c
         g = nx.DiGraph()
-        g.add_nodes_from((net.source, net.sink))
-        g.add_weighted_edges_from(((u, v, c) for (u, v), c in net.capacity.items()),
+        g.add_nodes_from(range(n))
+        g.add_weighted_edges_from(((u, v, c) for (u, v), c in capacity.items()),
                                   weight="capacity")
-        assert nx.minimum_cut_value(g, net.source, net.sink) == flow
+        assert nx.minimum_cut_value(g, s, t) == result[0]
 
 
 # --- interaction checks -------------------------------------------------
@@ -814,6 +777,37 @@ def test_cut_solvers_count_phases_paths_and_moves(monkeypatch):
     assert len(per_move) == 6
     assert sum(c["phases"] for c in per_move) == 18
     assert sum(c["augmenting_paths"] for c in per_move) == 33
+
+
+def _grid_labels(instance, labeling):
+    """The labels in node order, one string per 20 (binary) or 12 nodes."""
+    text = "".join(str(labeling[u]) for u in instance.nodes)
+    cols = 20 if len(text) == 400 else 12
+    return [text[i:i + cols] for i in range(0, len(text), cols)]
+
+
+def test_cut_solvers_are_pinned_on_seeded_grids():
+    binary = potts_grid(0, 20, 20, 2)
+    cut = solve_submodular_qpbo(binary)
+    assert (cut.value, cut.method, cut.exact, cut.move_values) == (3584, "mincut", True, ())
+    assert cut.stats == {"phases": 15, "augmenting_paths": 361}
+    assert _grid_labels(binary, cut.labeling) == [
+        "11111101000000000111", "11111111000000001111", "11111110000000001111",
+        "11111110000000000011", "11111111000000100111", "11111111000011100011",
+        "11111111100001100011", "11111111110000100011", "11111111110000000011",
+        "11111111000000000001", "11110111000000000000", "11110111000111000000",
+        "11110111000001000000", "11111110000000000000", "11111110000000000000",
+        "11111110000000000000", "11111000000000000000", "11111110000000000000",
+        "11111110000000000000", "11111110000000000000"]
+    potts = potts_grid(0, 12, 12, 4)
+    moves = alpha_expansion(potts)
+    assert (moves.value, moves.method, moves.exact) == (1155, "alpha-expansion", False)
+    assert moves.move_values == (1419, 1326, 1218, 1160, 1158, 1155)
+    assert moves.stats == {"phases": 96, "augmenting_paths": 1019, "moves_tried": 12}
+    assert _grid_labels(potts, moves.labeling) == [
+        "333002223222", "131111113222", "111111112222", "111111112222",
+        "111110011122", "111110003111", "111111133313", "111111133333",
+        "033333333333", "033333033113", "200330033222", "220000033112"]
 
 
 def test_alpha_expansion_builds_no_instance(instance_constructions):
