@@ -5,7 +5,7 @@ from .instance import (EnergyInstance, InstanceError, Labeling, all_labelings,
                        big_m, check_labeling, evaluate, make_instance,
                        normalize_edge, scored_labelings)
 from .geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
-                       circle_layout, free_radius, list_crossings, make_point,
+                       circle_layout, free_radius, list_crossings,
                        validate_general_position)
 from .poly import MultilinearPoly, PolyError, poly, poly_add, poly_evaluate, poly_scale
 from .solvers import (SolveResult, SolverError, alpha_expansion, is_binary,

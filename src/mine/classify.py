@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .geometry import Drawing, list_crossings
 from .instance import EnergyInstance
-from .solvers import (all_finite, is_binary, is_forest, is_metric, is_potts,
+from .solvers import (is_binary, is_forest, is_metric, is_potts,
                       is_submodular_binary, is_submodular_lattice)
 
 UNDETECTED_FAMILIES = ("outerplanar", "bounded treewidth > 1", "permuted submodular")
@@ -51,7 +51,7 @@ def classify(instance: EnergyInstance, d: Drawing | None = None) -> ComplexityRe
     binary = is_binary(instance)
     counts = {instance.labels[u] for u in instance.nodes}
     uniform_k = len(counts) <= 1
-    finite = all_finite(instance)
+    finite = instance.all_finite
 
     planar = None
     if d is not None and d.covers(instance):

@@ -91,10 +91,3 @@ def ext_add(a: Cost, b: Cost) -> Cost:
     if isinstance(a, _PlusInfinity) or isinstance(b, _PlusInfinity):
         return INF
     return check_range(a + b)
-
-
-def ext_sum(values) -> Cost:
-    total: Cost = 0
-    for v in values:
-        total = ext_add(total, v)
-    return total

@@ -53,10 +53,6 @@ def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def make_point(x, y) -> Point:
-    return (Fraction(x), Fraction(y))
-
-
 def circle_layout(nodes) -> Drawing:
     """Deterministic fallback layout: rational points on the unit circle, in id order."""
     coords = {}

@@ -3,13 +3,15 @@
 An instance is a labeled graph: each node u carries a unary cost table of
 length k_u, each undirected edge (u, v) a k_u x k_v pairwise table, plus a
 finite constant offset.  Every table entry is INF or an int (never a bool)
-in the signed 64-bit range; construction checks it.  Instances are
-immutable after construction; every operation here is a pure function.
+in the signed 64-bit range; construction checks it and, in the same
+pass, records finite_sum and all_finite, so no caller rescans the tables
+to bound a sum.  Instances are immutable after construction; every
+operation here is a pure function.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
@@ -27,16 +29,21 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _check_costs(entries: list) -> None:
-    """Every entry is INF or an int (not a bool) in the signed 64-bit range."""
+def _check_costs(entries: list) -> tuple[int, bool]:
+    """Every entry is INF or an int (not a bool) in the signed 64-bit range.
+
+    Returns the sum of every finite entry's magnitude and whether no entry is INF.
+    """
     kinds = set(map(type, entries))
     if not kinds <= {int, type(INF)}:
         raise InstanceError(f"cost entries must be ints or INF, got "
                             f"{sorted(k.__name__ for k in kinds - {int, type(INF)})}")
-    if type(INF) in kinds:
+    all_finite = type(INF) not in kinds
+    if not all_finite:
         entries = [c for c in entries if c is not INF]
     if entries and not (I64_MIN <= min(entries) and max(entries) <= I64_MAX):
         raise InstanceError("cost entry outside signed 64-bit range")
+    return sum(map(abs, entries)), all_finite
 
 
 @dataclass(frozen=True)
@@ -47,6 +54,10 @@ class EnergyInstance:
     edges: tuple[tuple[int, int], ...]
     pairwise: dict[tuple[int, int], tuple[tuple[Cost, ...], ...]]
     constant: int = 0
+    # Set by construction: the sum of every finite unary and pairwise entry's
+    # magnitude (the constant excluded), and whether no entry is INF.
+    finite_sum: int = field(init=False, repr=False, compare=False)
+    all_finite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set(self.nodes)
@@ -74,8 +85,11 @@ class EnergyInstance:
             table = self.pairwise[(u, v)]
             if len(table) != self.labels[u] or any(len(row) != self.labels[v] for row in table):
                 raise InstanceError(f"edge {(u, v)}: pairwise table has wrong dimensions")
-        _check_costs([*chain.from_iterable(self.unary.values()),
-                      *chain.from_iterable(chain.from_iterable(self.pairwise.values()))])
+        finite_sum, all_finite = _check_costs(
+            [*chain.from_iterable(self.unary.values()),
+             *chain.from_iterable(chain.from_iterable(self.pairwise.values()))])
+        object.__setattr__(self, "finite_sum", finite_sum)
+        object.__setattr__(self, "all_finite", all_finite)
         if type(self.constant) is not int:
             raise InstanceError("constant offset must be a finite integer")
         check_range(self.constant)
@@ -121,18 +135,16 @@ def all_labelings(instance: EnergyInstance):
 def scored_labelings(instance: EnergyInstance):
     """Every (labeling, evaluate(instance, labeling)) pair, in all_labelings order.
 
-    When |constant| plus the sum of every |finite entry| fits in int64, no
-    partial sum can leave that range, so each energy is updated from the
-    nodes the odometer changed: a suffix of the node order, whose unary
-    terms and the edges whose later endpoint lies in it are re-added to the
-    running sum of the unchanged prefix.  INF is encoded as an int above
-    twice that bound, so a sum holds an INF term exactly when it exceeds
-    the bound.  Otherwise every labeling is scored by evaluate, which
-    raises CostOverflowError where a partial sum overflows.
+    When the bound |constant| + finite_sum fits in int64, no partial sum
+    can leave that range, so each energy is updated from the nodes the
+    odometer changed: a suffix of the node order, whose unary terms and the
+    edges whose later endpoint lies in it are re-added to the running sum
+    of the unchanged prefix.  INF is encoded as an int above twice that
+    bound, so a sum holds an INF term exactly when it exceeds the bound.
+    Otherwise every labeling is scored by evaluate, which raises
+    CostOverflowError where a partial sum overflows.
     """
-    entries = chain(chain.from_iterable(instance.unary.values()),
-                    chain.from_iterable(chain.from_iterable(instance.pairwise.values())))
-    bound = abs(instance.constant) + sum(abs(c) for c in entries if c is not INF)
+    bound = abs(instance.constant) + instance.finite_sum
     if bound > I64_MAX:
         for x in all_labelings(instance):
             yield x, evaluate(instance, x)
@@ -191,18 +203,10 @@ def evaluate(instance: EnergyInstance, x: Labeling) -> Cost:
 
 
 def big_m(instance: EnergyInstance) -> int:
-    """Bound strictly exceeding |energy| of every labeling of an all-finite instance."""
-    total = 1 + abs(instance.constant)
-    for u in instance.nodes:
-        for c in instance.unary[u]:
-            if not is_finite(c):
-                raise InstanceError("big_m requires an all-finite instance")
-            total = check_range(total + abs(c))
-    for e in instance.edges:
-        for row in instance.pairwise[e]:
-            for c in row:
-                if not is_finite(c):
-                    raise InstanceError("big_m requires an all-finite instance")
-                total = check_range(total + abs(c))
-    return total
+    """Bound strictly exceeding |energy| of every labeling of an all-finite instance.
 
+    1 + |constant| + finite_sum, range-checked.
+    """
+    if not instance.all_finite:
+        raise InstanceError("big_m requires an all-finite instance")
+    return check_range(1 + abs(instance.constant) + instance.finite_sum)

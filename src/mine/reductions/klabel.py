@@ -35,32 +35,20 @@ def qpbo_to_klabel(instance: EnergyInstance, k: int) -> tuple[EnergyInstance, Re
     return target, trace
 
 
-_last_big_m: tuple = (None, None)  # (instance, big_m(instance)) of the last call
-
-
-def _big_m_of(original: EnergyInstance) -> int:
-    global _last_big_m
-    instance, m = _last_big_m
-    if instance is not original:
-        m = big_m(original)
-        _last_big_m = (original, m)
-    return m
-
-
 def klabel_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -> Labeling:
     """Reverse map: y itself below the M threshold, else the fixed all-zeros labeling.
 
     On labels 0 and 1 the padded instance costs what original costs, term by
     term, so such a y is always below M; a padding label maps to all zeros.
-    big_m(original) is kept for the last instance, matched by identity (the
-    memo holds the instance itself): the AP harness maps every labeling of
-    one target in a row.  The trace's threshold is checked on every call.
+    The trace's threshold is checked against big_m(original) on every call;
+    big_m reads the bound the instance recorded at construction, so it
+    costs no scan.
     """
     if trace.kind != "qpbo-to-klabel":
         raise InstanceError("trace kind mismatch")
     if any(original.labels[u] != 2 for u in original.nodes):
         raise InstanceError("qpbo_to_klabel requires a binary instance")
-    if trace.big_m != _big_m_of(original):
+    if trace.big_m != big_m(original):
         raise InstanceError("trace threshold does not match the instance's big-M")
     if any(a >= 2 for a in y.values()):
         # Still reject a y with the wrong node set or a negative label.

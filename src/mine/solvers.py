@@ -24,9 +24,11 @@ separator along the order, by default the min-fill order (fewest fill
 edges, then fewest live neighbours, then smallest id, with fill counts
 kept up to date by deltas), and an over-wide separator raises before any
 table is built.  It then keeps every factor as a flat row-major list of
-ints over its sorted scope, with INF encoded as an int beyond any finite
-sum, sums each bucket with whole-list passes, and keeps each bucket's
-factors for the backward pass, which takes each node's argmin there.
+ints over its sorted scope, with INF coded as 2 * finite_sum + 1 (the
+instance's sum of finite entry magnitudes bounds every finite sum, and a
+partial sum is range-checked only when that bound exceeds int64), sums
+each bucket with whole-list passes, and keeps each bucket's factors for
+the backward pass, which takes each node's argmin there.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import add
 
-from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
+from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add
 from .instance import EnergyInstance, Labeling, evaluate, scored_labelings
 
 DEFAULT_BRUTE_LIMIT = 2**24
@@ -183,11 +185,13 @@ def solve_elimination(instance: EnergyInstance, order=None,
     entries.  Each bucket's factors are kept, and going back through the
     order each node gets the first label that attains the minimum of its
     bucket sum at its separator's chosen labels (label 0 when every label
-    costs INF).  Internally INF is an int larger than any sum of finite
-    entries could reach, read back as INF at the end.  A partial bucket sum
-    of finite entries outside the signed 64-bit range raises
-    CostOverflowError, checked in bucket order: buckets whose factors'
-    finite ranges cannot add up to such a sum skip the check.  ``stats``
+    costs INF).  Every bucket value is a sum of entries of distinct input
+    factors, so a finite one lies within +-instance.finite_sum: INF is
+    coded as 2 * finite_sum + 1, and any value above finite_sum reads as
+    INF.  A partial bucket sum of finite entries outside the signed 64-bit
+    range raises CostOverflowError, checked in bucket order; every partial
+    sum is checked exactly when finite_sum exceeds int64, as no finite sum
+    can leave that range otherwise.  ``stats``
     holds ``max_separator`` (the most nodes in one separator) and
     ``joint_entries`` (the joint entries summed over all buckets).
     """
@@ -207,27 +211,20 @@ def solve_elimination(instance: EnergyInstance, order=None,
         joint_entries += size * labels[u]
 
     # Every value formed below is a sum of entries of distinct input factors,
-    # so finite ones stay within +-finite_cap, and any sum holding an INF
-    # (encoded as inf) exceeds finite_cap.  The instance keeps every finite
-    # entry in the int64 range, so -I64_MIN bounds each one's magnitude.
-    scopes = [(u,) for u in instance.nodes] + list(instance.edges)
-    finite_cap = len(scopes) * -I64_MIN
-    inf = 2 * finite_cap
-    tables = ([[inf if c is INF else c for c in instance.unary[u]] for u in instance.nodes]
-              + [[inf if c is INF else c for row in instance.pairwise[e] for c in row]
-                 for e in instance.edges])
-    factors = []  # (scope, flat table, min and max finite entry or None)
-    for scope, table in zip(scopes, tables):
-        lo, hi = min(table), max(table)
-        if lo > finite_cap:
-            lo = hi = None
-        elif hi > finite_cap:
-            hi = max(filter(finite_cap.__ge__, table))
-        factors.append((scope, table, lo, hi))
+    # so a finite one lies within +-finite_sum, and with INF encoded as
+    # 2 * finite_sum + 1 one holding an INF exceeds finite_sum.  A finite
+    # partial sum can leave int64 only if finite_sum does.
+    bound = instance.finite_sum
+    inf = 2 * bound + 1
+    check = bound > I64_MAX
+    factors = ([((u,), [inf if c is INF else c for c in instance.unary[u]])
+                for u in instance.nodes]
+               + [(e, [inf if c is INF else c for row in instance.pairwise[e] for c in row])
+                  for e in instance.edges])  # (scope, flat table)
     # Each node's unconsumed factors as positions in factors, so in creation
     # order; a bucket sets the slots it takes to None.
     pending = {u: [] for u in instance.nodes}
-    for i, (scope, _, _, _) in enumerate(factors):
+    for i, (scope, _) in enumerate(factors):
         for w in scope:
             pending[w].append(i)
 
@@ -239,45 +236,25 @@ def solve_elimination(instance: EnergyInstance, order=None,
             factors[i] = None
         k = labels[u]
         joint = [*sep, u]
-
-        # Partial sums need a range check only from the first factor whose
-        # prefix of finite minima or maxima leaves int64; a factor with no
-        # finite entry makes every later partial sum INF.
-        check_from = len(bucket)
-        lo = hi = 0
-        for i, (_, _, f_lo, f_hi) in enumerate(bucket):
-            if f_lo is None:
-                break
-            lo += f_lo
-            hi += f_hi
-            if lo < I64_MIN or hi > I64_MAX:
-                check_from = i
-                break
         acc = None
-        for i, (scope, table, _, _) in enumerate(bucket):
+        for scope, table in bucket:
             column = _broadcast(table, scope, joint, labels)
             acc = column if acc is None else list(map(add, acc, column))
-            if i >= check_from:
+            if check:
                 for v in acc:
-                    if v < I64_MIN or I64_MAX < v <= finite_cap:
+                    if v < I64_MIN or I64_MAX < v <= bound:
                         check_range(v)
-
         message = acc if k == 1 else list(map(min, *(acc[a::k] for a in range(k))))
-        if any(f[2] is None for f in bucket):
-            m_lo = m_hi = None
-        else:
-            m_lo = max(I64_MIN, sum(f[2] for f in bucket))
-            m_hi = min(I64_MAX, sum(f[3] for f in bucket))
         for w in sep:
             pending[w].append(len(factors))
-        factors.append((sep, message, m_lo, m_hi))
+        factors.append((sep, message))
         buckets.append((u, bucket))
 
     # Every node's bucket has run, so what is left is the empty-scope messages.
     value: Cost = instance.constant
     for f in factors:
         if f is not None:
-            value = ext_add(value, INF if f[1][0] > I64_MAX else f[1][0])
+            value = ext_add(value, INF if f[1][0] > bound else f[1][0])
 
     # Each factor's entries at x on its other nodes, for every label of u,
     # are one strided slice of its table; their sum is the joint run the
@@ -286,7 +263,7 @@ def solve_elimination(instance: EnergyInstance, order=None,
     for u, bucket in reversed(buckets):
         k = labels[u]
         total = None
-        for scope, table, _, _ in bucket:
+        for scope, table in bucket:
             base = stride = 0
             for w in scope:
                 base *= labels[w]
@@ -298,7 +275,7 @@ def solve_elimination(instance: EnergyInstance, order=None,
             column = table[base:base + stride * k:stride]
             total = column if total is None else list(map(add, total, column))
         best = min(total)
-        x[u] = 0 if best > I64_MAX else total.index(best)
+        x[u] = 0 if best > bound else total.index(best)
     return SolveResult(x, value, "elimination", True,
                        stats={"max_separator": max_separator,
                               "joint_entries": joint_entries})
@@ -486,12 +463,6 @@ def _forest_order(instance: EnergyInstance) -> list[int] | None:
     return order
 
 
-def all_finite(instance: EnergyInstance) -> bool:
-    return (all(is_finite(c) for u in instance.nodes for c in instance.unary[u])
-            and all(is_finite(c) for e in instance.edges
-                    for row in instance.pairwise[e] for c in row))
-
-
 def is_binary(instance: EnergyInstance) -> bool:
     return all(instance.labels[u] == 2 for u in instance.nodes)
 
@@ -601,7 +572,7 @@ def _edge_indices(instance: EnergyInstance) -> list[tuple[int, int, tuple]]:
 def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
     """Exact minimum of a binary submodular instance via the posiform min-cut construction."""
     submodular = is_submodular_binary(instance)  # raises on a non-binary instance
-    if not all_finite(instance):
+    if not instance.all_finite:
         raise SolverError("infinite unary or pairwise entry")
     if not submodular:
         raise SolverError("instance is not binary submodular")
@@ -628,7 +599,7 @@ def alpha_expansion(instance: EnergyInstance) -> SolveResult:
     and the current labels by node index; on a metric instance it is
     submodular and solved exactly by min cut.
     """
-    if not all_finite(instance):
+    if not instance.all_finite:
         raise SolverError("infinite unary or pairwise entry")
     if not is_metric(instance):
         raise SolverError("alpha expansion requires a metric instance")

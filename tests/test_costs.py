@@ -1,7 +1,7 @@
 import pytest
 
-from mine.costs import (INF, CostOverflowError, I64_MAX, check_range, ext_add,
-                        ext_sum, is_finite)
+from mine.costs import (INF, CostOverflowError, I64_MAX, I64_MIN, check_range,
+                        ext_add, is_finite)
 from mine.instance import InstanceError, big_m, evaluate, make_instance
 
 
@@ -34,7 +34,6 @@ def test_ext_add_commutative_associative():
     for a, b, c in triples:
         assert ext_add(a, b) == ext_add(b, a)
         assert ext_add(ext_add(a, b), c) == ext_add(a, ext_add(b, c))
-    assert ext_sum([1, 2, INF]) is INF
 
 
 def test_evaluate_single_node():
@@ -91,6 +90,25 @@ def test_big_m_rejects_inf():
     inst = make_instance({0: 2}, {0: (0, INF)})
     with pytest.raises(InstanceError):
         big_m(inst)
+
+
+def test_big_m_range_checks_the_constant_term():
+    # 1 + |I64_MIN| = 2**63 is past int64 even with no table entry at all.
+    assert big_m(make_instance({}, constant=I64_MAX - 1)) == I64_MAX
+    with pytest.raises(CostOverflowError):
+        big_m(make_instance({}, constant=I64_MIN))
+    with pytest.raises(CostOverflowError):
+        big_m(make_instance({}, constant=I64_MAX))
+    with pytest.raises(CostOverflowError):
+        big_m(make_instance({0: 1}, {0: (1,)}, constant=I64_MAX - 1))
+
+
+def test_big_m_reports_inf_before_an_entry_sum_past_int64():
+    # Both faults at once: the INF wins wherever it sits in table order.
+    for unary in ({0: (I64_MAX, 0), 1: (I64_MAX, INF)},
+                  {0: (0, INF), 1: (I64_MAX, I64_MAX)}):
+        with pytest.raises(InstanceError):
+            big_m(make_instance({0: 2, 1: 2}, unary))
 
 
 def test_instance_validation():

@@ -323,6 +323,46 @@ def test_overflow_rule_near_the_int64_boundary():
     assert rejected > 100
 
 
+def test_inf_coding_at_its_tightest():
+    # INF is coded as 2 * finite_sum + 1.  Here every finite entry is
+    # negative and meets the INF in one bucket sum, which is then exactly
+    # finite_sum + 1 (6, at label 1 of the second node in either order):
+    # it must read as INF, and label 0 must be chosen.
+    inst = make_instance({0: 2, 1: 2}, {0: (0, -2), 1: (0, -3)},
+                         {(0, 1): ((INF, INF), (INF, INF))})
+    assert inst.finite_sum == 5
+    for order in ([0, 1], [1, 0]):
+        assert assert_same(inst, order) == SolveResult({0: 0, 1: 0}, INF, "elimination", True)
+
+
+@pytest.mark.parametrize("unary, pair, constant, finite_sum, expected", [
+    # finite_sum == I64_MAX: no partial sum is range-checked
+    ({0: (0, -(I64_MAX - 3)), 1: (0, -3)}, ((INF, INF), (INF, INF)), 0, I64_MAX,
+     {(0, 1): ({0: 0, 1: 0}, INF), (1, 0): ({0: 0, 1: 0}, INF)}),
+    ({0: (-(I64_MAX - 3), 0), 1: (0, -3)}, ((INF, 0), (INF, INF)), -1, I64_MAX,
+     {(0, 1): ({0: 0, 1: 1}, I64_MIN), (1, 0): ({0: 0, 1: 1}, I64_MIN)}),
+    ({0: (-(I64_MAX - 3), 0), 1: (0, -3)}, ((INF, 0), (INF, INF)), -2, I64_MAX,
+     {(0, 1): CostOverflowError, (1, 0): CostOverflowError}),
+    ({0: (I64_MAX - 3, INF), 1: (3, INF)}, ((0, 0), (0, 0)), 0, I64_MAX,
+     {(0, 1): ({0: 0, 1: 0}, I64_MAX), (1, 0): ({0: 0, 1: 0}, I64_MAX)}),
+    # finite_sum == I64_MAX + 1: every partial bucket sum is range-checked
+    ({0: (0, -(I64_MAX - 2)), 1: (0, -3)}, ((INF, INF), (INF, INF)), 0, I64_MAX + 1,
+     {(0, 1): ({0: 0, 1: 0}, INF), (1, 0): ({0: 0, 1: 0}, INF)}),
+    ({0: (I64_MAX - 2, INF), 1: (0, 0)}, ((3, 0), (0, 0)), 0, I64_MAX + 1,
+     {(0, 1): CostOverflowError, (1, 0): ({0: 0, 1: 1}, I64_MAX - 2)}),
+    ({0: (I64_MAX - 1, INF), 1: (1, -1)}, ((0, 0), (0, 0)), 0, I64_MAX + 1,
+     {(0, 1): ({0: 0, 1: 1}, I64_MAX - 2), (1, 0): ({0: 0, 1: 1}, I64_MAX - 2)}),
+])
+def test_inf_coding_either_side_of_the_range_check(unary, pair, constant, finite_sum,
+                                                   expected):
+    inst = make_instance({0: 2, 1: 2}, unary, {(0, 1): pair}, constant)
+    assert inst.finite_sum == finite_sum
+    for order, outcome in expected.items():
+        if isinstance(outcome, tuple):
+            outcome = SolveResult(*outcome, "elimination", True)
+        assert assert_same(inst, list(order)) == outcome
+
+
 # --- counters -----------------------------------------------------------
 
 def test_stats_on_a_chain():

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from mine.geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
                            PositionViolation, circle_layout, free_radius,
-                           list_crossings, make_point, rational_sqrt_lower,
+                           list_crossings, rational_sqrt_lower,
                            segment_intersection, validate_general_position)
 from mine.instance import make_instance
 
 
 def pt(x, y):
-    return make_point(x, y)
+    return (F(x), F(y))
 
 
 def _table(k1, k2):

@@ -185,26 +185,18 @@ def test_sigma_builds_no_instance(instance_constructions):
     assert instance_constructions == [2]
 
 
-def test_sigma_keeps_big_m_of_the_last_instance(monkeypatch):
-    from mine.reductions import klabel
-    computed = []
-    monkeypatch.setattr(klabel, "_last_big_m", (None, None))
-    monkeypatch.setattr(klabel, "big_m", lambda inst: computed.append(inst) or big_m(inst))
+def test_sigma_checks_the_threshold_on_every_call():
     a = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
     b = make_instance({0: 2, 1: 2}, {0: (0, 9), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
     target, trace = qpbo_to_klabel(a, 3)
-    del computed[:]
     for y in all_labelings(target):
         klabel_sigma(a, trace, y)
-    assert computed == [a] and klabel._last_big_m[0] is a
-    # a's trace on b: the memo is keyed by identity, so b's own big-M is
-    # computed and the threshold check still rejects the trace
+    # a's trace on b, right after a run on a, still fails the threshold check
     with pytest.raises(InstanceError):
         klabel_sigma(b, trace, {0: 0, 1: 0})
-    assert klabel._last_big_m == (b, big_m(b))
     y = {0: 1, 1: 0}
     assert klabel_sigma(a, trace, y) == y
-    # an equal instance that is another object is not taken for a
+    # an equal instance that is another object is accepted
     a2 = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
+    assert a2 is not a
     assert klabel_sigma(a2, trace, y) == y
-    assert [inst is a2 for inst in computed] == [False, False, False, True]

@@ -16,7 +16,7 @@ from mine.generate import (random_forest, random_general, random_potts,
                            random_submodular)
 from mine.instance import EnergyInstance, all_labelings, evaluate, make_instance
 from mine.solvers import (SolveResult, SolverError, _dinic, adjacency,
-                          all_finite, alpha_expansion, is_forest, is_metric,
+                          alpha_expansion, is_forest, is_metric,
                           is_potts, is_submodular_binary, is_submodular_lattice,
                           min_fill_order, solve_brute_force, solve_elimination,
                           solve_submodular_qpbo, solve_tree_dp)
@@ -127,17 +127,18 @@ def test_structure_of_the_empty_instance():
     empty = make_instance({})
     assert is_forest(empty)  # networkx rejects the null graph
     assert adjacency(empty) == {}
-    assert all_finite(empty)
+    assert empty.all_finite and empty.finite_sum == 0
 
 
-def test_all_finite_matches_a_direct_scan():
+def test_finite_sum_and_all_finite_match_a_direct_scan():
     verdicts = set()
     for seed in range(200):
         inst = random_general(seed, inf_prob=0.3)
         entries = [c for u in inst.nodes for c in inst.unary[u]]
         entries += [c for e in inst.edges for row in inst.pairwise[e] for c in row]
         expected = all(is_finite(c) for c in entries)
-        assert all_finite(inst) == expected
+        assert inst.all_finite == expected
+        assert inst.finite_sum == sum(abs(c) for c in entries if is_finite(c))
         verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -268,7 +269,7 @@ def test_tree_dp_equals_the_message_passing_reference():
         inst = _tie_heavy_forest(rng)
         result = solve_tree_dp(inst)
         assert result == _reference_tree_dp(inst)
-        seen["inf_entry"] += not all_finite(inst)
+        seen["inf_entry"] += not inst.all_finite
         seen["inf_value"] += result.value is INF
         seen["isolated"] += len(inst.nodes) > 1 and not all(adjacency(inst).values())
         seen["components"] += len(inst.nodes) - len(inst.edges) > 1
