@@ -2,8 +2,9 @@
 
 An instance is a labeled graph: each node u carries a unary cost table of
 length k_u, each undirected edge (u, v) a k_u x k_v pairwise table, plus a
-finite constant offset.  Every table entry is INF or an int (never a bool)
-in the signed 64-bit range; construction checks it and, in the same
+finite constant offset.  Construction derives the label counts k_u and
+the edge tuple, always sorted, from the tables; checks that every entry is
+INF or an int (never a bool) in the signed 64-bit range; and, in the same
 pass, records finite_sum and all_finite, so no caller rescans the tables
 to bound a sum.  Instances are immutable after construction; every
 operation here is a pure function.
@@ -49,13 +50,14 @@ def _check_costs(entries: list) -> tuple[int, bool]:
 @dataclass(frozen=True)
 class EnergyInstance:
     nodes: tuple[int, ...]
-    labels: dict[int, int]
     unary: dict[int, tuple[Cost, ...]]
-    edges: tuple[tuple[int, int], ...]
     pairwise: dict[tuple[int, int], tuple[tuple[Cost, ...], ...]]
     constant: int = 0
-    # Set by construction: the sum of every finite unary and pairwise entry's
-    # magnitude (the constant excluded), and whether no entry is INF.
+    # Set by construction: label counts (unary lengths), the sorted pairwise
+    # keys, the sum of every finite entry's magnitude (the constant
+    # excluded), and whether no entry is INF.
+    labels: dict[int, int] = field(init=False, repr=False, compare=False)
+    edges: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     finite_sum: int = field(init=False, repr=False, compare=False)
     all_finite: bool = field(init=False, repr=False, compare=False)
 
@@ -63,20 +65,15 @@ class EnergyInstance:
         seen = set(self.nodes)
         if len(seen) != len(self.nodes):
             raise InstanceError("duplicate node ids")
-        if set(self.labels) != seen or set(self.unary) != seen:
-            raise InstanceError("labels/unary tables must cover exactly the node set")
+        if set(self.unary) != seen:
+            raise InstanceError("unary tables must cover exactly the node set")
+        object.__setattr__(self, "labels", {u: len(self.unary[u]) for u in self.nodes})
+        object.__setattr__(self, "edges", tuple(sorted(self.pairwise)))
         for u in self.nodes:
-            k = self.labels[u]
-            if k < 1:
+            if self.labels[u] < 1:
                 raise InstanceError(f"node {u}: label count must be positive")
-            if len(self.unary[u]) != k:
-                raise InstanceError(f"node {u}: unary table has wrong length")
             if not any(is_finite(c) for c in self.unary[u]):
                 raise InstanceError(f"node {u}: no label with finite unary cost")
-        if len(set(self.edges)) != len(self.edges):
-            raise InstanceError("duplicate edges")
-        if set(self.pairwise) != set(self.edges):
-            raise InstanceError("pairwise tables must cover exactly the edge set")
         for (u, v) in self.edges:
             if (u, v) != normalize_edge(u, v):
                 raise InstanceError(f"edge {(u, v)} not normalized (u < v required)")
@@ -99,10 +96,12 @@ def make_instance(labels: dict[int, int],
                   unary: dict[int, tuple[Cost, ...]] | None = None,
                   pairwise: dict[tuple[int, int], tuple[tuple[Cost, ...], ...]] | None = None,
                   constant: int = 0) -> EnergyInstance:
-    """Convenience constructor: nodes sorted, edges normalized and sorted."""
+    """Convenience constructor: nodes sorted, edges normalized, unaries all-zero by default."""
     nodes = tuple(sorted(labels))
     unary = dict(unary or {})
     for u in nodes:
+        if u in unary and len(unary[u]) != labels[u]:
+            raise InstanceError(f"node {u}: unary table has wrong length")
         unary.setdefault(u, tuple([0] * labels[u]))
     pw = {}
     for (u, v), table in (pairwise or {}).items():
@@ -112,9 +111,7 @@ def make_instance(labels: dict[int, int],
         if key in pw:
             raise InstanceError(f"edge {key} given twice")
         pw[key] = tuple(tuple(row) for row in table)
-    edges = tuple(sorted(pw))
-    return EnergyInstance(nodes=nodes, labels=dict(labels), unary=unary,
-                          edges=edges, pairwise=pw, constant=constant)
+    return EnergyInstance(nodes=nodes, unary=unary, pairwise=pw, constant=constant)
 
 
 def check_labeling(instance: EnergyInstance, x: Labeling) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..costs import INF, Cost
-from ..instance import EnergyInstance, make_instance
+from ..instance import EnergyInstance
 
 ZERO = 0
 
@@ -59,20 +59,18 @@ CROSS_INTERNAL = relation_table((3, 3), [(0, 2), (1, 2), (2, 0), (2, 1)])
 
 @dataclass
 class GadgetFragment:
-    """Instance fragment: nodes and their {0, INF} tables."""
+    """Instance fragment: its {0, INF} tables; a node's label count is its unary's length."""
 
-    labels: dict[int, int] = field(default_factory=dict)
     unary: dict[int, tuple[Cost, ...]] = field(default_factory=dict)
     pairwise: dict[tuple[int, int], tuple[tuple[Cost, ...], ...]] = field(default_factory=dict)
 
     def to_instance(self) -> EnergyInstance:
-        return make_instance(self.labels, self.unary, self.pairwise)
+        return EnergyInstance(tuple(sorted(self.unary)), dict(self.unary), dict(self.pairwise))
 
 
 def split_gadget(boundary_id: int, d_id: int, f_id: int) -> GadgetFragment:
     """SPLIT: 3-label boundary node plus its two Boolean channel halves."""
     return GadgetFragment(
-        labels={boundary_id: 3, d_id: 3, f_id: 3},
         unary={boundary_id: TRI_UNARY, d_id: SIM2_UNARY, f_id: SIM2_UNARY},
         pairwise={
             tuple(sorted((boundary_id, d_id))): _orient(SPLIT_B_D, boundary_id, d_id),
@@ -88,7 +86,6 @@ def uncross_copy_gadget(tl: int, tr: int, bl: int, br: int,
     the "light" ones (one internal each).
     """
     return GadgetFragment(
-        labels={n: 3 for n in (tl, tr, bl, br, x1, x2)},
         unary={tl: SIM2_UNARY, tr: SIM2_UNARY, bl: SIM2_UNARY, br: SIM2_UNARY,
                x1: TRI_UNARY, x2: TRI_UNARY},
         pairwise={
@@ -110,16 +107,12 @@ def _orient(table, u: int, v: int):
 
 
 def merge_fragments(*frags: GadgetFragment) -> GadgetFragment:
-    """Union of fragments; shared nodes must agree on labels and unary tables."""
+    """Union of fragments; shared nodes must agree on their unary tables."""
     out = GadgetFragment()
     for f in frags:
-        for n, k in f.labels.items():
-            if out.labels.setdefault(n, k) != k:
-                raise ValueError(f"node {n}: conflicting label counts")
-            existing = out.unary.get(n)
-            if existing is not None and existing != f.unary[n]:
+        for n, t in f.unary.items():
+            if out.unary.setdefault(n, t) != t:
                 raise ValueError(f"node {n}: conflicting unary tables")
-            out.unary[n] = f.unary[n]
         for e, t in f.pairwise.items():
             if e in out.pairwise and out.pairwise[e] != t:
                 raise ValueError(f"edge {e}: conflicting tables")

@@ -8,15 +8,19 @@ share their optimal value exactly.
 from __future__ import annotations
 
 from ..instance import EnergyInstance, InstanceError, Labeling, big_m, check_labeling
+from ..solvers import DEFAULT_BRUTE_LIMIT
 from .trace import ReductionTrace
 
 
 def qpbo_to_klabel(instance: EnergyInstance, k: int) -> tuple[EnergyInstance, ReductionTrace]:
-    """Enlarge a binary, all-finite instance's label set to k >= 2."""
+    """Enlarge a binary, all-finite instance's label set to k >= 2, within 2^24 entries."""
     if any(instance.labels[u] != 2 for u in instance.nodes):
         raise InstanceError("qpbo_to_klabel requires a binary instance")
     if k < 2:
         raise InstanceError("target label count must be at least 2")
+    entries = len(instance.nodes) * k + len(instance.edges) * k * k
+    if entries > DEFAULT_BRUTE_LIMIT:
+        raise InstanceError(f"target would have {entries} table entries, over {DEFAULT_BRUTE_LIMIT}")
     m = big_m(instance)
     pad = k - 2
     unary = {u: instance.unary[u] + (m,) * pad for u in instance.nodes}
@@ -26,9 +30,7 @@ def qpbo_to_klabel(instance: EnergyInstance, k: int) -> tuple[EnergyInstance, Re
         rows = [tuple(t[a]) + (m,) * pad for a in range(2)]
         rows += [(m,) * k] * pad
         pairwise[e] = tuple(rows)
-    target = EnergyInstance(nodes=instance.nodes,
-                            labels={u: k for u in instance.nodes},
-                            unary=unary, edges=instance.edges, pairwise=pairwise,
+    target = EnergyInstance(nodes=instance.nodes, unary=unary, pairwise=pairwise,
                             constant=instance.constant)
     trace = ReductionTrace(kind="qpbo-to-klabel", original_nodes=instance.nodes,
                            aux_nodes=(), big_m=m)

@@ -117,7 +117,6 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Cro
     largest source id.
     """
     fresh = max(instance.nodes) + 1
-    labels = dict(instance.labels)
     unary = dict(instance.unary)
     gadget_pairwise = {}
     coords = dict(d.coords)
@@ -144,7 +143,6 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Cro
         ids = {name: fresh + i for i, name in enumerate(_TEMPLATE)}
         fresh += AUX_PER_CROSSING
         frag = _template_fragment(ids)
-        labels.update(frag.labels)
         unary.update(frag.unary)
         gadget_pairwise.update(frag.pairwise)
         for name, (ga, gb) in _TEMPLATE.items():
@@ -169,9 +167,8 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Cro
         pairwise[(v, chain[-1][2])] = equality3()
 
     aux_nodes = tuple(n for rec in records for n in rec.aux_nodes)
-    out = EnergyInstance(nodes=instance.nodes + aux_nodes, labels=labels, unary=unary,
-                         edges=tuple(sorted(pairwise)), pairwise=pairwise,
-                         constant=instance.constant)
+    out = EnergyInstance(nodes=instance.nodes + aux_nodes, unary=unary,
+                         pairwise=pairwise, constant=instance.constant)
     out_trace = ReductionTrace(kind="planarize", original_nodes=instance.nodes,
                                aux_nodes=aux_nodes, next_fresh_id=fresh,
                                crossings=tuple(records))

@@ -23,12 +23,12 @@ plans first: one symbolic pass over the elimination graph gives every
 separator along the order, by default the min-fill order (fewest fill
 edges, then fewest live neighbours, then smallest id, with fill counts
 kept up to date by deltas), and an over-wide separator raises before any
-table is built.  It then keeps every factor as a flat row-major list of
+table is built.  It then stores every factor as a flat row-major list of
 ints over its sorted scope, with INF coded as 2 * finite_sum + 1 (the
 instance's sum of finite entry magnitudes bounds every finite sum, and a
-partial sum is range-checked only when that bound exceeds int64), sums
-each bucket with whole-list passes, and keeps each bucket's factors for
-the backward pass, which takes each node's argmin there.
+partial sum is range-checked only when that bound exceeds int64), keeps
+each in the bucket of its scope's first node along the order, sums each
+bucket with whole-list passes, and takes each node's argmin there.
 """
 
 from __future__ import annotations
@@ -170,41 +170,39 @@ def _elimination_plan(instance: EnergyInstance, order=None):
                 heapq.heappush(heap, (fill[a], len(adj[a]), a))
 
 
-def solve_elimination(instance: EnergyInstance, order=None,
-                      width_limit: int | None = None) -> SolveResult:
+def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     """Exact minimum via bucket elimination along the given (or min-fill) order.
 
     The plan comes first: one symbolic pass gives every node's separator
     along the order (min_fill_order's when none is given), and the first
-    separator, in order, with more than width_limit label combinations
-    raises SolverError before any table is built.  Every factor is a flat
-    row-major list over its sorted scope.  The bucket of node u is summed
-    over its joint scope (the sorted separator, then u last and fastest)
-    one factor at a time, each factor broadcast to the joint scope by list
-    repetition; each message entry is the minimum of one run of k_u joint
-    entries.  Each bucket's factors are kept, and going back through the
-    order each node gets the first label that attains the minimum of its
-    bucket sum at its separator's chosen labels (label 0 when every label
-    costs INF).  Every bucket value is a sum of entries of distinct input
-    factors, so a finite one lies within +-instance.finite_sum: INF is
-    coded as 2 * finite_sum + 1, and any value above finite_sum reads as
-    INF.  A partial bucket sum of finite entries outside the signed 64-bit
-    range raises CostOverflowError, checked in bucket order; every partial
-    sum is checked exactly when finite_sum exceeds int64, as no finite sum
-    can leave that range otherwise.  ``stats``
-    holds ``max_separator`` (the most nodes in one separator) and
-    ``joint_entries`` (the joint entries summed over all buckets).
+    separator, in order, with more than DEFAULT_ELIM_LIMIT label
+    combinations raises SolverError before any table is built.  Each
+    factor, a flat row-major list over its sorted scope, sits in the bucket
+    of its scope's first node along the order (Dechter 1999), in creation
+    order.  The bucket of node u is summed over its joint scope (the sorted
+    separator, then u last and fastest), each factor broadcast to it by
+    list repetition; each message entry is the minimum of one run of k_u
+    joint entries, and the empty-scope messages join the constant after
+    the last bucket.  Going back through the order each node gets the
+    first label that attains the minimum of its bucket sum at its
+    separator's chosen labels (label 0 when every label costs INF).  A
+    finite bucket value lies within +-instance.finite_sum, being a sum of
+    entries of distinct input factors: INF is coded as 2 * finite_sum + 1,
+    and any value above finite_sum reads as INF.  A partial bucket sum of
+    finite entries outside the signed 64-bit range raises
+    CostOverflowError, checked in bucket order (every partial sum exactly
+    when finite_sum exceeds int64; otherwise none can leave that range).
+    ``stats`` holds ``max_separator`` (the most nodes in one separator)
+    and ``joint_entries`` (the joint entries summed over all buckets).
     """
     if order is not None and sorted(order) != sorted(instance.nodes):
         raise SolverError("elimination order must be a permutation of the nodes")
-    if width_limit is None:
-        width_limit = DEFAULT_ELIM_LIMIT
     labels = instance.labels
     plan = []  # (node, separator)
     max_separator = joint_entries = 0
     for u, sep in _elimination_plan(instance, order):
         size = math.prod(labels[w] for w in sep)
-        if size > width_limit:
+        if size > DEFAULT_ELIM_LIMIT:
             raise SolverError(f"separator size {size} exceeds elimination bound")
         plan.append((u, sep))
         max_separator = max(max_separator, len(sep))
@@ -217,23 +215,15 @@ def solve_elimination(instance: EnergyInstance, order=None,
     bound = instance.finite_sum
     inf = 2 * bound + 1
     check = bound > I64_MAX
-    factors = ([((u,), [inf if c is INF else c for c in instance.unary[u]])
-                for u in instance.nodes]
-               + [(e, [inf if c is INF else c for row in instance.pairwise[e] for c in row])
-                  for e in instance.edges])  # (scope, flat table)
-    # Each node's unconsumed factors as positions in factors, so in creation
-    # order; a bucket sets the slots it takes to None.
-    pending = {u: [] for u in instance.nodes}
-    for i, (scope, _) in enumerate(factors):
-        for w in scope:
-            pending[w].append(i)
+    position = {u: p for p, (u, _) in enumerate(plan)}
+    buckets = [[] for _ in plan]  # (scope, flat table) per node along the plan
+    for scope, rows in chain((((u,), [instance.unary[u]]) for u in instance.nodes),
+                             ((e, instance.pairwise[e]) for e in instance.edges)):
+        buckets[min(map(position.get, scope))].append(
+            (scope, [inf if c is INF else c for row in rows for c in row]))
 
-    buckets = []  # (node, the factors summed in its bucket)
-    for u, sep in plan:
-        taken = [i for i in pending.pop(u) if factors[i] is not None]
-        bucket = [factors[i] for i in taken]
-        for i in taken:
-            factors[i] = None
+    constants = []  # each empty-separator message's one entry
+    for (u, sep), bucket in zip(plan, buckets):
         k = labels[u]
         joint = [*sep, u]
         acc = None
@@ -245,22 +235,19 @@ def solve_elimination(instance: EnergyInstance, order=None,
                     if v < I64_MIN or I64_MAX < v <= bound:
                         check_range(v)
         message = acc if k == 1 else list(map(min, *(acc[a::k] for a in range(k))))
-        for w in sep:
-            pending[w].append(len(factors))
-        factors.append((sep, message))
-        buckets.append((u, bucket))
-
-    # Every node's bucket has run, so what is left is the empty-scope messages.
+        if sep:
+            buckets[min(map(position.get, sep))].append((sep, message))
+        else:
+            constants.append(message[0])
     value: Cost = instance.constant
-    for f in factors:
-        if f is not None:
-            value = ext_add(value, INF if f[1][0] > bound else f[1][0])
+    for c in constants:
+        value = ext_add(value, INF if c > bound else c)
 
     # Each factor's entries at x on its other nodes, for every label of u,
     # are one strided slice of its table; their sum is the joint run the
     # message took its minimum from.
     x: Labeling = {}
-    for u, bucket in reversed(buckets):
+    for (u, _), bucket in zip(reversed(plan), reversed(buckets)):
         k = labels[u]
         total = None
         for scope, table in bucket:

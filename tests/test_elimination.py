@@ -17,6 +17,7 @@ import networkx as nx
 import pytest
 from networkx.algorithms.approximation import treewidth_min_fill_in
 
+from mine import solvers
 from mine.costs import I64_MAX, I64_MIN, INF, CostOverflowError, ext_add
 from mine.generate import random_general
 from mine.instance import InstanceError, evaluate, make_instance
@@ -25,13 +26,12 @@ from mine.solvers import (DEFAULT_ELIM_LIMIT, SolveResult, SolverError, adjacenc
                           solve_tree_dp)
 
 
-def _reference_elimination(instance, order=None, width_limit=None):
+def _reference_elimination(instance, order=None):
     if order is None:
         order = min_fill_order(instance)
     if sorted(order) != sorted(instance.nodes):
         raise SolverError("elimination order must be a permutation of the nodes")
-    if width_limit is None:
-        width_limit = DEFAULT_ELIM_LIMIT
+    width_limit = solvers.DEFAULT_ELIM_LIMIT  # read per call, as tests patch it
 
     # Factors: (scope tuple, table dict scope-assignment -> Cost).
     factors = []
@@ -119,16 +119,16 @@ def _separators(instance, order):
     return [sorted(_eliminate(adj, u)) for u in order]
 
 
-def _outcome(solve, instance, order=None, width_limit=None):
+def _outcome(solve, instance, order=None):
     try:
-        return solve(instance, order, width_limit)
+        return solve(instance, order)
     except (SolverError, CostOverflowError) as exc:
         return type(exc)
 
 
-def assert_same(instance, order=None, width_limit=None):
-    expected = _outcome(_reference_elimination, instance, order, width_limit)
-    got = _outcome(solve_elimination, instance, order, width_limit)
+def assert_same(instance, order=None):
+    expected = _outcome(_reference_elimination, instance, order)
+    got = _outcome(solve_elimination, instance, order)
     assert got == expected
     if isinstance(expected, SolveResult):
         assert got.stats == expected.stats
@@ -204,16 +204,18 @@ def test_partial_inf_run_takes_first_finite_minimum():
     assert assert_same(inst, [0, 1]) == SolveResult({0: 0, 1: 1}, 0, "elimination", True)
 
 
-def test_over_wide_separator_raises_same_error():
+def test_over_wide_separator_raises_same_error(monkeypatch):
     inst = make_instance({u: 3 for u in range(4)},
                          pairwise={(u, v): ((0,) * 3,) * 3
                                    for u in range(4) for v in range(u + 1, 4)})
+    monkeypatch.setattr(solvers, "DEFAULT_ELIM_LIMIT", 26)
     with pytest.raises(SolverError) as expected:
-        _reference_elimination(inst, width_limit=26)
+        _reference_elimination(inst)
     with pytest.raises(SolverError) as got:
-        solve_elimination(inst, width_limit=26)
+        solve_elimination(inst)
     assert str(got.value) == str(expected.value) == "separator size 27 exceeds elimination bound"
-    assert_same(inst, width_limit=27)
+    monkeypatch.setattr(solvers, "DEFAULT_ELIM_LIMIT", 27)
+    assert isinstance(assert_same(inst), SolveResult)
 
 
 def test_bad_order_raises():
@@ -321,6 +323,19 @@ def test_overflow_rule_near_the_int64_boundary():
         solved += 1
     assert 100 < raised < 500  # both outcomes are well represented
     assert rejected > 100
+
+
+def test_a_bucket_overflow_is_raised_before_the_constant_chain_overflows():
+    # Node 2 goes first; its message, -1, would take the constant I64_MIN
+    # below int64.  Node 0's bucket then sums 2^62 + 2^62 out of range.  The
+    # bucket's error is the one raised: the empty-scope messages join the
+    # constant only after the last bucket.
+    inst = make_instance({0: 2, 1: 2, 2: 1}, {0: (2**62, 0), 2: (-1,)},
+                         {(0, 1): ((2**62, 0), (0, 0))}, constant=I64_MIN)
+    message = "cost 9223372036854775808 outside signed 64-bit range"
+    for solve in (_reference_elimination, solve_elimination):
+        with pytest.raises(CostOverflowError, match=message):
+            solve(inst, [2, 0, 1])
 
 
 def test_inf_coding_at_its_tightest():

@@ -53,9 +53,8 @@ def test_scored_labelings_on_shuffled_node_orders():
         inst = random_general(seed, max_nodes=6, max_labels=3, inf_prob=0.2)
         nodes = list(inst.nodes)
         rng.shuffle(nodes)
-        shuffled = type(inst)(nodes=tuple(nodes), labels=inst.labels, unary=inst.unary,
-                              edges=inst.edges, pairwise=inst.pairwise,
-                              constant=inst.constant)
+        shuffled = type(inst)(nodes=tuple(nodes), unary=inst.unary,
+                              pairwise=inst.pairwise, constant=inst.constant)
         assert list(scored_labelings(shuffled)) == list(_reference(shuffled))
 
 

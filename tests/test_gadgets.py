@@ -104,5 +104,5 @@ def test_merge_shares_consistent_nodes():
     a = split_gadget(0, 1, 2)
     b = split_gadget(3, 4, 5)
     merged = merge_fragments(a, b)
-    assert set(merged.labels) == set(range(6))
+    assert set(merged.unary) == set(range(6))
     assert len(merged.pairwise) == 4

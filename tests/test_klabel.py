@@ -5,9 +5,11 @@ from mine.costs import INF, CostOverflowError
 from mine.fileformat import serialize_instance, serialize_solution, write_trace
 from mine.generate import random_qpbo
 from mine.instance import InstanceError, all_labelings, big_m, evaluate, make_instance
+from mine.reductions import klabel
 from mine.reductions.harness import ENERGY_SOURCE, verify_ap_reduction
 from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
 from mine.reductions.trace import ReductionTrace
+from mine.solvers import DEFAULT_BRUTE_LIMIT
 
 
 def optimum(inst):
@@ -200,3 +202,31 @@ def test_sigma_checks_the_threshold_on_every_call():
     a2 = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
     assert a2 is not a
     assert klabel_sigma(a2, trace, y) == y
+
+
+# --- the target's size is bounded before any table is built ----------------
+
+def test_cli_rejects_a_label_count_too_large_to_build(tmp_path, capsys):
+    # 2 * 100000 + 100000^2 entries, far past 2^24: the reduction refuses
+    # before building a table, which would exhaust memory.
+    src, out = tmp_path / "in.mine", tmp_path / "out.mine"
+    src.write_text("MINE 1\nnodes 2\nlabels 2 2\nedge 0 1 0 1 1 0\n")
+    assert run_cli(["reduce", "qpbo-to-klabel", str(src), str(out), "--k", "100000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_target_entry_bound_is_n_k_plus_e_k_squared(monkeypatch):
+    inst = make_instance({0: 2, 1: 2}, pairwise={(0, 1): ((0, 1), (1, 0))})
+    monkeypatch.setattr(klabel, "DEFAULT_BRUTE_LIMIT", 2 * 3 + 3 * 3)
+    target, _ = qpbo_to_klabel(inst, 3)
+    assert len(target.pairwise[(0, 1)]) == 3
+    monkeypatch.setattr(klabel, "DEFAULT_BRUTE_LIMIT", 2 * 3 + 3 * 3 - 1)
+    with pytest.raises(InstanceError, match="15 table entries"):
+        qpbo_to_klabel(inst, 3)
+    monkeypatch.undo()
+    assert klabel.DEFAULT_BRUTE_LIMIT == DEFAULT_BRUTE_LIMIT == 2**24
+    with pytest.raises(InstanceError, match=f"{2**24 + 1} table entries"):
+        qpbo_to_klabel(make_instance({0: 2}), 2**24 + 1)

@@ -697,15 +697,13 @@ def test_alpha_expansion_ratio_and_monotone_moves():
 
 def _expansion_move_instance(instance, x, alpha):
     """Binary instance for the move: label 0 keeps x, label 1 switches to alpha."""
-    labels = {u: 2 for u in instance.nodes}
     unary = {u: (instance.unary[u][x[u]], instance.unary[u][alpha]) for u in instance.nodes}
     pairwise = {}
     for (u, v) in instance.edges:
         t = instance.pairwise[(u, v)]
         pairwise[(u, v)] = ((t[x[u]][x[v]], t[x[u]][alpha]),
                             (t[alpha][x[v]], t[alpha][alpha]))
-    return EnergyInstance(nodes=instance.nodes, labels=labels, unary=unary,
-                          edges=instance.edges, pairwise=pairwise,
+    return EnergyInstance(nodes=instance.nodes, unary=unary, pairwise=pairwise,
                           constant=instance.constant)
 
 
