@@ -18,6 +18,7 @@ from itertools import chain, product
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
 
 Labeling = dict[int, int]
+LABEL_TYPES = frozenset({int, bool})  # the types a labeling's labels may have
 
 
 class InstanceError(ValueError):
@@ -115,10 +116,15 @@ def make_instance(labels: dict[int, int],
 
 
 def check_labeling(instance: EnergyInstance, x: Labeling) -> None:
-    if set(x) != set(instance.nodes):
+    """x labels exactly the instance's nodes, each with an int (a bool counts)
+    below the node's label count; else InstanceError naming the first bad node."""
+    labels = instance.labels
+    if x.keys() != labels.keys():
         raise InstanceError("labeling does not cover exactly the instance's node set")
     for u, a in x.items():
-        if not (0 <= a < instance.labels[u]):
+        if type(a) not in LABEL_TYPES:
+            raise InstanceError(f"node {u}: label {a!r} is not an int")
+        if not 0 <= a < labels[u]:
             raise InstanceError(f"node {u}: label {a} out of range")
 
 
@@ -189,13 +195,25 @@ def scored_labelings(instance: EnergyInstance):
 
 
 def evaluate(instance: EnergyInstance, x: Labeling) -> Cost:
-    """Energy of labeling x: constant + sum of unary + sum of pairwise costs."""
+    """Energy of labeling x: constant + sum of unary + sum of pairwise costs.
+
+    When the bound |constant| + finite_sum fits in int64, no partial sum can
+    leave that range, so the terms are added in one sum, INF absorbing
+    through its __radd__.  Otherwise they are added in order, constant,
+    unary terms along instance.nodes, then pairwise terms along
+    instance.edges, and CostOverflowError is raised where a finite partial
+    sum leaves int64, even if an INF term comes later.
+    """
     check_labeling(instance, x)
-    total: Cost = instance.constant
+    constant, unary, pairwise = instance.constant, instance.unary, instance.pairwise
+    if abs(constant) + instance.finite_sum <= I64_MAX:
+        return sum([pairwise[e][x[e[0]]][x[e[1]]] for e in instance.edges],
+                   sum([unary[u][x[u]] for u in instance.nodes], constant))
+    total: Cost = constant
     for u in instance.nodes:
-        total = ext_add(total, instance.unary[u][x[u]])
+        total = ext_add(total, unary[u][x[u]])
     for (u, v) in instance.edges:
-        total = ext_add(total, instance.pairwise[(u, v)][x[u]][x[v]])
+        total = ext_add(total, pairwise[(u, v)][x[u]][x[v]])
     return total
 
 

@@ -7,7 +7,8 @@ share their optimal value exactly.
 
 from __future__ import annotations
 
-from ..instance import EnergyInstance, InstanceError, Labeling, big_m, check_labeling
+from ..instance import (LABEL_TYPES, EnergyInstance, InstanceError, Labeling, big_m,
+                        check_labeling)
 from ..solvers import DEFAULT_BRUTE_LIMIT
 from .trace import ReductionTrace
 
@@ -42,19 +43,25 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -
 
     On labels 0 and 1 the padded instance costs what original costs, term by
     term, so such a y is always below M; a padding label maps to all zeros.
-    The trace's threshold is checked against big_m(original) on every call;
-    big_m reads the bound the instance recorded at construction, so it
-    costs no scan.
+    Every call checks, each in one C-level pass, that original is binary,
+    that the trace's threshold is big_m(original) (read from the bound the
+    instance recorded at construction), and that y labels exactly
+    original's nodes with non-negative ints.  check_labeling runs only on a
+    y that fails, to raise its error; padding labels are clamped to 1 so
+    they are not the error it names.
     """
     if trace.kind != "qpbo-to-klabel":
         raise InstanceError("trace kind mismatch")
-    if any(original.labels[u] != 2 for u in original.nodes):
+    labels = original.labels
+    if set(labels.values()) - {2}:
         raise InstanceError("qpbo_to_klabel requires a binary instance")
     if trace.big_m != big_m(original):
         raise InstanceError("trace threshold does not match the instance's big-M")
-    if any(a >= 2 for a in y.values()):
-        # Still reject a y with the wrong node set or a negative label.
-        check_labeling(original, {u: min(a, 1) for u, a in y.items()})
-        return {u: 0 for u in original.nodes}
-    check_labeling(original, y)  # below M: big_m exceeds |energy| of every labeling
-    return dict(y)
+    values = y.values()
+    if not (y.keys() == labels.keys() and LABEL_TYPES.issuperset(map(type, values))
+            and (not y or min(values) >= 0)):
+        # Raises: a node missing or extra, a label not an int, or a negative label.
+        check_labeling(original, {u: min(a, 1) if type(a) is int else a for u, a in y.items()})
+    if y and max(values) >= 2:
+        return dict.fromkeys(original.nodes, 0)
+    return dict(y)  # below M: big_m exceeds |energy| of every labeling

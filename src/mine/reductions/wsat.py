@@ -176,18 +176,31 @@ def _reduced(sat: W3SatTriv) -> tuple[EnergyInstance, ReductionTrace]:
     return w3sat_to_qpbo(sat)
 
 
+# The last (own trace, caller's trace) pair found equal, so that a run over
+# one formula's target labelings compares the two once.  Both are frozen and
+# kept alive here, so the same two objects are still equal.
+_accepted: tuple = (None, None)
+
+
 def w3sat_sigma(sat: W3SatTriv, trace: ReductionTrace, y: Labeling) -> dict[int, bool]:
     """Reverse map: restriction of y when its energy stays below M, else all-true.
 
-    The target instance is rebuilt from sat, once per formula; trace must be
-    the trace w3sat_to_qpbo(sat) returns, else SatError.
+    The target instance is rebuilt from sat, once per formula; trace must
+    equal the trace w3sat_to_qpbo(sat) returns, else SatError, compared
+    once per trace object in a run of calls.  y is scored on that target by
+    evaluate: one sum when the target's |constant| + finite_sum fits in
+    int64, else the ordered, overflow-checked loop.
     """
+    global _accepted
     if trace.kind != "w3sat-to-qpbo":
         raise SatError("trace kind mismatch")
     instance, own = _reduced(sat)
-    if trace != own:
-        raise SatError("trace was not made from this formula")
+    accepted_own, accepted = _accepted
+    if accepted_own is not own or accepted is not trace:
+        if trace != own:
+            raise SatError("trace was not made from this formula")
+        _accepted = own, trace
     energy = evaluate(instance, y)
     if energy >= trace.big_m:
         return sat.all_true()
-    return {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
+    return {i: bool(y[i]) for i in trace.original_nodes}

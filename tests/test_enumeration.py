@@ -1,4 +1,4 @@
-"""Scored enumeration and the AP harness against their per-labeling oracles."""
+"""Scored enumeration, the AP harness and evaluate against their per-labeling oracles."""
 
 import random
 from fractions import Fraction
@@ -6,10 +6,10 @@ from itertools import product
 
 import pytest
 
-from mine.costs import I64_MAX, INF, CostOverflowError, is_finite
+from mine.costs import I64_MAX, INF, CostOverflowError, ext_add, is_finite
 from mine.generate import random_general, random_qpbo, random_w3sat
-from mine.instance import (EnergyInstance, all_labelings, evaluate, make_instance,
-                           scored_labelings)
+from mine.instance import (EnergyInstance, InstanceError, all_labelings, check_labeling,
+                           evaluate, make_instance, scored_labelings)
 from mine.reductions.harness import (ENERGY_SOURCE, SAT_SOURCE, APReport,
                                      Counterexample, SourceAdapter,
                                      default_oracle, verify_ap_reduction)
@@ -29,8 +29,130 @@ def _outcomes(pairs):
     return out
 
 
+def _reference_evaluate(instance, x):
+    """evaluate as an ordered ext_add loop: constant, unary terms along the
+    nodes, pairwise terms along the edges, each partial sum range-checked."""
+    check_labeling(instance, x)
+    total = instance.constant
+    for u in instance.nodes:
+        total = ext_add(total, instance.unary[u][x[u]])
+    for (u, v) in instance.edges:
+        total = ext_add(total, instance.pairwise[(u, v)][x[u]][x[v]])
+    return total
+
+
 def _reference(instance):
-    return ((x, evaluate(instance, x)) for x in all_labelings(instance))
+    return ((x, _reference_evaluate(instance, x)) for x in all_labelings(instance))
+
+
+def _scored(evaluate_fn, instance, x):
+    """evaluate_fn's value, or the type and message of what it raised."""
+    try:
+        return evaluate_fn(instance, x)
+    except (InstanceError, CostOverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _with_big_entries(seed, inst):
+    """inst with about half its finite entries replaced by +-2^62 or near it,
+    so |constant| + finite_sum leaves int64."""
+    rng = random.Random(seed)
+    big = 2**62
+
+    def pick(c):
+        if c is INF or rng.random() < 0.5:
+            return c
+        return rng.choice((big, -big, big - 1, -big + 3))
+
+    return make_instance(inst.labels,
+                         {u: tuple(map(pick, inst.unary[u])) for u in inst.nodes},
+                         {e: tuple(tuple(map(pick, row)) for row in inst.pairwise[e])
+                          for e in inst.edges},
+                         inst.constant)
+
+
+# --- evaluate against the ordered loop -------------------------------------
+
+def test_evaluate_equals_the_ordered_loop_on_random_instances_with_inf():
+    seen = {"inf": 0, "finite": 0, "overflow": 0}
+    for seed in range(300):
+        base = random_general(seed, max_nodes=5, max_labels=3, inf_prob=0.3)
+        for inst in (base, _with_big_entries(seed, base)):
+            for x in all_labelings(inst):
+                got = _scored(evaluate, inst, x)
+                assert got == _scored(_reference_evaluate, inst, x), (seed, x)
+                kind = ("inf" if got is INF else "overflow" if isinstance(got, tuple)
+                        else "finite")
+                seen[kind] += 1
+    assert min(seen.values()) > 500, seen
+
+
+def test_evaluate_rejects_what_the_ordered_loop_rejects():
+    inst = random_general(4, max_nodes=4, max_labels=3, inf_prob=0.3)
+    first = inst.nodes[0]
+    bad = [{}, {u: 0 for u in inst.nodes if u != first},
+           {**dict.fromkeys(inst.nodes, 0), 99: 0},
+           {**dict.fromkeys(inst.nodes, 0), first: inst.labels[first]},
+           {**dict.fromkeys(inst.nodes, 0), first: -1}]
+    for x in bad:
+        got = _scored(evaluate, inst, x)
+        assert got[0] is InstanceError
+        assert got == _scored(_reference_evaluate, inst, x)
+
+
+def _at_the_bound(extra):
+    """A 2-node instance whose |constant| + finite_sum is I64_MAX + extra."""
+    c = 2**61
+    return make_instance({0: 2, 1: 2}, {0: (c, -c), 1: (0, INF)},
+                         {(0, 1): ((2 * c - 6 + extra, 0), (0, 0))}, constant=5)
+
+
+def test_evaluate_at_the_int64_edge():
+    for extra in (0, 1):
+        inst = _at_the_bound(extra)
+        assert abs(inst.constant) + inst.finite_sum == I64_MAX + extra
+        for x in all_labelings(inst):
+            assert _scored(evaluate, inst, x) == _scored(_reference_evaluate, inst, x)
+        assert evaluate(inst, {0: 0, 1: 1}) is INF
+        assert evaluate(inst, {0: 0, 1: 0}) == 2**62 + 2**61 - 1 + extra
+
+
+def test_evaluate_raises_on_an_overflow_before_an_inf_term():
+    # Past the bound the terms are added in order: the first two unary terms
+    # leave int64 before node 2's INF label is reached, which must not absorb it.
+    big = 2**62
+    inst = make_instance({0: 1, 1: 1, 2: 2}, {0: (big,), 1: (big,), 2: (INF, 0)})
+    x = {0: 0, 1: 0, 2: 0}
+    with pytest.raises(CostOverflowError) as exc:
+        evaluate(inst, x)
+    assert _scored(_reference_evaluate, inst, x) == (CostOverflowError, str(exc.value))
+    # and a finite sum that ends in range still raises where a partial sum left it
+    inst = make_instance({0: 1, 1: 1, 2: 1}, {0: (big,), 1: (big,), 2: (-big,)})
+    with pytest.raises(CostOverflowError):
+        evaluate(inst, {0: 0, 1: 0, 2: 0})
+
+
+def test_evaluate_sums_in_one_pass_while_the_bound_fits(monkeypatch):
+    import mine.instance
+
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return ext_add(a, b)
+
+    monkeypatch.setattr(mine.instance, "ext_add", counted)
+    for extra, per_labeling in ((0, 0), (1, 2 + 1)):  # nodes + edges
+        inst = _at_the_bound(extra)
+        for x in all_labelings(inst):
+            calls[0] = 0
+            evaluate(inst, x)
+            assert calls[0] == per_labeling, (extra, x)
+    inst = random_general(9, max_nodes=5, max_labels=3, inf_prob=0.3)
+    calls[0] = 0
+    for x in all_labelings(inst):
+        evaluate(inst, x)
+    assert calls[0] == 0
 
 
 # --- scored_labelings ---------------------------------------------------
@@ -88,22 +210,10 @@ def test_scored_labelings_yield_fresh_dicts():
 def test_scored_labelings_overflow_where_evaluate_overflows():
     # Entries of +-2^62 push |constant| + sum |entries| past int64, so every
     # labeling is scored by evaluate, which raises where a partial sum does.
-    big = 2**62
     raised = finished = 0
     for seed in range(300):
-        rng = random.Random(seed)
         base = random_general(seed, max_nodes=5, max_labels=3, inf_prob=0.2)
-
-        def pick(c):
-            if c is INF or rng.random() < 0.5:
-                return c
-            return rng.choice((big, -big, big - 1, -big + 3))
-
-        inst = make_instance(base.labels,
-                             {u: tuple(map(pick, base.unary[u])) for u in base.nodes},
-                             {e: tuple(tuple(map(pick, row)) for row in base.pairwise[e])
-                              for e in base.edges},
-                             base.constant)
+        inst = _with_big_entries(seed, base)
         got = _outcomes(scored_labelings(inst))
         assert got == _outcomes(_reference(inst)), seed
         if got and got[-1][0] == "raised":
@@ -121,12 +231,8 @@ def test_scored_labelings_at_the_int64_edge(monkeypatch):
     scored = []
     monkeypatch.setattr(mine.instance, "evaluate",
                         lambda inst, x: scored.append(x) or evaluate(inst, x))
-    c = 2**61
     for extra, evaluated in ((0, 0), (1, 4)):
-        inst = make_instance({0: 2, 1: 2},
-                             {0: (c, -c), 1: (0, INF)},
-                             {(0, 1): ((2 * c - 6 + extra, 0), (0, 0))},
-                             constant=5)
+        inst = _at_the_bound(extra)
         del scored[:]
         assert list(scored_labelings(inst)) == list(_reference(inst))
         assert len(scored) == evaluated
@@ -170,13 +276,13 @@ def test_sat_source_enumeration_is_bounded(monkeypatch):
 # --- verify_ap_reduction against the per-labeling loop --------------------
 
 def _reference_energy_feasible(instance):
-    return [x for x in all_labelings(instance) if is_finite(evaluate(instance, x))]
+    return [x for x in all_labelings(instance) if is_finite(_reference_evaluate(instance, x))]
 
 
 _REFERENCE_ENERGY_SOURCE = SourceAdapter(
     feasible_solutions=_reference_energy_feasible,
-    is_feasible=lambda inst, x: is_finite(evaluate(inst, x)),
-    measure=evaluate,
+    is_feasible=lambda inst, x: is_finite(_reference_evaluate(inst, x)),
+    measure=_reference_evaluate,
 )
 
 
@@ -202,7 +308,8 @@ def _reference_verify(pi, sigma, alpha, instances, source=ENERGY_SOURCE):
                                                          "trace does not partition the target nodes"))
             continue
         feasible = list(source.feasible_solutions(src))
-        solutions = [(y, evaluate(target, y)) for y in all_labelings(target)]
+        solutions = [(y, _reference_evaluate(target, y))
+                     for y in all_labelings(target)]
         if feasible and not solutions:
             report.counterexamples.append(Counterexample(idx, "feasibility", None,
                                                          "feasible source but empty target"))

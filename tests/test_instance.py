@@ -2,14 +2,16 @@
 
 A node's label count is its unary table's length and the edges are the
 pairwise keys, sorted; construction derives both, so no constructor
-passes them and no two copies can disagree.
+passes them and no two copies can disagree.  A labeling gives each node
+an int below its label count.
 """
 
 import pytest
 
 from mine.fileformat import serialize_instance
 from mine.generate import random_general, random_qpbo
-from mine.instance import EnergyInstance, InstanceError, all_labelings, evaluate, make_instance
+from mine.instance import (EnergyInstance, InstanceError, all_labelings, check_labeling,
+                           evaluate, make_instance)
 from mine.reductions.gadgets import split_gadget, uncross_copy_gadget
 from mine.reductions.klabel import qpbo_to_klabel
 from mine.solvers import solve_elimination
@@ -75,3 +77,23 @@ def test_make_instance_checks_a_given_unary_against_its_label_count():
 def test_tables_that_disagree_are_rejected(nodes, unary, pairwise, fragment):
     with pytest.raises(InstanceError, match=fragment):
         EnergyInstance(nodes=nodes, unary=unary, pairwise=pairwise)
+
+
+# --- a labeling's labels are ints --------------------------------------------
+
+@pytest.mark.parametrize("label", [1.0, 0.0, None, "1", 1 + 0j, (1,)])
+def test_a_label_that_is_not_an_int_is_an_instance_error(label):
+    inst = make_instance({0: 2, 1: 2}, {0: (3, 4)}, {(0, 1): ((0, 1), (2, 0))})
+    for check in (check_labeling, evaluate):
+        with pytest.raises(InstanceError, match=r"^node 0: label .* is not an int$"):
+            check(inst, {0: label, 1: 0})
+        with pytest.raises(InstanceError, match=r"^node 1: label .* is not an int$"):
+            check(inst, {0: 0, 1: label})
+
+
+def test_int_and_bool_labels_score_alike():
+    inst = make_instance({0: 2, 1: 2}, {0: (3, 4)}, {(0, 1): ((0, 1), (2, 0))})
+    for x in all_labelings(inst):
+        as_bools = {u: bool(a) for u, a in x.items()}
+        check_labeling(inst, as_bools)
+        assert evaluate(inst, as_bools) == evaluate(inst, x)

@@ -4,7 +4,8 @@ from mine.cli import run_cli
 from mine.costs import INF, CostOverflowError
 from mine.fileformat import serialize_instance, serialize_solution, write_trace
 from mine.generate import random_qpbo
-from mine.instance import InstanceError, all_labelings, big_m, evaluate, make_instance
+from mine.instance import (InstanceError, all_labelings, big_m, check_labeling, evaluate,
+                           make_instance)
 from mine.reductions import klabel
 from mine.reductions.harness import ENERGY_SOURCE, verify_ap_reduction
 from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
@@ -230,3 +231,40 @@ def test_target_entry_bound_is_n_k_plus_e_k_squared(monkeypatch):
     assert klabel.DEFAULT_BRUTE_LIMIT == DEFAULT_BRUTE_LIMIT == 2**24
     with pytest.raises(InstanceError, match=f"{2**24 + 1} table entries"):
         qpbo_to_klabel(make_instance({0: 2}), 2**24 + 1)
+
+
+# --- the reverse map's checks run at C level -----------------------------------
+
+def test_sigma_calls_check_labeling_only_on_a_y_it_rejects(monkeypatch):
+    checked = []
+
+    def counted(instance, x):
+        checked.append(dict(x))
+        return check_labeling(instance, x)
+
+    monkeypatch.setattr(klabel, "check_labeling", counted)
+    for seed in range(20):
+        inst = random_qpbo(seed, max_nodes=4)
+        target, trace = qpbo_to_klabel(inst, 4)
+        for y in all_labelings(target):
+            assert klabel_sigma(inst, trace, y) == _reference_klabel_sigma(inst, trace, y)
+    assert checked == []
+    inst = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
+    _, trace = qpbo_to_klabel(inst, 3)
+    rejected = [{0: 0}, {0: 2, 1: 0, 2: 0}, {0: -1, 1: 0}, {0: 2, 1: -1}, {0: 1.0, 1: 0}]
+    for y in rejected:
+        with pytest.raises(InstanceError):
+            klabel_sigma(inst, trace, y)
+    assert len(checked) == len(rejected)
+
+
+@pytest.mark.parametrize("label", [1.0, 2.0, None, "1", -0.5])
+def test_sigma_rejects_a_label_that_is_not_an_int(label):
+    inst = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
+    _, trace = qpbo_to_klabel(inst, 3)
+    # a float equal to a valid label (1.0 == 1) is rejected too
+    for y in ({0: label, 1: 0}, {0: 2, 1: label}, {0: 1, 1: label}):
+        with pytest.raises(InstanceError, match=r"^node \d: label .* is not an int$"):
+            klabel_sigma(inst, trace, y)
+    assert klabel_sigma(inst, trace, {0: True, 1: False}) == {0: True, 1: False}
+    assert klabel_sigma(inst, trace, {0: True, 1: 2}) == {0: 0, 1: 0}

@@ -290,3 +290,26 @@ def test_cli_sigma_rejects_a_trace_of_another_formula(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sigma_compares_a_trace_with_its_formula_once_per_run(monkeypatch):
+    from mine.reductions.trace import ReductionTrace
+    sat = random_w3sat(1)
+    heavy = W3SatTriv(sat.num_vars, sat.clauses, tuple(9 for _ in sat.weights))
+    target, trace = w3sat_to_qpbo(sat)
+    compared = []
+    equal = ReductionTrace.__eq__
+    monkeypatch.setattr(ReductionTrace, "__eq__",
+                        lambda a, b: compared.append(1) or equal(a, b))
+    labelings = list(all_labelings(target))
+    outputs = [w3sat_sigma(sat, trace, y) for y in labelings]
+    assert len(compared) == 1
+    # the same trace object on another formula is still compared, and rejected
+    with pytest.raises(SatError):
+        w3sat_sigma(heavy, trace, labelings[0])
+    assert w3sat_sigma(sat, trace, labelings[0]) == outputs[0]
+    # an equal trace that is another object is compared once, then accepted
+    _, again = w3sat_to_qpbo(sat)
+    assert again is not trace
+    assert [w3sat_sigma(sat, again, y) for y in labelings] == outputs
+    assert len(compared) == 4
