@@ -185,27 +185,28 @@ def _cmd_verify_ap(args) -> int:
     if args.reduction == "w3sat-to-qpbo":
         instances = [parse_wcnf3(_read(f))
                      for f in _corpus_files(args.corpus, ".wcnf3")]
-        report = verify_ap_reduction(w3sat_to_qpbo, w3sat_sigma, args.alpha,
-                                     instances, source=SAT_SOURCE)
+        pi, sigma, source = w3sat_to_qpbo, w3sat_sigma, SAT_SOURCE
     elif args.reduction == "qpbo-to-klabel":
         instances = [parse_instance(_read(f))[0]
                      for f in _corpus_files(args.corpus, ".mine")]
-        report = verify_ap_reduction(lambda s: qpbo_to_klabel(s, args.k),
-                                     klabel_sigma, args.alpha, instances,
-                                     source=ENERGY_SOURCE)
+        pi, sigma, source = lambda s: qpbo_to_klabel(s, args.k), klabel_sigma, ENERGY_SOURCE
     else:
-        pairs = [parse_instance(_read(f))
-                 for f in _corpus_files(args.corpus, ".mine")]
-        if any(d is None for _, d in pairs):
+        instances = [parse_instance(_read(f))
+                     for f in _corpus_files(args.corpus, ".mine")]
+        if any(d is None for _, d in instances):
             raise InstanceError("planarize corpus files need coordinates")
+        pi = lambda pair: _drop_drawing(planarize(pair[0], pair[1]))
+        sigma = lambda pair, trace, y: planar_sigma(pair[0], trace, y)
         source = SourceAdapter(
             feasible_solutions=lambda pair: ENERGY_SOURCE.feasible_solutions(pair[0]),
             is_feasible=lambda pair, x: ENERGY_SOURCE.is_feasible(pair[0], x),
             measure=lambda pair, x: evaluate(pair[0], x))
-        report = verify_ap_reduction(
-            lambda pair: _drop_drawing(planarize(pair[0], pair[1])),
-            lambda pair, trace, y: planar_sigma(pair[0], trace, y),
-            args.alpha, pairs, source=source)
+    # Every forward map runs before anything is verified, so a file that
+    # `mine reduce` rejects exits 3 here too instead of reading as a
+    # counterexample; the harness then takes the targets built here.
+    targets = {id(s): pi(s) for s in instances}
+    report = verify_ap_reduction(lambda s: targets[id(s)], sigma, args.alpha,
+                                 instances, source=source)
     sys.stdout.write(f"checked {report.checked} instances, "
                      f"{len(report.counterexamples)} counterexamples, "
                      f"{len(report.ratio_undefined)} ratio-undefined\n")

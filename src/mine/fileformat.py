@@ -6,7 +6,9 @@ exact "num/den" rationals.  Serializing a parsed file reproduces it byte
 for byte, which is what lets tests pin golden files.  The parser reads a
 coordinate only as an integer or "int/int" (no exponent or decimal
 point), and the label counts of one file may sum to at most 2^24
-(`solvers.DEFAULT_BRUTE_LIMIT`); either is a ParseError otherwise.
+(`solvers.DEFAULT_BRUTE_LIMIT`); either is a ParseError otherwise.  In all
+three text formats an integer token is ASCII [-+]?[0-9]+: the underscores
+and non-ASCII digits int() also reads are a ParseError.
 """
 
 from __future__ import annotations
@@ -14,14 +16,16 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from itertools import chain
 
-from .costs import I64_MAX, I64_MIN, INF, Cost, CostOverflowError, check_range, is_finite
+from .costs import I64_MAX, I64_MIN, INF, Cost
 from .geometry import Drawing, Point, frac_str
 from .instance import EnergyInstance, Labeling, make_instance
 from .reductions.trace import ReductionTrace, trace_from_json
 from .reductions.wsat import W3SatTriv
 from .solvers import DEFAULT_BRUTE_LIMIT
 
+_INTEGER = re.compile(r"[-+]?[0-9]+")
 _RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
 
 
@@ -31,25 +35,53 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _cost_token(tok: str, line_no: int) -> Cost:
-    if tok == "INF":
-        return INF
+def _records(text: str, comment: str):
+    """(line number, tokens) of each line that is neither blank nor a comment."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith(comment):
+            yield line_no, tokens
+
+
+def _loose(tokens: list[str]) -> bool:
+    """Whether the tokens hold an underscore or a non-ASCII character.  Bar
+    the whitespace around it, which split() tokens never hold, every string
+    int() reads that is not ASCII [-+]?[0-9]+ has one of the two."""
+    joined = "".join(tokens)
+    return "_" in joined or not joined.isascii()
+
+
+def _ints(tokens, line_no):
     try:
-        v = int(tok)
+        if not _loose(tokens):
+            return [int(t) for t in tokens]
     except ValueError:
-        raise ParseError(line_no, f"expected integer or INF, got {tok!r}") from None
-    return _in_range(v, line_no)
+        pass
+    raise ParseError(line_no, f"expected integers, got {tokens}")
 
 
-def _in_range(v: int, line_no: int) -> int:
+def _costs(tokens: list[str], line_no: int) -> tuple[Cost, ...]:
+    """One record's costs, each INF or an integer in signed 64-bit range; a
+    bad record is reported at its first bad token."""
     try:
-        return check_range(v)
-    except CostOverflowError as exc:
-        raise ParseError(line_no, str(exc)) from None
-
-
-def _cost_str(c: Cost) -> str:
-    return str(c) if is_finite(c) else "INF"
+        costs = tuple([INF if t == "INF" else int(t) for t in tokens])
+    except ValueError:
+        costs = None
+    if costs is not None and not _loose(tokens):
+        finite = [c for c in costs if c is not INF] if "INF" in tokens else costs
+        if not finite or I64_MIN <= min(finite) and max(finite) <= I64_MAX:
+            return costs
+    for tok in tokens:  # the record is bad: find its first bad token
+        if tok != "INF":
+            try:
+                value = int(tok) if _INTEGER.fullmatch(tok) else None
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                value = None
+            if value is None or not I64_MIN <= value <= I64_MAX:
+                break
+    if value is None:
+        raise ParseError(line_no, f"expected integer or INF, got {tok!r}")
+    raise ParseError(line_no, f"cost {value} outside signed 64-bit range")
 
 
 def _frac_token(tok: str, line_no: int) -> Fraction:
@@ -61,35 +93,21 @@ def _frac_token(tok: str, line_no: int) -> Fraction:
     raise ParseError(line_no, f"expected int or int/int, got {tok!r}")
 
 
-def _ints(tokens, line_no):
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise ParseError(line_no, f"expected integers, got {tokens}") from None
-
-
 def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
-    lines = text.splitlines()
     n = None
     ids: list[int] | None = None
     label_counts: list[int] | None = None
     constant = 0
     unary: dict[int, tuple[Cost, ...]] = {}
     coords: dict[int, Point] = {}
-    edges: list[tuple[int, int, list[Cost]]] = []
-    header_seen = False
+    edges: list[tuple[int, int, tuple[Cost, ...]]] = []
 
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if not header_seen:
-            if tokens != ["MINE", "1"]:
-                raise ParseError(line_no, "expected header 'MINE 1'")
-            header_seen = True
-            continue
-        kw, rest = tokens[0], tokens[1:]
+    records = _records(text, "#")
+    line_no, tokens = next(records, (1, None))
+    if tokens != ["MINE", "1"]:
+        raise ParseError(line_no, "missing header 'MINE 1'" if tokens is None
+                         else "expected header 'MINE 1'")
+    for line_no, (kw, *rest) in records:
         if kw == "nodes":
             if len(rest) != 1:
                 raise ParseError(line_no, "nodes takes one count")
@@ -105,14 +123,15 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
         elif kw == "constant":
             if len(rest) != 1:
                 raise ParseError(line_no, "constant takes one integer")
-            constant = _in_range(_ints(rest, line_no)[0], line_no)
+            _ints(rest, line_no)  # an integer, never INF
+            constant = _costs(rest, line_no)[0]
         elif kw == "unary":
             if len(rest) < 2:
                 raise ParseError(line_no, "unary needs a node id and entries")
             u = _ints(rest[:1], line_no)[0]
             if u in unary:
                 raise ParseError(line_no, f"duplicate unary record for node {u}")
-            unary[u] = tuple(_cost_token(t, line_no) for t in rest[1:])
+            unary[u] = _costs(rest[1:], line_no)
         elif kw == "coord":
             if len(rest) != 3:
                 raise ParseError(line_no, "coord needs a node id and two rationals")
@@ -124,13 +143,11 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
             if len(rest) < 3:
                 raise ParseError(line_no, "edge needs two node ids and entries")
             u, v = _ints(rest[:2], line_no)
-            edges.append((u, v, [_cost_token(t, line_no) for t in rest[2:]],))
+            edges.append((u, v, _costs(rest[2:], line_no)))
         else:
             raise ParseError(line_no, f"unknown record {kw!r}")
 
-    last = len(lines)
-    if not header_seen:
-        raise ParseError(1, "missing header 'MINE 1'")
+    last = len(text.splitlines())
     if n is None:
         raise ParseError(last, "missing 'nodes' record")
     # The labels record bounds the node count by the file's length, so it is
@@ -159,10 +176,9 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
         ku, kv = labels[u], labels[v]
         if len(flat) != ku * kv:
             raise ParseError(last, f"edge ({u}, {v}): expected {ku * kv} entries, got {len(flat)}")
-        table = tuple(tuple(flat[a * kv + b] for b in range(kv)) for a in range(ku))
         if (u, v) in pairwise or (v, u) in pairwise:
             raise ParseError(last, f"duplicate edge ({u}, {v})")
-        pairwise[(u, v)] = table
+        pairwise[(u, v)] = tuple([flat[i:i + kv] for i in range(0, len(flat), kv)])
 
     instance = make_instance(labels, unary, pairwise, constant)
     drawing = None
@@ -184,10 +200,10 @@ def serialize_instance(instance: EnergyInstance, d: Drawing | None = None) -> st
             x, y = d.coords[u]
             out.append(f"coord {u} {frac_str(Fraction(x))} {frac_str(Fraction(y))}")
     for u in ids:
-        out.append(f"unary {u} " + " ".join(_cost_str(c) for c in instance.unary[u]))
-    for (u, v) in sorted(instance.edges):
-        flat = [c for row in instance.pairwise[(u, v)] for c in row]
-        out.append(f"edge {u} {v} " + " ".join(_cost_str(c) for c in flat))
+        out.append(f"unary {u} " + " ".join(map(str, instance.unary[u])))
+    for (u, v) in instance.edges:
+        entries = chain.from_iterable(instance.pairwise[(u, v)])
+        out.append(f"edge {u} {v} " + " ".join(map(str, entries)))
     return "\n".join(out) + "\n"
 
 
@@ -195,11 +211,7 @@ def parse_wcnf3(text: str) -> W3SatTriv:
     n = m = None
     weights = None
     clauses = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
+    for line_no, tokens in _records(text, "c"):
         if tokens[0] == "p":
             if len(tokens) != 4 or tokens[1] != "wcnf3":
                 raise ParseError(line_no, "expected 'p wcnf3 <vars> <clauses>'")
@@ -217,15 +229,15 @@ def parse_wcnf3(text: str) -> W3SatTriv:
             if len(lits) != 4 or lits[-1] != 0:
                 raise ParseError(line_no, "clause must be 3 literals plus terminating 0")
             clauses.append(tuple(lits[:3]))
+    last = len(text.splitlines())
     if n is None or weights is None:
-        raise ParseError(len(text.splitlines()), "missing problem or weight line")
+        raise ParseError(last, "missing problem or weight line")
     if len(clauses) != m:
-        raise ParseError(len(text.splitlines()),
-                         f"declared {m} clauses, found {len(clauses)}")
+        raise ParseError(last, f"declared {m} clauses, found {len(clauses)}")
     try:
         return W3SatTriv(num_vars=n, clauses=tuple(clauses), weights=tuple(weights))
     except ValueError as exc:
-        raise ParseError(len(text.splitlines()), str(exc)) from None
+        raise ParseError(last, str(exc)) from None
 
 
 def serialize_wcnf3(sat: W3SatTriv) -> str:
@@ -239,15 +251,11 @@ def serialize_wcnf3(sat: W3SatTriv) -> str:
 def parse_solution(text: str) -> tuple[Labeling, Cost | None]:
     labeling: Labeling = {}
     energy = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for line_no, tokens in _records(text, "#"):
         if tokens[0] == "energy":
             if len(tokens) != 2:
                 raise ParseError(line_no, "energy takes one value")
-            energy = _cost_token(tokens[1], line_no)
+            energy = _costs(tokens[1:], line_no)[0]
         else:
             if len(tokens) != 2:
                 raise ParseError(line_no, "expected '<node> <label>'")
@@ -261,7 +269,7 @@ def parse_solution(text: str) -> tuple[Labeling, Cost | None]:
 def serialize_solution(labeling: Labeling, energy: Cost | None = None) -> str:
     out = [f"{u} {labeling[u]}" for u in sorted(labeling)]
     if energy is not None:
-        out.append(f"energy {_cost_str(energy)}")
+        out.append(f"energy {energy}")
     return "\n".join(out) + "\n"
 
 

@@ -59,8 +59,8 @@ def _sat_feasible(sat: W3SatTriv):
 
 SAT_SOURCE = SourceAdapter(
     feasible_solutions=_sat_feasible,
-    is_feasible=lambda sat, x: sat.is_feasible(x),
-    measure=lambda sat, x: sat.measure(x),
+    is_feasible=W3SatTriv.is_feasible,
+    measure=W3SatTriv.measure,
 )
 
 

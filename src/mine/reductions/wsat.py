@@ -10,7 +10,6 @@ rebuilds the target from the formula and rejects a trace of another one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from ..costs import check_range
@@ -169,37 +168,35 @@ def w3sat_to_qpbo(sat: W3SatTriv) -> tuple[EnergyInstance, ReductionTrace]:
     return instance, trace
 
 
-@lru_cache(maxsize=1)
-def _reduced(sat: W3SatTriv) -> tuple[EnergyInstance, ReductionTrace]:
-    """w3sat_to_qpbo(sat), kept for the last formula: the AP harness maps
-    every labeling of one formula's target in a row."""
-    return w3sat_to_qpbo(sat)
-
-
-# The last (own trace, caller's trace) pair found equal, so that a run over
-# one formula's target labelings compares the two once.  Both are frozen and
-# kept alive here, so the same two objects are still equal.
-_accepted: tuple = (None, None)
+# The last formula, its target and trace, and the caller's trace last found
+# equal to that trace: the AP harness maps every labeling of one formula's
+# target in a row, with one trace.  All four are frozen and kept alive here,
+# so the same objects still match.
+_memo: tuple = (None, None, None, None)
 
 
 def w3sat_sigma(sat: W3SatTriv, trace: ReductionTrace, y: Labeling) -> dict[int, bool]:
     """Reverse map: restriction of y when its energy stays below M, else all-true.
 
-    The target instance is rebuilt from sat, once per formula; trace must
-    equal the trace w3sat_to_qpbo(sat) returns, else SatError, compared
-    once per trace object in a run of calls.  y is scored on that target by
-    evaluate: one sum when the target's |constant| + finite_sum fits in
-    int64, else the ordered, overflow-checked loop.
+    The target instance is rebuilt from sat, once per formula (a formula
+    equal to the last one is compared once and shares its build); trace
+    must equal the trace w3sat_to_qpbo(sat) returns, else SatError,
+    compared once per trace object in a run of calls.  y is scored on that
+    target by evaluate: one sum when the target's |constant| + finite_sum
+    fits in int64, else the ordered, overflow-checked loop.
     """
-    global _accepted
+    global _memo
     if trace.kind != "w3sat-to-qpbo":
         raise SatError("trace kind mismatch")
-    instance, own = _reduced(sat)
-    accepted_own, accepted = _accepted
-    if accepted_own is not own or accepted is not trace:
+    last, instance, own, accepted = _memo
+    if sat is not last:
+        if sat != last:
+            (instance, own), accepted = w3sat_to_qpbo(sat), None
+        _memo = sat, instance, own, accepted
+    if trace is not accepted:
         if trace != own:
             raise SatError("trace was not made from this formula")
-        _accepted = own, trace
+        _memo = sat, instance, own, trace
     energy = evaluate(instance, y)
     if energy >= trace.big_m:
         return sat.all_true()

@@ -87,6 +87,49 @@ def test_parse_errors_carry_messages(text, fragment):
     assert fragment in str(exc.value)
 
 
+# Each integer position of the three formats, with a token int() reads but
+# the formats do not: {} is filled with the loose token, then its ASCII form.
+@pytest.mark.parametrize("parse, template, loose, plain, message", [
+    (parse_instance, "MINE 1\nnodes {}\nlabels 2\n", "\uff11", "1",
+     "line 2: expected integers, got ['\uff11']"),
+    (parse_instance, "MINE 1\nnodes 2\nids 0 {}\nlabels 2 2\n", "1_0", "10",
+     "line 3: expected integers, got ['0', '1_0']"),
+    (parse_instance, "MINE 1\nnodes 2\nlabels 2 {}\n", "\u0662", "2",
+     "line 3: expected integers, got ['2', '\u0662']"),
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\nunary 0 {} 5\n", "1_0", "10",
+     "line 4: expected integer or INF, got '1_0'"),
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\nunary 0 1 {}\n", "\uff15", "5",
+     "line 4: expected integer or INF, got '\uff15'"),
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\nunary {} 1 5\n", "\u0660", "0",
+     "line 4: expected integers, got ['\u0660']"),
+    (parse_instance, "MINE 1\nnodes 2\nlabels 2 2\nedge 0 1 0 INF 0 {}\n", "-1_2", "-12",
+     "line 4: expected integer or INF, got '-1_2'"),
+    (parse_instance, "MINE 1\nnodes 2\nlabels 2 2\nedge 0 {} 0 0 0 0\n", "\u0661", "1",
+     "line 4: expected integers, got ['0', '\u0661']"),
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\nconstant {}\n", "1_000", "1000",
+     "line 4: expected integers, got ['1_000']"),
+    (parse_wcnf3, "p wcnf3 {} 1\nw 1 2 3\n1 -2 3 0\n", "\uff13", "3",
+     "line 1: expected integers, got ['\uff13', '1']"),
+    (parse_wcnf3, "p wcnf3 3 1\nw 1 2 {}\n1 -2 3 0\n", "\uff13", "3",
+     "line 2: expected integers, got ['1', '2', '\uff13']"),
+    (parse_wcnf3, "p wcnf3 3 1\nw 1 2 3\n1 -2 {} 0\n", "+3_0", "+3",
+     "line 3: expected integers, got ['1', '-2', '+3_0', '0']"),
+    (parse_solution, "0 {}\n1 1\n", "1_0", "10",
+     "line 1: expected integers, got ['0', '1_0']"),
+    (parse_solution, "0 1\n1 {}\n", "\u0663", "3",
+     "line 2: expected integers, got ['1', '\u0663']"),
+    (parse_solution, "0 1\nenergy {}\n", "1_000", "1000",
+     "line 2: expected integer or INF, got '1_000'"),
+], ids=["nodes", "ids", "labels", "unary-entry", "unary-entry-last", "unary-node", "edge-entry",
+        "edge-node", "constant", "wcnf3-p", "wcnf3-w", "wcnf3-clause", "solution-label",
+        "solution-node-line-2", "solution-energy"])
+def test_integer_tokens_are_ascii_digits_only(parse, template, loose, plain, message):
+    with pytest.raises(ParseError) as exc:
+        parse(template.format(loose))
+    assert str(exc.value) == message
+    parse(template.format(plain))
+
+
 # --- weighted 3-CNF format ----------------------------------------------
 
 def test_wcnf3_round_trip():
@@ -425,6 +468,29 @@ def test_cli_verify_ap_exits_4_on_a_broken_reverse_map(tmp_path, capsys, monkeyp
     assert lines[0].startswith("checked 1 instances, ")
     assert len(lines) > 1
     assert all(line.startswith("counterexample: instance 0 check ") for line in lines[1:])
+
+
+_BINARY = make_instance({0: 2, 1: 2}, {0: (0, 3)}, {(0, 1): ((0, 1), (1, 0))})
+
+
+@pytest.mark.parametrize("reduction, k, text", [
+    ("qpbo-to-klabel", "1", serialize_instance(_BINARY)),
+    ("qpbo-to-klabel", "3", serialize_instance(_crossing_free_3label(0)[0])),
+    ("qpbo-to-klabel", "3", serialize_instance(
+        make_instance({0: 2, 1: 2}, {0: (0, INF)}, {(0, 1): ((0, 1), (1, 0))}))),
+    ("planarize", "3", serialize_instance(_BINARY, circle_layout(_BINARY.nodes))),
+], ids=["k-below-2", "three-labels", "inf-entry", "planarize-two-labels"])
+def test_cli_verify_ap_exits_3_on_a_file_reduce_rejects(tmp_path, capsys, reduction, k, text):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    src = _write(corpus, "0.mine", text)
+    assert run_cli(["reduce", reduction, src, str(tmp_path / "out.mine"), "--k", k]) == 3
+    rejected = capsys.readouterr()
+    assert rejected.err.startswith("error: ") and rejected.err.count("\n") == 1
+    assert run_cli(["verify-ap", "--reduction", reduction, "--corpus", str(corpus),
+                    "--k", k]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == rejected.err
 
 
 def _reduce_then_sigma(tmp_path, capsys, reduction, src_name, src_text, solve):

@@ -237,10 +237,10 @@ def counted_builds(monkeypatch):
 
     # The reverse map memoizes the last build; a patched forward map must
     # start and leave an empty memo.
-    wsat._reduced.cache_clear()
+    wsat._memo = (None,) * 4
     monkeypatch.setattr(wsat, "w3sat_to_qpbo", counting)
     yield builds
-    wsat._reduced.cache_clear()
+    wsat._memo = (None,) * 4
 
 
 def test_harness_builds_the_target_at_most_twice_per_formula(counted_builds):
