@@ -8,7 +8,8 @@ coordinate only as an integer or "int/int" (no exponent or decimal
 point), and the label counts of one file may sum to at most 2^24
 (`solvers.DEFAULT_BRUTE_LIMIT`); either is a ParseError otherwise.  In all
 three text formats an integer token is ASCII [-+]?[0-9]+: the underscores
-and non-ASCII digits int() also reads are a ParseError.
+and non-ASCII digits int() also reads are a ParseError, and so is a cost
+or weight outside signed 64-bit range, at its line.
 """
 
 from __future__ import annotations
@@ -36,11 +37,12 @@ class ParseError(ValueError):
 
 
 def _records(text: str, comment: str):
-    """(line number, tokens) of each line that is neither blank nor a comment."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = line.split()
-        if tokens and not tokens[0].startswith(comment):
-            yield line_no, tokens
+    """The text's line count, and an iterator over the (line number, tokens)
+    of each line that is neither blank nor a comment."""
+    lines = text.splitlines()
+    return len(lines), ((line_no, tokens)
+                        for line_no, tokens in enumerate(map(str.split, lines), start=1)
+                        if tokens and not tokens[0].startswith(comment))
 
 
 def _loose(tokens: list[str]) -> bool:
@@ -102,7 +104,7 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
     coords: dict[int, Point] = {}
     edges: list[tuple[int, int, tuple[Cost, ...]]] = []
 
-    records = _records(text, "#")
+    last, records = _records(text, "#")
     line_no, tokens = next(records, (1, None))
     if tokens != ["MINE", "1"]:
         raise ParseError(line_no, "missing header 'MINE 1'" if tokens is None
@@ -147,7 +149,6 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
         else:
             raise ParseError(line_no, f"unknown record {kw!r}")
 
-    last = len(text.splitlines())
     if n is None:
         raise ParseError(last, "missing 'nodes' record")
     # The labels record bounds the node count by the file's length, so it is
@@ -211,7 +212,8 @@ def parse_wcnf3(text: str) -> W3SatTriv:
     n = m = None
     weights = None
     clauses = []
-    for line_no, tokens in _records(text, "c"):
+    last, records = _records(text, "c")
+    for line_no, tokens in records:
         if tokens[0] == "p":
             if len(tokens) != 4 or tokens[1] != "wcnf3":
                 raise ParseError(line_no, "expected 'p wcnf3 <vars> <clauses>'")
@@ -224,12 +226,14 @@ def parse_wcnf3(text: str) -> W3SatTriv:
                 raise ParseError(line_no, f"expected {n} weights, got {len(weights)}")
             if any(w < 0 for w in weights):
                 raise ParseError(line_no, "weights must be non-negative")
+            big = [w for w in weights if w > I64_MAX]
+            if big:
+                raise ParseError(line_no, f"weight {big[0]} outside signed 64-bit range")
         else:
             lits = _ints(tokens, line_no)
             if len(lits) != 4 or lits[-1] != 0:
                 raise ParseError(line_no, "clause must be 3 literals plus terminating 0")
             clauses.append(tuple(lits[:3]))
-    last = len(text.splitlines())
     if n is None or weights is None:
         raise ParseError(last, "missing problem or weight line")
     if len(clauses) != m:
@@ -251,7 +255,7 @@ def serialize_wcnf3(sat: W3SatTriv) -> str:
 def parse_solution(text: str) -> tuple[Labeling, Cost | None]:
     labeling: Labeling = {}
     energy = None
-    for line_no, tokens in _records(text, "#"):
+    for line_no, tokens in _records(text, "#")[1]:
         if tokens[0] == "energy":
             if len(tokens) != 2:
                 raise ParseError(line_no, "energy takes one value")

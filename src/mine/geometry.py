@@ -1,11 +1,11 @@
 """Exact rational 2D geometry for straight-line instance drawings.
 
 Every predicate is exact, with no floating point anywhere, so "no
-crossings remain" is a decidable postcondition.  segment_intersection
-works on Fractions; the whole-drawing scans (list_crossings,
-validate_general_position) scale the drawing by one common denominator
-and work on integers, skipping edge pairs whose bounding boxes are
-disjoint.  Degenerate drawings are rejected, never perturbed.
+crossings remain" is a decidable postcondition.  The whole-drawing scans
+(list_crossings, validate_general_position) scale the drawing by one
+common denominator and work on integers, skipping edge pairs whose
+bounding boxes are disjoint.  Degenerate drawings are rejected, never
+perturbed.
 """
 
 from __future__ import annotations
@@ -64,48 +64,6 @@ def circle_layout(nodes) -> Drawing:
     return Drawing(coords)
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _bbox_disjoint(p1, p2, p3, p4) -> bool:
-    for axis in (0, 1):
-        lo1, hi1 = sorted((p1[axis], p2[axis]))
-        lo2, hi2 = sorted((p3[axis], p4[axis]))
-        if hi1 < lo2 or hi2 < lo1:
-            return True
-    return False
-
-
-def segment_intersection(p1: Point, p2: Point, p3: Point, p4: Point) -> Point | None:
-    """Proper interior intersection of open segments (p1,p2) and (p3,p4), or None.
-
-    Touching at an endpoint is not proper; collinear overlap raises
-    GeneralPositionError.
-    """
-    if p1 == p2 or p3 == p4:
-        raise GeometryError("degenerate segment")
-    d1 = _cross(p3, p4, p1)
-    d2 = _cross(p3, p4, p2)
-    d3 = _cross(p1, p2, p3)
-    d4 = _cross(p1, p2, p4)
-    if d1 == 0 and d2 == 0:
-        # Collinear: disjoint or touching is fine, overlap violates general position.
-        if _bbox_disjoint(p1, p2, p3, p4):
-            return None
-        lo1, hi1 = sorted((p1, p2))
-        lo2, hi2 = sorted((p3, p4))
-        if hi1 == lo2 or hi2 == lo1:
-            return None  # touch at a single shared point
-        raise GeneralPositionError("collinear overlapping segments")
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        # d1, d2 are the signed areas of p1, p2 against line (p3, p4), so
-        # they interpolate to zero exactly at the intersection.
-        t = d1 / (d1 - d2)
-        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
-    return None
-
-
 def _integer_coords(instance: EnergyInstance, d: Drawing) -> tuple[dict[int, tuple[int, int]], int]:
     """Every node's coordinates times one common denominator, and that denominator."""
     if not d.covers(instance):
@@ -119,12 +77,13 @@ def _integer_coords(instance: EnergyInstance, d: Drawing) -> tuple[dict[int, tup
 def _pair_scan(instance: EnergyInstance, d: Drawing) -> list[tuple[int, int, Point | None]]:
     """(i, j, point) for every pair of edges i < j that share no endpoint but meet.
 
-    point is the proper crossing point, or None for a collinear overlap.
-    Same answers as segment_intersection on every pair, in lexicographic
-    edge order, but computed on integers: the coordinates are scaled by one
-    common denominator, edges are swept by the left end of their bounding
-    boxes, and pairs whose boxes are strictly disjoint (which can neither
-    cross nor overlap) are never tested.
+    point is the proper crossing point of the open segments (touching at an
+    endpoint is not proper), or None for a collinear overlap; pairs come in
+    lexicographic edge order.  All of it is computed on integers: the
+    coordinates are scaled by one common denominator, edges are swept by
+    the left end of their bounding boxes, and pairs whose boxes are
+    strictly disjoint (which can neither cross nor overlap) are never
+    tested.
     """
     pts, den = _integer_coords(instance, d)
     segs = []

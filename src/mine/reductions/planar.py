@@ -16,8 +16,12 @@ ordered by the exact parameter of each crossing along the edge: the
 original interaction f_uv goes on the stub at u, and equality ties each
 copy to the next one and the last copy to v.  Each template's scale is
 rounded down to a power of two, so the gadget offsets are dyadic and the
-output's coordinate denominators stay small.  "No crossings left" is
-checked once at the end and raises PlanarizeError if it fails.
+output's coordinate denominators stay small.  The template's offsets are
+integers, in 32nds of the crossing's (dA, dB) basis; per crossing and
+axis, the crossing point and the scaled basis vectors are brought over
+one common denominator, so each auxiliary coordinate is one Fraction of
+an integer sum.  "No crossings left" is checked once at the end and
+raises PlanarizeError if it fails.
 
 The trace holds one CrossingRecord per replaced crossing, in the order of
 list_crossings on the source, and its edges are always source edges.
@@ -32,6 +36,7 @@ constant is exposed as AUX_PER_CROSSING and checked in tests.)
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ..geometry import (Crossing, Drawing, GeometryError, Point,
                         _position_and_crossings, frac_str, free_radius,
@@ -47,28 +52,26 @@ class PlanarizeError(ValueError):
     pass
 
 
-# Local template, coordinates in the (dA, dB) basis centered on the crossing:
-# dA points along u -> v, dB along s -> t.  Channel wires for v run
+# Local template, coordinates in 32nds of the (dA, dB) basis centered on the
+# crossing: dA points along u -> v, dB along s -> t.  Channel wires for v run
 # horizontally (D on top, F below), channel wires for t vertically (D left,
 # F right); the four crossovers sit where they meet.  The insertion order is
 # the id-allocation order: the trace records each crossing's auxiliaries in it.
-_Q = Fraction  # noqa: E741 - shorthand for the table below
-
 _TEMPLATE = {
-    "vp": (_Q(-1), _Q(0)), "vpp": (_Q(1), _Q(0)),
-    "tp": (_Q(0), _Q(-1)), "tpp": (_Q(0), _Q(1)),
-    "D1": (_Q(-5, 8), _Q(1, 4)), "F1": (_Q(-5, 8), _Q(-1, 4)),
-    "D2": (_Q(5, 8), _Q(1, 4)), "F2": (_Q(5, 8), _Q(-1, 4)),
-    "D3": (_Q(-1, 4), _Q(-5, 8)), "F3": (_Q(1, 4), _Q(-5, 8)),
-    "D4": (_Q(-1, 4), _Q(5, 8)), "F4": (_Q(1, 4), _Q(5, 8)),
-    "Ja1": (_Q(0), _Q(1, 4)), "Ja2": (_Q(0), _Q(-1, 4)),
-    "Jb1": (_Q(-1, 4), _Q(0)), "Jb2": (_Q(1, 4), _Q(0)),
+    "vp": (-32, 0), "vpp": (32, 0),
+    "tp": (0, -32), "tpp": (0, 32),
+    "D1": (-20, 8), "F1": (-20, -8),
+    "D2": (20, 8), "F2": (20, -8),
+    "D3": (-8, -20), "F3": (8, -20),
+    "D4": (-8, 20), "F4": (8, 20),
+    "Ja1": (0, 8), "Ja2": (0, -8),
+    "Jb1": (-8, 0), "Jb2": (8, 0),
     # Crossover internals: x1 on the west side of each center, x2 east,
     # nudged off both axes so nothing is collinear.
-    "G11x1": (_Q(-5, 16), _Q(9, 32)), "G11x2": (_Q(-3, 16), _Q(7, 32)),
-    "G12x1": (_Q(3, 16), _Q(9, 32)), "G12x2": (_Q(5, 16), _Q(7, 32)),
-    "G21x1": (_Q(-5, 16), _Q(-7, 32)), "G21x2": (_Q(-3, 16), _Q(-9, 32)),
-    "G22x1": (_Q(3, 16), _Q(-7, 32)), "G22x2": (_Q(5, 16), _Q(-9, 32)),
+    "G11x1": (-10, 9), "G11x2": (-6, 7),
+    "G12x1": (6, 9), "G12x2": (10, 7),
+    "G21x1": (-10, -7), "G21x2": (-6, -9),
+    "G22x1": (6, -7), "G22x2": (10, -9),
 }
 
 AUX_PER_CROSSING = len(_TEMPLATE)
@@ -85,6 +88,22 @@ def _dyadic_floor(x: Fraction) -> Fraction:
     """Largest power of two not above x > 0."""
     power = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
     return power / 2 if power > x else power
+
+
+def _template_coords(p: Point, scale: Fraction, d_a, d_b) -> list[Point]:
+    """Each template point p + scale * (ga * d_a + gb * d_b) / 32, in _TEMPLATE order.
+
+    Per axis, p and scale * d_a / 32 and scale * d_b / 32 are brought over
+    one common denominator, so each coordinate is one Fraction of an
+    integer sum.
+    """
+    axes = []
+    for i in (0, 1):
+        terms = (p[i], scale * d_a[i] / 32, scale * d_b[i] / 32)
+        den = lcm(*(t.denominator for t in terms))
+        at, sa, sb = (t.numerator * (den // t.denominator) for t in terms)
+        axes.append([Fraction(at + ga * sa + gb * sb, den) for ga, gb in _TEMPLATE.values()])
+    return list(zip(*axes))
 
 
 def _template_fragment(ids: dict[str, int]) -> GadgetFragment:
@@ -145,9 +164,7 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Cro
         frag = _template_fragment(ids)
         unary.update(frag.unary)
         gadget_pairwise.update(frag.pairwise)
-        for name, (ga, gb) in _TEMPLATE.items():
-            coords[ids[name]] = (p[0] + scale * (ga * d_a[0] + gb * d_b[0]),
-                                 p[1] + scale * (ga * d_a[1] + gb * d_b[1]))
+        coords.update(zip(ids.values(), _template_coords(p, scale, d_a, d_b)))
         aux = tuple(ids.values())
         chains.setdefault(e1, []).append((t_p, ids["vp"], ids["vpp"]))
         chains.setdefault(e2, []).append((t_q, ids["tp"], ids["tpp"]))

@@ -23,12 +23,19 @@ plans first: one symbolic pass over the elimination graph gives every
 separator along the order, by default the min-fill order (fewest fill
 edges, then fewest live neighbours, then smallest id, with fill counts
 kept up to date by deltas), and an over-wide separator raises before any
-table is built.  It then stores every factor as a flat row-major list of
-ints over its sorted scope, with INF coded as 2 * finite_sum + 1 (the
-instance's sum of finite entry magnitudes bounds every finite sum, and a
-partial sum is range-checked only when that bound exceeds int64), keeps
-each in the bucket of its scope's first node along the order, sums each
-bucket with whole-list passes, and takes each node's argmin there.
+table is built, both over the instance's label counts.  It then stores
+every factor as a flat row-major list of ints over its sorted scope's
+label domains, with INF coded as 2 * finite_sum + 1 (the instance's sum
+of finite entry magnitudes bounds every finite sum, and a partial sum is
+range-checked only when that bound exceeds int64).  A node's domain is
+its finite-unary labels (node consistency) while finite_sum fits in
+int64, and all its labels past that bound or when the value comes out
+INF, which reruns elimination so the labeling keeps the tie-break above.
+Each factor sits in the bucket of its scope's first node along the order,
+is broadcast to the bucket's joint scope by C-level list repetition, zip
+and chain, with no Python loop per entry, and each bucket is summed with
+whole-list passes; each node's argmin is taken there.  ``stats`` count
+the plan, over the label counts, whatever the domains.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import heapq
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, starmap
 from operator import add
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add
@@ -176,24 +183,35 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     The plan comes first: one symbolic pass gives every node's separator
     along the order (min_fill_order's when none is given), and the first
     separator, in order, with more than DEFAULT_ELIM_LIMIT label
-    combinations raises SolverError before any table is built.  Each
-    factor, a flat row-major list over its sorted scope, sits in the bucket
-    of its scope's first node along the order (Dechter 1999), in creation
-    order.  The bucket of node u is summed over its joint scope (the sorted
-    separator, then u last and fastest), each factor broadcast to it by
-    list repetition; each message entry is the minimum of one run of k_u
-    joint entries, and the empty-scope messages join the constant after
-    the last bucket.  Going back through the order each node gets the
-    first label that attains the minimum of its bucket sum at its
-    separator's chosen labels (label 0 when every label costs INF).  A
-    finite bucket value lies within +-instance.finite_sum, being a sum of
-    entries of distinct input factors: INF is coded as 2 * finite_sum + 1,
-    and any value above finite_sum reads as INF.  A partial bucket sum of
-    finite entries outside the signed 64-bit range raises
-    CostOverflowError, checked in bucket order (every partial sum exactly
-    when finite_sum exceeds int64; otherwise none can leave that range).
-    ``stats`` holds ``max_separator`` (the most nodes in one separator)
-    and ``joint_entries`` (the joint entries summed over all buckets).
+    combinations raises SolverError before any table is built.  The tables
+    then cover each node's domain: its finite-unary labels (node
+    consistency), or all its labels when some node has none or when
+    finite_sum exceeds int64, so that every partial sum the overflow rule
+    checks is formed.  A node's unary
+    sits in its own bucket, so a label with an INF unary entry cannot
+    attain a finite minimum there, and dropping it changes no finite
+    value or argmin.  When the value is INF, elimination runs again over
+    every label, so that the labeling follows the tie-break below.
+
+    Each factor, a flat row-major list over its sorted scope's domains,
+    sits in the bucket of its scope's first node along the order (Dechter
+    1999), in creation order.  The bucket of node u is summed over its
+    joint scope (the sorted separator, then u last and fastest), each
+    factor broadcast to it by list repetition; each message entry is the
+    minimum of one run of u's domain in the joint, and the empty-scope
+    messages join the constant after the last bucket.  Going back through
+    the order each node gets the first label that attains the minimum of
+    its bucket sum at its separator's chosen labels (label 0 when every
+    label costs INF).  A finite bucket value lies within
+    +-instance.finite_sum, being a sum of entries of distinct input
+    factors: INF is coded as 2 * finite_sum + 1, and any value above
+    finite_sum reads as INF.  A partial bucket sum of finite entries
+    outside the signed 64-bit range raises CostOverflowError, checked in
+    bucket order (every partial sum exactly when finite_sum exceeds int64;
+    otherwise none can leave that range).  ``stats`` come from the plan
+    over the instance's label counts, whatever the domains: they hold
+    ``max_separator`` (the most nodes in one separator) and
+    ``joint_entries`` (the joint entries summed over all buckets).
     """
     if order is not None and sorted(order) != sorted(instance.nodes):
         raise SolverError("elimination order must be a permutation of the nodes")
@@ -207,7 +225,28 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
         plan.append((u, sep))
         max_separator = max(max_separator, len(sep))
         joint_entries += size * labels[u]
+    stats = {"max_separator": max_separator, "joint_entries": joint_entries}
 
+    every = {u: range(k) for u, k in labels.items()}
+    if instance.all_finite or instance.finite_sum > I64_MAX:
+        domains = every
+    else:
+        domains = {u: [a for a, c in enumerate(row) if c is not INF]
+                   for u, row in instance.unary.items()}
+        if not all(domains.values()):  # a node with no finite label: INF
+            domains = every
+    x, value = _eliminate(instance, plan, domains)
+    if value is INF and domains is not every:
+        x, value = _eliminate(instance, plan, every)
+    return SolveResult(x, value, "elimination", True, stats=stats)
+
+
+def _eliminate(instance: EnergyInstance, plan: list, domains: dict) -> tuple[Labeling, Cost]:
+    """solve_elimination's tables, messages and backward pass over domains.
+
+    domains[u] lists the labels of u the tables cover, ascending; every
+    label it leaves out must have an INF unary entry.
+    """
     # Every value formed below is a sum of entries of distinct input factors,
     # so a finite one lies within +-finite_sum, and with INF encoded as
     # 2 * finite_sum + 1 one holding an INF exceeds finite_sum.  A finite
@@ -215,20 +254,30 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     bound = instance.finite_sum
     inf = 2 * bound + 1
     check = bound > I64_MAX
+    sizes = {u: len(dom) for u, dom in domains.items()}
+
+    def restrict(row, u):
+        dom = domains[u]
+        return row if len(dom) == len(row) else [row[a] for a in dom]
+
     position = {u: p for p, (u, _) in enumerate(plan)}
     buckets = [[] for _ in plan]  # (scope, flat table) per node along the plan
-    for scope, rows in chain((((u,), [instance.unary[u]]) for u in instance.nodes),
-                             ((e, instance.pairwise[e]) for e in instance.edges)):
-        buckets[min(map(position.get, scope))].append(
-            (scope, [inf if c is INF else c for row in rows for c in row]))
+    for u in instance.nodes:
+        buckets[position[u]].append(((u,), [inf if c is INF else c
+                                            for c in restrict(instance.unary[u], u)]))
+    for e in instance.edges:
+        u, v = e
+        buckets[min(position[u], position[v])].append(
+            (e, [inf if c is INF else c
+                 for row in restrict(instance.pairwise[e], u) for c in restrict(row, v)]))
 
     constants = []  # each empty-separator message's one entry
     for (u, sep), bucket in zip(plan, buckets):
-        k = labels[u]
+        k = sizes[u]
         joint = [*sep, u]
         acc = None
         for scope, table in bucket:
-            column = _broadcast(table, scope, joint, labels)
+            column = _broadcast(table, scope, joint, sizes)
             acc = column if acc is None else list(map(add, acc, column))
             if check:
                 for v in acc:
@@ -243,59 +292,63 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     for c in constants:
         value = ext_add(value, INF if c > bound else c)
 
-    # Each factor's entries at x on its other nodes, for every label of u,
-    # are one strided slice of its table; their sum is the joint run the
-    # message took its minimum from.
+    # Each factor's entries at the chosen indices on its other nodes, for
+    # every index of u, are one strided slice of its table; their sum is the
+    # joint run the message took its minimum from.
     x: Labeling = {}
+    index = {}  # each decided node's position in its domain
     for (u, _), bucket in zip(reversed(plan), reversed(buckets)):
-        k = labels[u]
+        k = sizes[u]
         total = None
         for scope, table in bucket:
             base = stride = 0
             for w in scope:
-                base *= labels[w]
-                stride *= labels[w]
+                base *= sizes[w]
+                stride *= sizes[w]
                 if w == u:
                     stride = 1
                 else:
-                    base += x[w]
+                    base += index[w]
             column = table[base:base + stride * k:stride]
             total = column if total is None else list(map(add, total, column))
         best = min(total)
-        x[u] = 0 if best > bound else total.index(best)
-    return SolveResult(x, value, "elimination", True,
-                       stats={"max_separator": max_separator,
-                              "joint_entries": joint_entries})
+        index[u] = 0 if best > bound else total.index(best)
+        x[u] = domains[u][index[u]]
+    return x, value
 
 
-def _broadcast(table: list, scope: tuple, joint: list, labels) -> list:
+def _broadcast(table: list, scope: tuple, joint: list, sizes) -> list:
     """A factor's flat table repeated out to the joint scope's row-major order.
 
     scope is sorted and a subset of joint, which is sorted except for its
-    last node; that node moves to the end of the table first.
+    last node; that node moves to the end of the table first.  Every step
+    runs at C level, over whole tables: the move is one transposition per
+    block of rows, and each run of consecutive joint nodes missing from
+    scope is one repetition of the table, of each entry, or of each group
+    of entries that the axes after the run span.
     """
     last = joint[-1]
     p = scope.index(last)
     if p < len(scope) - 1:
-        k = labels[last]
-        inner = math.prod(labels[w] for w in scope[p + 1:])
-        block = inner * k
+        rows = zip(*[iter(table)] * math.prod(sizes[w] for w in scope[p + 1:]))
         table = list(chain.from_iterable(chain.from_iterable(
-            zip(*(table[b + a * inner:b + (a + 1) * inner] for a in range(k)))
-            for b in range(0, len(table), block))))
-    present = set(scope)
+            starmap(zip, zip(*[rows] * sizes[last])))))
     out = table
-    block = 1
+    block = k = 1  # entries one step of the axis at w spans; the pending run's repeats
     for w in reversed(joint):
-        k = labels[w]
-        if w not in present and k > 1:
+        if w not in scope:
+            k *= sizes[w]
+            continue
+        if k > 1:  # the run before w, repeated group by group
             if block == 1:
                 out = list(chain.from_iterable(zip(*[out] * k)))
             else:
-                out = list(chain.from_iterable(out[i:i + block] * k
-                                               for i in range(0, len(out), block)))
-        block *= k
-    return out
+                groups = list(zip(*[iter(out)] * block))
+                out = list(chain.from_iterable(chain.from_iterable(zip(*[groups] * k))))
+            block *= k
+            k = 1
+        block *= sizes[w]
+    return out * k if k > 1 else out  # a run at the front repeats the whole table
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ errors.  _reference_min_fill_order is the oracle for the order: it
 recomputes every live node's fill at every step.
 """
 
+import math
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 
 import networkx as nx
 import pytest
@@ -21,8 +22,8 @@ from mine import solvers
 from mine.costs import I64_MAX, I64_MIN, INF, CostOverflowError, ext_add
 from mine.generate import random_general
 from mine.instance import InstanceError, evaluate, make_instance
-from mine.solvers import (DEFAULT_ELIM_LIMIT, SolveResult, SolverError, adjacency,
-                          min_fill_order, solve_brute_force, solve_elimination,
+from mine.solvers import (DEFAULT_ELIM_LIMIT, SolveResult, SolverError, _broadcast,
+                          adjacency, min_fill_order, solve_brute_force, solve_elimination,
                           solve_tree_dp)
 
 
@@ -222,6 +223,138 @@ def test_bad_order_raises():
     inst = random_general("bad-order", max_nodes=4)
     with pytest.raises(SolverError):
         solve_elimination(inst, order=list(inst.nodes) + [max(inst.nodes) + 1])
+
+
+# --- label domains: each node's finite-unary labels ----------------------
+
+def _sparse_unary_instance(rng, n, k):
+    """A chain with random chords whose unary rows hold INF at random
+    positions, so a node's finite labels are often not a prefix; each row
+    keeps one finite label."""
+    unary = {}
+    for u in range(n):
+        row = [INF if rng.random() < 0.5 else rng.randint(-5, 5) for _ in range(k)]
+        row[rng.randrange(k)] = rng.randint(-5, 5)
+        unary[u] = tuple(row)
+    pairwise = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if v == u + 1 or rng.random() < 0.3:
+                pairwise[(u, v)] = tuple(tuple(INF if rng.random() < 0.2 else rng.randint(0, 6)
+                                               for _ in range(k)) for _ in range(k))
+    return make_instance({u: k for u in range(n)}, unary, pairwise)
+
+
+def test_finite_unary_labels_that_are_not_a_prefix():
+    inst = make_instance({0: 3, 1: 3, 2: 2},
+                         {0: (INF, 0, 5), 1: (2, INF, 0), 2: (INF, 1)},
+                         {(0, 1): ((0, 1, 2), (3, 0, 1), (INF, 2, 0)),
+                          (1, 2): ((0, 4), (1, 1), (2, 0)),
+                          (0, 2): ((0, 0), (2, INF), (0, 3))})
+    brute = solve_brute_force(inst)
+    assert (brute.labeling, brute.value) == ({0: 2, 1: 2, 2: 1}, 9)
+    for order in permutations(inst.nodes):
+        result = assert_same(inst, list(order))
+        assert (result.labeling, result.value) == (brute.labeling, brute.value)
+    rng = random.Random(11)
+    for _ in range(150):
+        inst = _sparse_unary_instance(rng, rng.randint(2, 6), rng.randint(2, 4))
+        order = list(inst.nodes)
+        rng.shuffle(order)
+        assert isinstance(assert_same(inst, order), SolveResult)
+        assert isinstance(assert_same(inst), SolveResult)
+
+
+def test_inf_optimum_keeps_a_dropped_label_zero():
+    # Label 0 of node 0 has an INF unary entry, and every pair is forbidden,
+    # so the value is INF and the tie-break gives every node label 0.
+    inst = make_instance({0: 3, 1: 2}, {0: (INF, 0, 4), 1: (1, INF)},
+                         {(0, 1): ((0, INF), (INF, INF), (INF, INF))})
+    for order in ([0, 1], [1, 0]):
+        assert assert_same(inst, order) == SolveResult({0: 0, 1: 0}, INF, "elimination", True)
+    # A forbidden component beside a finite one: the finite component's
+    # labels also follow the tie-break over every label.
+    inst = make_instance({0: 3, 1: 3, 2: 3},
+                         {0: (INF, 3, 1), 1: (INF, 0, 0), 2: (INF, INF, 2)},
+                         {(0, 1): ((0,) * 3, (0, 0, 0), (0, 0, 0)),
+                          (1, 2): ((INF,) * 3, (0, 0, INF), (0, INF, INF))})
+    for order in permutations(inst.nodes):
+        result = assert_same(inst, list(order))
+        assert result.value is INF and result.labeling[2] == 0
+
+
+def test_past_int64_every_label_stays_in_the_overflow_rule():
+    # finite_sum exceeds int64.  Along [1, 0] node 1's bucket sums its unary
+    # and the edge over both labels of node 0, and at node 0's label 0,
+    # whose unary is INF, the partial sum I64_MAX + 1 leaves int64; node
+    # 0's own bucket would drop that label, but the rule still sees it.
+    inst = make_instance({0: 2, 1: 2}, {0: (INF, 0), 1: (I64_MAX, 0)},
+                         {(0, 1): ((1, 0), (0, 0))})
+    assert inst.finite_sum == I64_MAX + 1
+    assert assert_same(inst, [1, 0]) is CostOverflowError
+    assert assert_same(inst, [0, 1]) == SolveResult({0: 1, 1: 1}, 0, "elimination", True)
+    rng = random.Random(12)
+    for _ in range(100):
+        inst = _sparse_unary_instance(rng, rng.randint(2, 5), rng.randint(2, 3))
+        big = {u: tuple(c if c is INF else c * 2**60 for c in row)
+               for u, row in inst.unary.items()}
+        inst = make_instance(inst.labels, big, inst.pairwise)
+        assert_same(inst, list(inst.nodes))
+        assert_same(inst, list(inst.nodes)[::-1])
+
+
+def test_width_bound_reads_the_instance_label_counts(monkeypatch):
+    # Every node keeps two finite labels of three, so the separator of 3
+    # nodes spans 8 combinations over the domains, but 27 over the labels.
+    inst = make_instance({u: 3 for u in range(4)}, {u: (0, INF, 0) for u in range(4)},
+                         {(u, v): ((0,) * 3,) * 3 for u in range(4) for v in range(u + 1, 4)})
+    monkeypatch.setattr(solvers, "DEFAULT_ELIM_LIMIT", 26)
+    with pytest.raises(SolverError, match="separator size 27 exceeds elimination bound"):
+        solve_elimination(inst)
+    assert assert_same(inst) is SolverError
+    monkeypatch.setattr(solvers, "DEFAULT_ELIM_LIMIT", 27)
+    result = assert_same(inst)
+    assert result.stats == {"max_separator": 3, "joint_entries": 81 + 27 + 9 + 3}
+
+
+# --- the broadcast ------------------------------------------------------
+
+def test_broadcast_matches_index_arithmetic():
+    # Random (table, scope, joint, sizes) as a bucket meets them: joint is
+    # sorted but for its last node u, and scope is a sorted subset holding u.
+    rng = random.Random(21)
+    moved = ones = 0
+    for _ in range(600):
+        nodes = sorted(rng.sample(range(30), rng.randint(1, 6)))
+        sizes = {w: rng.randint(1, 3) for w in nodes}
+        u = rng.choice(nodes)
+        joint = [w for w in nodes if w != u] + [u]
+        scope = tuple(sorted({w for w in nodes if rng.random() < 0.5} | {u}))
+        table = list(range(100, 100 + math.prod(sizes[w] for w in scope)))
+        at = [joint.index(w) for w in scope]
+        expected = []
+        for x in product(*(range(sizes[w]) for w in joint)):
+            i = 0
+            for w, a in zip(scope, at):
+                i = i * sizes[w] + x[a]
+            expected.append(table[i])
+        before = list(table)
+        assert _broadcast(table, scope, joint, sizes) == expected, (scope, joint, sizes)
+        assert table == before
+        moved += scope[-1] != u and sizes[u] > 1
+        ones += 1 in sizes.values()
+    assert moved > 100 and ones > 300
+
+
+def test_broadcast_moves_the_eliminated_node_last():
+    # scope (1, 5, 7), eliminated node 1 over 3 labels: the table moves to
+    # order (5, 7, 1), then repeats over node 2 (2 labels) in front.
+    sizes = {1: 3, 2: 2, 5: 2, 7: 2}
+    table = list(range(12))  # row-major over (1, 5, 7)
+    moved = [0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11]
+    assert _broadcast(table, (1, 5, 7), [2, 5, 7, 1], sizes) == moved * 2
+    # A 1-label node missing from the scope changes nothing.
+    assert _broadcast(table, (1, 5, 7), [5, 6, 7, 1], {**sizes, 6: 1}) == moved
 
 
 # --- the plan: min-fill order and separators ----------------------------

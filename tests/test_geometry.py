@@ -8,8 +8,51 @@ from hypothesis import strategies as st
 from mine.geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
                            PositionViolation, circle_layout, free_radius,
                            list_crossings, rational_sqrt_lower,
-                           segment_intersection, validate_general_position)
+                           validate_general_position)
 from mine.instance import make_instance
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _bbox_disjoint(p1, p2, p3, p4):
+    for axis in (0, 1):
+        lo1, hi1 = sorted((p1[axis], p2[axis]))
+        lo2, hi2 = sorted((p3[axis], p4[axis]))
+        if hi1 < lo2 or hi2 < lo1:
+            return True
+    return False
+
+
+def segment_intersection(p1, p2, p3, p4):
+    """Proper interior intersection of open segments (p1,p2) and (p3,p4), or None.
+
+    The oracle for the package's integer pair scan, on Fractions.  Touching
+    at an endpoint is not proper; collinear overlap raises
+    GeneralPositionError.
+    """
+    if p1 == p2 or p3 == p4:
+        raise GeometryError("degenerate segment")
+    d1 = _cross(p3, p4, p1)
+    d2 = _cross(p3, p4, p2)
+    d3 = _cross(p1, p2, p3)
+    d4 = _cross(p1, p2, p4)
+    if d1 == 0 and d2 == 0:
+        # Collinear: disjoint or touching is fine, overlap violates general position.
+        if _bbox_disjoint(p1, p2, p3, p4):
+            return None
+        lo1, hi1 = sorted((p1, p2))
+        lo2, hi2 = sorted((p3, p4))
+        if hi1 == lo2 or hi2 == lo1:
+            return None  # touch at a single shared point
+        raise GeneralPositionError("collinear overlapping segments")
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        # d1, d2 are the signed areas of p1, p2 against line (p3, p4), so
+        # they interpolate to zero exactly at the intersection.
+        t = d1 / (d1 - d2)
+        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+    return None
 
 
 def pt(x, y):

@@ -375,6 +375,40 @@ def test_cli_out_of_range_cost_is_a_parse_error(tmp_path, capsys):
         assert captured.err.startswith("parse error: line 4: ")
 
 
+@pytest.mark.parametrize("weights, message", [
+    ("1 99999999999999999999 2", "weight 99999999999999999999 outside signed 64-bit range"),
+    (f"{2**63} {2**64} 0", f"weight {2**63} outside signed 64-bit range"),
+], ids=["beyond", "first-of-two"])
+def test_wcnf3_weight_outside_int64_is_a_parse_error_at_its_line(tmp_path, capsys,
+                                                                  weights, message):
+    text = f"c weights next\np wcnf3 3 1\n\nw {weights}\n1 -2 3 0\nc end\n"
+    path = _write(tmp_path, "w.wcnf3", text)
+    out = str(tmp_path / "w.mine")
+    with pytest.raises(ParseError) as exc:
+        parse_wcnf3(text)
+    assert str(exc.value) == f"line 4: {message}"
+    assert run_cli(["reduce", "w3sat-to-qpbo", path, out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"parse error: line 4: {message}\n"
+    assert not Path(out).exists()
+
+
+def test_wcnf3_weight_at_int64_max_parses():
+    assert parse_wcnf3(f"p wcnf3 3 1\nw {I64_MAX} 0 0\n1 -2 3 0\n").weights[0] == I64_MAX
+
+
+@pytest.mark.parametrize("parse, text, last", [
+    (parse_instance, "MINE 1\n# no nodes\n\n# trailing comment\n", 4),
+    (parse_instance, "MINE 1\nnodes 2\nlabels 2\n", 3),
+    (parse_wcnf3, "c only\np wcnf3 3 1\nw 1 2 3\n\nc end", 5),
+    (parse_wcnf3, "p wcnf3 3 2\nw 1 2 3\n1 -2 3 0\n\n\n", 5),
+])
+def test_errors_after_the_last_record_name_the_last_line(parse, text, last):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.line_no == last == len(text.splitlines())
+
+
 # --- every reduction through the command line ---------------------------
 
 def _crossing_free_3label(seed):

@@ -357,6 +357,9 @@ def _reference_parse_wcnf3(text):
                 raise ParseError(line_no, f"expected {n} weights, got {len(weights)}")
             if any(w < 0 for w in weights):
                 raise ParseError(line_no, "weights must be non-negative")
+            for w in weights:
+                if w > I64_MAX:
+                    raise ParseError(line_no, f"weight {w} outside signed 64-bit range")
         else:
             lits = _reference_ints(tokens, line_no)
             if len(lits) != 4 or lits[-1] != 0:

@@ -5,8 +5,11 @@ import networkx as nx
 import pytest
 
 from mine.costs import INF, is_finite
+from mine.fileformat import serialize_instance, write_trace
+from mine.generate import random_crossed_3label
 from mine.geometry import Drawing, GeometryError, list_crossings
 from mine.instance import InstanceError, evaluate, make_instance
+from mine.reductions import planar
 from mine.reductions.gadgets import equality3
 from mine.reductions.planar import (AUX_PER_CROSSING, PlanarizeError, planar_sigma,
                                     planarize)
@@ -246,3 +249,52 @@ def test_criterion5_output_denominators_fit_64_bits(criterion5_outputs):
         for x, y in od.coords.values():
             assert x.denominator.bit_length() <= 64
             assert y.denominator.bit_length() <= 64
+
+
+# ---------------------------------------------------------------------------
+# Template placement on integers against the Fraction formula
+
+
+def _reference_template_coords(p, scale, d_a, d_b):
+    """p + scale * (ga * d_a + gb * d_b), term by term in Fractions."""
+    return [(p[0] + scale * (F(ga, 32) * d_a[0] + F(gb, 32) * d_b[0]),
+             p[1] + scale * (F(ga, 32) * d_a[1] + F(gb, 32) * d_b[1]))
+            for ga, gb in planar._TEMPLATE.values()]
+
+
+def _rational_drawings(count):
+    """Seeded drawings with 2-3 crossings and non-integer coordinates: each
+    generated drawing goes through a random invertible rational affine map,
+    which keeps every crossing and the general position."""
+    found = []
+    seed = 0
+    while len(found) < count:
+        inst, d = random_crossed_3label(f"rational-{seed}")
+        rng = random.Random(seed)
+        seed += 1
+        if len(list_crossings(inst, d)) < 2:
+            continue
+        while True:
+            a, b, c, e = (F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4))
+            if a * e != b * c:
+                break
+        shift = (F(rng.randint(-50, 50), rng.randint(2, 30)),
+                 F(rng.randint(-50, 50), rng.randint(2, 30)))
+        found.append((inst, Drawing({u: (a * x + b * y + shift[0], c * x + e * y + shift[1])
+                                     for u, (x, y) in d.coords.items()})))
+    return found
+
+
+def _planarized_text(inst, d):
+    out, out_d, trace = planarize(inst, d)
+    return serialize_instance(out, out_d) + write_trace(trace)
+
+
+def test_template_coordinates_match_the_fraction_formula(monkeypatch):
+    drawings = _rational_drawings(12)
+    assert all(2 <= len(list_crossings(inst, d)) <= 3 for inst, d in drawings)
+    assert all(any(x.denominator > 1 for x, _ in d.coords.values()) for _, d in drawings)
+    got = [_planarized_text(inst, d) for inst, d in drawings]
+    monkeypatch.setattr(planar, "_template_coords", _reference_template_coords)
+    want = [_planarized_text(inst, d) for inst, d in drawings]
+    assert got == want
