@@ -7,6 +7,7 @@ violation, 4 verification found a counterexample.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -70,6 +71,8 @@ def _build_parser() -> _Parser:
     solve_p.add_argument("input")
     solve_p.add_argument("--method", required=True,
                          choices=["brute", "elim", "tree", "mincut", "alphaexp"])
+    solve_p.add_argument("--stats", action="store_true",
+                         help="also write the solver's counters as one JSON line on stderr")
 
     classify_p = sub.add_parser("classify", help="complexity report for an instance")
     classify_p.add_argument("input")
@@ -165,6 +168,8 @@ def _cmd_solve(args) -> int:
     for u in sorted(result.labeling):
         sys.stdout.write(f"{u} {result.labeling[u]}\n")
     sys.stdout.write(f"value {result.value}\n")
+    if args.stats:
+        sys.stderr.write(json.dumps(result.stats, sort_keys=True) + "\n")
     return 0
 
 

@@ -229,6 +229,9 @@ def parse_wcnf3(text: str) -> W3SatTriv:
             big = [w for w in weights if w > I64_MAX]
             if big:
                 raise ParseError(line_no, f"weight {big[0]} outside signed 64-bit range")
+            total = sum(weights)
+            if total > I64_MAX:
+                raise ParseError(line_no, f"weights sum to {total}, outside signed 64-bit range")
         else:
             lits = _ints(tokens, line_no)
             if len(lits) != 4 or lits[-1] != 0:

@@ -12,10 +12,13 @@ instance order, so it breaks ties the same way, and each node's bucket
 adds its unary, then the edge to its parent, then its children's
 messages in edge order, range-checking every partial sum; the flow-based
 solver returns the canonical reachable-set cut.  One max-flow core,
-Dinic's algorithm on one-way arcs over node indices, has one caller: the
-posiform min cut that submodular min-cut and every alpha-expansion move
-share, each building its node index once per solve; both report the
-core's phase and augmenting-path counts in ``SolveResult.stats``.
+Boykov and Kolmogorov's two-tree augmenting-path algorithm over node
+indices, with one signed terminal residual per node and one-way arcs
+between nodes, has one caller: the posiform min cut that submodular
+min-cut and every alpha-expansion move share, each building its node
+index once per solve; both report the core's augmenting-path and orphan
+counts in ``SolveResult.stats``.  Alpha-expansion stops as soon as every
+label is known not to improve its labeling.
 
 Costs stay exact everywhere, and a partial sum of finite costs that
 leaves the signed 64-bit range raises CostOverflowError.  Elimination
@@ -43,8 +46,9 @@ from __future__ import annotations
 import heapq
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain, starmap
+from itertools import chain, cycle, starmap
 from operator import add
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add
@@ -370,21 +374,42 @@ def solve_tree_dp(instance: EnergyInstance) -> SolveResult:
 # Max flow / min cut
 
 
-def _dinic(n: int, s: int, t: int, arcs, counters: dict) -> tuple[int, list[bool]]:
-    """Dinic's max flow (1970) from s to t over nodes 0..n-1, for `_min_cut`.
+_ROOT = -1  # a tree root's parent: its own terminal arc
+_FREE = -2  # the parent of a free node or of an orphan
 
-    Each of arcs is (i, j, capacity), a one-way arc whose reverse starts at
-    0; a negative capacity raises SolverError, and every capacity and the
-    running flow are range-checked.  Arc a runs to head[a] with residual
-    capacity cap[a], its reverse is arc a ^ 1, and adj[u] lists the arcs
-    out of u.  Each phase builds the BFS level graph, stopping once the
-    sink is labelled, then saturates it by an iterative DFS with a
-    current-arc pointer per node.  Returns the flow value and, per node,
-    whether the source reaches it in the final residual graph (the same
-    after any maximum flow, whatever the arc order).  Adds the phases
-    (level graphs built, the last one missing the sink) and augmenting
-    paths to counters.
+
+def _bk_max_flow(terminal: list[int], arcs, counters: dict) -> tuple[int, list[bool]]:
+    """Boykov-Kolmogorov max flow (PAMI 2004) over nodes 0..n-1, for `_min_cut`.
+
+    terminal[i] is node i's signed terminal residual: positive, a capacity
+    from the source to i; negative, a capacity from i to the sink.  Each of
+    arcs is (i, j, capacity), a one-way arc between nodes whose reverse
+    starts at 0; a negative capacity raises SolverError, and every capacity,
+    every terminal residual's magnitude and the running flow are
+    range-checked.  Arc a runs to head[a] with residual capacity cap[a], its
+    reverse is arc a ^ 1, and adj[u] lists the arcs out of u.
+
+    The one-arc paths (source, i, arc i->j, j, sink) are saturated first,
+    in arc order.  Then a source tree and a sink tree grow from the nodes
+    with a terminal residual left, breadth first from a queue of active
+    nodes.  parent[u] is the arc from u to its parent (_ROOT at a root,
+    _FREE off the trees); in the source tree the parent reaches u through
+    residual capacity, in the sink tree u reaches its parent.  An arc from
+    the source tree into the sink tree closes an augmenting path; its
+    bottleneck is pushed, and each node whose arc to its parent, or whose
+    terminal residual, it saturates becomes an orphan.  An orphan takes the
+    first neighbour in its tree that it is linked to that way and whose
+    parent arcs lead up to a root; with none, it leaves the tree, its
+    children become orphans and its tree neighbours linked to it become
+    active again.  The trees are kept across augmentations.  When no node
+    is active, the source tree is the set of nodes that the source reaches
+    in the final residual graph, the same after any maximum flow, whatever
+    the arc order.  Returns the flow value and, per node, whether it is in
+    that set; adds the augmenting paths and the orphans to counters.
     """
+    n = len(terminal)
+    for r in (max(terminal, default=0), -min(terminal, default=0)):
+        check_range(r)
     head: list[int] = []
     cap: list[int] = []
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -392,66 +417,134 @@ def _dinic(n: int, s: int, t: int, arcs, counters: dict) -> tuple[int, list[bool
         if c < 0:
             raise SolverError("negative capacity")
         check_range(c)
-        if c:
+        if c and i != j:
             adj[i].append(len(head))
             adj[j].append(len(head) + 1)
             head += (j, i)
             cap += (c, 0)
-    flow = phases = paths = 0
-    while True:
-        phases += 1
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        for u in queue:  # the queue grows while it is walked
-            if level[t] >= 0:
-                break
-            d = level[u] + 1
+    residual = list(terminal)
+    flow = paths = orphaned = 0
+    for a in range(0, len(head), 2):  # the one-arc paths first, in arc order
+        i, j = head[a + 1], head[a]
+        if residual[i] > 0 and residual[j] < 0:
+            f = min(residual[i], -residual[j], cap[a])
+            residual[i] -= f
+            residual[j] += f
+            cap[a] -= f
+            cap[a + 1] += f
+            flow = check_range(flow + f)
+            paths += 1
+    tree = [(r > 0) - (r < 0) for r in residual]  # 1 source tree, -1 sink tree, 0 free
+    parent = [_ROOT if r else _FREE for r in residual]
+    active = deque(u for u in range(n) if tree[u])
+    orphans: list[int] = []
+    while active:
+        u = active[0]  # stays at the front while its arcs close paths
+        side = tree[u]
+        middle = -1  # the arc from the source tree into the sink tree
+        if side > 0:
             for a in adj[u]:
-                v = head[a]
-                if cap[a] and level[v] < 0:
-                    level[v] = d
-                    queue.append(v)
-        if level[t] < 0:
-            break
-        current = [0] * n  # current-arc pointer per node
-        path = []  # arcs from the source to u in the level graph
-        u = s
-        while True:
-            if u == t:
-                f = min([cap[a] for a in path])
-                for a in path:
-                    cap[a] -= f
-                    cap[a ^ 1] += f
-                flow = check_range(flow + f)
-                paths += 1
-                for i, a in enumerate(path):  # back to the first saturated arc
-                    if not cap[a]:
+                if cap[a]:
+                    v = head[a]
+                    tv = tree[v]
+                    if not tv:
+                        tree[v] = 1
+                        parent[v] = a ^ 1
+                        active.append(v)
+                    elif tv < 0:
+                        middle = a
                         break
-                del path[i:]
-                u = head[path[-1]] if path else s
-                continue
-            out = adj[u]
-            i, m = current[u], len(out)
-            d = level[u] + 1
-            while i < m:
-                a = out[i]
-                if cap[a] and level[head[a]] == d:
-                    break
-                i += 1
-            current[u] = i
-            if i < m:
-                path.append(a)
-                u = head[a]
-            elif u == s:
-                break
-            else:  # dead end: drop u from this level graph and step back
-                level[u] = -1
-                u = head[path.pop() ^ 1]
-                current[u] += 1
-    counters["phases"] = counters.get("phases", 0) + phases
+        elif side < 0:
+            for a in adj[u]:
+                if cap[a ^ 1]:
+                    v = head[a]
+                    tv = tree[v]
+                    if not tv:
+                        tree[v] = -1
+                        parent[v] = a ^ 1
+                        active.append(v)
+                    elif tv > 0:
+                        middle = a ^ 1
+                        break
+        if middle < 0:
+            active.popleft()
+            continue
+
+        # The path: source tree root ... x, arc middle, y ... sink tree root.
+        x, y = head[middle ^ 1], head[middle]
+        f = cap[middle]
+        v = x
+        while (a := parent[v]) >= 0:
+            if cap[a ^ 1] < f:
+                f = cap[a ^ 1]
+            v = head[a]
+        if residual[v] < f:
+            f = residual[v]
+        v = y
+        while (a := parent[v]) >= 0:
+            if cap[a] < f:
+                f = cap[a]
+            v = head[a]
+        if -residual[v] < f:
+            f = -residual[v]
+        cap[middle] -= f
+        cap[middle ^ 1] += f
+        v = x
+        while (a := parent[v]) >= 0:
+            cap[a] += f
+            cap[a ^ 1] -= f
+            if not cap[a ^ 1]:
+                parent[v] = _FREE
+                orphans.append(v)
+            v = head[a]
+        residual[v] -= f
+        if not residual[v]:
+            parent[v] = _FREE
+            orphans.append(v)
+        v = y
+        while (a := parent[v]) >= 0:
+            cap[a] -= f
+            cap[a ^ 1] += f
+            if not cap[a]:
+                parent[v] = _FREE
+                orphans.append(v)
+            v = head[a]
+        residual[v] += f
+        if not residual[v]:
+            parent[v] = _FREE
+            orphans.append(v)
+        flow = check_range(flow + f)
+        paths += 1
+
+        # Adoption: a source-tree parent w must reach v (cap[a ^ 1] of the
+        # arc a from v to w), a sink-tree parent be reached from v (cap[a]).
+        while orphans:
+            v = orphans.pop()
+            orphaned += 1
+            side = tree[v]
+            for a in adj[v]:
+                if cap[a ^ 1] if side > 0 else cap[a]:
+                    w = head[a]
+                    if tree[w] == side:
+                        while (p := parent[w]) >= 0:
+                            w = head[p]
+                        if p == _ROOT:
+                            parent[v] = a
+                            break
+            else:
+                for a in adj[v]:
+                    w = head[a]
+                    if tree[w] == side:
+                        if cap[a ^ 1] if side > 0 else cap[a]:
+                            active.append(w)
+                        p = parent[w]
+                        if p >= 0 and head[p] == v:
+                            parent[w] = _FREE
+                            orphans.append(w)
+                tree[v] = 0
     counters["augmenting_paths"] = counters.get("augmenting_paths", 0) + paths
-    return flow, [d >= 0 for d in level]
+    counters["orphans"] = counters.get("orphans", 0) + orphaned
+    return flow, [side > 0 for side in tree]
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +669,11 @@ def _min_cut(unary, pairs, constant: int, counters: dict) -> tuple[list[int], in
     (i, j, 2x2 table), i != j, no node pair twice; all entries finite.
     Returns the canonical cut's labels by node index and its value; a
     table with f(0,1) + f(1,0) < f(0,0) + f(1,1) raises SolverError
-    (negative capacity).  Each posiform term is one one-way arc of the
-    flow core, which adds its counts to counters.
+    (negative capacity).  Each node's label-1 cost over its label-0 cost is
+    its terminal residual in the flow core and each pairwise posiform term
+    one one-way arc; the core adds its counts to counters.
     """
-    # Flow ids: 0..n-1 for the nodes, n = source, n + 1 = sink.
-    n = len(unary)
-    unary1 = [c1 - c0 for c0, c1 in unary]
+    unary1 = [c1 - c0 for c0, c1 in unary]  # w[x_i = 1]: w >= 0 is cut from the source
     for c0, _ in unary:
         constant = check_range(constant + c0)
     pair_arcs = []  # beta * [x_i = 0][x_j = 1]: arc i->j, cut when x_i = 0, x_j = 1
@@ -591,16 +683,11 @@ def _min_cut(unary, pairs, constant: int, counters: dict) -> tuple[list[int], in
         unary1[i] = check_range(unary1[i] + c - a)
         unary1[j] = check_range(unary1[j] + d - c)
         pair_arcs.append((i, j, b + c - a - d))
-    arcs = []
-    for i, w in enumerate(unary1):
-        if w >= 0:
-            arcs.append((n, i, w))  # cut when x_i = 1
-        else:
+    for w in unary1:
+        if w < 0:  # w[x_i = 1] = w + (-w)[x_i = 0], cut to the sink when x_i = 0
             constant = check_range(constant + w)
-            arcs.append((i, n + 1, -w))  # cut when x_i = 0
-    flow, reachable = _dinic(n + 2, n, n + 1, arcs + pair_arcs, counters)
-    # Arc s->i is cut exactly when i lands on the sink side, so sink side = label 1.
-    return [0 if r else 1 for r in reachable[:n]], check_range(constant + flow)
+    flow, source_side = _bk_max_flow(unary1, pair_arcs, counters)
+    return [0 if r else 1 for r in source_side], check_range(constant + flow)
 
 
 def _edge_indices(instance: EnergyInstance) -> list[tuple[int, int, tuple]]:
@@ -632,12 +719,21 @@ def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
 def alpha_expansion(instance: EnergyInstance) -> SolveResult:
     """Move-making approximation for metric instances; 2-approximate on Potts.
 
-    Starts from all zeros and sweeps labels in ascending order, accepting
-    only strictly improving expansion moves, until a full sweep makes no
-    progress.  Each move is a binary energy, label 0 keeping the current
-    label and label 1 switching to alpha, read straight off the instance
-    and the current labels by node index; on a metric instance it is
-    submodular and solved exactly by min cut.
+    Starts from all zeros and tries labels in ascending order, cyclically,
+    accepting only strictly improving expansion moves.  It stops as soon as
+    every label is known not to improve the current labeling, where sweeps
+    until one makes no progress would stop, after the same accepted moves:
+    label 0 cannot move the all-zero start; a failed move fails again until
+    the labeling changes; and the label of an accepted move cannot improve
+    at once, since its expansions of the new labeling are among those of
+    the old one that the cut minimized over.  So the failed labels reset to
+    {alpha} on each accepted move, and the solve ends when all k have
+    failed.  Each move is
+    a binary energy, label 0 keeping the current label and label 1
+    switching to alpha, read straight off the instance and the current
+    labels by node index; on a metric instance it is submodular and solved
+    exactly by min cut.  ``stats`` add the flow core's counts over every
+    move tried to ``moves_tried``.
     """
     if not instance.all_finite:
         raise SolverError("infinite unary or pairwise entry")
@@ -650,27 +746,31 @@ def alpha_expansion(instance: EnergyInstance) -> SolveResult:
     x = [0] * len(nodes)  # the current labels by node index
     current = evaluate(instance, dict.fromkeys(nodes, 0))
     moves = [current]
-    counters = {"phases": 0, "augmenting_paths": 0, "moves_tried": 0}
-    improved = True
-    while improved:
-        improved = False
-        for alpha in range(k):
-            # A generator: each move table is freed once read, sparing the GC.
-            cut, value = _min_cut(
-                [(row[a], row[alpha]) for row, a in zip(rows, x)],
-                ((i, j, ((t[x[i]][x[j]], t[x[i]][alpha]), (t[alpha][x[j]], t[alpha][alpha])))
-                 for i, j, t in pairs),
-                instance.constant, counters)
-            counters["moves_tried"] += 1
-            moved = [alpha if c else a for a, c in zip(x, cut)]
-            # The move energy of the cut is the instance energy of moved,
-            # term by term and in the same order.
-            if evaluate(instance, dict(zip(nodes, moved))) != value:
-                raise SolverError("min-cut labeling does not attain the cut value")
-            if value < current:
-                x, current = moved, value
-                moves.append(current)
-                improved = True
+    counters = {"augmenting_paths": 0, "orphans": 0, "moves_tried": 0}
+    failed = {0}  # the labels whose move cannot improve x
+    for alpha in cycle(range(k)):
+        if len(failed) == k:
+            break
+        if alpha in failed:
+            continue
+        # A generator: each move table is freed once read, sparing the GC.
+        cut, value = _min_cut(
+            [(row[a], row[alpha]) for row, a in zip(rows, x)],
+            ((i, j, ((t[x[i]][x[j]], t[x[i]][alpha]), (t[alpha][x[j]], t[alpha][alpha])))
+             for i, j, t in pairs),
+            instance.constant, counters)
+        counters["moves_tried"] += 1
+        moved = [alpha if c else a for a, c in zip(x, cut)]
+        # The move energy of the cut is the instance energy of moved,
+        # term by term and in the same order.
+        if evaluate(instance, dict(zip(nodes, moved))) != value:
+            raise SolverError("min-cut labeling does not attain the cut value")
+        if value < current:
+            x, current = moved, value
+            moves.append(current)
+            failed = {alpha}
+        else:
+            failed.add(alpha)
     labeling = dict(zip(nodes, x))
     if evaluate(instance, labeling) != current:
         raise SolverError("alpha-expansion labeling does not attain its recorded energy")

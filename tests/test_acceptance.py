@@ -230,6 +230,6 @@ def test_criterion_10_max_flow_at_scale(monkeypatch):
         assert len(r.move_values) > 1
         binary = potts_grid(0, 50, 50, 2)
         cut = solve_submodular_qpbo(binary)
-    monkeypatch.setattr(mine.solvers, "_dinic", _reference_core)
+    monkeypatch.setattr(mine.solvers, "_bk_max_flow", _reference_core)
     reference = solve_submodular_qpbo(binary)
     assert cut == reference

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from pathlib import Path
@@ -10,13 +11,15 @@ from mine.fileformat import (ParseError, parse_instance, parse_solution,
                              parse_wcnf3, read_trace, serialize_instance,
                              serialize_solution, serialize_wcnf3, write_trace)
 from mine.generate import (random_crossed_3label, random_drawing,
-                           random_general, random_qpbo, random_w3sat)
+                           random_general, random_potts, random_qpbo,
+                           random_submodular, random_w3sat)
 from mine.geometry import Drawing, circle_layout, list_crossings
 from mine.instance import InstanceError, evaluate, make_instance
 from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
 from mine.reductions.planar import planar_sigma
 from mine.reductions.wsat import W3SatTriv, w3sat_sigma
-from mine.solvers import solve_brute_force, solve_elimination
+from mine.solvers import (alpha_expansion, solve_brute_force, solve_elimination,
+                          solve_submodular_qpbo)
 
 
 # --- instance format ----------------------------------------------------
@@ -210,6 +213,39 @@ def test_cli_solve_prints_labeling_and_value(tmp_path, capsys):
     assert out == "0 0\nvalue 0\n"
 
 
+@pytest.mark.parametrize("method, instance, solve", [
+    ("mincut", random_submodular(5), solve_submodular_qpbo),
+    ("alphaexp", random_potts(5), alpha_expansion),
+    ("elim", random_general(5, inf_prob=0.2), solve_elimination),
+])
+def test_cli_solve_stats_are_the_library_stats_on_stderr(tmp_path, capsys, method,
+                                                         instance, solve):
+    path = _write(tmp_path, "a.mine", serialize_instance(instance))
+    assert run_cli(["solve", path, "--method", method]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert run_cli(["solve", path, "--method", method, "--stats"]) == 0
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out
+    assert with_stats.err.count("\n") == 1
+    stats = json.loads(with_stats.err)
+    assert stats and stats == solve(parse_instance(Path(path).read_text())[0]).stats
+
+
+@pytest.mark.parametrize("text, method, code", [
+    ("MINE 1\nnodes 1\nlabels 2\nunary 0 0 x\n", "elim", 2),
+    ("MINE 1\nnodes 2\nlabels 2 2\nedge 0 1 1 0 0 1\n", "mincut", 3),
+])
+def test_cli_solve_stats_leave_failures_as_they_are(tmp_path, capsys, text, method, code):
+    path = _write(tmp_path, "a.mine", text)
+    runs = []
+    for flag in ([], ["--stats"]):
+        runs.append((run_cli(["solve", path, "--method", method, *flag]),
+                     capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code and runs[0][1].out == ""
+
+
 def test_cli_reduce_then_sigma_round_trip(tmp_path, capsys):
     sat = random_w3sat("cli-sat")
     src = _write(tmp_path, "f.wcnf3", serialize_wcnf3(sat))
@@ -378,7 +414,8 @@ def test_cli_out_of_range_cost_is_a_parse_error(tmp_path, capsys):
 @pytest.mark.parametrize("weights, message", [
     ("1 99999999999999999999 2", "weight 99999999999999999999 outside signed 64-bit range"),
     (f"{2**63} {2**64} 0", f"weight {2**63} outside signed 64-bit range"),
-], ids=["beyond", "first-of-two"])
+    (f"{I64_MAX} 1 0", f"weights sum to {2**63}, outside signed 64-bit range"),
+], ids=["beyond", "first-of-two", "sum"])
 def test_wcnf3_weight_outside_int64_is_a_parse_error_at_its_line(tmp_path, capsys,
                                                                   weights, message):
     text = f"c weights next\np wcnf3 3 1\n\nw {weights}\n1 -2 3 0\nc end\n"

@@ -360,6 +360,9 @@ def _reference_parse_wcnf3(text):
             for w in weights:
                 if w > I64_MAX:
                     raise ParseError(line_no, f"weight {w} outside signed 64-bit range")
+            if sum(weights) > I64_MAX:
+                raise ParseError(line_no,
+                                 f"weights sum to {sum(weights)}, outside signed 64-bit range")
         else:
             lits = _reference_ints(tokens, line_no)
             if len(lits) != 4 or lits[-1] != 0:

@@ -9,13 +9,13 @@ import pytest
 
 from mine.cli import run_cli
 import mine.solvers
-from mine.costs import (I64_MAX, INF, CostOverflowError, check_range, ext_add,
+from mine.costs import (I64_MAX, I64_MIN, INF, CostOverflowError, check_range, ext_add,
                         is_finite)
 from mine.fileformat import serialize_instance
 from mine.generate import (random_forest, random_general, random_potts,
                            random_submodular)
 from mine.instance import EnergyInstance, all_labelings, evaluate, make_instance
-from mine.solvers import (SolveResult, SolverError, _dinic, adjacency,
+from mine.solvers import (SolveResult, SolverError, _bk_max_flow, adjacency,
                           alpha_expansion, is_forest, is_metric,
                           is_potts, is_submodular_binary, is_submodular_lattice,
                           min_fill_order, solve_brute_force, solve_elimination,
@@ -318,17 +318,77 @@ def test_tree_dp_on_twenty_thousand_nodes(shape):
 
 # --- max flow -----------------------------------------------------------
 
+def _terminal_form(n, s, t, arcs):
+    """A general s-t network in the flow core's form.
+
+    Returns (inner nodes, terminal residuals, inner arcs, flow moved
+    directly), the inner nodes (all but s and t) renumbered in order.  An
+    arc s->t moves its capacity directly; an arc into s or out of t carries
+    no s-t flow and is dropped; a node with arcs from s and to t moves the
+    smaller total directly and keeps the difference, which changes neither
+    the max flow nor the nodes the source reaches after it."""
+    inner = [u for u in range(n) if u not in (s, t)]
+    index = {u: i for i, u in enumerate(inner)}
+    from_s, to_t = [0] * len(inner), [0] * len(inner)
+    direct = 0
+    inner_arcs = []
+    for u, v, cap in arcs:
+        if (u, v) == (s, t):
+            direct += cap
+        elif u == t or v == s:
+            continue
+        elif u == s:
+            from_s[index[v]] += cap
+        elif v == t:
+            to_t[index[u]] += cap
+        else:
+            inner_arcs.append((index[u], index[v], cap))
+    direct += sum(map(min, from_s, to_t))
+    return inner, [a - b for a, b in zip(from_s, to_t)], inner_arcs, direct
+
+
+def _core(n, s, t, arcs):
+    """The flow core on a general network: (flow, whether s reaches each node)."""
+    inner, terminal, inner_arcs, direct = _terminal_form(n, s, t, arcs)
+    flow, side = _bk_max_flow(terminal, inner_arcs, {})
+    reachable = [u == s for u in range(n)]
+    for u, r in zip(inner, side):
+        reachable[u] = r
+    return flow + direct, reachable
+
+
+def _general_form(terminal, arcs):
+    """The flow core's input as a general network: (node count, s, t, arcs),
+    the source and sink after the nodes."""
+    n = len(terminal)
+    return n + 2, n, n + 1, [*((n, i, w) for i, w in enumerate(terminal) if w > 0),
+                             *((i, n + 1, -w) for i, w in enumerate(terminal) if w < 0),
+                             *arcs]
+
+
 def test_max_flow_single_arc():
-    assert _dinic(2, 0, 1, [(0, 1, 5)], {}) == (5, [True, False])
+    assert _core(2, 0, 1, [(0, 1, 5)]) == (5, [True, False])
+    # The sink arc saturates first: the source still reaches both nodes.
+    assert _bk_max_flow([5, -3], [(0, 1, 4)], {}) == (3, [True, True])
 
 
 def test_max_flow_diamond():
     arcs = [(u, v, 1) for u, v in ((0, 1), (0, 2), (1, 3), (2, 3))]
-    assert _dinic(4, 0, 3, arcs, {})[0] == 2
+    assert _core(4, 0, 3, arcs)[0] == 2
 
 
 def test_max_flow_disconnected():
-    assert _dinic(10, 0, 9, [(0, 1, 4)], {}) == (0, [True, True] + [False] * 8)
+    assert _core(10, 0, 9, [(0, 1, 4)]) == (0, [True, True] + [False] * 8)
+
+
+def test_max_flow_folds_terminal_arcs_of_a_general_network():
+    # s = 0, t = 3: an arc s->t, arcs into s and out of t, node 1 with arcs
+    # from s and to t, node 2 with two repeated arcs from s.
+    arcs = [(0, 3, 2), (1, 0, 9), (3, 2, 9), (0, 1, 5), (1, 3, 3), (0, 2, 1), (0, 2, 1),
+            (2, 3, 7), (1, 2, 4)]
+    assert _terminal_form(4, 0, 3, arcs) == ([1, 2], [2, -5], [(0, 1, 4)], 7)
+    assert _core(4, 0, 3, arcs) == (9, [True, False, False, False])
+    assert _reference_core_general(4, 0, 3, arcs) == (9, [True, False, False, False])
 
 
 def cut_value(arcs, src_side):
@@ -355,7 +415,7 @@ def _source_sides(n_nodes):
 
 def test_max_flow_equals_min_enumerated_cut():
     for n_nodes, arcs in _random_networks():
-        flow, reachable = _dinic(n_nodes, 0, n_nodes - 1, arcs, {})
+        flow, reachable = _core(n_nodes, 0, n_nodes - 1, arcs)
         best = min(cut_value(arcs, side) for side in _source_sides(n_nodes))
         assert flow == best
         assert cut_value(arcs, {u for u in range(n_nodes) if reachable[u]}) == flow
@@ -365,18 +425,19 @@ def test_max_flow_cut_is_the_smallest_min_cut_in_any_arc_order():
     # Every minimum cut's source side contains the one the core returns,
     # whatever order the arcs are given (and so searched) in.
     for n_nodes, arcs in _random_networks():
-        flow, reachable = _dinic(n_nodes, 0, n_nodes - 1, arcs, {})
+        flow, reachable = _core(n_nodes, 0, n_nodes - 1, arcs)
         minimum = [side for side in _source_sides(n_nodes) if cut_value(arcs, side) == flow]
         assert {u for u in range(n_nodes) if reachable[u]} == set.intersection(*minimum)
+        assert _dinic(n_nodes, 0, n_nodes - 1, arcs) == (flow, reachable)
         for seed in range(5):
             shuffled = list(arcs)
             random.Random(seed).shuffle(shuffled)
-            assert _dinic(n_nodes, 0, n_nodes - 1, shuffled, {}) == (flow, reachable)
+            assert _core(n_nodes, 0, n_nodes - 1, shuffled) == (flow, reachable)
 
 
 def test_max_flow_rejects_a_negative_capacity_set_directly():
     with pytest.raises(SolverError, match="negative capacity"):
-        _dinic(2, 0, 1, [(0, 1, 1), (0, 1, -1)], {})
+        _bk_max_flow([1, -1], [(0, 1, 1), (0, 1, -1)], {})
 
 
 def test_max_flow_range_checks_every_capacity():
@@ -384,14 +445,23 @@ def test_max_flow_range_checks_every_capacity():
     # 1->0 points against the flow.
     for u, v in ((0, 1), (1, 0)):
         with pytest.raises(CostOverflowError):
-            _dinic(3, 0, 2, [(0, 1, 1), (1, 2, 1), (u, v, I64_MAX + 1)], {})
+            _bk_max_flow([1, 0, -1], [(0, 1, 1), (1, 2, 1), (u, v, I64_MAX + 1)], {})
+
+
+def test_max_flow_range_checks_every_terminal_residual():
+    # At most 1 unit flows; each residual's magnitude is a capacity, so
+    # I64_MIN is out of range too.
+    assert _bk_max_flow([I64_MAX, -I64_MAX], [(0, 1, 1)], {})[0] == 1
+    for terminal in ([I64_MAX + 1, -1], [1, I64_MIN], [1, I64_MIN - 1]):
+        with pytest.raises(CostOverflowError):
+            _bk_max_flow(terminal, [(0, 1, 1)], {})
 
 
 def test_max_flow_range_checks_the_running_flow():
     # Two disjoint paths, each in range, whose flows add up past I64_MAX.
-    arcs = [(u, v, I64_MAX) for u, v in ((0, 1), (1, 3), (0, 2), (2, 3))]
+    terminal = [I64_MAX, I64_MAX, -I64_MAX, -I64_MAX]
     with pytest.raises(CostOverflowError):
-        _dinic(4, 0, 3, arcs, {})
+        _bk_max_flow(terminal, [(0, 2, I64_MAX), (1, 3, I64_MAX)], {})
 
 
 def _reference_max_flow(s, t, arcs):
@@ -437,10 +507,92 @@ def _reference_max_flow(s, t, arcs):
     return flow, reachable
 
 
-def _reference_core(n, s, t, arcs, counters):
-    """A stand-in for the flow core that runs _reference_max_flow instead."""
+def _reference_core_general(n, s, t, arcs):
+    """_reference_max_flow with the core's result shape on a general network."""
     flow, source_side = _reference_max_flow(s, t, arcs)
     return flow, [u in source_side for u in range(n)]
+
+
+def _reference_core(terminal, arcs, counters):
+    """A stand-in for the flow core that runs _reference_max_flow instead."""
+    flow, reachable = _reference_core_general(*_general_form(terminal, arcs))
+    return flow, reachable[:len(terminal)]
+
+
+def _dinic(n, s, t, arcs):
+    """Dinic's max flow (1970) from s to t over nodes 0..n-1, the flow core
+    before Boykov-Kolmogorov.
+
+    Each of arcs is (i, j, capacity), a one-way arc whose reverse starts at
+    0; every capacity and the running flow are range-checked.  Arc a runs
+    to head[a] with residual capacity cap[a], its reverse is arc a ^ 1, and
+    adj[u] lists the arcs out of u.  Each phase builds the BFS level graph,
+    stopping once the sink is labelled, then saturates it by an iterative
+    DFS with a current-arc pointer per node.  Returns the flow value and,
+    per node, whether the source reaches it in the final residual graph.
+    """
+    head, cap = [], []
+    adj = [[] for _ in range(n)]
+    for i, j, c in arcs:
+        if c < 0:
+            raise SolverError("negative capacity")
+        check_range(c)
+        if c:
+            adj[i].append(len(head))
+            adj[j].append(len(head) + 1)
+            head += (j, i)
+            cap += (c, 0)
+    flow = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = [s]
+        for u in queue:  # the queue grows while it is walked
+            if level[t] >= 0:
+                break
+            d = level[u] + 1
+            for a in adj[u]:
+                v = head[a]
+                if cap[a] and level[v] < 0:
+                    level[v] = d
+                    queue.append(v)
+        if level[t] < 0:
+            break
+        current = [0] * n  # current-arc pointer per node
+        path = []  # arcs from the source to u in the level graph
+        u = s
+        while True:
+            if u == t:
+                f = min([cap[a] for a in path])
+                for a in path:
+                    cap[a] -= f
+                    cap[a ^ 1] += f
+                flow = check_range(flow + f)
+                for i, a in enumerate(path):  # back to the first saturated arc
+                    if not cap[a]:
+                        break
+                del path[i:]
+                u = head[path[-1]] if path else s
+                continue
+            out = adj[u]
+            i, m = current[u], len(out)
+            d = level[u] + 1
+            while i < m:
+                a = out[i]
+                if cap[a] and level[head[a]] == d:
+                    break
+                i += 1
+            current[u] = i
+            if i < m:
+                path.append(a)
+                u = head[a]
+            elif u == s:
+                break
+            else:  # dead end: drop u from this level graph and step back
+                level[u] = -1
+                u = head[path.pop() ^ 1]
+                current[u] += 1
+    return flow, [d >= 0 for d in level]
 
 
 def _awkward_networks():
@@ -472,26 +624,28 @@ def test_max_flow_matches_edmonds_karp_on_awkward_networks():
     flows = []
     for n_nodes, s, t, arcs, found in _awkward_networks():
         features |= found
-        result = _dinic(n_nodes, s, t, arcs, {})
-        assert result == _reference_core(n_nodes, s, t, arcs, {})
+        result = _core(n_nodes, s, t, arcs)
+        assert result == _reference_core_general(n_nodes, s, t, arcs)
+        assert result == _dinic(n_nodes, s, t, arcs)
         flows.append(result[0])
     assert features == {"arc", "self-loop", "zero", "antiparallel", "repeated"}
     assert 0 in flows and sum(f > 0 for f in flows) > 30
 
 
 def _grid_cut_networks(monkeypatch):
-    """Every arc list the min-cut routine hands the flow core on seeded
-    20x20 binary and 12x12 4-label Potts grids, with the core's result."""
-    core = mine.solvers._dinic
+    """Every network the min-cut routine hands the flow core on seeded
+    20x20 binary and 12x12 4-label Potts grids, as (terminal residuals,
+    arcs, the core's result)."""
+    core = mine.solvers._bk_max_flow
     seen = []
 
-    def recording(n, s, t, arcs, counters):
-        result = core(n, s, t, arcs, counters)
-        seen.append((n, s, t, arcs, result))
+    def recording(terminal, arcs, counters):
+        result = core(terminal, arcs, counters)
+        seen.append((list(terminal), list(arcs), result))
         return result
 
     with monkeypatch.context() as patch:
-        patch.setattr(mine.solvers, "_dinic", recording)
+        patch.setattr(mine.solvers, "_bk_max_flow", recording)
         for seed in range(3):
             solve_submodular_qpbo(potts_grid(seed, 20, 20, 2))
             alpha_expansion(potts_grid(seed, 12, 12, 4))
@@ -500,18 +654,21 @@ def _grid_cut_networks(monkeypatch):
 
 def test_min_cut_networks_match_edmonds_karp_and_networkx(monkeypatch):
     networks = _grid_cut_networks(monkeypatch)
-    assert len(networks) > 3 + 3 * 4
-    for n, s, t, arcs, result in networks:
-        assert result == _reference_core(n, s, t, arcs, {})
-        assert _dinic(n, s, t, arcs, {}) == result
+    assert len(networks) > 3 + 3 * 3
+    for terminal, arcs, result in networks:
+        assert result == _reference_core(terminal, arcs, {})
+        assert _bk_max_flow(terminal, arcs, {}) == result
+        n, s, t, general = _general_form(terminal, arcs)
+        flow, reachable = _dinic(n, s, t, general)
+        assert (flow, reachable[:len(terminal)]) == result
         capacity = {}
-        for u, v, c in arcs:
+        for u, v, c in general:
             capacity[(u, v)] = capacity.get((u, v), 0) + c
         g = nx.DiGraph()
         g.add_nodes_from(range(n))
         g.add_weighted_edges_from(((u, v, c) for (u, v), c in capacity.items()),
                                   weight="capacity")
-        assert nx.minimum_cut_value(g, s, t) == result[0]
+        assert nx.minimum_cut_value(g, s, t) == flow
 
 
 # --- interaction checks -------------------------------------------------
@@ -708,24 +865,29 @@ def _expansion_move_instance(instance, x, alpha):
 
 
 def _reference_alpha_expansion(instance):
-    """Alpha-expansion as it was: each move a validated instance for the min-cut solver."""
+    """Alpha-expansion as it was: each move a validated instance for the
+    min-cut solver, in full sweeps until one improves nothing; ``stats``
+    count the moves tried."""
     if not is_metric(instance):
         raise SolverError("alpha expansion requires a metric instance")
     k = instance.labels[instance.nodes[0]]
     x = {u: 0 for u in instance.nodes}
     current = evaluate(instance, x)
     moves = [current]
+    tried = 0
     improved = True
     while improved:
         improved = False
         for alpha in range(k):
             res = solve_submodular_qpbo(_expansion_move_instance(instance, x, alpha))
+            tried += 1
             if res.value < current:
                 x = {u: (alpha if res.labeling[u] == 1 else x[u]) for u in instance.nodes}
                 current = res.value
                 moves.append(current)
                 improved = True
-    return SolveResult(x, current, "alpha-expansion", False, tuple(moves))
+    return SolveResult(x, current, "alpha-expansion", False, tuple(moves),
+                       {"moves_tried": tried})
 
 
 def potts_grid(seed, rows, cols, k):
@@ -742,40 +904,47 @@ def potts_grid(seed, rows, cols, k):
 
 
 def test_alpha_expansion_matches_the_move_instance_route():
+    # The early stop skips only moves that must fail: the same moves are
+    # accepted as in full sweeps, and no more moves are tried.
     corpus = [random_potts(seed) for seed in range(100)]
     corpus += [potts_grid(seed, n, n, 3) for n in (5, 8) for seed in range(3)]
     corpus += [potts_grid(seed, 20, 20, 4) for seed in range(3)]
-    moves = 0
+    moves = tried = swept = 0
     for inst in corpus:
         r = alpha_expansion(inst)
-        assert r == _reference_alpha_expansion(inst)  # move_values included
+        reference = _reference_alpha_expansion(inst)
+        assert r == reference  # move_values included
+        assert r.stats["moves_tried"] <= reference.stats["moves_tried"]
         moves += len(r.move_values) - 1
+        tried += r.stats["moves_tried"]
+        swept += reference.stats["moves_tried"]
     assert moves > len(corpus)
+    assert tried < swept
 
 
-def test_cut_solvers_count_phases_paths_and_moves(monkeypatch):
+def test_cut_solvers_count_paths_orphans_and_moves(monkeypatch):
     cut = solve_submodular_qpbo(potts_grid(0, 3, 3, 2))
-    assert cut.stats == {"phases": 5, "augmenting_paths": 9}
+    assert cut.stats == {"augmenting_paths": 7, "orphans": 6}
     assert replace(cut, stats={}) == cut  # the counters stay out of ==
     # Alpha-expansion sums the core's counts over every move it tries.
-    core = mine.solvers._dinic
+    core = mine.solvers._bk_max_flow
     per_move = []
 
-    def recording(n, s, t, arcs, counters):
+    def recording(terminal, arcs, counters):
         own = {}
-        result = core(n, s, t, arcs, own)
+        result = core(terminal, arcs, own)
         per_move.append(own)
         for key, count in own.items():
             counters[key] += count
         return result
 
-    monkeypatch.setattr(mine.solvers, "_dinic", recording)
+    monkeypatch.setattr(mine.solvers, "_bk_max_flow", recording)
     moves = alpha_expansion(potts_grid(0, 4, 4, 3))
     assert moves.move_values == (137, 110, 102)
-    assert moves.stats == {"phases": 18, "augmenting_paths": 33, "moves_tried": 6}
-    assert len(per_move) == 6
-    assert sum(c["phases"] for c in per_move) == 18
-    assert sum(c["augmenting_paths"] for c in per_move) == 33
+    assert moves.stats == {"augmenting_paths": 28, "orphans": 16, "moves_tried": 4}
+    assert len(per_move) == 4
+    assert sum(c["augmenting_paths"] for c in per_move) == 28
+    assert sum(c["orphans"] for c in per_move) == 16
 
 
 def _grid_labels(instance, labeling):
@@ -789,7 +958,7 @@ def test_cut_solvers_are_pinned_on_seeded_grids():
     binary = potts_grid(0, 20, 20, 2)
     cut = solve_submodular_qpbo(binary)
     assert (cut.value, cut.method, cut.exact, cut.move_values) == (3584, "mincut", True, ())
-    assert cut.stats == {"phases": 15, "augmenting_paths": 361}
+    assert cut.stats == {"augmenting_paths": 372, "orphans": 414}
     assert _grid_labels(binary, cut.labeling) == [
         "11111101000000000111", "11111111000000001111", "11111110000000001111",
         "11111110000000000011", "11111111000000100111", "11111111000011100011",
@@ -802,7 +971,7 @@ def test_cut_solvers_are_pinned_on_seeded_grids():
     moves = alpha_expansion(potts)
     assert (moves.value, moves.method, moves.exact) == (1155, "alpha-expansion", False)
     assert moves.move_values == (1419, 1326, 1218, 1160, 1158, 1155)
-    assert moves.stats == {"phases": 96, "augmenting_paths": 1019, "moves_tried": 12}
+    assert moves.stats == {"augmenting_paths": 815, "orphans": 686, "moves_tried": 8}
     assert _grid_labels(potts, moves.labeling) == [
         "333002223222", "131111113222", "111111112222", "111111112222",
         "111110011122", "111110003111", "111111133313", "111111133333",
