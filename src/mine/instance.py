@@ -13,7 +13,8 @@ operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import chain, product, repeat, starmap
+from operator import itemgetter, lt
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
 
@@ -43,9 +44,31 @@ def _check_costs(entries: list) -> tuple[int, bool]:
     all_finite = type(INF) not in kinds
     if not all_finite:
         entries = [c for c in entries if c is not INF]
-    if entries and not (I64_MIN <= min(entries) and max(entries) <= I64_MAX):
+    total = sum(map(abs, entries))
+    # No entry's magnitude exceeds the total, so a total in range needs no min or max.
+    if total > I64_MAX and not (I64_MIN <= min(entries) and max(entries) <= I64_MAX):
         raise InstanceError("cost entry outside signed 64-bit range")
-    return sum(map(abs, entries)), all_finite
+    return total, all_finite
+
+
+def _edges_fit(nodes: set, labels: dict[int, int], edges: tuple, tables: list) -> bool:
+    """Whether every edge is a pair (u, v) of nodes with u < v whose table is
+    labels[u] x labels[v]: the per-edge checks as whole-table passes."""
+    try:
+        if not (set(map(type, edges)) <= {tuple} and all(starmap(lt, edges))
+                and nodes.issuperset(chain.from_iterable(edges))):
+            return False
+        counts = set(labels.values())
+        rows = chain.from_iterable(tables)
+        if len(counts) == 1:
+            return set(map(len, tables)) <= counts and set(map(len, rows)) <= counts
+        heights = list(map(len, tables))
+        widths = chain.from_iterable(map(repeat, map(labels.__getitem__, map(itemgetter(1), edges)),
+                                         heights))
+        return (heights == list(map(labels.__getitem__, map(itemgetter(0), edges)))
+                and list(map(len, rows)) == list(widths))
+    except TypeError:  # a key or table of the wrong kind: the per-edge loop raises
+        return False
 
 
 @dataclass(frozen=True)
@@ -63,29 +86,36 @@ class EnergyInstance:
     all_finite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set(self.nodes)
-        if len(seen) != len(self.nodes):
+        nodes, unary, pairwise = self.nodes, self.unary, self.pairwise
+        seen = set(nodes)
+        if len(seen) != len(nodes):
             raise InstanceError("duplicate node ids")
-        if set(self.unary) != seen:
+        if set(unary) != seen:
             raise InstanceError("unary tables must cover exactly the node set")
-        object.__setattr__(self, "labels", {u: len(self.unary[u]) for u in self.nodes})
-        object.__setattr__(self, "edges", tuple(sorted(self.pairwise)))
-        for u in self.nodes:
-            if self.labels[u] < 1:
-                raise InstanceError(f"node {u}: label count must be positive")
-            if not any(is_finite(c) for c in self.unary[u]):
-                raise InstanceError(f"node {u}: no label with finite unary cost")
-        for (u, v) in self.edges:
-            if (u, v) != normalize_edge(u, v):
-                raise InstanceError(f"edge {(u, v)} not normalized (u < v required)")
-            if u not in seen or v not in seen:
-                raise InstanceError(f"edge {(u, v)} references unknown node")
-            table = self.pairwise[(u, v)]
-            if len(table) != self.labels[u] or any(len(row) != self.labels[v] for row in table):
-                raise InstanceError(f"edge {(u, v)}: pairwise table has wrong dimensions")
-        finite_sum, all_finite = _check_costs(
-            [*chain.from_iterable(self.unary.values()),
-             *chain.from_iterable(chain.from_iterable(self.pairwise.values()))])
+        labels = dict(zip(nodes, map(len, map(unary.__getitem__, nodes))))
+        edges = tuple(sorted(pairwise))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", edges)
+        entries = list(chain.from_iterable(unary.values()))
+        # Whole-table checks first; the loops below only name the first
+        # defect, in node and then edge order, when one of them fails.
+        if min(labels.values(), default=1) < 1 or type(INF) in set(map(type, entries)):
+            for u in nodes:
+                if labels[u] < 1:
+                    raise InstanceError(f"node {u}: label count must be positive")
+                if not any(is_finite(c) for c in unary[u]):
+                    raise InstanceError(f"node {u}: no label with finite unary cost")
+        tables = list(map(pairwise.__getitem__, edges))
+        if not _edges_fit(seen, labels, edges, tables):
+            for (u, v), table in zip(edges, tables):
+                if (u, v) != normalize_edge(u, v):
+                    raise InstanceError(f"edge {(u, v)} not normalized (u < v required)")
+                if u not in seen or v not in seen:
+                    raise InstanceError(f"edge {(u, v)} references unknown node")
+                if len(table) != labels[u] or any(len(row) != labels[v] for row in table):
+                    raise InstanceError(f"edge {(u, v)}: pairwise table has wrong dimensions")
+        entries += chain.from_iterable(chain.from_iterable(tables))
+        finite_sum, all_finite = _check_costs(entries)
         object.__setattr__(self, "finite_sum", finite_sum)
         object.__setattr__(self, "all_finite", all_finite)
         if type(self.constant) is not int:
@@ -100,18 +130,31 @@ def make_instance(labels: dict[int, int],
     """Convenience constructor: nodes sorted, edges normalized, unaries all-zero by default."""
     nodes = tuple(sorted(labels))
     unary = dict(unary or {})
-    for u in nodes:
-        if u in unary and len(unary[u]) != labels[u]:
-            raise InstanceError(f"node {u}: unary table has wrong length")
-        unary.setdefault(u, tuple([0] * labels[u]))
-    pw = {}
-    for (u, v), table in (pairwise or {}).items():
-        key = normalize_edge(u, v)
-        if key != (u, v):
-            table = tuple(zip(*table))
-        if key in pw:
-            raise InstanceError(f"edge {key} given twice")
-        pw[key] = tuple(tuple(row) for row in table)
+    if unary.keys() != labels.keys() or (list(map(len, map(unary.__getitem__, nodes)))
+                                         != list(map(labels.__getitem__, nodes))):
+        for u in nodes:
+            if u in unary and len(unary[u]) != labels[u]:
+                raise InstanceError(f"node {u}: unary table has wrong length")
+            unary.setdefault(u, tuple([0] * labels[u]))
+    pairwise = pairwise or {}
+    tables = pairwise.values()
+    try:  # keys already normalized, so none repeats another, and tuple tables
+        ready = (set(map(type, pairwise)) <= {tuple} and all(starmap(lt, pairwise))
+                 and set(map(type, tables)) <= {tuple}
+                 and set(map(type, chain.from_iterable(tables))) <= {tuple})
+    except TypeError:  # a key or table of the wrong kind: the loop raises
+        ready = False
+    if ready:
+        pw = dict(pairwise)
+    else:
+        pw = {}
+        for (u, v), table in pairwise.items():
+            key = normalize_edge(u, v)
+            if key != (u, v):
+                table = tuple(zip(*table))
+            if key in pw:
+                raise InstanceError(f"edge {key} given twice")
+            pw[key] = tuple(tuple(row) for row in table)
     return EnergyInstance(nodes=nodes, unary=unary, pairwise=pw, constant=constant)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from ..costs import check_range
+from ..costs import I64_MAX, I64_MIN, check_range
 from ..instance import EnergyInstance, Labeling, evaluate
 from ..poly import MultilinearPoly, poly, poly_add, poly_scale, quadratic_poly_to_instance
 from .trace import ReductionTrace
@@ -158,6 +158,15 @@ def w3sat_to_qpbo(sat: W3SatTriv) -> tuple[EnergyInstance, ReductionTrace]:
         aux_nodes.extend(aux)
         fresh += len(aux)
     total = poly_add(*parts)
+    # Each coefficient of the total is an entry of the target (a linear
+    # one a unary label-1 cost, a quadratic one a pairwise (1, 1) cost)
+    # or its constant, so each must fit in int64.
+    coefficients = total.terms.values()
+    if coefficients and not (I64_MIN <= min(coefficients) and max(coefficients) <= I64_MAX):
+        worst = max((c for c in coefficients if not I64_MIN <= c <= I64_MAX), key=abs)
+        raise SatError(f"M = {m}, the weight sum, scales the quadratized clause penalties to "
+                       f"a coefficient of {worst}; every coefficient must lie in signed "
+                       f"64-bit range")
     variables = list(range(1, sat.num_vars + 1)) + aux_nodes
     instance = quadratic_poly_to_instance(total, variables=variables)
     trace = ReductionTrace(kind="w3sat-to-qpbo",

@@ -662,30 +662,49 @@ def is_metric(instance: EnergyInstance) -> bool:
 # Submodular QPBO via min cut
 
 
-def _min_cut(unary, pairs, constant: int, counters: dict) -> tuple[list[int], int]:
+def _min_cut(unary, pairs, constant: int, magnitude: int,
+             counters: dict) -> tuple[list[int], int]:
     """Minimum of a binary energy over nodes 0..n-1, by the posiform min cut.
 
     unary[i] is node i's (label 0, label 1) pair; pairs, read once, yields
-    (i, j, 2x2 table), i != j, no node pair twice; all entries finite.
-    Returns the canonical cut's labels by node index and its value; a
-    table with f(0,1) + f(1,0) < f(0,0) + f(1,1) raises SolverError
-    (negative capacity).  Each node's label-1 cost over its label-0 cost is
-    its terminal residual in the flow core and each pairwise posiform term
-    one one-way arc; the core adds its counts to counters.
+    (i, j, 2x2 table), i != j, no node pair twice; all entries finite, and
+    their magnitudes sum to at most magnitude.  Returns the canonical cut's
+    labels by node index and its value; a table with
+    f(0,1) + f(1,0) < f(0,0) + f(1,1) raises SolverError (negative
+    capacity).  Each node's label-1 cost over its label-0 cost is its
+    terminal residual in the flow core and each pairwise posiform term one
+    one-way arc; the core adds its counts to counters.
+
+    Every partial sum of the constant and of a terminal residual below is
+    at most |constant| + 2 magnitude in size.  While that bound fits in
+    int64 the terms are added unchecked; otherwise each partial sum is
+    range-checked, and CostOverflowError is raised where one leaves int64.
     """
+    checked = abs(constant) + 2 * magnitude > I64_MAX
     unary1 = [c1 - c0 for c0, c1 in unary]  # w[x_i = 1]: w >= 0 is cut from the source
-    for c0, _ in unary:
-        constant = check_range(constant + c0)
+    if checked:
+        for c0, _ in unary:
+            constant = check_range(constant + c0)
+    else:
+        constant += sum([c0 for c0, _ in unary])
     pair_arcs = []  # beta * [x_i = 0][x_j = 1]: arc i->j, cut when x_i = 0, x_j = 1
     for i, j, ((a, b), (c, d)) in pairs:
         # f_ij = a + (c - a)[x_i=1] + (d - c)[x_j=1] + (b + c - a - d)[x_i=0][x_j=1]
-        constant = check_range(constant + a)
-        unary1[i] = check_range(unary1[i] + c - a)
-        unary1[j] = check_range(unary1[j] + d - c)
+        constant += a
+        unary1[i] += c - a
+        unary1[j] += d - c
+        if checked:
+            check_range(constant)
+            check_range(unary1[i])
+            check_range(unary1[j])
         pair_arcs.append((i, j, b + c - a - d))
-    for w in unary1:
-        if w < 0:  # w[x_i = 1] = w + (-w)[x_i = 0], cut to the sink when x_i = 0
+    # w[x_i = 1] = w + (-w)[x_i = 0] when w < 0, cut to the sink when x_i = 0
+    negative = [w for w in unary1 if w < 0]
+    if checked:
+        for w in negative:
             constant = check_range(constant + w)
+    else:
+        constant += sum(negative)
     flow, source_side = _bk_max_flow(unary1, pair_arcs, counters)
     return [0 if r else 1 for r in source_side], check_range(constant + flow)
 
@@ -704,8 +723,8 @@ def solve_submodular_qpbo(instance: EnergyInstance) -> SolveResult:
     if not submodular:
         raise SolverError("instance is not binary submodular")
     counters: dict = {}
-    cut, value = _min_cut([instance.unary[u] for u in instance.nodes],
-                          _edge_indices(instance), instance.constant, counters)
+    cut, value = _min_cut([instance.unary[u] for u in instance.nodes], _edge_indices(instance),
+                          instance.constant, instance.finite_sum, counters)
     x = dict(zip(instance.nodes, cut))
     if evaluate(instance, x) != value:
         raise SolverError("min-cut labeling does not attain the cut value")
@@ -748,6 +767,9 @@ def alpha_expansion(instance: EnergyInstance) -> SolveResult:
     moves = [current]
     counters = {"augmenting_paths": 0, "orphans": 0, "moves_tried": 0}
     failed = {0}  # the labels whose move cannot improve x
+    # A move takes two entries of each unary row and four of each pairwise
+    # table, so its magnitudes sum to at most four times the instance's.
+    magnitude = 4 * instance.finite_sum
     for alpha in cycle(range(k)):
         if len(failed) == k:
             break
@@ -758,7 +780,7 @@ def alpha_expansion(instance: EnergyInstance) -> SolveResult:
             [(row[a], row[alpha]) for row, a in zip(rows, x)],
             ((i, j, ((t[x[i]][x[j]], t[x[i]][alpha]), (t[alpha][x[j]], t[alpha][alpha])))
              for i, j, t in pairs),
-            instance.constant, counters)
+            instance.constant, magnitude, counters)
         counters["moves_tried"] += 1
         moved = [alpha if c else a for a, c in zip(x, cut)]
         # The move energy of the cut is the instance energy of moved,

@@ -13,11 +13,12 @@ Three properties, each over text hypothesis generates:
 - each of the three text parsers gives what a reference copy of its
   earlier per-token version gives, result or exception type and message,
   except that an integer token int() reads but that is not ASCII
-  [-+]?[0-9]+ is now a ParseError.
+  [-+]?[0-9]+, or that has more than 640 digits, is now a ParseError.
 """
 
 import io
 import re
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -506,3 +507,113 @@ def test_a_bad_cost_record_is_reported_at_its_first_bad_token(entries, message):
     assert str(exc.value) == f"line 4: {message}"
     if "_" not in entries:
         assert _outcome(_reference_parse_instance, text) == (ParseError, str(exc.value))
+
+
+# --- integer length, whatever the interpreter's limit -------------------------
+
+_FITS, _LONG = "0" * 639 + "1", "0" * 640 + "1"  # 640 and 641 digits, both worth 1
+
+
+@pytest.mark.parametrize("parse, template, accepted, message", [
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\nunary 0 0 {}\n",
+     lambda got: got[0].unary[0] == (0, 1), "line 4: expected integer or INF, got '{}'"),
+    (parse_instance, "MINE 1\nnodes 2\nlabels 2 2\nedge 0 {} 0 0 0 0\n",
+     lambda got: got[0].edges == ((0, 1),), "line 4: expected integers, got ['0', '{}']"),
+    (parse_instance, "MINE 1\nnodes 2\nids 0 {}\nlabels 2 2\n",
+     lambda got: got[0].nodes == (0, 1), "line 3: expected integers, got ['0', '{}']"),
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\nconstant -{}\n",
+     lambda got: got[0].constant == -1, "line 4: expected integers, got ['-{}']"),
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\ncoord 0 {}/1 0\n",
+     lambda got: got[1].coords[0] == (1, 0), "line 4: expected int or int/int, got '{}/1'"),
+    (parse_wcnf3, "p wcnf3 3 1\nw 0 {} 0\n1 -2 3 0\n",
+     lambda got: got.weights == (0, 1, 0), "line 2: expected integers, got ['0', '{}', '0']"),
+    (parse_solution, "0 {}\n", lambda got: got == ({0: 1}, None),
+     "line 1: expected integers, got ['0', '{}']"),
+    (parse_solution, "energy +{}\n", lambda got: got == ({}, 1),
+     "line 1: expected integer or INF, got '+{}'"),
+], ids=["cost", "edge-id", "ids", "constant", "coord", "weight", "label", "energy"])
+def test_a_token_of_more_than_640_digits_is_rejected_whatever_the_int_limit(
+        parse, template, accepted, message):
+    # 640 digits is the least limit the interpreter accepts for int() of a
+    # string (0 lifts it), so every setting reads every shorter token.
+    outcomes = []
+    old = sys.get_int_max_str_digits()
+    try:
+        for limit in (sys.int_info.str_digits_check_threshold, 0):
+            sys.set_int_max_str_digits(limit)
+            outcomes.append([_outcome(parse, template.format(t)) for t in (_FITS, _LONG)])
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert outcomes[0] == outcomes[1]
+    (fits_kind, fits), (long_kind, long_message) = outcomes[0]
+    assert fits_kind == "ok" and accepted(fits)
+    assert (long_kind, long_message) == (ParseError, message.format(_LONG))
+
+
+# --- whole-table conversion reads what int() reads ---------------------------
+
+_ODD_TOKENS = {t: t for t in [
+    "7", "-0", "+0", "007", "+7", "-007", "1,2", "1e3", "1.0", "0x1", "-", "--1", "inf", "NaN"]}
+_ODD_TOKENS.update({"above-int64": str(I64_MAX + 1), "below-int64": str(I64_MIN - 1),
+                    "signed-640-digits": "-" + _FITS})
+
+
+@pytest.mark.parametrize("token", list(_ODD_TOKENS.values()), ids=list(_ODD_TOKENS))
+@pytest.mark.parametrize("where", ["unary", "edge-cost", "edge-id"])
+def test_table_tokens_read_as_the_per_token_reader_reads_them(token, where):
+    # The unary and edge records are converted a whole table at a time; a
+    # token in an unusual form, among ordinary ones, gives the result a
+    # per-token reading gives.
+    records = {"unary": f"unary 1 0 {token}", "edge-cost": f"edge 0 1 0 {token} 1 1",
+               "edge-id": f"edge 0 {token} 0 0 0 0"}
+    text = ("MINE 1\nnodes 8\nlabels 2 2 2 2 2 2 2 2\nunary 0 1 2\n"
+            f"{records[where]}\nedge 2 3 5 6 7 8\nedge 4 5 0 0 0 0\n")
+    assert _outcome(parse_instance, text) == _outcome(_reference_parse_instance, text)
+
+
+# --- the first defect in file order wins --------------------------------------
+
+_HEAD = "MINE 1\nnodes 3\nlabels 2 2 2\n"
+
+
+@pytest.mark.parametrize("body, message", [
+    ("edge 0 1 0 x 0 0\nfoo 1\n", "line 4: expected integer or INF, got 'x'"),
+    ("foo 1\nedge 0 1 0 x 0 0\n", "line 4: unknown record 'foo'"),
+    ("edge 0 1\nunary 0 x 0\n", "line 4: edge needs two node ids and entries"),
+    ("unary 0 x 0\nedge 0 1\n", "line 4: expected integer or INF, got 'x'"),
+    ("edge x 1 0 0 0 0\nunary 0 0 0\nunary 0 0 0\n", "line 4: expected integers, got ['x', '1']"),
+    ("unary 0 0 0\nunary 0 0 0\nedge 0 1 0 x 0 0\n", "line 5: duplicate unary record for node 0"),
+    ("unary 2 0 0\nedge 0 1 0 0 0 99999999999999999999\nlabels 2 2\n",
+     "line 5: cost 99999999999999999999 outside signed 64-bit range"),
+    ("unary 1 0 0\nunary 1 0 0\nnodes 3 3\n", "line 5: duplicate unary record for node 1"),
+    ("unary 7 0 0\nunary 0 0\n", "line 5: unary record for unknown node 7"),
+    ("unary 0 0\nunary 7 0 0\n", "line 5: node 0: unary has 1 entries, expected 2"),
+    ("edge 0 1 0 0 0\nedge 1 0 0 0 0 0\n", "line 5: edge (0, 1): expected 4 entries, got 3"),
+    ("edge 1 0 0 0 0 0\nedge 0 1 0 0 0 0\nedge 0 2 0 0 0\n", "line 6: duplicate edge (0, 1)"),
+    ("edge 0 1 0 0 0 0\nedge 1 0 0 0 0 0\nedge 0 9 0 0 0 0\n", "line 6: duplicate edge (1, 0)"),
+    ("edge 0 9 0 0 0 0\nedge 0 1 0 0 0 0\nedge 1 0 0 0 0 0\n",
+     "line 6: edge (0, 9) references unknown node"),
+    ("edge 2 2 0 0 0 0\nedge 2 2 0 0 0 0\n", "line 5: duplicate edge (2, 2)"),
+], ids=["token-before-record", "record-before-token", "short-edge-before-token",
+        "token-before-short-edge", "edge-id-before-duplicate-unary",
+        "duplicate-unary-before-token", "range-before-labels", "duplicate-before-nodes",
+        "unknown-unary-before-length", "length-before-unknown-unary",
+        "edge-length-before-duplicate", "duplicate-before-edge-length",
+        "duplicate-before-unknown", "unknown-before-duplicate", "self-loop-twice"])
+def test_the_first_defect_in_file_order_is_reported(body, message):
+    # Unary and edge records are converted a whole table at a time after the
+    # other records; the error is still the one a per-record reading meets
+    # first.
+    text = _HEAD + body
+    assert _outcome(parse_instance, text) == (ParseError, message)
+    assert _outcome(_reference_parse_instance, text) == (ParseError, message)
+
+
+def test_a_label_count_below_one_leaves_the_error_construction_gives():
+    # Tables of nodes with a count below 1 are cut as a per-record reading
+    # cuts them, so construction meets the same first defect.
+    for text in ("MINE 1\nnodes 2\nlabels -1 -1\nedge 0 0 5\n",
+                 "MINE 1\nnodes 3\nlabels -1 -1 2\nedge 0 1 5\nedge 1 2 1 2\n",
+                 "MINE 1\nnodes 3\nlabels 1 -1 -1\nedge 1 2 5\nedge 0 0 7\n"):
+        assert _outcome(parse_instance, text) == _outcome(_reference_parse_instance, text)
+        assert _outcome(parse_instance, text)[0] in TYPED_ERRORS

@@ -154,6 +154,40 @@ def qpbo_optimum(inst):
     return min(evaluate(inst, y) for y in all_labelings(inst))
 
 
+_I64_MAX = 2**63 - 1
+_TWO_CLAUSES = "1 -2 3 0\n-1 2 -3 0\n"
+
+
+@pytest.mark.parametrize("weights", [f"{_I64_MAX - 1} 1 0", f"{2**62} {2**62 - 1} 0"],
+                         ids=["sum-at-int64-max", "halves"])
+def test_w3sat_to_qpbo_names_m_when_its_penalties_leave_int64(tmp_path, capsys, weights):
+    # Both weight lines sum to M = 2^63 - 1, which the parser accepts; the
+    # second clause's auxiliary takes a linear coefficient of 2M, so the
+    # reduction stops before it builds a table.
+    path, out = tmp_path / "f.wcnf3", tmp_path / "f.mine"
+    path.write_text(f"p wcnf3 3 2\nw {weights}\n{_TWO_CLAUSES}")
+    assert run_cli(["reduce", "w3sat-to-qpbo", str(path), str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: M = {_I64_MAX}, the weight sum, scales the quadratized "
+                            f"clause penalties to a coefficient of {2 * _I64_MAX}; every "
+                            f"coefficient must lie in signed 64-bit range\n")
+    assert not out.exists()
+
+
+def test_w3sat_to_qpbo_builds_up_to_the_penalty_bound(tmp_path):
+    # For these two clauses the largest coefficient is 2M: M = 2^62 - 1 is
+    # the last that fits, and M = 2^62 is refused.
+    clauses = ((1, -2, 3), (-1, 2, -3))
+    target, _ = w3sat_to_qpbo(W3SatTriv(3, clauses, (2**62 - 1, 0, 0)))
+    assert max(max(row) for row in target.unary.values()) == 2**63 - 2
+    with pytest.raises(SatError, match=f"M = {2**62}, the weight sum"):
+        w3sat_to_qpbo(W3SatTriv(3, clauses, (2**62, 0, 0)))
+    path = tmp_path / "f.wcnf3"
+    path.write_text(f"p wcnf3 3 2\nw {2**62 - 1} 0 0\n{_TWO_CLAUSES}")
+    assert run_cli(["reduce", "w3sat-to-qpbo", str(path), str(tmp_path / "f.mine")]) == 0
+
+
 def test_satisfiable_formula_same_optimum():
     rng = random.Random(5)
     for _ in range(20):

@@ -464,6 +464,48 @@ def test_max_flow_range_checks_the_running_flow():
         _bk_max_flow(terminal, [(0, 2, I64_MAX), (1, 3, I64_MAX)], {})
 
 
+def test_min_cut_checks_partial_sums_when_its_bound_leaves_int64():
+    # |constant| + 2 finite_sum passes I64_MAX, so every partial sum is
+    # checked: the pair's f(0, 0) = 2 takes the constant past I64_MAX
+    # before x_0's label-1 cost of -5 would bring it back.  The optimum,
+    # x_0 = 1, is I64_MAX - 6; brute force overflows on x_0 = 0.
+    inst = make_instance({0: 2, 1: 2}, {0: (0, -5)}, {(0, 1): ((2, 2), (0, 0))},
+                         constant=I64_MAX - 1)
+    assert evaluate(inst, {0: 1, 1: 0}) == I64_MAX - 6
+    with pytest.raises(CostOverflowError, match=f"cost {2**63} outside"):
+        solve_submodular_qpbo(inst)
+    with pytest.raises(CostOverflowError):
+        solve_brute_force(inst)
+
+
+def test_min_cut_unchecked_sums_give_the_checked_cut():
+    # While |constant| + 2 magnitude fits in int64 the terms are added
+    # unchecked; a magnitude that does not fit forces every check, and
+    # both give the same cut, value and counts.
+    for seed in range(40):
+        inst = random_submodular(seed, max_nodes=8)
+        unary = [inst.unary[u] for u in inst.nodes]
+        pairs = mine.solvers._edge_indices(inst)
+        runs = [(mine.solvers._min_cut(unary, pairs, inst.constant, magnitude, counters),
+                 counters)
+                for magnitude, counters in ((inst.finite_sum, {}), (I64_MAX, {}))]
+        assert runs[0] == runs[1]
+        assert runs[0][0][1] == solve_brute_force(inst).value
+
+
+def test_alpha_expansion_near_int64_takes_the_checked_sums():
+    # A constant near I64_MAX leaves the bound out of range, so each move's
+    # partial sums are checked; every energy still fits, and the moves are
+    # those of the unshifted grid.
+    grid = potts_grid(3, 6, 6, 3)
+    shift = I64_MAX - grid.finite_sum
+    shifted = replace(grid, constant=shift)
+    assert abs(shift) + 8 * grid.finite_sum > I64_MAX
+    got, expected = alpha_expansion(shifted), alpha_expansion(grid)
+    assert got.labeling == expected.labeling and got.stats == expected.stats
+    assert got.move_values == tuple(v + shift for v in expected.move_values)
+
+
 def _reference_max_flow(s, t, arcs):
     """Edmonds-Karp as it was: one BFS from the source per augmenting path.
 
