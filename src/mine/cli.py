@@ -83,6 +83,8 @@ def _build_parser() -> _Parser:
     verify_p.add_argument("--corpus", required=True)
     verify_p.add_argument("--alpha", type=int, default=1)
     verify_p.add_argument("--k", type=int, default=3)
+    verify_p.add_argument("--stats", action="store_true",
+                          help="also write the harness's counters as one JSON line on stderr")
 
     gen_p = sub.add_parser("gen", help="emit a seeded random instance")
     gen_p.add_argument("--family", required=True,
@@ -137,14 +139,14 @@ def _cmd_sigma(args) -> int:
     y, _ = parse_solution(_read(args.solution))
     if trace.kind == "w3sat-to-qpbo":
         sat = parse_wcnf3(_read(args.input))
-        x = w3sat_sigma(sat, trace, y)
+        x = w3sat_sigma(sat, trace)(y)
         labeling = {i: int(x[i]) for i in x}
         sys.stdout.write(serialize_solution(labeling))
         sys.stdout.write(f"measure {sat.measure(x)}\n")
         return 0
     original, _ = parse_instance(_read(args.input))
     if trace.kind == "qpbo-to-klabel":
-        x = klabel_sigma(original, trace, y)
+        x = klabel_sigma(original, trace)(y)
     elif trace.kind == "planarize":
         x = planar_sigma(original, trace, y)
     else:
@@ -201,7 +203,7 @@ def _cmd_verify_ap(args) -> int:
         if any(d is None for _, d in instances):
             raise InstanceError("planarize corpus files need coordinates")
         pi = lambda pair: _drop_drawing(planarize(pair[0], pair[1]))
-        sigma = lambda pair, trace, y: planar_sigma(pair[0], trace, y)
+        sigma = _planar_reverse
         source = SourceAdapter(
             feasible_solutions=lambda pair: ENERGY_SOURCE.feasible_solutions(pair[0]),
             is_feasible=lambda pair, x: ENERGY_SOURCE.is_feasible(pair[0], x),
@@ -218,7 +220,14 @@ def _cmd_verify_ap(args) -> int:
     for ce in report.counterexamples:
         sys.stdout.write(f"counterexample: instance {ce.instance_index} "
                          f"check {ce.check}: {ce.detail}\n")
+    if args.stats:
+        sys.stderr.write(json.dumps(report.stats, sort_keys=True) + "\n")
     return 0 if report.ok else COUNTEREXAMPLE_EXIT
+
+
+def _planar_reverse(pair, trace):
+    """The reverse map of a (source instance, drawing) pair's planarization."""
+    return lambda y, value=None: planar_sigma(pair[0], trace, y)
 
 
 def _drop_drawing(result):

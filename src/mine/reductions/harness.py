@@ -12,10 +12,12 @@ Energy instances are enumerated with `scored_labelings`, which updates
 each labeling's energy from the nodes that changed.  Energy instances and
 weighted 3-SAT sources are enumerated only up to the brute-force bound
 (`solvers.check_enumerable`, MINE_BRUTE_LIMIT): a larger one raises
-SolverError before anything is enumerated.  Sigma runs once per target
-labeling, but the source scores each distinct sigma output of an
+SolverError before anything is enumerated.  Sigma binds once per reduced
+instance, sigma(s, trace), and returns that instance's reverse map; the
+map runs once per target labeling, reverse(y, value), on the value the
+oracle gave y.  The source scores each distinct reverse-map output of an
 instance once, so the source's feasibility and measure functions must be
-pure.
+pure.  The ratio transfer is tested in exact integers.
 """
 
 from __future__ import annotations
@@ -98,13 +100,18 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
                         source: SourceAdapter = ENERGY_SOURCE) -> APReport:
     """Exhaustively check the AP conditions of (pi, sigma, alpha) on instances.
 
-    pi(s) must return (target EnergyInstance, trace); sigma(s, trace, y) a
-    source solution.  The oracle maps a target instance to all its
-    (labeling, value) pairs.  ``report.stats`` counts the target labelings
-    enumerated, the sigma calls and the distinct sigma outputs scored.
+    pi(s) must return (target EnergyInstance, trace).  sigma(s, trace) must
+    return the reverse map of that reduced instance, reverse(y, value), a
+    source solution for each target labeling y, given the value the oracle
+    gave y; it is bound once per instance that has a target labeling, and
+    an error it raises propagates.  The oracle maps a target instance to
+    all its (labeling, value) pairs.  ``report.stats`` counts the target
+    labelings enumerated, the reverse-map calls and the distinct reverse-map
+    outputs scored.
     """
     oracle = oracle or default_oracle
     report = APReport(alpha=Fraction(alpha))
+    p, q = report.alpha.numerator, report.alpha.denominator  # q > 0
     stats = report.stats
     for idx, src in enumerate(instances):
         report.checked += 1
@@ -134,13 +141,20 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
         finite_values = [val for _, val in solutions if is_finite(val)]
         opt2 = min(finite_values) if finite_values else None
         ratios_ok = opt1 is not None and opt2 is not None and opt1 > 0 and opt2 > 0
-        if not ratios_ok:
+        if ratios_ok:
+            # R1 <= 1 + alpha (R2 - 1) with R1 = m1/opt1, R2 = val/opt2, times
+            # q opt1 opt2 > 0: m1 q opt2 <= (q - p) opt1 opt2 + p opt1 val.
+            scale, base, slope = q * opt2, (q - p) * opt1 * opt2, p * opt1
+        else:
             report.ratio_undefined.append(idx)
 
         stats["labelings"] += len(solutions)
+        if not solutions:
+            continue
+        reverse = sigma(src, trace)
         scored = {}  # frozenset of a sigma output's items: [is_feasible, measure or None]
         for y, val in solutions:
-            x = sigma(src, trace, y)
+            x = reverse(y, val)
             stats["sigma_calls"] += 1
             key = frozenset(x.items())
             score = scored.get(key)
@@ -154,9 +168,9 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
             if ratios_ok and is_finite(val):
                 if score[1] is None:
                     score[1] = source.measure(src, x)
-                r2 = Fraction(val, opt2)
-                r1 = Fraction(score[1], opt1)
-                if r1 > 1 + report.alpha * (r2 - 1):
+                if score[1] * scale > base + slope * val:
+                    r2 = Fraction(val, opt2)
+                    r1 = Fraction(score[1], opt1)
                     report.counterexamples.append(Counterexample(
                         idx, "ratio-transfer", dict(y),
                         f"R1={r1} > 1 + {report.alpha}*(R2-1) with R2={r2}"))

@@ -38,17 +38,21 @@ def qpbo_to_klabel(instance: EnergyInstance, k: int) -> tuple[EnergyInstance, Re
     return target, trace
 
 
-def klabel_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -> Labeling:
-    """Reverse map: y itself below the M threshold, else the fixed all-zeros labeling.
+def klabel_sigma(original: EnergyInstance, trace: ReductionTrace):
+    """Reverse map of one padded instance: y itself when it uses labels 0 and
+    1 only, else the fixed all-zeros labeling.
 
-    On labels 0 and 1 the padded instance costs what original costs, term by
-    term, so such a y is always below M; a padding label maps to all zeros.
-    Every call checks, each in one C-level pass, that original is binary,
-    that the trace's threshold is big_m(original) (read from the bound the
-    instance recorded at construction), and that y labels exactly
-    original's nodes with non-negative ints.  check_labeling runs only on a
-    y that fails, to raise its error; padding labels are clamped to 1 so
-    they are not the error it names.
+    Binding checks, once, the trace kind, that original is binary, and that
+    the trace's threshold is big_m(original) (read from the bound the
+    instance recorded at construction).  The map it returns,
+    reverse(y, value=None), checks that y labels exactly original's nodes
+    with non-negative ints, each in one C-level pass; check_labeling runs
+    only on a y that fails, to raise its error, with padding labels clamped
+    to 1 so they are not the error it names.  On labels 0 and 1 the padded
+    instance costs what original costs, term by term, so such a y is below
+    M.  The labels decide, not the value, which the map ignores: with
+    negative costs a padding labeling can cost less than M (unaries (0, 0)
+    and (-5, -5) give M = 11, yet {0: 2, 1: 0} costs 6 when k = 3).
     """
     if trace.kind != "qpbo-to-klabel":
         raise InstanceError("trace kind mismatch")
@@ -57,11 +61,17 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -
         raise InstanceError("qpbo_to_klabel requires a binary instance")
     if trace.big_m != big_m(original):
         raise InstanceError("trace threshold does not match the instance's big-M")
-    values = y.values()
-    if not (y.keys() == labels.keys() and LABEL_TYPES.issuperset(map(type, values))
-            and (not y or min(values) >= 0)):
-        # Raises: a node missing or extra, a label not an int, or a negative label.
-        check_labeling(original, {u: min(a, 1) if type(a) is int else a for u, a in y.items()})
-    if y and max(values) >= 2:
-        return dict.fromkeys(original.nodes, 0)
-    return dict(y)  # below M: big_m exceeds |energy| of every labeling
+    keys, nodes = labels.keys(), original.nodes
+
+    def reverse(y: Labeling, value=None) -> Labeling:
+        values = y.values()
+        if not (y.keys() == keys and LABEL_TYPES.issuperset(map(type, values))
+                and (not y or min(values) >= 0)):
+            # Raises: a node missing or extra, a label not an int, or a negative label.
+            check_labeling(original, {u: min(a, 1) if type(a) is int else a
+                                      for u, a in y.items()})
+        if y and max(values) >= 2:
+            return dict.fromkeys(nodes, 0)
+        return dict(y)  # below M: big_m exceeds |energy| of every labeling
+
+    return reverse

@@ -4,7 +4,8 @@ The forward map turns each clause into a cubic penalty worth M when the
 clause fails, quadratizes every cubic monomial with one fresh auxiliary
 variable, and adds the variable weights as unary terms.  The reverse map
 restricts low-energy labelings and falls back to all-true otherwise; it
-rebuilds the target from the formula and rejects a trace of another one.
+is bound once per formula and trace, rebuilds the target from the formula
+then, and rejects a trace of another one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from ..costs import I64_MAX, I64_MIN, check_range
-from ..instance import EnergyInstance, Labeling, evaluate
+from ..instance import LABEL_TYPES, EnergyInstance, Labeling, check_labeling, evaluate
 from ..poly import MultilinearPoly, poly, poly_add, poly_scale, quadratic_poly_to_instance
 from .trace import ReductionTrace
 
@@ -177,36 +178,37 @@ def w3sat_to_qpbo(sat: W3SatTriv) -> tuple[EnergyInstance, ReductionTrace]:
     return instance, trace
 
 
-# The last formula, its target and trace, and the caller's trace last found
-# equal to that trace: the AP harness maps every labeling of one formula's
-# target in a row, with one trace.  All four are frozen and kept alive here,
-# so the same objects still match.
-_memo: tuple = (None, None, None, None)
+def w3sat_sigma(sat: W3SatTriv, trace: ReductionTrace):
+    """Reverse map of one reduced formula: restriction of y when its energy
+    stays below M, else all-true.
 
-
-def w3sat_sigma(sat: W3SatTriv, trace: ReductionTrace, y: Labeling) -> dict[int, bool]:
-    """Reverse map: restriction of y when its energy stays below M, else all-true.
-
-    The target instance is rebuilt from sat, once per formula (a formula
-    equal to the last one is compared once and shares its build); trace
-    must equal the trace w3sat_to_qpbo(sat) returns, else SatError,
-    compared once per trace object in a run of calls.  y is scored on that
-    target by evaluate: one sum when the target's |constant| + finite_sum
-    fits in int64, else the ordered, overflow-checked loop.
+    Binding rebuilds the target from sat once and requires trace to equal
+    the trace w3sat_to_qpbo(sat) returns, else SatError.  The map it
+    returns, reverse(y, value=None), checks that y labels that target (the
+    InstanceError check_labeling raises otherwise) and thresholds value,
+    the energy of y on the target, against trace.big_m.  The value is
+    trusted, not re-scored: the AP harness passes the one its oracle gave
+    y.  Without a value, y is scored by evaluate.
     """
-    global _memo
     if trace.kind != "w3sat-to-qpbo":
         raise SatError("trace kind mismatch")
-    last, instance, own, accepted = _memo
-    if sat is not last:
-        if sat != last:
-            (instance, own), accepted = w3sat_to_qpbo(sat), None
-        _memo = sat, instance, own, accepted
-    if trace is not accepted:
-        if trace != own:
-            raise SatError("trace was not made from this formula")
-        _memo = sat, instance, own, trace
-    energy = evaluate(instance, y)
-    if energy >= trace.big_m:
-        return sat.all_true()
-    return {i: bool(y[i]) for i in trace.original_nodes}
+    target, own = w3sat_to_qpbo(sat)
+    if trace != own:
+        raise SatError("trace was not made from this formula")
+    keys = target.labels.keys()
+    originals, threshold, all_true = trace.original_nodes, trace.big_m, sat.all_true()
+
+    def reverse(y: Labeling, value=None) -> dict[int, bool]:
+        values = y.values()
+        # Every target node has 2 labels, so these are check_labeling's
+        # conditions, each one C-level pass; check_labeling names the defect.
+        if not (y.keys() == keys and LABEL_TYPES.issuperset(map(type, values))
+                and {0, 1}.issuperset(values)):
+            check_labeling(target, y)
+        if value is None:
+            value = evaluate(target, y)
+        if value >= threshold:
+            return dict(all_true)
+        return {i: bool(y[i]) for i in originals}
+
+    return reverse

@@ -108,9 +108,10 @@ def test_criterion_2_w3sat_ap_reduction():
         for sat in sats:
             target, trace = w3sat_to_qpbo(sat)
             m2_star = None
+            reverse = w3sat_sigma(sat, trace)
             for y in all_labelings(target):
                 m2 = evaluate(target, y)
-                x = w3sat_sigma(sat, trace, y)
+                x = reverse(y, m2)
                 assert sat.is_feasible(x)
                 assert sat.measure(x) <= m2
                 m2_star = m2 if m2_star is None else min(m2_star, m2)

@@ -287,7 +287,9 @@ _REFERENCE_ENERGY_SOURCE = SourceAdapter(
 
 
 def _reference_verify(pi, sigma, alpha, instances, source=ENERGY_SOURCE):
-    """The harness as it was: every labeling evaluated, every sigma output scored."""
+    """The harness as it was: every labeling evaluated, every sigma output
+    scored, the ratio transfer in Fractions; the reverse map bound once per
+    instance and handed each labeling's value."""
     if source is ENERGY_SOURCE:
         source = _REFERENCE_ENERGY_SOURCE
     report = APReport(alpha=Fraction(alpha))
@@ -320,8 +322,9 @@ def _reference_verify(pi, sigma, alpha, instances, source=ENERGY_SOURCE):
         ratios_ok = opt1 is not None and opt2 is not None and opt1 > 0 and opt2 > 0
         if not ratios_ok:
             report.ratio_undefined.append(idx)
+        reverse = sigma(src, trace)
         for y, val in solutions:
-            x = sigma(src, trace, y)
+            x = reverse(y, val)
             if not source.is_feasible(src, x):
                 report.counterexamples.append(Counterexample(idx, "sigma-feasible", dict(y),
                                                              f"sigma output {x} infeasible"))
@@ -350,8 +353,8 @@ def _unsat_formula():
     return W3SatTriv(3, clauses, (1, 1, 1))
 
 
-def _restriction_only(sat, trace, y):  # drops the all-true fallback
-    return {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
+def _restriction_only(sat, trace):  # drops the all-true fallback
+    return lambda y, value: {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
 
 
 def test_harness_equals_the_reference_on_w3sat_formulas():
@@ -373,15 +376,15 @@ def test_harness_equals_the_reference_on_broken_maps():
     report = _both(w3sat_to_qpbo, _restriction_only, 1, sats, source=SAT_SOURCE)
     assert any(ce.check == "sigma-feasible" for ce in report.counterexamples)
 
-    def all_zeros(src, trace, y):
-        return {u: 0 for u in src.nodes}
+    def all_zeros(src, trace):
+        return lambda y, value: {u: 0 for u in src.nodes}
 
     instances = [random_qpbo(seed, max_nodes=4) for seed in range(30)]
     report = _both(lambda s: qpbo_to_klabel(s, 3), all_zeros, 1, instances)
     assert any(ce.check == "ratio-transfer" for ce in report.counterexamples)
 
-    def first_label_infinite(src, trace, y):  # an infeasible source labeling
-        return dict(y)
+    def first_label_infinite(src, trace):  # an infeasible source labeling
+        return lambda y, value: dict(y)
 
     with_inf = make_instance({0: 2, 1: 2}, {0: (1, INF), 1: (2, 1)})
     report = _both(lambda s: (s, qpbo_to_klabel(make_instance({0: 2, 1: 2}), 2)[1]),
@@ -393,6 +396,24 @@ def test_harness_equals_the_reference_on_broken_maps():
 
     report = _both(bad_pi, klabel_sigma, 1, instances[:2])
     assert [ce.check for ce in report.counterexamples] == ["well-formed"] * 2
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3, 2), 0, 2, Fraction(-1, 3),
+                                   Fraction(7, 5)])
+def test_harness_equals_the_reference_at_any_alpha(alpha):
+    # klabel_sigma keeps a binary y's energy, so R1 = R2 and alpha < 1 fails
+    # on every labeling above the optimum; all_zeros fails at larger alpha.
+    instances = [random_qpbo(seed, max_nodes=4) for seed in range(30)]
+    report = _both(lambda s: qpbo_to_klabel(s, 3), klabel_sigma, alpha, instances)
+    if alpha < 1:
+        assert any(ce.check == "ratio-transfer" for ce in report.counterexamples)
+
+    def all_zeros(src, trace):
+        return lambda y, value: {u: 0 for u in src.nodes}
+
+    _both(lambda s: qpbo_to_klabel(s, 3), all_zeros, alpha, instances)
+    sats = [random_w3sat(seed, max_vars=4, max_clauses=3) for seed in range(20)]
+    _both(w3sat_to_qpbo, w3sat_sigma, alpha, sats, source=SAT_SOURCE)
 
 
 def test_source_scores_each_distinct_sigma_output_once():
@@ -414,8 +435,9 @@ def test_source_scores_each_distinct_sigma_output_once():
     for sat in sats:
         target, trace = w3sat_to_qpbo(sat)
         outputs = []
+        reverse = w3sat_sigma(sat, trace)
         for y in all_labelings(target):
-            x = w3sat_sigma(sat, trace, y)
+            x = reverse(y)
             if x not in outputs:
                 outputs.append(x)
         distinct += outputs

@@ -15,9 +15,10 @@ from mine.generate import (random_crossed_3label, random_drawing,
                            random_submodular, random_w3sat)
 from mine.geometry import Drawing, circle_layout, list_crossings
 from mine.instance import InstanceError, evaluate, make_instance
+from mine.reductions.harness import SAT_SOURCE, verify_ap_reduction
 from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
-from mine.reductions.planar import planar_sigma
-from mine.reductions.wsat import W3SatTriv, w3sat_sigma
+from mine.reductions.planar import planar_sigma, planarize
+from mine.reductions.wsat import W3SatTriv, w3sat_sigma, w3sat_to_qpbo
 from mine.solvers import (alpha_expansion, solve_brute_force, solve_elimination,
                           solve_submodular_qpbo)
 
@@ -526,8 +527,8 @@ def test_cli_verify_ap_w3sat_stops_at_the_enumeration_bound(tmp_path, capsys, mo
 def test_cli_verify_ap_exits_4_on_a_broken_reverse_map(tmp_path, capsys, monkeypatch):
     import mine.cli as cli
 
-    def restriction_only(sat, trace, y):  # drops the all-true fallback
-        return {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
+    def restriction_only(sat, trace):  # drops the all-true fallback
+        return lambda y, value=None: {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
 
     monkeypatch.setattr(cli, "w3sat_sigma", restriction_only)
     clauses = tuple((s1 * 1, s2 * 2, s3 * 3)
@@ -539,6 +540,92 @@ def test_cli_verify_ap_exits_4_on_a_broken_reverse_map(tmp_path, capsys, monkeyp
     assert lines[0].startswith("checked 1 instances, ")
     assert len(lines) > 1
     assert all(line.startswith("counterexample: instance 0 check ") for line in lines[1:])
+
+
+def _verify_ap_corpus(tmp_path, reduction):
+    """A small corpus for one reduction and the library report on it."""
+    if reduction == "w3sat-to-qpbo":
+        sats = [random_w3sat(seed, max_vars=5, max_clauses=3) for seed in range(4)]
+        for i, sat in enumerate(sats):
+            _write(tmp_path, f"{i}.wcnf3", serialize_wcnf3(sat))
+        return verify_ap_reduction(w3sat_to_qpbo, w3sat_sigma, 1, sats, source=SAT_SOURCE)
+    if reduction == "qpbo-to-klabel":
+        instances = [random_qpbo(seed, max_nodes=4) for seed in range(4)]
+        for i, inst in enumerate(instances):
+            _write(tmp_path, f"{i}.mine", serialize_instance(inst))
+        return verify_ap_reduction(lambda s: qpbo_to_klabel(s, 3), klabel_sigma, 1, instances)
+    pairs = [_crossing_free_3label(seed) for seed in range(2)]
+    instances = [inst for inst, _ in pairs]
+    drawing = {id(inst): d for inst, d in pairs}
+    for i, (inst, d) in enumerate(pairs):
+        _write(tmp_path, f"{i}.mine", serialize_instance(inst, d))
+
+    def pi(inst):
+        target, _, trace = planarize(inst, drawing[id(inst)])
+        return target, trace
+
+    def sigma(inst, trace):
+        return lambda y, value: planar_sigma(inst, trace, y)
+
+    return verify_ap_reduction(pi, sigma, 1, instances)
+
+
+@pytest.mark.parametrize("reduction", ["w3sat-to-qpbo", "qpbo-to-klabel", "planarize"])
+def test_cli_verify_ap_stats_are_the_harness_stats_on_stderr(tmp_path, capsys, reduction):
+    report = _verify_ap_corpus(tmp_path, reduction)
+    args = ["verify-ap", "--reduction", reduction, "--corpus", str(tmp_path)]
+    assert run_cli(args) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert run_cli(args + ["--stats"]) == 0
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out
+    assert with_stats.err.count("\n") == 1 and with_stats.err.endswith("\n")
+    assert with_stats.err == json.dumps(report.stats, sort_keys=True) + "\n"
+    assert report.stats["labelings"] > 0
+
+
+def test_cli_verify_ap_stats_follow_a_counterexample_report(tmp_path, capsys, monkeypatch):
+    import mine.cli as cli
+
+    def restriction_only(sat, trace):  # drops the all-true fallback
+        return lambda y, value=None: {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
+
+    monkeypatch.setattr(cli, "w3sat_sigma", restriction_only)
+    clauses = tuple((s1 * 1, s2 * 2, s3 * 3)
+                    for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1))
+    sat = W3SatTriv(3, clauses, (1, 1, 1))
+    _write(tmp_path, "unsat.wcnf3", serialize_wcnf3(sat))
+    args = ["verify-ap", "--reduction", "w3sat-to-qpbo", "--corpus", str(tmp_path)]
+    assert run_cli(args) == 4
+    plain = capsys.readouterr()
+    assert run_cli(args + ["--stats"]) == 4
+    with_stats = capsys.readouterr()
+    assert with_stats.out == plain.out and plain.err == ""
+    report = verify_ap_reduction(w3sat_to_qpbo, restriction_only, 1, [sat], source=SAT_SOURCE)
+    assert not report.ok
+    assert with_stats.err == json.dumps(report.stats, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name, text, reduction, extra, code", [
+    ("a.mine", "MINE 1\nnodes 1\nlabels 2\nunary 0 0 x\n", "qpbo-to-klabel", [], 2),
+    ("a.wcnf3", "p wcnf3 3 1\nw 1 1\n1 2 3 0\n", "w3sat-to-qpbo", [], 2),
+    ("a.mine", serialize_instance(make_instance({0: 2}, {0: (0, 3)})), "qpbo-to-klabel",
+     ["--k", "1"], 3),
+    ("a.wcnf3", serialize_wcnf3(W3SatTriv(40, ((1, 2, 3),), (1,) * 40)), "w3sat-to-qpbo",
+     [], 3),
+], ids=["parse-instance", "parse-wcnf3", "k-below-2", "enumeration-bound"])
+def test_cli_verify_ap_stats_leave_failures_as_they_are(tmp_path, capsys, name, text,
+                                                        reduction, extra, code):
+    _write(tmp_path, name, text)
+    runs = []
+    for flag in ([], ["--stats"]):
+        runs.append((run_cli(["verify-ap", "--reduction", reduction, "--corpus", str(tmp_path),
+                              *extra, *flag]),
+                     capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code and runs[0][1].out == ""
+    assert runs[0][1].err.count("\n") == 1
 
 
 _BINARY = make_instance({0: 2, 1: 2}, {0: (0, 3)}, {(0, 1): ((0, 1), (1, 0))})
@@ -580,14 +667,14 @@ def test_cli_sigma_prints_the_library_map_for_every_trace_kind(tmp_path, capsys)
     sat = random_w3sat(2)
     printed, trace, y = _reduce_then_sigma(tmp_path, capsys, "w3sat-to-qpbo", "f.wcnf3",
                                            serialize_wcnf3(sat), solve_brute_force)
-    x = w3sat_sigma(sat, trace, y)
+    x = w3sat_sigma(sat, trace)(y)
     assert printed == serialize_solution({i: int(v) for i, v in x.items()}) + \
         f"measure {sat.measure(x)}\n"
 
     inst = random_qpbo(3, max_nodes=5)
     printed, trace, y = _reduce_then_sigma(tmp_path, capsys, "qpbo-to-klabel", "q.mine",
                                            serialize_instance(inst), solve_brute_force)
-    x = klabel_sigma(inst, trace, y)
+    x = klabel_sigma(inst, trace)(y)
     assert printed == serialize_solution(x, evaluate(inst, x))
 
     inst, d = random_crossed_3label(4)

@@ -5,7 +5,7 @@ from mine.costs import INF, CostOverflowError
 from mine.fileformat import serialize_instance, serialize_solution, write_trace
 from mine.generate import random_qpbo
 from mine.instance import (InstanceError, all_labelings, big_m, check_labeling, evaluate,
-                           make_instance)
+                           make_instance, scored_labelings)
 from mine.reductions import klabel
 from mine.reductions.harness import ENERGY_SOURCE, verify_ap_reduction
 from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
@@ -60,21 +60,22 @@ def test_sigma_identity_below_threshold():
     inst = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)})
     _, trace = qpbo_to_klabel(inst, 3)
     y = {0: 0, 1: 1}
-    assert klabel_sigma(inst, trace, y) == y
+    assert klabel_sigma(inst, trace)(y) == y
 
 
 def test_sigma_padded_label_maps_to_all_zeros():
     inst = make_instance({0: 2}, {0: (0, 5)})
     _, trace = qpbo_to_klabel(inst, 3)
-    assert klabel_sigma(inst, trace, {0: 2}) == {0: 0}
+    assert klabel_sigma(inst, trace)({0: 2}) == {0: 0}
 
 
 def test_sigma_measure_transfer_exhaustive():
     for seed in range(15):
         inst = random_qpbo(seed, max_nodes=3)
         target, trace = qpbo_to_klabel(inst, 3)
+        reverse = klabel_sigma(inst, trace)
         for y in all_labelings(target):
-            x = klabel_sigma(inst, trace, y)
+            x = reverse(y)
             assert evaluate(inst, x) <= evaluate(target, y), (seed, y)
 
 
@@ -100,6 +101,11 @@ def _reference_klabel_sigma(original, trace, y):
     return {u: 0 for u in original.nodes}
 
 
+def _mapped(original, trace, y):
+    """Bind the reverse map, then map y: each step's error, as one call."""
+    return klabel_sigma(original, trace)(y)
+
+
 def _outcome(sigma, *args):
     try:
         return sigma(*args)
@@ -113,8 +119,10 @@ def test_sigma_matches_the_padded_instance_on_every_labeling():
         inst = random_qpbo(seed, max_nodes=5)
         for k in (3, 4, 5):
             target, trace = qpbo_to_klabel(inst, k)
-            for y in all_labelings(target):
-                assert klabel_sigma(inst, trace, y) == _reference_klabel_sigma(inst, trace, y)
+            reverse = klabel_sigma(inst, trace)
+            for y, value in scored_labelings(target):
+                expected = _reference_klabel_sigma(inst, trace, y)
+                assert reverse(y, value) == reverse(y) == expected
                 checked += 1
     assert checked > 50_000
 
@@ -140,7 +148,7 @@ def test_sigma_keeps_every_rejection_of_the_padded_instance():
     for original, tr, y in cases:
         expected = _outcome(_reference_klabel_sigma, original, tr, y)
         assert expected[0] is InstanceError, (original, y)
-        assert _outcome(klabel_sigma, original, tr, y) == expected, (original, y)
+        assert _outcome(_mapped, original, tr, y) == expected, (original, y)
 
 
 def test_sigma_maps_a_padding_label_to_zeros_without_summing_its_cost():
@@ -152,7 +160,7 @@ def test_sigma_maps_a_padding_label_to_zeros_without_summing_its_cost():
     y = {0: 2, 1: 2}
     with pytest.raises(CostOverflowError):
         _reference_klabel_sigma(inst, trace, y)
-    assert klabel_sigma(inst, trace, y) == {0: 0, 1: 0}
+    assert klabel_sigma(inst, trace)(y) == {0: 0, 1: 0}
 
 
 def test_sigma_rejects_a_trace_of_another_instance(tmp_path, capsys):
@@ -162,8 +170,8 @@ def test_sigma_rejects_a_trace_of_another_instance(tmp_path, capsys):
                           {(0, 1): ((1, 0), (0, 3))})
     assert big_m(other) != big_m(inst)
     _, trace = qpbo_to_klabel(inst, 3)
-    with pytest.raises(InstanceError):
-        klabel_sigma(other, trace, {0: 0, 1: 0})
+    with pytest.raises(InstanceError, match="^trace threshold does not match"):
+        klabel_sigma(other, trace)  # at binding, before any labeling is mapped
 
     paths = {name: tmp_path / name for name in ("inst.mine", "other.mine", "t.json", "y.sol")}
     paths["inst.mine"].write_text(serialize_instance(inst))
@@ -183,8 +191,9 @@ def test_sigma_builds_no_instance(instance_constructions):
     inst = random_qpbo(7, max_nodes=5)
     target, trace = qpbo_to_klabel(inst, 4)
     assert instance_constructions == [2]  # the counter counts
-    for y in all_labelings(target):
-        klabel_sigma(inst, trace, y)
+    reverse = klabel_sigma(inst, trace)
+    for y, value in scored_labelings(target):
+        reverse(y, value)
     assert instance_constructions == [2]
 
 
@@ -192,17 +201,31 @@ def test_sigma_checks_the_threshold_on_every_call():
     a = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
     b = make_instance({0: 2, 1: 2}, {0: (0, 9), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
     target, trace = qpbo_to_klabel(a, 3)
+    reverse = klabel_sigma(a, trace)
     for y in all_labelings(target):
-        klabel_sigma(a, trace, y)
+        reverse(y)
     # a's trace on b, right after a run on a, still fails the threshold check
     with pytest.raises(InstanceError):
-        klabel_sigma(b, trace, {0: 0, 1: 0})
+        klabel_sigma(b, trace)
     y = {0: 1, 1: 0}
-    assert klabel_sigma(a, trace, y) == y
+    assert klabel_sigma(a, trace)(y) == y
     # an equal instance that is another object is accepted
     a2 = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
     assert a2 is not a
-    assert klabel_sigma(a2, trace, y) == y
+    assert klabel_sigma(a2, trace)(y) == y
+
+
+def test_the_labels_decide_not_the_value():
+    # With negative costs a padding labeling can cost less than M: thresholding
+    # its value would hand back a labeling with a padding label.
+    inst = make_instance({0: 2, 1: 2}, {0: (0, 0), 1: (-5, -5)})
+    target, trace = qpbo_to_klabel(inst, 3)
+    y = {0: 2, 1: 0}
+    assert trace.big_m == 11 and evaluate(target, y) == 6
+    reverse = klabel_sigma(inst, trace)
+    for value in (None, 6, trace.big_m, -(2**70)):
+        assert reverse(y, value) == {0: 0, 1: 0}
+        assert reverse({0: 1, 1: 0}, value) == {0: 1, 1: 0}
 
 
 # --- the target's size is bounded before any table is built ----------------
@@ -246,15 +269,17 @@ def test_sigma_calls_check_labeling_only_on_a_y_it_rejects(monkeypatch):
     for seed in range(20):
         inst = random_qpbo(seed, max_nodes=4)
         target, trace = qpbo_to_klabel(inst, 4)
+        reverse = klabel_sigma(inst, trace)
         for y in all_labelings(target):
-            assert klabel_sigma(inst, trace, y) == _reference_klabel_sigma(inst, trace, y)
+            assert reverse(y) == _reference_klabel_sigma(inst, trace, y)
     assert checked == []
     inst = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
     _, trace = qpbo_to_klabel(inst, 3)
+    reverse = klabel_sigma(inst, trace)
     rejected = [{0: 0}, {0: 2, 1: 0, 2: 0}, {0: -1, 1: 0}, {0: 2, 1: -1}, {0: 1.0, 1: 0}]
     for y in rejected:
         with pytest.raises(InstanceError):
-            klabel_sigma(inst, trace, y)
+            reverse(y)
     assert len(checked) == len(rejected)
 
 
@@ -262,9 +287,10 @@ def test_sigma_calls_check_labeling_only_on_a_y_it_rejects(monkeypatch):
 def test_sigma_rejects_a_label_that_is_not_an_int(label):
     inst = make_instance({0: 2, 1: 2}, {0: (0, 1), 1: (2, 0)}, {(0, 1): ((1, 0), (0, 3))})
     _, trace = qpbo_to_klabel(inst, 3)
+    reverse = klabel_sigma(inst, trace)
     # a float equal to a valid label (1.0 == 1) is rejected too
     for y in ({0: label, 1: 0}, {0: 2, 1: label}, {0: 1, 1: label}):
         with pytest.raises(InstanceError, match=r"^node \d: label .* is not an int$"):
-            klabel_sigma(inst, trace, y)
-    assert klabel_sigma(inst, trace, {0: True, 1: False}) == {0: True, 1: False}
-    assert klabel_sigma(inst, trace, {0: True, 1: 2}) == {0: 0, 1: 0}
+            reverse(y)
+    assert reverse({0: True, 1: False}) == {0: True, 1: False}
+    assert reverse({0: True, 1: 2}) == {0: 0, 1: 0}

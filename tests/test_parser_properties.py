@@ -33,7 +33,7 @@ from mine.fileformat import (ParseError, parse_instance, parse_solution, parse_w
                              serialize_instance, serialize_solution, serialize_wcnf3)
 from mine.generate import random_w3sat
 from mine.geometry import Drawing, GeometryError
-from mine.instance import InstanceError, make_instance
+from mine.instance import EnergyInstance, InstanceError, make_instance
 from mine.reductions.wsat import W3SatTriv
 from mine.solvers import DEFAULT_BRUTE_LIMIT
 
@@ -233,6 +233,71 @@ def _reference_ints(tokens, line_no):
         raise ParseError(line_no, f"expected integers, got {tokens}") from None
 
 
+def _reference_normalize(u, v):
+    if u == v:
+        raise InstanceError(f"self-loop on node {u}")
+    return (u, v) if u < v else (v, u)
+
+
+def _reference_instance(labels, unary, pairwise, constant):
+    """make_instance and EnergyInstance construction as they were, per-node
+    and per-edge loops, with labels, edges, finite_sum and all_finite
+    derived here: the instance is built without the live construction."""
+    nodes = tuple(sorted(labels))
+    unary = dict(unary)
+    for u in nodes:
+        if u in unary and len(unary[u]) != labels[u]:
+            raise InstanceError(f"node {u}: unary table has wrong length")
+        unary.setdefault(u, tuple([0] * labels[u]))
+    pw = {}
+    for (u, v), table in pairwise.items():
+        key = _reference_normalize(u, v)
+        if key != (u, v):
+            table = tuple(zip(*table))
+        if key in pw:
+            raise InstanceError(f"edge {key} given twice")
+        pw[key] = tuple(tuple(row) for row in table)
+
+    seen = set(nodes)
+    if set(unary) != seen:
+        raise InstanceError("unary tables must cover exactly the node set")
+    counts = {u: len(unary[u]) for u in nodes}
+    edges = tuple(sorted(pw))
+    for u in nodes:
+        if counts[u] < 1:
+            raise InstanceError(f"node {u}: label count must be positive")
+        if not any(c is not INF for c in unary[u]):
+            raise InstanceError(f"node {u}: no label with finite unary cost")
+    for (u, v) in edges:
+        if (u, v) != _reference_normalize(u, v):
+            raise InstanceError(f"edge {(u, v)} not normalized (u < v required)")
+        if u not in seen or v not in seen:
+            raise InstanceError(f"edge {(u, v)} references unknown node")
+        table = pw[(u, v)]
+        if len(table) != counts[u] or any(len(row) != counts[v] for row in table):
+            raise InstanceError(f"edge {(u, v)}: pairwise table has wrong dimensions")
+    entries = [c for t in unary.values() for c in t] + \
+        [c for table in pw.values() for row in table for c in row]
+    kinds = {type(c) for c in entries} - {int, type(INF)}
+    if kinds:
+        raise InstanceError(f"cost entries must be ints or INF, got "
+                            f"{sorted(k.__name__ for k in kinds)}")
+    finite = [c for c in entries if c is not INF]
+    if any(not I64_MIN <= c <= I64_MAX for c in finite):
+        raise InstanceError("cost entry outside signed 64-bit range")
+    if type(constant) is not int:
+        raise InstanceError("constant offset must be a finite integer")
+    check_range(constant)
+
+    instance = object.__new__(EnergyInstance)
+    for name, value in (("nodes", nodes), ("unary", unary), ("pairwise", pw),
+                        ("constant", constant), ("labels", counts), ("edges", edges),
+                        ("finite_sum", sum(abs(c) for c in finite)),
+                        ("all_finite", len(finite) == len(entries))):
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def _reference_parse_instance(text):
     lines = text.splitlines()
     n = None
@@ -328,7 +393,7 @@ def _reference_parse_instance(text):
             raise ParseError(last, f"duplicate edge ({u}, {v})")
         pairwise[(u, v)] = table
 
-    instance = make_instance(labels, unary, pairwise, constant)
+    instance = _reference_instance(labels, unary, pairwise, constant)
     drawing = None
     if coords:
         if set(coords) != set(labels):
@@ -462,9 +527,15 @@ def _newly_rejected(token):
 
 def _outcome(parse, text):
     try:
-        return "ok", parse(text)
+        result = parse(text)
     except Exception as exc:  # noqa: BLE001 - compared by type and message
         return type(exc), str(exc)
+    if isinstance(result, tuple) and isinstance(result[0], EnergyInstance):
+        # What construction derives takes no part in instance equality.
+        instance = result[0]
+        result += ((list(instance.labels.items()), instance.edges, instance.finite_sum,
+                    instance.all_finite),)
+    return "ok", result
 
 
 _PARSERS = {

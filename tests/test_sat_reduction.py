@@ -6,9 +6,9 @@ import pytest
 from mine.cli import run_cli
 from mine.fileformat import serialize_solution, serialize_wcnf3, write_trace
 from mine.generate import random_w3sat
-from mine.instance import all_labelings, evaluate
+from mine.instance import InstanceError, all_labelings, evaluate, scored_labelings
 from mine.poly import poly, poly_evaluate
-from mine.reductions.harness import SAT_SOURCE, verify_ap_reduction
+from mine.reductions.harness import SAT_SOURCE, SourceAdapter, verify_ap_reduction
 from mine.reductions.wsat import (SatError, W3SatTriv, clause_penalty,
                                   clause_to_poly, clause_value, quadratize,
                                   validate_clause, w3sat_sigma, w3sat_to_qpbo)
@@ -219,8 +219,9 @@ def test_unsatisfiable_formula_optimum_at_least_m():
 def test_sigma_thresholds_and_measure_transfer():
     sat = simple_sat()
     inst, trace = w3sat_to_qpbo(sat)
+    reverse = w3sat_sigma(sat, trace)
     for y in all_labelings(inst):
-        x = w3sat_sigma(sat, trace, y)
+        x = reverse(y)
         assert sat.is_feasible(x)
         assert sat.measure(x) <= evaluate(inst, y)
         if evaluate(inst, y) >= trace.big_m:
@@ -244,8 +245,8 @@ def test_ap_harness_single_clause_enumeration():
 
 def test_ap_harness_catches_broken_sigma():
     # drop the M branch: restriction of an M-level labeling is infeasible
-    def bad_sigma(sat, trace, y):
-        return {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
+    def bad_sigma(sat, trace):
+        return lambda y, value: {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
 
     clauses = tuple((s1 * 1, s2 * 2, s3 * 3)
                     for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1))
@@ -256,46 +257,68 @@ def test_ap_harness_catches_broken_sigma():
     assert any(ce.check == "sigma-feasible" for ce in report.counterexamples)
 
 
-# --- one target per formula ---------------------------------------------
+# --- one binding per reduced formula --------------------------------------
 
-@pytest.fixture
-def counted_builds(monkeypatch):
-    """A list that grows by one per w3sat_to_qpbo build, the reverse map's included."""
+def test_one_binding_builds_once_and_compares_the_trace_once(monkeypatch):
     from mine.reductions import wsat
+    from mine.reductions.trace import ReductionTrace
+    sat = random_w3sat(3, max_vars=6, max_clauses=4)
+    target, trace = w3sat_to_qpbo(sat)
+    builds, compared = [], []
+    build, equal = wsat.w3sat_to_qpbo, ReductionTrace.__eq__
+    monkeypatch.setattr(wsat, "w3sat_to_qpbo", lambda s: builds.append(s) or build(s))
+    monkeypatch.setattr(ReductionTrace, "__eq__",
+                        lambda a, b: compared.append(1) or equal(a, b))
+    reverse = w3sat_sigma(sat, trace)
+    assert builds == [sat] and len(compared) == 1
+    pairs = list(scored_labelings(target))
+    assert len(pairs) >= 16
+    for y, value in pairs:
+        assert reverse(y, value) == reverse(y)
+    assert builds == [sat] and len(compared) == 1
+
+
+def test_the_harness_binds_once_per_formula(monkeypatch):
+    from mine.reductions import wsat
+    sats = [random_w3sat(seed, max_vars=5, max_clauses=3) for seed in range(5)]
     builds = []
     build = wsat.w3sat_to_qpbo
-
-    def counting(sat):
-        builds.append(sat)
-        return build(sat)
-
-    # The reverse map memoizes the last build; a patched forward map must
-    # start and leave an empty memo.
-    wsat._memo = (None,) * 4
-    monkeypatch.setattr(wsat, "w3sat_to_qpbo", counting)
-    yield builds
-    wsat._memo = (None,) * 4
+    monkeypatch.setattr(wsat, "w3sat_to_qpbo", lambda s: builds.append(s) or build(s))
+    report = verify_ap_reduction(wsat.w3sat_to_qpbo, w3sat_sigma, 1, sats, source=SAT_SOURCE)
+    assert report.ok and report.checked == len(sats)
+    # one build for the forward map and one for the binding, per formula
+    assert builds == [s for s in sats for _ in range(2)]
+    assert report.stats["sigma_calls"] == report.stats["labelings"] > len(builds)
 
 
-def test_harness_builds_the_target_at_most_twice_per_formula(counted_builds):
-    from mine.reductions import wsat
-    sat = random_w3sat(3, max_vars=6, max_clauses=4)
-    report = verify_ap_reduction(wsat.w3sat_to_qpbo, w3sat_sigma, 1, [sat],
-                                 source=SAT_SOURCE)
-    assert report.ok and report.checked == 1
-    target, _ = w3sat_to_qpbo(sat)
-    assert 2 ** len(target.nodes) >= 16  # the map ran once per target labeling
-    assert 1 <= len(counted_builds) <= 2
-    assert all(s == sat for s in counted_builds)
+def test_the_map_given_a_value_equals_the_map_without_one():
+    fallbacks = restrictions = 0
+    for seed in range(50):
+        sat = random_w3sat(seed)
+        target, trace = w3sat_to_qpbo(sat)
+        reverse = w3sat_sigma(sat, trace)
+        for y, value in scored_labelings(target):
+            x = reverse(y, value)
+            assert x == reverse(y) == reverse(y, None), (seed, y)
+            if value >= trace.big_m:
+                assert x == sat.all_true()
+                fallbacks += 1
+            else:
+                assert x == {i: bool(y[i]) for i in trace.original_nodes}
+                restrictions += 1
+    assert fallbacks and restrictions
 
 
-def test_equal_formulas_share_one_build(counted_builds):
+def test_the_map_trusts_the_value_it_is_given():
+    # The harness hands over the oracle's value; the map does not re-score y.
     sat = simple_sat()
-    _, trace = w3sat_to_qpbo(sat)
-    y = {1: 1, 2: 0, 3: 0, 4: 0}
-    w3sat_sigma(sat, trace, y)
-    w3sat_sigma(simple_sat(), trace, y)
-    assert counted_builds == [sat]
+    target, trace = w3sat_to_qpbo(sat)
+    low, high = {1: 1, 2: 0, 3: 0, 4: 0}, {1: 0, 2: 1, 3: 1, 4: 0}
+    assert evaluate(target, low) < trace.big_m <= evaluate(target, high)
+    reverse = w3sat_sigma(sat, trace)
+    assert reverse(low) == {1: True, 2: False, 3: False}
+    assert reverse(high) == reverse(low, trace.big_m) == sat.all_true()
+    assert reverse(high, 0) == {1: False, 2: True, 3: True}
 
 
 def test_sigma_rejects_a_trace_of_another_formula():
@@ -303,9 +326,81 @@ def test_sigma_rejects_a_trace_of_another_formula():
     heavy = W3SatTriv(sat.num_vars, sat.clauses, tuple(9 for _ in sat.weights))
     _, trace = w3sat_to_qpbo(sat)
     y = {u: 0 for u in trace.target_nodes()}
-    assert sat.is_feasible(w3sat_sigma(sat, trace, y))
-    with pytest.raises(SatError):
-        w3sat_sigma(heavy, trace, y)
+    assert sat.is_feasible(w3sat_sigma(sat, trace)(y))
+    # a wrong trace raises at binding, before any labeling is mapped
+    with pytest.raises(SatError, match="^trace was not made from this formula$"):
+        w3sat_sigma(heavy, trace)
+    from mine.reductions.trace import ReductionTrace
+    other_kind = ReductionTrace(kind="qpbo-to-klabel", original_nodes=trace.original_nodes,
+                                aux_nodes=trace.aux_nodes, big_m=trace.big_m)
+    with pytest.raises(SatError, match="^trace kind mismatch$"):
+        w3sat_sigma(sat, other_kind)
+
+
+def _evaluate_error(target, y):
+    """The error evaluate raises on a bad y, the map's route before it was bound."""
+    with pytest.raises(InstanceError) as caught:
+        evaluate(target, y)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("y", [
+    {1: 0, 2: 0, 3: 0},  # a node missing
+    {1: 0, 2: 0, 3: 0, 4: 0, 5: 0},  # a node too many
+    {1: 0, 2: 2, 3: 0, 4: 0},
+    {1: 0, 2: 0, 3: -1, 4: 0},
+    {1: 1.0, 2: 0, 3: 0, 4: 0},  # equal to a valid label, but not an int
+    {1: 0, 2: "1", 3: 0, 4: 0},
+    {1: 0, 2: 0, 3: None, 4: 0},
+    {1: 0, 2: 5, 3: 0.5, 4: 0},
+], ids=["missing", "extra", "label-2", "negative", "float", "str", "none", "two-defects"])
+def test_a_bad_labeling_gives_evaluates_error(y):
+    sat = simple_sat()
+    target, trace = w3sat_to_qpbo(sat)
+    reverse = w3sat_sigma(sat, trace)
+    message = _evaluate_error(target, y)
+    for args in ((y,), (y, None), (y, 0), (y, trace.big_m)):
+        with pytest.raises(InstanceError) as caught:
+            reverse(*args)
+        assert str(caught.value) == message
+    # bools are labels, as check_labeling allows
+    assert reverse({1: True, 2: False, 3: False, 4: False}, 1) == {1: True, 2: False, 3: False}
+
+
+def test_the_reverse_map_receives_the_oracles_pairs_in_order():
+    from mine.reductions.harness import default_oracle
+    sats = [random_w3sat(seed, max_vars=4, max_clauses=2) for seed in range(6)]
+    given, received, bound = [], [], []
+
+    def oracle(target):
+        pairs = default_oracle(target)
+        given.extend((dict(y), v) for y, v in pairs)
+        return pairs
+
+    def recording(sat, trace):
+        bound.append(sat)
+        reverse = w3sat_sigma(sat, trace)
+
+        def record(y, value):
+            received.append((dict(y), value))
+            return reverse(y, value)
+        return record
+
+    report = verify_ap_reduction(w3sat_to_qpbo, recording, 1, sats, oracle=oracle,
+                                 source=SAT_SOURCE)
+    assert report.ok and bound == sats
+    assert received == given and len(given) == report.stats["sigma_calls"]
+    # an instance with no target labeling to map is never bound
+    bound.clear()
+    empty = W3SatTriv(3, (), (0, 0, 0))
+    report = verify_ap_reduction(w3sat_to_qpbo, recording, 1, [empty],
+                                 oracle=lambda target: [], source=SAT_SOURCE)
+    assert [ce.check for ce in report.counterexamples] == ["feasibility"]
+    nothing_feasible = SourceAdapter(lambda sat: [], SAT_SOURCE.is_feasible, SAT_SOURCE.measure)
+    report = verify_ap_reduction(w3sat_to_qpbo, recording, 1, [empty],
+                                 oracle=lambda target: [], source=nothing_feasible)
+    assert report.ok and report.ratio_undefined == [0]
+    assert bound == []
 
 
 def test_cli_sigma_rejects_a_trace_of_another_formula(tmp_path, capsys):
@@ -324,26 +419,3 @@ def test_cli_sigma_rejects_a_trace_of_another_formula(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def test_sigma_compares_a_trace_with_its_formula_once_per_run(monkeypatch):
-    from mine.reductions.trace import ReductionTrace
-    sat = random_w3sat(1)
-    heavy = W3SatTriv(sat.num_vars, sat.clauses, tuple(9 for _ in sat.weights))
-    target, trace = w3sat_to_qpbo(sat)
-    compared = []
-    equal = ReductionTrace.__eq__
-    monkeypatch.setattr(ReductionTrace, "__eq__",
-                        lambda a, b: compared.append(1) or equal(a, b))
-    labelings = list(all_labelings(target))
-    outputs = [w3sat_sigma(sat, trace, y) for y in labelings]
-    assert len(compared) == 1
-    # the same trace object on another formula is still compared, and rejected
-    with pytest.raises(SatError):
-        w3sat_sigma(heavy, trace, labelings[0])
-    assert w3sat_sigma(sat, trace, labelings[0]) == outputs[0]
-    # an equal trace that is another object is compared once, then accepted
-    _, again = w3sat_to_qpbo(sat)
-    assert again is not trace
-    assert [w3sat_sigma(sat, again, y) for y in labelings] == outputs
-    assert len(compared) == 4
