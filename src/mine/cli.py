@@ -17,15 +17,14 @@ from .fileformat import (ParseError, parse_instance, parse_solution, parse_wcnf3
                          read_trace, serialize_instance, serialize_solution,
                          serialize_wcnf3, write_trace)
 from .geometry import GeometryError, circle_layout
-from .instance import InstanceError, evaluate
+from .instance import InstanceError
 from .generate import (GenerationError, random_crossed_3label, random_potts,
                        random_submodular, random_w3sat)
 from .plot import render_svg
 from .poly import PolyError
 from .reductions import (ENERGY_SOURCE, SAT_SOURCE, PlanarizeError, SatError,
-                         SourceAdapter, klabel_sigma, planar_sigma, planarize,
-                         qpbo_to_klabel, verify_ap_reduction, w3sat_sigma,
-                         w3sat_to_qpbo)
+                         klabel_sigma, planar_sigma, planarize, qpbo_to_klabel,
+                         verify_ap_reduction, w3sat_sigma, w3sat_to_qpbo)
 from .solvers import (SolverError, alpha_expansion, solve_brute_force,
                       solve_elimination, solve_submodular_qpbo, solve_tree_dp)
 
@@ -54,7 +53,7 @@ def _build_parser() -> _Parser:
 
     reduce_p = sub.add_parser("reduce", help="apply a forward reduction")
     reduce_p.add_argument("reduction",
-                          choices=["w3sat-to-qpbo", "qpbo-to-klabel", "planarize"])
+                          choices=_KINDS)
     reduce_p.add_argument("input")
     reduce_p.add_argument("output")
     reduce_p.add_argument("--k", type=int, default=3,
@@ -79,7 +78,7 @@ def _build_parser() -> _Parser:
 
     verify_p = sub.add_parser("verify-ap", help="check AP-reduction properties on a corpus")
     verify_p.add_argument("--reduction", required=True,
-                          choices=["w3sat-to-qpbo", "qpbo-to-klabel", "planarize"])
+                          choices=_KINDS)
     verify_p.add_argument("--corpus", required=True)
     verify_p.add_argument("--alpha", type=int, default=1)
     verify_p.add_argument("--k", type=int, default=3)
@@ -115,19 +114,47 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
+def _source_files(kind: str):
+    """The suffix of kind's source files and their reader, path -> (source,
+    drawing): a formula for w3sat-to-qpbo, else an instance and its drawing."""
+    if kind == "w3sat-to-qpbo":
+        return ".wcnf3", lambda path: (parse_wcnf3(_read(path)), None)
+    return ".mine", lambda path: parse_instance(_read(path))
+
+
+def _planarize(instance, drawing, k):
+    if drawing is None:
+        raise InstanceError("planarize needs coordinates in the input file")
+    target, target_drawing, trace = planarize(instance, drawing)
+    return target, trace, target_drawing
+
+
+def _planar_reverse(original, trace):
+    """planar_sigma bound to one source instance and its trace."""
+    return lambda y, value=None: planar_sigma(original, trace, y)
+
+
+# Per reduction kind: the forward map, (source, drawing, k) -> (target,
+# trace, target drawing), and the reverse map's binder, sigma(source, trace)
+# -> reverse(y, value), with the source adapter that scores its output and
+# the name `mine sigma` prints that score under.  w3sat_sigma is read when
+# called, so a test can replace it.
+_FORWARD = {
+    "w3sat-to-qpbo": lambda sat, drawing, k: (*w3sat_to_qpbo(sat), drawing),
+    "qpbo-to-klabel": lambda instance, drawing, k: (*qpbo_to_klabel(instance, k), drawing),
+    "planarize": _planarize,
+}
+_REVERSE = {
+    "w3sat-to-qpbo": (lambda sat, trace: w3sat_sigma(sat, trace), SAT_SOURCE, "measure"),
+    "qpbo-to-klabel": (klabel_sigma, ENERGY_SOURCE, "energy"),
+    "planarize": (_planar_reverse, ENERGY_SOURCE, "energy"),
+}
+_KINDS = tuple(_FORWARD)
+
+
 def _cmd_reduce(args) -> int:
-    if args.reduction == "w3sat-to-qpbo":
-        sat = parse_wcnf3(_read(args.input))
-        target, trace = w3sat_to_qpbo(sat)
-        drawing = None
-    elif args.reduction == "qpbo-to-klabel":
-        instance, drawing = parse_instance(_read(args.input))
-        target, trace = qpbo_to_klabel(instance, args.k)
-    else:
-        instance, drawing = parse_instance(_read(args.input))
-        if drawing is None:
-            raise InstanceError("planarize needs coordinates in the input file")
-        target, drawing, trace = planarize(instance, drawing)
+    _, read = _source_files(args.reduction)
+    target, trace, drawing = _FORWARD[args.reduction](*read(args.input), args.k)
     _emit(serialize_instance(target, drawing), args.output)
     if args.trace:
         _emit(write_trace(trace), args.trace)
@@ -137,21 +164,14 @@ def _cmd_reduce(args) -> int:
 def _cmd_sigma(args) -> int:
     trace = read_trace(_read(args.trace))
     y, _ = parse_solution(_read(args.solution))
-    if trace.kind == "w3sat-to-qpbo":
-        sat = parse_wcnf3(_read(args.input))
-        x = w3sat_sigma(sat, trace)(y)
-        labeling = {i: int(x[i]) for i in x}
-        sys.stdout.write(serialize_solution(labeling))
-        sys.stdout.write(f"measure {sat.measure(x)}\n")
-        return 0
-    original, _ = parse_instance(_read(args.input))
-    if trace.kind == "qpbo-to-klabel":
-        x = klabel_sigma(original, trace)(y)
-    elif trace.kind == "planarize":
-        x = planar_sigma(original, trace, y)
-    else:
+    _, read = _source_files(trace.kind)
+    source, _ = read(args.input)
+    if trace.kind not in _REVERSE:
         raise InstanceError(f"unknown trace kind {trace.kind!r}")
-    sys.stdout.write(serialize_solution(x, evaluate(original, x)))
+    bind, adapter, name = _REVERSE[trace.kind]
+    x = bind(source, trace)(y)
+    sys.stdout.write(serialize_solution({u: int(a) for u, a in x.items()}))
+    sys.stdout.write(f"{name} {adapter.measure(source, x)}\n")
     return 0
 
 
@@ -189,31 +209,17 @@ def _corpus_files(directory: str, suffix: str) -> list[Path]:
 
 
 def _cmd_verify_ap(args) -> int:
-    if args.reduction == "w3sat-to-qpbo":
-        instances = [parse_wcnf3(_read(f))
-                     for f in _corpus_files(args.corpus, ".wcnf3")]
-        pi, sigma, source = w3sat_to_qpbo, w3sat_sigma, SAT_SOURCE
-    elif args.reduction == "qpbo-to-klabel":
-        instances = [parse_instance(_read(f))[0]
-                     for f in _corpus_files(args.corpus, ".mine")]
-        pi, sigma, source = lambda s: qpbo_to_klabel(s, args.k), klabel_sigma, ENERGY_SOURCE
-    else:
-        instances = [parse_instance(_read(f))
-                     for f in _corpus_files(args.corpus, ".mine")]
-        if any(d is None for _, d in instances):
-            raise InstanceError("planarize corpus files need coordinates")
-        pi = lambda pair: _drop_drawing(planarize(pair[0], pair[1]))
-        sigma = _planar_reverse
-        source = SourceAdapter(
-            feasible_solutions=lambda pair: ENERGY_SOURCE.feasible_solutions(pair[0]),
-            is_feasible=lambda pair, x: ENERGY_SOURCE.is_feasible(pair[0], x),
-            measure=lambda pair, x: evaluate(pair[0], x))
-    # Every forward map runs before anything is verified, so a file that
-    # `mine reduce` rejects exits 3 here too instead of reading as a
-    # counterexample; the harness then takes the targets built here.
-    targets = {id(s): pi(s) for s in instances}
-    report = verify_ap_reduction(lambda s: targets[id(s)], sigma, args.alpha,
-                                 instances, source=source)
+    suffix, read = _source_files(args.reduction)
+    sources = [read(f) for f in _corpus_files(args.corpus, suffix)]
+    # Every file is parsed, then every forward map runs, before anything is
+    # verified, so a file that `mine reduce` rejects exits 3 here too with
+    # its error instead of reading as a counterexample; the harness then
+    # takes the targets built here.
+    forward = _FORWARD[args.reduction]
+    targets = {id(s): forward(s, d, args.k)[:2] for s, d in sources}
+    bind, adapter, _ = _REVERSE[args.reduction]
+    report = verify_ap_reduction(lambda s: targets[id(s)], bind, args.alpha,
+                                 [s for s, _ in sources], source=adapter)
     sys.stdout.write(f"checked {report.checked} instances, "
                      f"{len(report.counterexamples)} counterexamples, "
                      f"{len(report.ratio_undefined)} ratio-undefined\n")
@@ -223,16 +229,6 @@ def _cmd_verify_ap(args) -> int:
     if args.stats:
         sys.stderr.write(json.dumps(report.stats, sort_keys=True) + "\n")
     return 0 if report.ok else COUNTEREXAMPLE_EXIT
-
-
-def _planar_reverse(pair, trace):
-    """The reverse map of a (source instance, drawing) pair's planarization."""
-    return lambda y, value=None: planar_sigma(pair[0], trace, y)
-
-
-def _drop_drawing(result):
-    instance, _, trace = result
-    return instance, trace
 
 
 def _cmd_gen(args) -> int:

@@ -387,6 +387,9 @@ def write_trace(trace: ReductionTrace) -> str:
 
 def read_trace(text: str) -> ReductionTrace:
     try:
-        return trace_from_json(json.loads(text))
+        data = json.loads(text)
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object, got {type(data).__name__}")
+        return trace_from_json(data)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(1, f"bad trace JSON: {exc}") from None

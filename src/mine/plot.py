@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .geometry import Drawing, list_crossings
+from .geometry import Drawing, GeometryError, list_crossings
 from .instance import EnergyInstance
 
 _SIZE = 600
@@ -10,8 +10,12 @@ _MARGIN = 40
 
 
 def render_svg(instance: EnergyInstance, d: Drawing) -> str:
-    xs = [float(p[0]) for p in d.coords.values()]
-    ys = [float(p[1]) for p in d.coords.values()]
+    try:
+        xs = [float(p[0]) for p in d.coords.values()]
+        ys = [float(p[1]) for p in d.coords.values()]
+    except OverflowError:
+        raise GeometryError("a coordinate is beyond float range, so the drawing "
+                            "cannot be rendered") from None
     min_x, max_x = min(xs, default=0.0), max(xs, default=0.0)
     min_y, max_y = min(ys, default=0.0), max(ys, default=0.0)
     span = max(max_x - min_x, max_y - min_y, 1e-9)

@@ -42,9 +42,10 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace):
     """Reverse map of one padded instance: y itself when it uses labels 0 and
     1 only, else the fixed all-zeros labeling.
 
-    Binding checks, once, the trace kind, that original is binary, and that
-    the trace's threshold is big_m(original) (read from the bound the
-    instance recorded at construction).  The map it returns,
+    Binding checks, once, the trace kind, that original has exactly the
+    trace's original nodes, that original is binary, and that the trace's
+    threshold is big_m(original) (read from the bound the instance recorded
+    at construction).  The map it returns,
     reverse(y, value=None), checks that y labels exactly original's nodes
     with non-negative ints, each in one C-level pass; check_labeling runs
     only on a y that fails, to raise its error, with padding labels clamped
@@ -56,6 +57,8 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace):
     """
     if trace.kind != "qpbo-to-klabel":
         raise InstanceError("trace kind mismatch")
+    if trace.original_nodes != original.nodes:
+        raise InstanceError("source instance's nodes are not the trace's original nodes")
     labels = original.labels
     if set(labels.values()) - {2}:
         raise InstanceError("qpbo_to_klabel requires a binary instance")

@@ -1,4 +1,4 @@
-"""Rebuild the golden corpus of the reduction commands: inputs and manifest.
+"""Rebuild the golden corpus of the reduction commands and plot: inputs and manifest.
 
 Run from the repository root:
 
@@ -6,7 +6,8 @@ Run from the repository root:
 
 The inputs are `mine gen` files, a few seeds per family, in one directory
 per corpus.  `drawn/` holds small Potts files with circle-layout
-coordinates added, so they have no crossings; `solutions/` holds `mine
+coordinates added, so they have no crossings; `shifted/` holds one
+submodular file with every node id moved up by 5; `solutions/` holds `mine
 solve` output on reduced instances, with its `value` line left out (the
 form `mine sigma` reads) and once as printed.  Every command in COMMANDS
 then runs in order in a scratch copy of the inputs, and manifest.json
@@ -30,6 +31,7 @@ from test_golden import run_command  # noqa: E402
 from mine.cli import run_cli  # noqa: E402
 from mine.fileformat import parse_instance, serialize_instance  # noqa: E402
 from mine.geometry import circle_layout  # noqa: E402
+from mine.instance import make_instance  # noqa: E402
 from mine.solvers import BRUTE_LIMIT_ENV  # noqa: E402
 
 # (family, corpus directory, seeds); seeds are chosen small enough to enumerate.
@@ -43,11 +45,13 @@ GEN = [
 MALFORMED_MINE = "MINE 1\nnodes 1\nlabels 2\nunary 0 0 x\n"
 MALFORMED_WCNF3 = "p wcnf3 3 1\nw 1 1\n1 2 3 0\n"
 UNKNOWN_TRACE = '{"aux_nodes": [], "kind": "mystery", "original_nodes": [0, 1]}\n'
+FAR_MINE = f"MINE 1\nnodes 2\nlabels 2 2\ncoord 0 0 0\ncoord 1 {'9' * 400} 1\nedge 0 1 0 1 1 0\n"
 # (reduction, source, solution name, solve method) for `mine sigma` inputs
 SOLVED = [
     ("w3sat-to-qpbo", "w3sat/0.wcnf3", "w3sat-0", "brute"),
     ("qpbo-to-klabel", "submodular/5.mine", "klabel-5", "elim"),
     ("planarize", "crossed/0.mine", "planar-0", "elim"),
+    ("qpbo-to-klabel", "shifted/5.mine", "klabel-shifted-5", "elim"),
 ]
 
 
@@ -117,6 +121,15 @@ COMMANDS = [
     _verify("mixed-planarize", "planarize", "mixed"),
     _verify("no-files", "w3sat-to-qpbo", "submodular"),
     _verify("unknown-kind", "bogus", "w3sat"),
+    _sigma("trace-not-an-object", "submodular/5.mine", "traces/list.json",
+           "solutions/klabel-5.sol"),
+    _sigma("klabel-other-node-ids", "shifted/5.mine", "klabel-5.json",
+           "solutions/klabel-shifted-5.sol"),
+    ["plot-crossed-0", "plot", "crossed/0.mine", "--out", "crossed-0.svg"],
+    ["plot-crossed-1", "plot", "crossed/1.mine", "--out", "crossed-1.svg"],
+    ["plot-drawn-50", "plot", "drawn/50.mine", "--out", "drawn-50.svg"],
+    ["plot-circle-layout", "plot", "potts/0.mine", "--out", "potts-0.svg"],
+    ["plot-beyond-float-range", "plot", "far/0.mine", "--out", "far-0.svg"],
 ]
 
 
@@ -145,10 +158,17 @@ def build_inputs(inputs: Path) -> None:
     for corpus, files in [("malformed", {"0.mine": MALFORMED_MINE, "0.wcnf3": MALFORMED_WCNF3}),
                           ("mixed", {"0.mine": (inputs / "potts/0.mine").read_text(),
                                      "1.mine": MALFORMED_MINE}),
-                          ("traces", {"unknown.json": UNKNOWN_TRACE})]:
+                          ("traces", {"unknown.json": UNKNOWN_TRACE, "list.json": "[]\n"}),
+                          ("far", {"0.mine": FAR_MINE})]:
         (inputs / corpus).mkdir()
         for name, text in files.items():
             (inputs / corpus / name).write_text(text)
+    (inputs / "shifted").mkdir()
+    instance, _ = parse_instance((inputs / "submodular/5.mine").read_text())
+    (inputs / "shifted/5.mine").write_text(serialize_instance(make_instance(
+        {u + 5: k for u, k in instance.labels.items()},
+        {u + 5: t for u, t in instance.unary.items()},
+        {(u + 5, v + 5): t for (u, v), t in instance.pairwise.items()}, instance.constant)))
     (inputs / "solutions").mkdir()
     with tempfile.TemporaryDirectory() as scratch:
         for kind, source, name, method in SOLVED:

@@ -16,6 +16,7 @@ import os
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 from mine.cli import run_cli
 from mine.solvers import BRUTE_LIMIT_ENV
@@ -32,19 +33,10 @@ def _snapshot() -> dict[str, str]:
 def run_command(entry: dict) -> dict:
     """Run one manifest command in the current directory; the entry it yields."""
     env = entry.get("env", {})
-    saved = {name: os.environ.get(name) for name in env}
     before = _snapshot()
     out, err = io.StringIO(), io.StringIO()
-    os.environ.update(env)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = run_cli(entry["argv"])
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                del os.environ[name]
-            else:
-                os.environ[name] = value
+    with patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        code = run_cli(entry["argv"])
     written = {path: digest for path, digest in _snapshot().items()
                if before.get(path) != digest}
     return {"id": entry["id"], "argv": entry["argv"], **({"env": env} if env else {}),

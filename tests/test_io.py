@@ -199,6 +199,22 @@ def test_trace_rejects_garbage():
         read_trace('{"kind": "unheard-of"}')
 
 
+@pytest.mark.parametrize("text", ["[]", "null", "5", '"x"'])
+def test_cli_sigma_rejects_trace_json_that_is_not_an_object(tmp_path, capsys, text):
+    sat = random_w3sat("cli-sat")
+    src = _write(tmp_path, "f.wcnf3", serialize_wcnf3(sat))
+    target, _ = w3sat_to_qpbo(sat)
+    sol = _write(tmp_path, "y.sol", serialize_solution({u: 0 for u in target.nodes}))
+    bad = _write(tmp_path, "bad.json", text + "\n")
+    with pytest.raises(ParseError, match="bad trace JSON"):
+        read_trace(text)
+    assert run_cli(["sigma", src, "--trace", bad, "--solution", sol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: line 1: bad trace JSON: ")
+    assert captured.err.count("\n") == 1
+
+
 # --- command line -------------------------------------------------------
 
 def _write(tmp_path, name, text):
@@ -327,6 +343,17 @@ def test_cli_plot_writes_svg(tmp_path, capsys):
     out = str(tmp_path / "p.svg")
     assert run_cli(["plot", src, "--out", out]) == 0
     assert Path(out).read_text().startswith("<svg")
+
+
+def test_cli_plot_rejects_a_coordinate_beyond_float_range(tmp_path, capsys):
+    src = _write(tmp_path, "far.mine", "MINE 1\nnodes 2\nlabels 2 2\ncoord 0 0 0\n"
+                 f"coord 1 {'9' * 400} 1\nedge 0 1 0 1 1 0\n")
+    out = tmp_path / "far.svg"
+    assert run_cli(["plot", src, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("error: a coordinate is beyond float range, "
+                            "so the drawing cannot be rendered\n")
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -637,7 +664,9 @@ _BINARY = make_instance({0: 2, 1: 2}, {0: (0, 3)}, {(0, 1): ((0, 1), (1, 0))})
     ("qpbo-to-klabel", "3", serialize_instance(
         make_instance({0: 2, 1: 2}, {0: (0, INF)}, {(0, 1): ((0, 1), (1, 0))}))),
     ("planarize", "3", serialize_instance(_BINARY, circle_layout(_BINARY.nodes))),
-], ids=["k-below-2", "three-labels", "inf-entry", "planarize-two-labels"])
+    ("planarize", "3", serialize_instance(_crossing_free_3label(0)[0])),
+], ids=["k-below-2", "three-labels", "inf-entry", "planarize-two-labels",
+        "planarize-no-coordinates"])
 def test_cli_verify_ap_exits_3_on_a_file_reduce_rejects(tmp_path, capsys, reduction, k, text):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -705,3 +734,23 @@ def test_cli_planar_sigma_rejects_a_source_with_other_node_ids(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_klabel_sigma_rejects_a_source_with_other_node_ids(tmp_path, capsys):
+    inst = make_instance({0: 2, 1: 2}, {0: (0, 3), 1: (2, 1)}, {(0, 1): ((0, 1), (1, 0))})
+    moved = make_instance({5: 2, 6: 2}, {5: (0, 3), 6: (2, 1)}, {(5, 6): ((0, 1), (1, 0))})
+    src = _write(tmp_path, "a.mine", serialize_instance(inst))
+    other = _write(tmp_path, "b.mine", serialize_instance(moved))
+    out, tr = str(tmp_path / "a.k.mine"), str(tmp_path / "t.json")
+    assert run_cli(["reduce", "qpbo-to-klabel", src, out, "--trace", tr]) == 0
+    y = solve_elimination(parse_instance(Path(out).read_text())[0]).labeling
+    sol = _write(tmp_path, "y.sol", serialize_solution(y))
+    moved_sol = _write(tmp_path, "moved.sol", serialize_solution({u + 5: a for u, a in y.items()}))
+    capsys.readouterr()
+    assert run_cli(["sigma", src, "--trace", tr, "--solution", sol]) == 0
+    capsys.readouterr()
+    # b.mine's big-M equals a.mine's, and the solution labels b.mine's nodes.
+    assert run_cli(["sigma", other, "--trace", tr, "--solution", moved_sol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: source instance's nodes are not the trace's original nodes\n"
