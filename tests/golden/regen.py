@@ -46,6 +46,9 @@ MALFORMED_MINE = "MINE 1\nnodes 1\nlabels 2\nunary 0 0 x\n"
 MALFORMED_WCNF3 = "p wcnf3 3 1\nw 1 1\n1 2 3 0\n"
 UNKNOWN_TRACE = '{"aux_nodes": [], "kind": "mystery", "original_nodes": [0, 1]}\n'
 FAR_MINE = f"MINE 1\nnodes 2\nlabels 2 2\ncoord 0 0 0\ncoord 1 {'9' * 400} 1\nedge 0 1 0 1 1 0\n"
+# Each coordinate converts to a float, but their span (2 * 10^308) does not.
+WIDE_MINE = (f"MINE 1\nnodes 2\nlabels 2 2\ncoord 0 -1{'0' * 308} 0\n"
+             f"coord 1 1{'0' * 308} 0\nedge 0 1 0 1 1 0\n")
 # (reduction, source, solution name, solve method) for `mine sigma` inputs
 SOLVED = [
     ("w3sat-to-qpbo", "w3sat/0.wcnf3", "w3sat-0", "brute"),
@@ -130,6 +133,23 @@ COMMANDS = [
     ["plot-drawn-50", "plot", "drawn/50.mine", "--out", "drawn-50.svg"],
     ["plot-circle-layout", "plot", "potts/0.mine", "--out", "potts-0.svg"],
     ["plot-beyond-float-range", "plot", "far/0.mine", "--out", "far-0.svg"],
+    ["plot-span-beyond-float-range", "plot", "far/1.mine", "--out", "far-1.svg"],
+    # each solver where it applies, then where it raises
+    ["solve-tree-potts-21", "solve", "potts/21.mine", "--method", "tree"],
+    ["solve-tree-cycle", "solve", "potts/0.mine", "--method", "tree"],
+    ["solve-mincut-submodular-5", "solve", "submodular/5.mine", "--method", "mincut"],
+    ["solve-mincut-not-submodular", "solve", "w3sat-0.mine", "--method", "mincut"],
+    ["solve-alphaexp-potts-0", "solve", "potts/0.mine", "--method", "alphaexp"],
+    ["solve-alphaexp-infinite-entry", "solve", "planar-0.mine", "--method", "alphaexp"],
+    # classify reads instances, so the w3sat family is classified reduced
+    ["classify-w3sat-0", "classify", "w3sat-0.mine"],
+    ["classify-formula", "classify", "w3sat/0.wcnf3"],
+    ["classify-submodular-5", "classify", "submodular/5.mine"],
+    ["classify-potts-0", "classify", "potts/0.mine"],
+    ["classify-drawn-50", "classify", "drawn/50.mine"],
+    ["classify-random3label-0", "classify", "crossed/0.mine"],
+    *(["gen-" + family, "gen", "--family", family, "--seed", "0", "--out", f"gen-{family}.txt"]
+      for family in ("w3sat", "potts", "submodular", "random3label")),
 ]
 
 
@@ -159,7 +179,7 @@ def build_inputs(inputs: Path) -> None:
                           ("mixed", {"0.mine": (inputs / "potts/0.mine").read_text(),
                                      "1.mine": MALFORMED_MINE}),
                           ("traces", {"unknown.json": UNKNOWN_TRACE, "list.json": "[]\n"}),
-                          ("far", {"0.mine": FAR_MINE})]:
+                          ("far", {"0.mine": FAR_MINE, "1.mine": WIDE_MINE})]:
         (inputs / corpus).mkdir()
         for name, text in files.items():
             (inputs / corpus / name).write_text(text)
