@@ -360,9 +360,9 @@ def parse_solution(text: str) -> tuple[Labeling, Cost | None]:
     labeling: Labeling = {}
     energy = None
     for line_no, tokens in _records(text, "#")[1]:
-        if tokens[0] == "energy":
+        if tokens[0] in ("energy", "value"):  # `mine solve` prints "value"
             if len(tokens) != 2:
-                raise ParseError(line_no, "energy takes one value")
+                raise ParseError(line_no, f"{tokens[0]} takes one value")
             energy = _costs(tokens[1:], line_no, strict)[0]
         else:
             if len(tokens) != 2:

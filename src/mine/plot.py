@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isfinite
+
 from .geometry import Drawing, GeometryError, list_crossings
 from .instance import EnergyInstance
 
@@ -19,6 +21,9 @@ def render_svg(instance: EnergyInstance, d: Drawing) -> str:
     min_x, max_x = min(xs, default=0.0), max(xs, default=0.0)
     min_y, max_y = min(ys, default=0.0), max(ys, default=0.0)
     span = max(max_x - min_x, max_y - min_y, 1e-9)
+    if not isfinite(span):  # each coordinate is a float, but their span is not
+        raise GeometryError("the coordinate span is beyond float range, so the "
+                            "drawing cannot be rendered")
     scale = (_SIZE - 2 * _MARGIN) / span
 
     def sx(x: float) -> float:

@@ -17,7 +17,13 @@ instance, sigma(s, trace), and returns that instance's reverse map; the
 map runs once per target labeling, reverse(y, value), on the value the
 oracle gave y.  The source scores each distinct reverse-map output of an
 instance once, so the source's feasibility and measure functions must be
-pure.  The ratio transfer is tested in exact integers.
+pure.  Each output is compared with a copy of the one before it, and only
+an output that differs is keyed and looked up in that memo, so each run of
+equal outputs costs one lookup.  Runs are long because `all_labelings`
+varies the last nodes fastest, and those are a reduction's auxiliary and
+padding nodes.  Since the previous output is copied, a reverse map may
+mutate and return one dict on every call.  The ratio transfer is tested in
+exact integers.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Callable
 
-from ..costs import is_finite
+from ..costs import INF, is_finite
 from ..instance import EnergyInstance, Labeling, evaluate, scored_labelings
 from ..solvers import check_enumerable
 from .wsat import W3SatTriv
@@ -105,9 +111,11 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
     source solution for each target labeling y, given the value the oracle
     gave y; it is bound once per instance that has a target labeling, and
     an error it raises propagates.  The oracle maps a target instance to
-    all its (labeling, value) pairs.  ``report.stats`` counts the target
-    labelings enumerated, the reverse-map calls and the distinct reverse-map
-    outputs scored.
+    all its (labeling, value) pairs.  Each run of consecutive equal
+    reverse-map outputs is keyed, looked up and scored once, against a copy
+    of the run's first output, so the map may reuse its output dict.
+    ``report.stats`` counts the target labelings enumerated, the reverse-map
+    calls and the distinct reverse-map outputs scored.
     """
     oracle = oracle or default_oracle
     report = APReport(alpha=Fraction(alpha))
@@ -152,20 +160,23 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
         if not solutions:
             continue
         reverse = sigma(src, trace)
+        stats["sigma_calls"] += len(solutions)
         scored = {}  # frozenset of a sigma output's items: [is_feasible, measure or None]
+        last = None  # a copy of the previous sigma output, whose score is `score`
         for y, val in solutions:
             x = reverse(y, val)
-            stats["sigma_calls"] += 1
-            key = frozenset(x.items())
-            score = scored.get(key)
-            if score is None:
-                score = scored[key] = [source.is_feasible(src, x), None]
-                stats["source_scored"] += 1
+            if x != last:
+                last = dict(x)
+                key = frozenset(last.items())
+                score = scored.get(key)
+                if score is None:
+                    score = scored[key] = [source.is_feasible(src, x), None]
+                    stats["source_scored"] += 1
             if not score[0]:
                 report.counterexamples.append(Counterexample(idx, "sigma-feasible", dict(y),
                                                              f"sigma output {x} infeasible"))
                 continue
-            if ratios_ok and is_finite(val):
+            if ratios_ok and val is not INF:
                 if score[1] is None:
                     score[1] = source.measure(src, x)
                 if score[1] * scale > base + slope * val:

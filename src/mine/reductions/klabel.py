@@ -39,8 +39,9 @@ def qpbo_to_klabel(instance: EnergyInstance, k: int) -> tuple[EnergyInstance, Re
 
 
 def klabel_sigma(original: EnergyInstance, trace: ReductionTrace):
-    """Reverse map of one padded instance: y itself when it uses labels 0 and
-    1 only, else the fixed all-zeros labeling.
+    """Reverse map of one padded instance: a copy of y when it uses labels 0
+    and 1 only, else a copy of the all-zeros labeling, which binding builds
+    once.
 
     Binding checks, once, the trace kind, that original has exactly the
     trace's original nodes, that original is binary, and that the trace's
@@ -64,7 +65,7 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace):
         raise InstanceError("qpbo_to_klabel requires a binary instance")
     if trace.big_m != big_m(original):
         raise InstanceError("trace threshold does not match the instance's big-M")
-    keys, nodes = labels.keys(), original.nodes
+    keys, all_zeros = labels.keys(), dict.fromkeys(original.nodes, 0)
 
     def reverse(y: Labeling, value=None) -> Labeling:
         values = y.values()
@@ -74,7 +75,7 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace):
             check_labeling(original, {u: min(a, 1) if type(a) is int else a
                                       for u, a in y.items()})
         if y and max(values) >= 2:
-            return dict.fromkeys(nodes, 0)
+            return dict(all_zeros)
         return dict(y)  # below M: big_m exceeds |energy| of every labeling
 
     return reverse

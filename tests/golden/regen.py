@@ -1,4 +1,4 @@
-"""Rebuild the golden corpus of the reduction commands and plot: inputs and manifest.
+"""Rebuild the golden corpus of the CLI commands: inputs and manifest.
 
 Run from the repository root:
 
@@ -8,8 +8,10 @@ The inputs are `mine gen` files, a few seeds per family, in one directory
 per corpus.  `drawn/` holds small Potts files with circle-layout
 coordinates added, so they have no crossings; `shifted/` holds one
 submodular file with every node id moved up by 5; `solutions/` holds `mine
-solve` output on reduced instances, with its `value` line left out (the
-form `mine sigma` reads) and once as printed.  Every command in COMMANDS
+solve` output on reduced instances, once with its `value` line left out
+and once as printed (`mine sigma` reads both).  `far/` holds a drawing
+with a coordinate beyond float range and one whose coordinates are in
+range but whose span is not.  Every command in COMMANDS
 then runs in order in a scratch copy of the inputs, and manifest.json
 records what `tests/test_golden.py::run_command` saw.
 """

@@ -286,10 +286,11 @@ _REFERENCE_ENERGY_SOURCE = SourceAdapter(
 )
 
 
-def _reference_verify(pi, sigma, alpha, instances, source=ENERGY_SOURCE):
+def _reference_verify(pi, sigma, alpha, instances, source=ENERGY_SOURCE, oracle=None):
     """The harness as it was: every labeling evaluated, every sigma output
     scored, the ratio transfer in Fractions; the reverse map bound once per
-    instance and handed each labeling's value."""
+    instance and handed each labeling's value.  An oracle, when given,
+    replaces the enumeration of the target's (labeling, value) pairs."""
     if source is ENERGY_SOURCE:
         source = _REFERENCE_ENERGY_SOURCE
     report = APReport(alpha=Fraction(alpha))
@@ -310,8 +311,8 @@ def _reference_verify(pi, sigma, alpha, instances, source=ENERGY_SOURCE):
                                                          "trace does not partition the target nodes"))
             continue
         feasible = list(source.feasible_solutions(src))
-        solutions = [(y, _reference_evaluate(target, y))
-                     for y in all_labelings(target)]
+        solutions = oracle(target) if oracle else [(y, _reference_evaluate(target, y))
+                                                   for y in all_labelings(target)]
         if feasible and not solutions:
             report.counterexamples.append(Counterexample(idx, "feasibility", None,
                                                          "feasible source but empty target"))
@@ -339,9 +340,9 @@ def _reference_verify(pi, sigma, alpha, instances, source=ENERGY_SOURCE):
     return report
 
 
-def _both(pi, sigma, alpha, instances, source=ENERGY_SOURCE):
-    got = verify_ap_reduction(pi, sigma, alpha, instances, source=source)
-    want = _reference_verify(pi, sigma, alpha, instances, source=source)
+def _both(pi, sigma, alpha, instances, source=ENERGY_SOURCE, oracle=None):
+    got = verify_ap_reduction(pi, sigma, alpha, instances, oracle=oracle, source=source)
+    want = _reference_verify(pi, sigma, alpha, instances, source=source, oracle=oracle)
     assert got == want
     assert got.counterexamples == want.counterexamples  # the same order
     return got
@@ -355,6 +356,10 @@ def _unsat_formula():
 
 def _restriction_only(sat, trace):  # drops the all-true fallback
     return lambda y, value: {i: bool(y[i]) for i in range(1, sat.num_vars + 1)}
+
+
+def _all_zeros(src, trace):
+    return lambda y, value: {u: 0 for u in src.nodes}
 
 
 def test_harness_equals_the_reference_on_w3sat_formulas():
@@ -376,11 +381,8 @@ def test_harness_equals_the_reference_on_broken_maps():
     report = _both(w3sat_to_qpbo, _restriction_only, 1, sats, source=SAT_SOURCE)
     assert any(ce.check == "sigma-feasible" for ce in report.counterexamples)
 
-    def all_zeros(src, trace):
-        return lambda y, value: {u: 0 for u in src.nodes}
-
     instances = [random_qpbo(seed, max_nodes=4) for seed in range(30)]
-    report = _both(lambda s: qpbo_to_klabel(s, 3), all_zeros, 1, instances)
+    report = _both(lambda s: qpbo_to_klabel(s, 3), _all_zeros, 1, instances)
     assert any(ce.check == "ratio-transfer" for ce in report.counterexamples)
 
     def first_label_infinite(src, trace):  # an infeasible source labeling
@@ -408,12 +410,81 @@ def test_harness_equals_the_reference_at_any_alpha(alpha):
     if alpha < 1:
         assert any(ce.check == "ratio-transfer" for ce in report.counterexamples)
 
-    def all_zeros(src, trace):
-        return lambda y, value: {u: 0 for u in src.nodes}
-
-    _both(lambda s: qpbo_to_klabel(s, 3), all_zeros, alpha, instances)
+    _both(lambda s: qpbo_to_klabel(s, 3), _all_zeros, alpha, instances)
     sats = [random_w3sat(seed, max_vars=4, max_clauses=3) for seed in range(20)]
     _both(w3sat_to_qpbo, w3sat_sigma, alpha, sats, source=SAT_SOURCE)
+
+
+def _shared_output(bind):
+    """The reverse map bind gives, changed to write each output into one
+    dict, which it returns on every call."""
+    def sigma(src, trace):
+        reverse, shared = bind(src, trace), {}
+
+        def reuse(y, value):
+            x = reverse(y, value)
+            shared.clear()
+            shared.update(x)
+            return shared
+        return reuse
+    return sigma
+
+
+def test_harness_rescores_a_reverse_map_that_reuses_its_output_dict():
+    instances = [random_qpbo(seed, max_nodes=4) for seed in range(30)]
+    for alpha in (Fraction(1, 2), 1):
+        report = _both(lambda s: qpbo_to_klabel(s, 3), _shared_output(klabel_sigma), alpha,
+                       instances)
+        fresh = verify_ap_reduction(lambda s: qpbo_to_klabel(s, 3), klabel_sigma, alpha,
+                                    instances)
+        assert report.stats == fresh.stats
+        assert any(ce.check == "ratio-transfer" for ce in report.counterexamples) == (alpha < 1)
+    # Some outputs are infeasible and some are not, within one instance.
+    with_inf = make_instance({0: 2, 1: 2}, {0: (1, INF), 1: (2, 1)}, {(0, 1): ((0, 1), (1, 0))})
+    report = _both(lambda s: (s, qpbo_to_klabel(make_instance({0: 2, 1: 2}), 2)[1]),
+                   _shared_output(lambda src, trace: lambda y, value: dict(y)), 1, [with_inf])
+    assert [ce.check for ce in report.counterexamples] == ["sigma-feasible"] * 2
+    assert report.stats == {"labelings": 4, "sigma_calls": 4, "source_scored": 4}
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_harness_equals_the_reference_on_a_shuffled_oracle(seed):
+    def shuffled(target):
+        pairs = [(y, _reference_evaluate(target, y)) for y in all_labelings(target)]
+        random.Random(seed).shuffle(pairs)
+        return pairs
+
+    def ordered(report):
+        return sorted(map(repr, report.counterexamples))
+
+    instances = [random_qpbo(s, max_nodes=4) for s in range(20)]
+    sats = [random_w3sat(s, max_vars=4, max_clauses=3) for s in range(20)]
+    cases = [(lambda s: qpbo_to_klabel(s, 3), klabel_sigma, Fraction(1, 2), instances,
+              ENERGY_SOURCE),
+             (lambda s: qpbo_to_klabel(s, 4), _all_zeros, 1, instances, ENERGY_SOURCE),
+             (w3sat_to_qpbo, w3sat_sigma, 1, sats, SAT_SOURCE),
+             (w3sat_to_qpbo, _restriction_only, 1, sats, SAT_SOURCE)]
+    for pi, sigma, alpha, corpus, source in cases:
+        report = _both(pi, sigma, alpha, corpus, source=source, oracle=shuffled)
+        in_order = verify_ap_reduction(pi, sigma, alpha, corpus, source=source)
+        assert report.stats == in_order.stats
+        assert report.ratio_undefined == in_order.ratio_undefined
+        assert ordered(report) == ordered(in_order)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), 1])
+def test_harness_equals_the_reference_on_long_runs_at_four_labels(alpha):
+    # all_zeros gives one output per instance, so every ratio-transfer
+    # counterexample after an instance's first labeling falls inside a run.
+    instances = [random_qpbo(seed, max_nodes=4) for seed in range(30)]
+    report = _both(lambda s: qpbo_to_klabel(s, 4), _all_zeros, alpha, instances)
+    first = {idx: {u: 0 for u in instances[idx].nodes} for idx in range(len(instances))}
+    inside = [ce for ce in report.counterexamples
+              if ce.check == "ratio-transfer" and ce.solution != first[ce.instance_index]]
+    assert len({ce.instance_index for ce in inside}) > 1
+    assert report.stats["source_scored"] == len(instances)
+    klabel = _both(lambda s: qpbo_to_klabel(s, 4), klabel_sigma, alpha, instances)
+    assert klabel.ok == (alpha == 1)
 
 
 def test_source_scores_each_distinct_sigma_output_once():
@@ -449,6 +520,27 @@ def test_source_scores_each_distinct_sigma_output_once():
     # once per distinct output the ratio check reaches
     optimum_calls = sum(len(list(sat.feasible_solutions())) for sat in sats)
     assert optimum_calls < len(calls["measure"]) <= optimum_calls + len(distinct)
+
+    # k-label: every padding labeling maps to all zeros, in runs and apart.
+    calls = {"is_feasible": [], "measure": []}
+    source = SourceAdapter(feasible_solutions=ENERGY_SOURCE.feasible_solutions,
+                           is_feasible=counted("is_feasible", ENERGY_SOURCE.is_feasible),
+                           measure=counted("measure", ENERGY_SOURCE.measure))
+    inst = make_instance({0: 2, 1: 2}, {0: (3, 1), 1: (2, 4)}, {(0, 1): ((1, 0), (0, 3))})
+    target, trace = qpbo_to_klabel(inst, 4)
+    report = verify_ap_reduction(lambda s: qpbo_to_klabel(s, 4), klabel_sigma, 1, [inst],
+                                 source=source)
+    assert report.ok and report.ratio_undefined == []
+    outputs = []
+    reverse = klabel_sigma(inst, trace)
+    for y in all_labelings(target):
+        if reverse(y) not in outputs:
+            outputs.append(reverse(y))
+    assert calls["is_feasible"] == outputs == [{0: 0, 1: 0}, {0: 0, 1: 1},
+                                               {0: 1, 1: 0}, {0: 1, 1: 1}]
+    assert report.stats == {"labelings": 16, "sigma_calls": 16, "source_scored": 4}
+    # 4 feasible labelings for the optimum, then each output's measure once
+    assert len(calls["measure"]) == 4 + len(outputs)
 
 
 # --- report counters -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Golden replay of the reduction commands: `reduce`, `sigma` and `verify-ap`.
+"""Golden replay of the CLI: `reduce`, `sigma`, `verify-ap`, `solve`, `classify`, `gen`, `plot`.
 
 `tests/golden/manifest.json` holds one entry per command: its argv, any
 environment it sets, its exit code, its stdout, the first line of its

@@ -124,9 +124,11 @@ def test_parse_errors_carry_messages(text, fragment):
      "line 2: expected integers, got ['1', '\u0663']"),
     (parse_solution, "0 1\nenergy {}\n", "1_000", "1000",
      "line 2: expected integer or INF, got '1_000'"),
+    (parse_solution, "0 1\nvalue {}\n", "\uff17", "7",
+     "line 2: expected integer or INF, got '\uff17'"),
 ], ids=["nodes", "ids", "labels", "unary-entry", "unary-entry-last", "unary-node", "edge-entry",
         "edge-node", "constant", "wcnf3-p", "wcnf3-w", "wcnf3-clause", "solution-label",
-        "solution-node-line-2", "solution-energy"])
+        "solution-node-line-2", "solution-energy", "solution-value"])
 def test_integer_tokens_are_ascii_digits_only(parse, template, loose, plain, message):
     with pytest.raises(ParseError) as exc:
         parse(template.format(loose))
@@ -179,6 +181,14 @@ def test_solution_inf_energy_and_no_energy():
     assert lab == {0: 1} and energy is INF
     lab, energy = parse_solution("0 1\n")
     assert energy is None
+
+
+def test_solution_reads_value_as_the_energy_record():
+    assert parse_solution("0 1\n1 0\nvalue -7\n") == ({0: 1, 1: 0}, -7)
+    assert parse_solution("0 1\nvalue INF\n")[1] is INF
+    for text in ("0 1\nvalue\n", "0 1\nvalue 1 2\n"):
+        with pytest.raises(ParseError, match="line 2: value takes one value"):
+            parse_solution(text)
 
 
 def test_solution_rejects_duplicates():
@@ -353,6 +363,19 @@ def test_cli_plot_rejects_a_coordinate_beyond_float_range(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err == ("error: a coordinate is beyond float range, "
+                            "so the drawing cannot be rendered\n")
+
+
+def test_cli_plot_rejects_a_coordinate_span_beyond_float_range(tmp_path, capsys):
+    # Each coordinate converts to a float; their span, 2 * 10^308, does not.
+    far = "1" + "0" * 308
+    src = _write(tmp_path, "wide.mine", "MINE 1\nnodes 2\nlabels 2 2\n"
+                 f"coord 0 -{far} 0\ncoord 1 {far} 0\nedge 0 1 0 1 1 0\n")
+    out = tmp_path / "wide.svg"
+    assert run_cli(["plot", src, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == ("error: the coordinate span is beyond float range, "
                             "so the drawing cannot be rendered\n")
 
 
@@ -754,3 +777,25 @@ def test_cli_klabel_sigma_rejects_a_source_with_other_node_ids(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: source instance's nodes are not the trace's original nodes\n"
+
+
+@pytest.mark.parametrize("kind, name, text, method", [
+    ("w3sat-to-qpbo", "f.wcnf3", serialize_wcnf3(random_w3sat(2)), "brute"),
+    ("qpbo-to-klabel", "q.mine", serialize_instance(random_qpbo(3, max_nodes=5)), "elim"),
+    ("planarize", "x.mine", serialize_instance(*random_crossed_3label(4)), "elim"),
+], ids=["w3sat-to-qpbo", "qpbo-to-klabel", "planarize"])
+def test_cli_sigma_reads_what_solve_prints(tmp_path, capsys, kind, name, text, method):
+    # README: mine solve xp.mine --method elim > xp.sol; mine sigma ... --solution xp.sol
+    src = _write(tmp_path, name, text)
+    out, tr = str(tmp_path / "t.mine"), str(tmp_path / "t.json")
+    assert run_cli(["reduce", kind, src, out, "--trace", tr]) == 0
+    capsys.readouterr()
+    assert run_cli(["solve", out, "--method", method]) == 0
+    printed = capsys.readouterr().out
+    assert printed.splitlines()[-1].startswith("value ")
+    piped = _write(tmp_path, "piped.sol", printed)
+    bare = _write(tmp_path, "bare.sol", printed.rsplit("value ", 1)[0])
+    assert run_cli(["sigma", src, "--trace", tr, "--solution", piped]) == 0
+    mapped = capsys.readouterr()
+    assert run_cli(["sigma", src, "--trace", tr, "--solution", bare]) == 0
+    assert mapped == capsys.readouterr() and mapped.err == ""
