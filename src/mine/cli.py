@@ -68,8 +68,7 @@ def _build_parser() -> _Parser:
 
     solve_p = sub.add_parser("solve", help="minimize an instance file")
     solve_p.add_argument("input")
-    solve_p.add_argument("--method", required=True,
-                         choices=["brute", "elim", "tree", "mincut", "alphaexp"])
+    solve_p.add_argument("--method", required=True, choices=tuple(_SOLVERS))
     solve_p.add_argument("--stats", action="store_true",
                          help="also write the solver's counters as one JSON line on stderr")
 
@@ -86,8 +85,7 @@ def _build_parser() -> _Parser:
                           help="also write the harness's counters as one JSON line on stderr")
 
     gen_p = sub.add_parser("gen", help="emit a seeded random instance")
-    gen_p.add_argument("--family", required=True,
-                       choices=["w3sat", "potts", "submodular", "random3label"])
+    gen_p.add_argument("--family", required=True, choices=tuple(_GENERATORS))
     gen_p.add_argument("--seed", required=True)
     gen_p.add_argument("--out", help="output file (default stdout)")
 
@@ -231,17 +229,17 @@ def _cmd_verify_ap(args) -> int:
     return 0 if report.ok else COUNTEREXAMPLE_EXIT
 
 
+# Per gen family: seed -> the file text of its seeded instance or formula.
+_GENERATORS = {
+    "w3sat": lambda seed: serialize_wcnf3(random_w3sat(seed)),
+    "potts": lambda seed: serialize_instance(random_potts(seed)),
+    "submodular": lambda seed: serialize_instance(random_submodular(seed)),
+    "random3label": lambda seed: serialize_instance(*random_crossed_3label(seed)),
+}
+
+
 def _cmd_gen(args) -> int:
-    if args.family == "w3sat":
-        text = serialize_wcnf3(random_w3sat(args.seed))
-    elif args.family == "potts":
-        text = serialize_instance(random_potts(args.seed))
-    elif args.family == "submodular":
-        text = serialize_instance(random_submodular(args.seed))
-    else:
-        instance, drawing = random_crossed_3label(args.seed)
-        text = serialize_instance(instance, drawing)
-    _emit(text, args.out)
+    _emit(_GENERATORS[args.family](args.seed), args.out)
     return 0
 
 

@@ -32,6 +32,12 @@ def normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def orient_edge(u: int, v: int, table):
+    """Edge (u, v)'s normalized key and its k_u x k_v table, transposed when u > v."""
+    key = normalize_edge(u, v)
+    return key, (table if key[0] == u else tuple(zip(*table)))
+
+
 def _check_costs(entries: list) -> tuple[int, bool]:
     """Every entry is INF or an int (not a bool) in the signed 64-bit range.
 
@@ -149,9 +155,7 @@ def make_instance(labels: dict[int, int],
     else:
         pw = {}
         for (u, v), table in pairwise.items():
-            key = normalize_edge(u, v)
-            if key != (u, v):
-                table = tuple(zip(*table))
+            key, table = orient_edge(u, v, table)
             if key in pw:
                 raise InstanceError(f"edge {key} given twice")
             pw[key] = tuple(tuple(row) for row in table)

@@ -1,13 +1,18 @@
 """Multilinear pseudo-Boolean polynomials of degree at most 3.
 
 Terms map a frozenset of Boolean variable ids (size 0..3) to a nonzero
-integer coefficient.  Degree-2 polynomials convert losslessly to binary
-energy instances; degree-3 monomials exist solely to feed quadratization.
+integer coefficient.  Every sum of terms (poly, poly_add) goes through one
+accumulator that drops the monomials whose coefficients sum to 0.
+Degree-2 polynomials convert losslessly to binary energy instances;
+degree-3 monomials exist solely to feed quadratization: the W3SAT
+reduction's clause penalty, M times the product of the clause's three
+falsity factors, always has one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .instance import EnergyInstance, InstanceError, make_instance
 
@@ -56,30 +61,31 @@ class MultilinearPoly:
         return "Poly(" + " ".join(parts) + ")" if parts else "Poly(0)"
 
 
+def _sum_terms(pairs) -> MultilinearPoly:
+    """Sum (monomial, coefficient) pairs, dropping every monomial whose sum is 0."""
+    acc: dict[Monomial, int] = {}
+    for mono, coef in pairs:
+        acc[mono] = acc.get(mono, 0) + coef
+        if acc[mono] == 0:
+            del acc[mono]
+    return MultilinearPoly(acc)
+
+
 def poly(terms: dict) -> MultilinearPoly:
     """Build a polynomial from {variable tuple or id set: coefficient}, dropping zeros."""
-    out: dict[Monomial, int] = {}
+    pairs = []
     for key, coef in terms.items():
         if isinstance(key, int):
             key = (key,)
         mono = frozenset(key)
         if len(mono) != len(tuple(key)):
             raise PolyError(f"repeated variable in monomial {key}")
-        if coef:
-            out[mono] = out.get(mono, 0) + coef
-            if out[mono] == 0:
-                del out[mono]
-    return MultilinearPoly(out)
+        pairs.append((mono, coef))
+    return _sum_terms(pairs)
 
 
 def poly_add(*polys: MultilinearPoly) -> MultilinearPoly:
-    acc: dict[Monomial, int] = {}
-    for p in polys:
-        for mono, coef in p.terms.items():
-            acc[mono] = acc.get(mono, 0) + coef
-            if acc[mono] == 0:
-                del acc[mono]
-    return MultilinearPoly(acc)
+    return _sum_terms(chain.from_iterable(p.terms.items() for p in polys))
 
 
 def poly_scale(p: MultilinearPoly, factor: int) -> MultilinearPoly:

@@ -3,7 +3,9 @@
 All gadget entries are 0 or +INF: drawn relations cost nothing, omitted
 combinations are forbidden.  Simulated 2-label nodes are 3-label nodes
 whose third unary entry is +INF, so the planarization pipeline only ever
-handles one node arity.
+handles one node arity.  Each gadget table is written from its first
+named node to its second, and mine.instance.orient_edge keys it by the
+sorted pair, transposing it when the first id is the larger.
 
 SPLIT fans a 3-label value out into two Boolean channels:
     label 0 <-> (d, f),  label 1 <-> (d, g) or (e, g),  label 2 <-> (e, f)
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..costs import INF, Cost
-from ..instance import EnergyInstance
+from ..instance import EnergyInstance, orient_edge
 
 ZERO = 0
 
@@ -72,10 +74,10 @@ def split_gadget(boundary_id: int, d_id: int, f_id: int) -> GadgetFragment:
     """SPLIT: 3-label boundary node plus its two Boolean channel halves."""
     return GadgetFragment(
         unary={boundary_id: TRI_UNARY, d_id: SIM2_UNARY, f_id: SIM2_UNARY},
-        pairwise={
-            tuple(sorted((boundary_id, d_id))): _orient(SPLIT_B_D, boundary_id, d_id),
-            tuple(sorted((boundary_id, f_id))): _orient(SPLIT_B_F, boundary_id, f_id),
-        })
+        pairwise=dict([
+            orient_edge(boundary_id, d_id, SPLIT_B_D),
+            orient_edge(boundary_id, f_id, SPLIT_B_F),
+        ]))
 
 
 def uncross_copy_gadget(tl: int, tr: int, bl: int, br: int,
@@ -88,22 +90,15 @@ def uncross_copy_gadget(tl: int, tr: int, bl: int, br: int,
     return GadgetFragment(
         unary={tl: SIM2_UNARY, tr: SIM2_UNARY, bl: SIM2_UNARY, br: SIM2_UNARY,
                x1: TRI_UNARY, x2: TRI_UNARY},
-        pairwise={
-            tuple(sorted((tl, x1))): _orient(HEAVY_PORT, tl, x1),
-            tuple(sorted((tl, x2))): _orient(HEAVY_PORT, tl, x2),
-            tuple(sorted((br, x1))): _orient(HEAVY_PORT, br, x1),
-            tuple(sorted((br, x2))): _orient(HEAVY_PORT, br, x2),
-            tuple(sorted((tr, x1))): _orient(LIGHT_PORT_X1, tr, x1),
-            tuple(sorted((bl, x2))): _orient(LIGHT_PORT_X2, bl, x2),
-            tuple(sorted((x1, x2))): _orient(CROSS_INTERNAL, x1, x2),
-        })
-
-
-def _orient(table, u: int, v: int):
-    """Store table keyed by sorted node pair; transpose when u > v."""
-    if u < v:
-        return table
-    return tuple(zip(*table))
+        pairwise=dict([
+            orient_edge(tl, x1, HEAVY_PORT),
+            orient_edge(tl, x2, HEAVY_PORT),
+            orient_edge(br, x1, HEAVY_PORT),
+            orient_edge(br, x2, HEAVY_PORT),
+            orient_edge(tr, x1, LIGHT_PORT_X1),
+            orient_edge(bl, x2, LIGHT_PORT_X2),
+            orient_edge(x1, x2, CROSS_INTERNAL),
+        ]))
 
 
 def merge_fragments(*frags: GadgetFragment) -> GadgetFragment:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from ..instance import (LABEL_TYPES, EnergyInstance, InstanceError, Labeling, big_m,
                         check_labeling)
-from ..solvers import DEFAULT_BRUTE_LIMIT
+from ..solvers import DEFAULT_BRUTE_LIMIT, is_binary
 from .trace import ReductionTrace
 
 
 def qpbo_to_klabel(instance: EnergyInstance, k: int) -> tuple[EnergyInstance, ReductionTrace]:
     """Enlarge a binary, all-finite instance's label set to k >= 2, within 2^24 entries."""
-    if any(instance.labels[u] != 2 for u in instance.nodes):
+    if not is_binary(instance):
         raise InstanceError("qpbo_to_klabel requires a binary instance")
     if k < 2:
         raise InstanceError("target label count must be at least 2")
@@ -60,12 +60,11 @@ def klabel_sigma(original: EnergyInstance, trace: ReductionTrace):
         raise InstanceError("trace kind mismatch")
     if trace.original_nodes != original.nodes:
         raise InstanceError("source instance's nodes are not the trace's original nodes")
-    labels = original.labels
-    if set(labels.values()) - {2}:
+    if not is_binary(original):
         raise InstanceError("qpbo_to_klabel requires a binary instance")
     if trace.big_m != big_m(original):
         raise InstanceError("trace threshold does not match the instance's big-M")
-    keys, all_zeros = labels.keys(), dict.fromkeys(original.nodes, 0)
+    keys, all_zeros = original.labels.keys(), dict.fromkeys(original.nodes, 0)
 
     def reverse(y: Labeling, value=None) -> Labeling:
         values = y.values()

@@ -1,7 +1,8 @@
 """Weighted 3-SAT with a trivial fallback solution, reduced to binary energies.
 
-The forward map turns each clause into a cubic penalty worth M when the
-clause fails, quadratizes every cubic monomial with one fresh auxiliary
+The forward map turns each clause into a cubic penalty, M times the
+product of its literals' falsity factors (M when the clause fails, 0 when
+it holds), quadratizes every cubic monomial with one fresh auxiliary
 variable, and adds the variable weights as unary terms.  The reverse map
 restricts low-energy labelings and falls back to all-true otherwise; it
 is bound once per formula and trace, rebuilds the target from the formula
@@ -11,7 +12,7 @@ then, and rejects a trace of another one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from ..costs import I64_MAX, I64_MIN, check_range
 from ..instance import LABEL_TYPES, EnergyInstance, Labeling, check_labeling, evaluate
@@ -77,37 +78,29 @@ def clause_value(clause: Clause, assignment: dict[int, bool]) -> bool:
 
 
 def clause_to_poly(clause: Clause) -> MultilinearPoly:
-    """Multilinear polynomial equal to the clause's 0/1 truth value.
+    """Multilinear polynomial equal to the clause's 0/1 truth value: 1 minus
+    its falsity product."""
+    return poly_add(poly({(): 1}), _falsity(clause, -1))
 
-    1 minus the product of the literals' falsity factors: (1 - x_i) for a
-    positive literal, x_i for a negative one.
-    """
+
+def _falsity(clause: Clause, scale: int) -> MultilinearPoly:
+    """scale times the product of the clause's falsity factors, (1 - x_i) for
+    a positive literal and x_j for a negative one: with P and N its positive
+    and negative variables, the sum over the subsets S of P of
+    scale * (-1)^|S| * x_(S and N).  No two of these terms share a
+    monomial, because a clause's variables are distinct."""
     validate_clause(clause)
-    # Product of falsity factors, expanded term by term.
-    acc = poly({(): 1})
-    for lit in clause:
-        v = abs(lit)
-        factor = poly({(): 1, (v,): -1}) if lit > 0 else poly({(v,): 1})
-        acc = _poly_mul(acc, factor)
-    return poly_add(poly({(): 1}), poly_scale(acc, -1))
-
-
-def _poly_mul(a: MultilinearPoly, b: MultilinearPoly) -> MultilinearPoly:
-    acc: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            mono = ma | mb  # multilinear: x^2 = x
-            acc[mono] = acc.get(mono, 0) + ca * cb
-            if acc[mono] == 0:
-                del acc[mono]
-    return MultilinearPoly(acc)
+    pos = [lit for lit in clause if lit > 0]
+    neg = frozenset(-lit for lit in clause if lit < 0)
+    return MultilinearPoly({neg.union(s): -scale if r % 2 else scale
+                            for r in range(len(pos) + 1) for s in combinations(pos, r)})
 
 
 def clause_penalty(clause: Clause, big_m: int) -> MultilinearPoly:
-    """Penalty M * (1 - clause value): M when the clause fails, 0 when it holds."""
+    """Penalty M * (the clause's falsity product): M when the clause fails, 0 when it holds."""
     if big_m < 1:
         raise SatError("penalty scale M must be at least 1")
-    return poly_scale(poly_add(poly({(): 1}), poly_scale(clause_to_poly(clause), -1)), big_m)
+    return _falsity(clause, big_m)
 
 
 def quadratize(p: MultilinearPoly, fresh_start: int) -> tuple[MultilinearPoly, tuple[int, ...]]:
@@ -120,26 +113,21 @@ def quadratize(p: MultilinearPoly, fresh_start: int) -> tuple[MultilinearPoly, t
     """
     if p.degree > 3:
         raise SatError("quadratize requires degree <= 3")
-    out = {m: c for m, c in p.terms.items() if len(m) < 3}
-    aux: list[int] = []
-    fresh = fresh_start
-    for mono in sorted((m for m in p.terms if len(m) == 3), key=sorted):
+    cubics = sorted((m for m in p.terms if len(m) == 3), key=sorted)
+    aux = tuple(range(fresh_start, fresh_start + len(cubics)))
+    gadgets = []
+    for w, mono in zip(aux, cubics):
         a = p.terms[mono]
         i, j, k = sorted(mono)
-        w = fresh
-        fresh += 1
-        aux.append(w)
         if a < 0:
             gadget = poly({(w, i): 1, (w, j): 1, (w, k): 1, (w,): -2})
         else:
             gadget = poly({(w, i): 1, (w, j): 1, (w, k): 1, (w,): -1,
                            (i,): -1, (j,): -1, (k,): -1, (): 1,
                            (i, j): 1, (i, k): 1, (j, k): 1})
-        for m, c in poly_scale(gadget, a).terms.items():
-            out[m] = out.get(m, 0) + c
-            if out[m] == 0:
-                del out[m]
-    return MultilinearPoly(out), tuple(aux)
+        gadgets.append(poly_scale(gadget, a))
+    low = MultilinearPoly({m: c for m, c in p.terms.items() if len(m) < 3})
+    return poly_add(low, *gadgets), aux
 
 
 def w3sat_to_qpbo(sat: W3SatTriv) -> tuple[EnergyInstance, ReductionTrace]:

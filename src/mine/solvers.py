@@ -189,9 +189,8 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     separator, in order, with more than DEFAULT_ELIM_LIMIT label
     combinations raises SolverError before any table is built.  The tables
     then cover each node's domain: its finite-unary labels (node
-    consistency), or all its labels when some node has none or when
-    finite_sum exceeds int64, so that every partial sum the overflow rule
-    checks is formed.  A node's unary
+    consistency), or all its labels when finite_sum exceeds int64, so that
+    every partial sum the overflow rule checks is formed.  A node's unary
     sits in its own bucket, so a label with an INF unary entry cannot
     attain a finite minimum there, and dropping it changes no finite
     value or argmin.  When the value is INF, elimination runs again over
@@ -237,8 +236,6 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     else:
         domains = {u: [a for a, c in enumerate(row) if c is not INF]
                    for u, row in instance.unary.items()}
-        if not all(domains.values()):  # a node with no finite label: INF
-            domains = every
     x, value = _eliminate(instance, plan, domains)
     if value is INF and domains is not every:
         x, value = _eliminate(instance, plan, every)
@@ -597,7 +594,7 @@ def _forest_order(instance: EnergyInstance) -> list[int] | None:
 
 
 def is_binary(instance: EnergyInstance) -> bool:
-    return all(instance.labels[u] == 2 for u in instance.nodes)
+    return set(instance.labels.values()) <= {2}
 
 
 def is_submodular_binary(instance: EnergyInstance) -> bool:

@@ -51,6 +51,7 @@ FAR_MINE = f"MINE 1\nnodes 2\nlabels 2 2\ncoord 0 0 0\ncoord 1 {'9' * 400} 1\ned
 # Each coordinate converts to a float, but their span (2 * 10^308) does not.
 WIDE_MINE = (f"MINE 1\nnodes 2\nlabels 2 2\ncoord 0 -1{'0' * 308} 0\n"
              f"coord 1 1{'0' * 308} 0\nedge 0 1 0 1 1 0\n")
+GEN_FAMILIES = ("w3sat", "potts", "submodular", "random3label")
 # (reduction, source, solution name, solve method) for `mine sigma` inputs
 SOLVED = [
     ("w3sat-to-qpbo", "w3sat/0.wcnf3", "w3sat-0", "brute"),
@@ -151,7 +152,10 @@ COMMANDS = [
     ["classify-drawn-50", "classify", "drawn/50.mine"],
     ["classify-random3label-0", "classify", "crossed/0.mine"],
     *(["gen-" + family, "gen", "--family", family, "--seed", "0", "--out", f"gen-{family}.txt"]
-      for family in ("w3sat", "potts", "submodular", "random3label")),
+      for family in GEN_FAMILIES),
+    *([f"gen-{family}-{seed}", "gen", "--family", family, "--seed", seed,
+       "--out", f"gen-{family}-{seed}.txt"]
+      for family in GEN_FAMILIES for seed in ("1", "2", "3")),
 ]
 
 

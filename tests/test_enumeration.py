@@ -1,6 +1,7 @@
 """Scored enumeration, the AP harness and evaluate against their per-labeling oracles."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -398,6 +399,26 @@ def test_harness_equals_the_reference_on_broken_maps():
 
     report = _both(bad_pi, klabel_sigma, 1, instances[:2])
     assert [ce.check for ce in report.counterexamples] == ["well-formed"] * 2
+
+
+def test_harness_reports_a_malformed_target_as_the_reference_does():
+    sats = [random_w3sat(seed) for seed in range(3)]
+
+    def not_an_instance(sat):
+        target, trace = w3sat_to_qpbo(sat)
+        return target.pairwise, trace
+
+    def trace_short_of_the_target(sat):
+        target, trace = w3sat_to_qpbo(sat)
+        return target, replace(trace, aux_nodes=trace.aux_nodes[1:])
+
+    for pi, detail in [(not_an_instance, "pi did not return an EnergyInstance"),
+                       (trace_short_of_the_target, "trace does not partition the target nodes")]:
+        report = _both(pi, w3sat_sigma, 1, sats, source=SAT_SOURCE)
+        assert report.checked == 3 and report.ratio_undefined == []
+        assert report.counterexamples == [Counterexample(i, "well-formed", None, detail)
+                                          for i in range(3)]
+        assert report.stats == {"labelings": 0, "sigma_calls": 0, "source_scored": 0}
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(3, 2), 0, 2, Fraction(-1, 3),

@@ -106,3 +106,22 @@ def test_merge_shares_consistent_nodes():
     merged = merge_fragments(a, b)
     assert set(merged.unary) == set(range(6))
     assert len(merged.pairwise) == 4
+
+
+# --- node ids in any order --------------------------------------------------
+# A gadget's tables are written from their first named node to their second;
+# ids that descend along that pair store the table transposed.
+
+def test_split_with_descending_ids_has_the_same_finite_states():
+    ascending = finite_states(split_gadget(0, 1, 2).to_instance(), (0, 1, 2))
+    frag = split_gadget(2, 1, 0)
+    assert set(frag.pairwise) == {(1, 2), (0, 2)}
+    assert finite_states(frag.to_instance(), (2, 1, 0)) == ascending
+
+
+@pytest.mark.parametrize("ids", [(5, 4, 3, 2, 1, 0), (3, 0, 5, 1, 4, 2), (1, 2, 0, 4, 5, 3)])
+def test_uncross_copy_with_reordered_ids_has_the_same_finite_states(ids):
+    ascending = finite_states(uncross_copy_gadget(0, 1, 2, 3, 4, 5).to_instance(), range(6))
+    frag = uncross_copy_gadget(*ids)
+    assert all(u < v for u, v in frag.pairwise)
+    assert finite_states(frag.to_instance(), ids) == ascending

@@ -4,11 +4,13 @@ from itertools import product
 import pytest
 
 from mine.cli import run_cli
-from mine.fileformat import serialize_solution, serialize_wcnf3, write_trace
+from mine.fileformat import serialize_instance, serialize_solution, serialize_wcnf3, write_trace
 from mine.generate import random_w3sat
 from mine.instance import InstanceError, all_labelings, evaluate, scored_labelings
-from mine.poly import poly, poly_evaluate
+from mine.poly import (MultilinearPoly, poly, poly_evaluate, poly_scale,
+                       quadratic_poly_to_instance)
 from mine.reductions.harness import SAT_SOURCE, SourceAdapter, verify_ap_reduction
+from mine.reductions.trace import ReductionTrace
 from mine.reductions.wsat import (SatError, W3SatTriv, clause_penalty,
                                   clause_to_poly, clause_value, quadratize,
                                   validate_clause, w3sat_sigma, w3sat_to_qpbo)
@@ -419,3 +421,101 @@ def test_cli_sigma_rejects_a_trace_of_another_formula(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# --- the construction as a product of polynomials ------------------------
+# The reduction as it was first written: each clause's truth polynomial by
+# multiplying out its falsity factors, the penalty M * (1 - truth), and
+# every sum accumulated term by term.  The forward map must build the
+# same target and trace, byte for byte.
+
+def _sum(*polys):
+    acc = {}
+    for p in polys:
+        for mono, coef in p.terms.items():
+            acc[mono] = acc.get(mono, 0) + coef
+            if acc[mono] == 0:
+                del acc[mono]
+    return MultilinearPoly(acc)
+
+
+def _product(a, b):
+    acc = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            mono = ma | mb  # multilinear: x^2 = x
+            acc[mono] = acc.get(mono, 0) + ca * cb
+            if acc[mono] == 0:
+                del acc[mono]
+    return MultilinearPoly(acc)
+
+
+def _product_truth(clause):
+    falsity = poly({(): 1})
+    for lit in clause:
+        v = abs(lit)
+        falsity = _product(falsity, poly({(): 1, (v,): -1}) if lit > 0 else poly({(v,): 1}))
+    return _sum(poly({(): 1}), poly_scale(falsity, -1))
+
+
+def _product_penalty(clause, m):
+    return poly_scale(_sum(poly({(): 1}), poly_scale(_product_truth(clause), -1)), m)
+
+
+def _product_quadratize(p, fresh):
+    out = MultilinearPoly({m: c for m, c in p.terms.items() if len(m) < 3})
+    aux = []
+    for mono in sorted((m for m in p.terms if len(m) == 3), key=sorted):
+        a, (i, j, k), w = p.terms[mono], sorted(mono), fresh + len(aux)
+        aux.append(w)
+        if a < 0:
+            gadget = poly({(w, i): 1, (w, j): 1, (w, k): 1, (w,): -2})
+        else:
+            gadget = poly({(w, i): 1, (w, j): 1, (w, k): 1, (w,): -1,
+                           (i,): -1, (j,): -1, (k,): -1, (): 1,
+                           (i, j): 1, (i, k): 1, (j, k): 1})
+        out = _sum(out, poly_scale(gadget, a))
+    return out, tuple(aux)
+
+
+def _product_w3sat_to_qpbo(sat):
+    m = sum(sat.weights)
+    parts = [poly({(i,): w for i, w in enumerate(sat.weights, start=1) if w})]
+    aux_nodes = []
+    fresh = sat.num_vars + 1
+    for clause in sat.clauses:
+        quad, aux = _product_quadratize(_product_penalty(clause, max(m, 1)), fresh)
+        parts.append(quad)
+        aux_nodes.extend(aux)
+        fresh += len(aux)
+    originals = tuple(range(1, sat.num_vars + 1))
+    instance = quadratic_poly_to_instance(_sum(*parts), variables=originals + tuple(aux_nodes))
+    trace = ReductionTrace(kind="w3sat-to-qpbo", original_nodes=originals,
+                           aux_nodes=tuple(aux_nodes), big_m=m, next_fresh_id=fresh)
+    return instance, trace
+
+
+@pytest.mark.parametrize("variables", [(1, 2, 3), (7, 2, 5)])
+def test_clause_polynomials_equal_the_multiplied_out_product(variables):
+    for signs in product((1, -1), repeat=3):
+        clause = tuple(s * v for s, v in zip(signs, variables))
+        assert clause_to_poly(clause) == _product_truth(clause)
+        for m in (1, 2, 7, 2**62, 2**70):
+            assert clause_penalty(clause, m) == _product_penalty(clause, m), (clause, m)
+
+
+def test_w3sat_to_qpbo_writes_what_the_multiplied_out_product_writes():
+    for seed in range(200):
+        sat = random_w3sat(seed)
+        got, want = w3sat_to_qpbo(sat), _product_w3sat_to_qpbo(sat)
+        assert (serialize_instance(got[0]) + write_trace(got[1])
+                == serialize_instance(want[0]) + write_trace(want[1])), seed
+
+
+def test_formula_rejects_a_wrong_weight_count_and_a_negative_weight():
+    with pytest.raises(SatError, match="one weight per variable required"):
+        W3SatTriv(3, ((1, 2, 3),), (1, 1))
+    with pytest.raises(SatError, match="one weight per variable required"):
+        W3SatTriv(3, ((1, 2, 3),), (1, 1, 1, 1))
+    with pytest.raises(SatError, match="weights must be non-negative"):
+        W3SatTriv(3, ((1, 2, 3),), (1, -1, 1))
