@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 from .geometry import Drawing, list_crossings
 from .instance import EnergyInstance
-from .solvers import (is_binary, is_forest, is_metric, is_potts,
-                      is_submodular_binary, is_submodular_lattice)
+from .solvers import is_binary, is_forest, is_metric, is_potts, is_submodular_lattice
 
 UNDETECTED_FAMILIES = ("outerplanar", "bounded treewidth > 1", "permuted submodular")
 
@@ -57,8 +56,8 @@ def classify(instance: EnergyInstance, d: Drawing | None = None) -> ComplexityRe
     if d is not None and d.covers(instance):
         planar = not list_crossings(instance, d)
 
-    sub_bin = is_submodular_binary(instance) if (binary and finite) else None
     sub_lat = is_submodular_lattice(instance) if finite else None
+    sub_bin = sub_lat if binary else None  # at k = 2 the same inequality
     potts = is_potts(instance) if (finite and uniform_k) else None
     metric = is_metric(instance) if (finite and uniform_k) else None
 

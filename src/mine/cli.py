@@ -22,9 +22,10 @@ from .generate import (GenerationError, random_crossed_3label, random_potts,
                        random_submodular, random_w3sat)
 from .plot import render_svg
 from .poly import PolyError
-from .reductions import (ENERGY_SOURCE, SAT_SOURCE, PlanarizeError, SatError,
-                         klabel_sigma, planar_sigma, planarize, qpbo_to_klabel,
-                         verify_ap_reduction, w3sat_sigma, w3sat_to_qpbo)
+from .reductions.harness import ENERGY_SOURCE, SAT_SOURCE, verify_ap_reduction
+from .reductions.klabel import klabel_sigma, qpbo_to_klabel
+from .reductions.planar import PlanarizeError, planar_sigma, planarize
+from .reductions.wsat import SatError, w3sat_sigma, w3sat_to_qpbo
 from .solvers import (SolverError, alpha_expansion, solve_brute_force,
                       solve_elimination, solve_submodular_qpbo, solve_tree_dp)
 

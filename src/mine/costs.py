@@ -7,6 +7,7 @@ above every finite value in the total order.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from typing import Union
 
 I64_MIN = -(2**63)
@@ -17,6 +18,7 @@ class CostOverflowError(ArithmeticError):
     """A finite cost computation left the signed 64-bit range."""
 
 
+@total_ordering
 class _PlusInfinity:
     """Singleton symbolic +infinity, absorbing under addition."""
 
@@ -38,27 +40,8 @@ class _PlusInfinity:
     __radd__ = __add__
 
     def __lt__(self, other):
-        if isinstance(other, _PlusInfinity):
-            return False
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, _PlusInfinity):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other):
         if isinstance(other, (int, _PlusInfinity)):
-            return not isinstance(other, _PlusInfinity)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _PlusInfinity)):
-            return True
+            return False
         return NotImplemented
 
     def __eq__(self, other):

@@ -230,26 +230,18 @@ def free_radius(instance: EnergyInstance, d: Drawing, p: Point,
     it takes on the drawing, so no call rescans the edge pairs.
     """
     exclude = {tuple(sorted(e)) for e in exclude}
-    min_d2 = None
-    for u in instance.nodes:
-        min_d2 = _min_opt(min_d2, _dist2_point(p, d.coords[u]))
+    d2s = [_dist2_point(p, d.coords[u]) for u in instance.nodes]
     for e in instance.edges:
         if e in exclude:
             continue
         d2 = _dist2_segment(p, d.coords[e[0]], d.coords[e[1]])
         if d2 == 0:
             raise GeometryError(f"point lies on non-excluded edge {e}")
-        min_d2 = _min_opt(min_d2, d2)
-    for c in crossings:
-        if c.point == p:
-            continue
-        min_d2 = _min_opt(min_d2, _dist2_point(p, c.point))
-    if min_d2 is None:
+        d2s.append(d2)
+    d2s += [_dist2_point(p, c.point) for c in crossings if c.point != p]
+    if not d2s:
         raise GeometryError("empty drawing: free radius undefined")
+    min_d2 = min(d2s)
     if min_d2 == 0:
         raise GeometryError("point coincides with a node or crossing")
     return rational_sqrt_lower(min_d2) / 2
-
-
-def _min_opt(current, candidate):
-    return candidate if current is None or candidate < current else current

@@ -25,7 +25,7 @@ class PolyError(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MultilinearPoly:
     terms: dict[Monomial, int] = field(default_factory=dict)
 
@@ -48,9 +48,6 @@ class MultilinearPoly:
 
     def coefficient(self, variables) -> int:
         return self.terms.get(frozenset(variables), 0)
-
-    def __eq__(self, other):
-        return isinstance(other, MultilinearPoly) and self.terms == other.terms
 
     def __repr__(self):
         parts = []
@@ -75,8 +72,6 @@ def poly(terms: dict) -> MultilinearPoly:
     """Build a polynomial from {variable tuple or id set: coefficient}, dropping zeros."""
     pairs = []
     for key, coef in terms.items():
-        if isinstance(key, int):
-            key = (key,)
         mono = frozenset(key)
         if len(mono) != len(tuple(key)):
             raise PolyError(f"repeated variable in monomial {key}")

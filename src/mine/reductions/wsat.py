@@ -111,8 +111,6 @@ def quadratize(p: MultilinearPoly, fresh_start: int) -> tuple[MultilinearPoly, t
       a > 0:  a * ((x_w - 1)(x_i + x_j + x_k - 1) + x_i x_j + x_i x_k + x_j x_k)
     Minimizing over each auxiliary recovers the cubic value exactly.
     """
-    if p.degree > 3:
-        raise SatError("quadratize requires degree <= 3")
     cubics = sorted((m for m in p.terms if len(m) == 3), key=sorted)
     aux = tuple(range(fresh_start, fresh_start + len(cubics)))
     gadgets = []

@@ -1,3 +1,7 @@
+import copy
+import operator
+import pickle
+
 import pytest
 
 from mine.costs import (INF, CostOverflowError, I64_MAX, I64_MIN, check_range,
@@ -19,6 +23,36 @@ def test_inf_total_order():
     assert INF <= INF
     assert not is_finite(INF)
     assert is_finite(0)
+
+
+def test_inf_order_against_every_operand_kind():
+    # INF sits above every int (bools included) and equals only itself, under
+    # all six operators in both operand orders; ranking INF as (1, 0) and an
+    # int x as (0, x) gives the expected result.
+    def rank(c):
+        return (1, 0) if c is INF else (0, c)
+
+    operators = (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge)
+    for other in (0, 1, -1, 2, -2, 2**70, -(2**70), True, False, INF):
+        for op in operators:
+            assert op(INF, other) is op(rank(INF), rank(other)), (op, other)
+            assert op(other, INF) is op(rank(other), rank(INF)), (op, other)
+    # Any other operand is unordered against INF and unequal to it.
+    for other in (1.5, float("inf"), None, "INF"):
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                op(INF, other)
+            with pytest.raises(TypeError):
+                op(other, INF)
+        assert INF != other and other != INF
+        assert not (INF == other or other == INF)
+    # INF stays the singleton through pickling and copying.
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(INF, protocol)) is INF
+    assert copy.deepcopy(INF) is INF
+    nested = copy.deepcopy([INF, {0: INF}])
+    assert nested[0] is INF and nested[1][0] is INF
+    assert copy.copy(INF) is INF
 
 
 def test_finite_overflow_rejected():

@@ -799,3 +799,69 @@ def test_cli_sigma_reads_what_solve_prints(tmp_path, capsys, kind, name, text, m
     mapped = capsys.readouterr()
     assert run_cli(["sigma", src, "--trace", tr, "--solution", bare]) == 0
     assert mapped == capsys.readouterr() and mapped.err == ""
+
+
+def test_cli_sigma_binds_a_w3sat_trace_that_records_the_same_counts_and_weight_sum(
+        tmp_path, capsys):
+    # A w3sat-to-qpbo trace records the variable ids, one auxiliary node per
+    # clause and M, the weight sum: formulas that agree on those share it.
+    a = _write(tmp_path, "a.wcnf3", "p wcnf3 3 1\nw 1 0 0\n1 2 3 0\n")
+    b = _write(tmp_path, "b.wcnf3", "p wcnf3 3 1\nw 0 1 0\n-1 2 3 0\n")
+    c = _write(tmp_path, "c.wcnf3", "p wcnf3 3 1\nw 0 2 0\n-1 2 3 0\n")
+    traces = {}
+    for name, src in (("a", a), ("b", b)):
+        traces[name] = str(tmp_path / f"{name}.json")
+        assert run_cli(["reduce", "w3sat-to-qpbo", src, str(tmp_path / f"{name}.mine"),
+                        "--trace", traces[name]]) == 0
+    assert Path(traces["a"]).read_text() == Path(traces["b"]).read_text()
+    sol = _write(tmp_path, "y.sol", serialize_solution({1: 0, 2: 0, 3: 0, 4: 1}))
+    capsys.readouterr()
+    assert run_cli(["sigma", b, "--trace", traces["b"], "--solution", sol]) == 0
+    own = capsys.readouterr()
+    assert run_cli(["sigma", b, "--trace", traces["a"], "--solution", sol]) == 0
+    assert capsys.readouterr() == own  # the map bound is b's own
+    assert own.out == "1 0\n2 0\n3 0\nmeasure 0\n"
+    # a's own map sends the same y to all-true: y costs 3 >= M on a's target.
+    assert run_cli(["sigma", a, "--trace", traces["a"], "--solution", sol]) == 0
+    assert capsys.readouterr().out == "1 1\n2 1\n3 1\nmeasure 1\n"
+    # c's weight sum is 2, so a's trace (M = 1) does not bind to it.
+    assert run_cli(["sigma", c, "--trace", traces["a"], "--solution", sol]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trace was not made from this formula\n"
+
+
+# --- typed errors for malformed records ---------------------------------
+
+@pytest.mark.parametrize("text, code, first_line", [
+    ("MINE 1\nnodes 2\nlabels 2 2\ncoord 0 0 0\ncoord 1 1 1\ncoord 0 2 2\n", 2,
+     "parse error: line 6: duplicate coord record for node 0"),
+    ("MINE 1\nnodes 2\nids 3 3\nlabels 2 2\n", 2,
+     "parse error: line 4: ids must list exactly the declared node count, no repeats"),
+    ("MINE 1\nnodes 2\nlabels 2 2\ncoord 0 0 0\ncoord 7 1 1\n", 2,
+     "parse error: line 5: coord record for unknown node 7"),
+    ("MINE 1\nnodes 2\nlabels 2 2\ncoord 0 1/0 0\ncoord 1 1 1\n", 2,
+     "parse error: line 4: expected int or int/int, got '1/0'"),
+    ("MINE 1\nnodes 2\nlabels 2 2\ncoord 0 1 2\ncoord 1 2/2 4/2\n", 3,
+     "error: two nodes share a point"),
+], ids=["second-coord", "repeated-id", "coord-unknown-node", "zero-denominator",
+        "shared-point"])
+def test_cli_rejects_a_malformed_drawing_or_id_list(tmp_path, capsys, text, code, first_line):
+    path = _write(tmp_path, "bad.mine", text)
+    assert run_cli(["classify", path]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == first_line
+
+
+def test_cli_sigma_rejects_a_trace_whose_node_sets_overlap(tmp_path, capsys):
+    src = _write(tmp_path, "f.wcnf3", "p wcnf3 3 1\nw 1 0 0\n1 2 3 0\n")
+    sol = _write(tmp_path, "y.sol", serialize_solution({1: 0, 2: 0, 3: 0, 4: 1}))
+    trace = _write(tmp_path, "t.json", json.dumps({
+        "kind": "w3sat-to-qpbo", "original_nodes": [1, 2, 3], "aux_nodes": [3, 4],
+        "big_m": 1, "next_fresh_id": 5}) + "\n")
+    assert run_cli(["sigma", src, "--trace", trace, "--solution", sol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[0] == (
+        "parse error: line 1: bad trace JSON: original and auxiliary node sets overlap")

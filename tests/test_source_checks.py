@@ -51,3 +51,21 @@ def test_every_definition_in_package_is_named_elsewhere():
                if not (name.startswith("__") and name.endswith("__")) and not named[name]
                and f"{file}:{name}" not in CALLED_BY_STDLIB]
     assert unnamed == []
+
+
+def test_package_init_files_import_nothing():
+    # Each name is imported from the module that defines it: no __init__.py
+    # re-exports, and none defines a name other than __version__.
+    package = Path(mine.__file__).parent
+    found = []
+    for path in sorted(package.rglob("__init__.py")):
+        where = path.relative_to(package)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.append(f"{where}:{node.lineno}: import")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                found.append(f"{where}:{node.lineno}: {node.name}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
+                    and node.id != "__version__":
+                found.append(f"{where}:{node.lineno}: {node.id}")
+    assert found == []
