@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product, repeat, starmap
-from operator import itemgetter, lt
+from operator import add, itemgetter, lt
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
 
@@ -186,26 +186,35 @@ def scored_labelings(instance: EnergyInstance):
     """Every (labeling, evaluate(instance, labeling)) pair, in all_labelings order.
 
     When the bound |constant| + finite_sum fits in int64, no partial sum
-    can leave that range, so each energy is updated from the nodes the
-    odometer changed: a suffix of the node order, whose unary terms and the
-    edges whose later endpoint lies in it are re-added to the running sum
-    of the unchanged prefix.  INF is encoded as an int above twice that
-    bound, so a sum holds an INF term exactly when it exceeds the bound.
-    Otherwise every labeling is scored by evaluate, which raises
-    CostOverflowError where a partial sum overflows.
+    can leave that range, so energies are updated rather than recomputed.
+    The odometer runs over every node but the last and keeps one running
+    labeling, writing only the labels it changes; each labeling yielded is
+    a copy of it.  On each odometer step the changed positions, a suffix of
+    that prefix, re-add their unary terms and the edges whose later
+    endpoint lies among them to the running sum of the unchanged positions.
+    The last node is then scored once per prefix, as one vector over its
+    labels: its unary row plus, for each edge to an earlier node, the
+    table's column at that node's label, plus the prefix sum.  INF is
+    encoded as an int above twice the bound, so a sum holds an INF term
+    exactly when it exceeds the bound.  Otherwise every labeling is scored
+    by evaluate, which raises CostOverflowError where a partial sum
+    overflows.
     """
     bound = abs(instance.constant) + instance.finite_sum
     if bound > I64_MAX:
         for x in all_labelings(instance):
             yield x, evaluate(instance, x)
         return
+    nodes = instance.nodes
+    if not nodes:
+        yield {}, instance.constant
+        return
     inf = 2 * bound + 1
 
     def enc(table):
         return [inf if c is INF else c for c in table]
 
-    nodes = instance.nodes
-    n = len(nodes)
+    n = len(nodes) - 1  # positions 0..n-1 form the prefix, position n is last
     pos = {u: p for p, u in enumerate(nodes)}
     ks = [instance.labels[u] for u in nodes]
     unary = [enc(instance.unary[u]) for u in nodes]
@@ -220,7 +229,11 @@ def scored_labelings(instance: EnergyInstance):
         else:
             table = zip(*table)
         later[q].append((p, [enc(row) for row in table]))
+    # The last node's edges as columns: cols[b] is its cost vector at label b of p.
+    last_edges = [(p, list(map(list, zip(*rows)))) for p, rows in later[n]]
+    last_unary, last = unary[n], nodes[n]
 
+    x = dict.fromkeys(nodes, 0)
     combo = [0] * n
     acc = [instance.constant] + [0] * n  # acc[q]: constant + terms of positions < q
     i = 0
@@ -231,14 +244,23 @@ def scored_labelings(instance: EnergyInstance):
             for p, rows in later[q]:
                 s += rows[a][combo[p]]
             acc[q + 1] = s
-        yield dict(zip(nodes, combo)), (INF if acc[n] > bound else acc[n])
+        row = last_unary
+        for p, cols in last_edges:
+            row = map(add, row, cols[combo[p]])
+        s = acc[n]
+        for a, v in enumerate(row):
+            x[last] = a
+            v += s
+            yield x.copy(), (INF if v > bound else v)
         i = n - 1
         while i >= 0 and combo[i] + 1 == ks[i]:
             combo[i] = 0
+            x[nodes[i]] = 0
             i -= 1
         if i < 0:
             return
         combo[i] += 1
+        x[nodes[i]] = combo[i]
 
 
 def evaluate(instance: EnergyInstance, x: Labeling) -> Cost:

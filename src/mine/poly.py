@@ -11,8 +11,10 @@ falsity factors, always has one.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
+from types import MappingProxyType
 
 from .instance import EnergyInstance, InstanceError, make_instance
 
@@ -27,9 +29,11 @@ class PolyError(ValueError):
 
 @dataclass(frozen=True)
 class MultilinearPoly:
-    terms: dict[Monomial, int] = field(default_factory=dict)
+    terms: Mapping[Monomial, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        # A read-only view of a private copy: terms cannot change after the checks.
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
         for mono, coef in self.terms.items():
             if len(mono) > MAX_DEGREE:
                 raise PolyError(f"monomial {set(mono)} exceeds degree {MAX_DEGREE}")

@@ -8,8 +8,11 @@ R1(sigma(y)) <= 1 + alpha (R2(y) - 1).  Ratios need positive optima;
 instances where either side's optimum is non-positive are flagged
 "ratio-undefined" and skipped for the ratio check only.
 
-Energy instances are enumerated with `scored_labelings`, which updates
-each labeling's energy from the nodes that changed.  Energy instances and
+Energy instances are enumerated with `scored_labelings`, which copies one
+running labeling per step, updates the energy of every node but the last
+from the nodes that changed, and scores the last node's labels as one
+vector per setting of the others; a value is INF exactly when it is the
+INF singleton, so the harness tests it by identity.  Energy instances and
 weighted 3-SAT sources are enumerated only up to the brute-force bound
 (`solvers.check_enumerable`, MINE_BRUTE_LIMIT): a larger one raises
 SolverError before anything is enumerated.  Sigma binds once per reduced
@@ -50,7 +53,7 @@ class SourceAdapter:
 
 def _energy_feasible(instance: EnergyInstance):
     check_enumerable(instance.labels.values())
-    return (x for x, value in scored_labelings(instance) if is_finite(value))
+    return (x for x, value in scored_labelings(instance) if value is not INF)
 
 
 ENERGY_SOURCE = SourceAdapter(
@@ -146,7 +149,7 @@ def verify_ap_reduction(pi, sigma, alpha, instances, oracle=None,
             continue
 
         opt1 = min(source.measure(src, x) for x in feasible) if feasible else None
-        finite_values = [val for _, val in solutions if is_finite(val)]
+        finite_values = [val for _, val in solutions if val is not INF]
         opt2 = min(finite_values) if finite_values else None
         ratios_ok = opt1 is not None and opt2 is not None and opt1 > 0 and opt2 > 0
         if ratios_ok:

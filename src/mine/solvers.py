@@ -49,7 +49,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 from itertools import chain, cycle, starmap
-from operator import add
+from operator import add, itemgetter
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add
 from .instance import EnergyInstance, Labeling, evaluate, scored_labelings
@@ -100,11 +100,7 @@ def check_enumerable(domain_sizes) -> None:
 def solve_brute_force(instance: EnergyInstance) -> SolveResult:
     """Global minimum by full enumeration, lexicographically smallest argmin."""
     check_enumerable(instance.labels.values())
-    best_x = None
-    best: Cost = None
-    for x, v in scored_labelings(instance):
-        if best is None or v < best:
-            best, best_x = v, x
+    best_x, best = min(scored_labelings(instance), key=itemgetter(1))
     return SolveResult(best_x, best, "brute", True)
 
 

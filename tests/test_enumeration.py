@@ -10,7 +10,7 @@ import pytest
 from mine.costs import I64_MAX, INF, CostOverflowError, ext_add, is_finite
 from mine.generate import random_general, random_qpbo, random_w3sat
 from mine.instance import (EnergyInstance, InstanceError, all_labelings, check_labeling,
-                           evaluate, make_instance, scored_labelings)
+                           evaluate, make_instance, normalize_edge, scored_labelings)
 from mine.reductions.harness import (ENERGY_SOURCE, SAT_SOURCE, APReport,
                                      Counterexample, SourceAdapter,
                                      default_oracle, verify_ap_reduction)
@@ -206,6 +206,104 @@ def test_scored_labelings_yield_fresh_dicts():
     assert len({id(x) for x, _ in pairs}) == len(pairs)
     pairs[0][0][inst.nodes[0]] = 99
     assert list(scored_labelings(inst))[0] == list(_reference(inst))[0]
+
+
+def _shuffled(inst, rng):
+    """inst with its node order shuffled, so edges run either way along it."""
+    nodes = list(inst.nodes)
+    rng.shuffle(nodes)
+    return replace(inst, nodes=tuple(nodes))
+
+
+def test_scored_labelings_survive_a_consumer_that_mutates_each_labeling():
+    # Each yielded dict is the consumer's: relabeling, deleting or adding keys
+    # before the next step changes nothing that comes after.
+    rng = random.Random(7)
+    for seed in range(150):
+        inst = random_general(seed, max_nodes=5, max_labels=3, inf_prob=0.3)
+        got = []
+        for x, value in scored_labelings(inst):
+            got.append((dict(x), value))
+            change = rng.randrange(3)
+            if change == 0:
+                for u in x:
+                    x[u] += 1
+            elif change == 1:
+                del x[rng.choice(inst.nodes)]
+            else:
+                x[-1] = 0
+        assert got == list(_reference(inst)), seed
+
+
+def test_scored_labelings_keep_the_instance_node_order_in_each_labeling():
+    rng = random.Random(11)
+    for seed in range(200):
+        base = random_general(seed, max_nodes=6, max_labels=3, inf_prob=0.3)
+        for inst in (base, _shuffled(base, rng)):
+            nodes = list(inst.nodes)
+            pairs = list(scored_labelings(inst))
+            assert pairs == list(_reference(inst)), seed
+            assert all(list(x) == nodes for x, _ in pairs), seed
+
+
+def _random_instance(rng, nodes, labels, edges, inf_prob=0.3):
+    """An instance over nodes in the given order, with random tables on the
+    given normalized edges, INF entries included and one finite label kept
+    in each unary row."""
+    def cost():
+        return INF if rng.random() < inf_prob else rng.randint(-9, 9)
+
+    unary = {}
+    for u in nodes:
+        row = [cost() for _ in range(labels[u])]
+        row[rng.randrange(labels[u])] = rng.randint(-9, 9)
+        unary[u] = tuple(row)
+    pairwise = {(u, v): tuple(tuple(cost() for _ in range(labels[v])) for _ in range(labels[u]))
+                for (u, v) in edges}
+    return EnergyInstance(nodes=tuple(nodes), unary=unary, pairwise=pairwise,
+                          constant=rng.randint(-9, 9))
+
+
+def test_scored_labelings_with_a_one_label_last_node():
+    rng = random.Random(3)
+    seen_inf = 0
+    for _ in range(100):
+        nodes = rng.sample(range(10), rng.randint(1, 5))
+        labels = {u: rng.randint(1, 3) for u in nodes}
+        labels[nodes[-1]] = 1
+        edges = [normalize_edge(u, v) for i, u in enumerate(nodes) for v in nodes[:i]
+                 if rng.random() < 0.6]
+        inst = _random_instance(rng, nodes, labels, edges)
+        got = list(scored_labelings(inst))
+        assert got == list(_reference(inst))
+        assert all(list(x) == nodes for x, _ in got)
+        seen_inf += sum(v is INF for _, v in got)
+    assert seen_inf > 50
+
+
+def test_scored_labelings_with_a_last_node_joined_to_every_earlier_node():
+    # The last node's id is below some earlier ids and above others, so its
+    # tables are stored both ways round; INF sits in its unary and edge tables.
+    rng = random.Random(5)
+    orientations = {"last first": 0, "last second": 0}
+    seen_inf = seen_finite = 0
+    for _ in range(150):
+        nodes = rng.sample(range(10), rng.randint(2, 6))
+        last = nodes[-1]
+        labels = {u: rng.randint(1, 3) for u in nodes}
+        edges = [normalize_edge(u, last) for u in nodes[:-1]]
+        edges += [normalize_edge(u, v) for i, u in enumerate(nodes[:-1]) for v in nodes[:i]
+                  if rng.random() < 0.4]
+        inst = _random_instance(rng, nodes, labels, edges, inf_prob=0.1)
+        got = list(scored_labelings(inst))
+        assert got == list(_reference(inst))
+        assert all(list(x) == nodes for x, _ in got)
+        for u in nodes[:-1]:
+            orientations["last first" if last < u else "last second"] += 1
+        seen_inf += sum(v is INF for _, v in got)
+        seen_finite += sum(v is not INF for _, v in got)
+    assert min(orientations.values()) > 100, orientations
+    assert seen_inf > 500 and seen_finite > 500, (seen_inf, seen_finite)
 
 
 def test_scored_labelings_overflow_where_evaluate_overflows():

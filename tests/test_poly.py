@@ -6,6 +6,7 @@ import pytest
 from mine.instance import evaluate
 from mine.poly import (MultilinearPoly, PolyError, poly, poly_add,
                        poly_evaluate, poly_scale, quadratic_poly_to_instance)
+from mine.reductions.wsat import quadratize
 
 
 def bits(n):
@@ -24,6 +25,24 @@ def test_degree_cap():
         MultilinearPoly({frozenset({1, 2, 3, 4}): 1})
     with pytest.raises(PolyError):
         poly({(1, 1): 1})  # repeated variable
+
+
+def test_terms_are_read_only():
+    source = {frozenset({1, 2, 3}): 2, frozenset({1}): 1, frozenset({2, 4}): -3,
+              frozenset(): 5}
+    p = MultilinearPoly(source)
+    source[frozenset({5})] = 1  # the polynomial keeps its own copy
+    with pytest.raises(TypeError):
+        p.terms[frozenset({1, 2, 3, 4})] = 5  # would skip the degree check
+    with pytest.raises(TypeError):
+        p.terms[frozenset({1})] = 0  # would skip the zero check
+    with pytest.raises(TypeError):
+        del p.terms[frozenset({1})]
+    assert p == poly({(1, 2, 3): 2, (1,): 1, (2, 4): -3, (): 5}) != poly({(1,): 1})
+    assert repr(p) == "Poly(+5*1 +1*x1 -3*x2*x4 +2*x1*x2*x3)"
+    assert quadratize(p, 10) == (poly({(): 7, (1,): -1, (2,): -2, (3,): -2, (10,): -2,
+                                       (1, 2): 2, (1, 3): 2, (1, 10): 2, (2, 3): 2,
+                                       (2, 4): -3, (2, 10): 2, (3, 10): 2}), (10,))
 
 
 def test_poly_evaluate_examples():
