@@ -4,8 +4,10 @@ Every predicate is exact, with no floating point anywhere, so "no
 crossings remain" is a decidable postcondition.  The whole-drawing scans
 (list_crossings, validate_general_position) scale the drawing by one
 common denominator and work on integers, skipping edge pairs whose
-bounding boxes are disjoint.  Degenerate drawings are rejected, never
-perturbed.
+bounding boxes are disjoint.  free_radius does the same with the probe
+point and the crossing points in the denominator, and builds a Fraction
+only for the least squared distance.  Degenerate drawings are rejected,
+never perturbed.
 """
 
 from __future__ import annotations
@@ -64,14 +66,19 @@ def circle_layout(nodes) -> Drawing:
     return Drawing(coords)
 
 
+def _scaled(q: Point, den: int) -> tuple[int, int]:
+    """q times den, a multiple of both its coordinates' denominators, as integers."""
+    x, y = q
+    return x.numerator * (den // x.denominator), y.numerator * (den // y.denominator)
+
+
 def _integer_coords(instance: EnergyInstance, d: Drawing) -> tuple[dict[int, tuple[int, int]], int]:
     """Every node's coordinates times one common denominator, and that denominator."""
     if not d.covers(instance):
         raise GeometryError("drawing does not cover the instance")
     coords = {u: d.coords[u] for u in instance.nodes}
     den = lcm(*(c.denominator for p in coords.values() for c in p))
-    return ({u: (x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-             for u, (x, y) in coords.items()}, den)
+    return {u: _scaled(p, den) for u, p in coords.items()}, den
 
 
 def _pair_scan(instance: EnergyInstance, d: Drawing) -> list[tuple[int, int, Point | None]]:
@@ -195,18 +202,6 @@ def _position_and_crossings(instance: EnergyInstance,
     return violations, crossings
 
 
-def _dist2_point(p: Point, q: Point) -> Fraction:
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
-
-
-def _dist2_segment(p: Point, a: Point, b: Point) -> Fraction:
-    ab2 = _dist2_point(a, b)
-    t = ((p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])) / ab2
-    t = max(Fraction(0), min(Fraction(1), t))
-    foot = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
-    return _dist2_point(p, foot)
-
-
 def rational_sqrt_lower(value: Fraction) -> Fraction:
     """Rational lower bound on sqrt(value) to 32 fractional bits, positive for value > 0."""
     if value < 0:
@@ -228,20 +223,48 @@ def free_radius(instance: EnergyInstance, d: Drawing, p: Point,
     distance (the exact value is generally irrational).  crossings must be
     list_crossings(instance, d): the caller lists them once for every radius
     it takes on the drawing, so no call rescans the edge pairs.
+
+    p, the nodes and the other crossings are scaled by one common
+    denominator, and every squared distance is an integer ratio: |p - q|^2
+    to a node or crossing; to a segment ab, |p - a|^2 or |p - b|^2 past
+    either end and cross^2 / |ab|^2 between them.  Candidates are compared
+    by cross-multiplication, so only the minimum becomes a Fraction.
+    Raises GeometryError if p lies on a non-excluded edge (the first in
+    edge order), if there is nothing to measure, or if p is a node.
     """
     exclude = {tuple(sorted(e)) for e in exclude}
-    d2s = [_dist2_point(p, d.coords[u]) for u in instance.nodes]
+    others = [c.point for c in crossings if c.point != p]
+    coords = d.coords
+    den = lcm(p[0].denominator, p[1].denominator,
+              *(c.denominator for u in instance.nodes for c in coords[u]),
+              *(c.denominator for q in others for c in q))
+    px, py = _scaled(p, den)
+    pts = {u: _scaled(coords[u], den) for u in instance.nodes}
+    # The minimum squared distance so far, best_num / best_den; None until one is seen.
+    best_num, best_den = None, 1
     for e in instance.edges:
         if e in exclude:
             continue
-        d2 = _dist2_segment(p, d.coords[e[0]], d.coords[e[1]])
-        if d2 == 0:
+        (ax, ay), (bx, by) = pts[e[0]], pts[e[1]]
+        abx, aby, apx, apy = bx - ax, by - ay, px - ax, py - ay
+        dot = apx * abx + apy * aby
+        ab2 = abx * abx + aby * aby
+        if dot <= 0:
+            num, div = apx * apx + apy * apy, 1
+        elif dot >= ab2:
+            num, div = (px - bx) ** 2 + (py - by) ** 2, 1
+        else:
+            num, div = (apx * aby - apy * abx) ** 2, ab2
+        if num == 0:
             raise GeometryError(f"point lies on non-excluded edge {e}")
-        d2s.append(d2)
-    d2s += [_dist2_point(p, c.point) for c in crossings if c.point != p]
-    if not d2s:
+        if best_num is None or num * best_den < best_num * div:
+            best_num, best_den = num, div
+    for qx, qy in [*pts.values(), *(_scaled(q, den) for q in others)]:
+        num = (px - qx) ** 2 + (py - qy) ** 2
+        if best_num is None or num * best_den < best_num:
+            best_num, best_den = num, 1
+    if best_num is None:
         raise GeometryError("empty drawing: free radius undefined")
-    min_d2 = min(d2s)
-    if min_d2 == 0:
+    if best_num == 0:
         raise GeometryError("point coincides with a node or crossing")
-    return rational_sqrt_lower(min_d2) / 2
+    return rational_sqrt_lower(Fraction(best_num, best_den * den * den)) / 2

@@ -33,12 +33,7 @@ class MultilinearPoly:
 
     def __post_init__(self):
         # A read-only view of a private copy: terms cannot change after the checks.
-        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
-        for mono, coef in self.terms.items():
-            if len(mono) > MAX_DEGREE:
-                raise PolyError(f"monomial {set(mono)} exceeds degree {MAX_DEGREE}")
-            if coef == 0:
-                raise PolyError("zero coefficients must be dropped")
+        object.__setattr__(self, "terms", _checked_view(dict(self.terms)))
 
     @property
     def degree(self) -> int:
@@ -62,6 +57,23 @@ class MultilinearPoly:
         return "Poly(" + " ".join(parts) + ")" if parts else "Poly(0)"
 
 
+def _checked_view(terms: dict) -> MappingProxyType:
+    """A read-only view of terms, after the degree and zero checks."""
+    for mono, coef in terms.items():
+        if len(mono) > MAX_DEGREE:
+            raise PolyError(f"monomial {set(mono)} exceeds degree {MAX_DEGREE}")
+        if coef == 0:
+            raise PolyError("zero coefficients must be dropped")
+    return MappingProxyType(terms)
+
+
+def _from_owned(terms: dict) -> MultilinearPoly:
+    """MultilinearPoly(terms) without the copy, for a dict no one else holds."""
+    p = object.__new__(MultilinearPoly)
+    object.__setattr__(p, "terms", _checked_view(terms))
+    return p
+
+
 def _sum_terms(pairs) -> MultilinearPoly:
     """Sum (monomial, coefficient) pairs, dropping every monomial whose sum is 0."""
     acc: dict[Monomial, int] = {}
@@ -69,7 +81,7 @@ def _sum_terms(pairs) -> MultilinearPoly:
         acc[mono] = acc.get(mono, 0) + coef
         if acc[mono] == 0:
             del acc[mono]
-    return MultilinearPoly(acc)
+    return _from_owned(acc)
 
 
 def poly(terms: dict) -> MultilinearPoly:
@@ -89,8 +101,8 @@ def poly_add(*polys: MultilinearPoly) -> MultilinearPoly:
 
 def poly_scale(p: MultilinearPoly, factor: int) -> MultilinearPoly:
     if factor == 0:
-        return MultilinearPoly({})
-    return MultilinearPoly({m: c * factor for m, c in p.terms.items()})
+        return _from_owned({})
+    return _from_owned({m: c * factor for m, c in p.terms.items()})
 
 
 def poly_evaluate(p: MultilinearPoly, assignment: dict[int, int]) -> int:

@@ -17,11 +17,12 @@ original interaction f_uv goes on the stub at u, and equality ties each
 copy to the next one and the last copy to v.  Each template's scale is
 rounded down to a power of two, so the gadget offsets are dyadic and the
 output's coordinate denominators stay small.  The template's offsets are
-integers, in 32nds of the crossing's (dA, dB) basis; per crossing and
-axis, the crossing point and the scaled basis vectors are brought over
-one common denominator, so each auxiliary coordinate is one Fraction of
-an integer sum.  "No crossings left" is checked once at the end and
-raises PlanarizeError if it fails.
+integers, in 32nds of the crossing's (dA, dB) basis.  Per crossing, the
+crossing point and the two edges' ends are brought over one common
+denominator, so the edge parameters, the scale and each auxiliary
+coordinate come from integer arithmetic, and each coordinate is one
+Fraction.  "No crossings left" is checked once at the end and raises
+PlanarizeError if it fails.
 
 The trace holds one CrossingRecord per replaced crossing, in the order of
 list_crossings on the source, and its edges are always source edges.
@@ -39,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 
 from ..geometry import (Crossing, Drawing, GeometryError, Point,
-                        _position_and_crossings, frac_str, free_radius,
+                        _position_and_crossings, _scaled, frac_str, free_radius,
                         list_crossings)
 from ..instance import (EnergyInstance, InstanceError, Labeling, evaluate, is_finite,
                         normalize_edge)
@@ -77,33 +78,45 @@ _TEMPLATE = {
 AUX_PER_CROSSING = len(_TEMPLATE)
 
 
-def _segment_param(p: Point, a: Point, b: Point) -> Fraction:
-    """Parameter t with p = a + t (b - a) for p on line (a, b)."""
-    if b[0] != a[0]:
-        return (p[0] - a[0]) / (b[0] - a[0])
-    return (p[1] - a[1]) / (b[1] - a[1])
+def _segment_param(offset: tuple[int, int], direction: tuple[int, int]) -> Fraction:
+    """t with offset = t * direction, for offset on the line of a nonzero
+    integer direction."""
+    i = 0 if direction[0] else 1
+    return Fraction(offset[i], direction[i])
 
 
-def _dyadic_floor(x: Fraction) -> Fraction:
-    """Largest power of two not above x > 0."""
-    power = Fraction(2) ** (x.numerator.bit_length() - x.denominator.bit_length())
-    return power / 2 if power > x else power
+def _dyadic_floor(num: int, den: int) -> int:
+    """The k with 2^k <= num / den < 2^(k + 1), for num, den > 0."""
+    k = num.bit_length() - den.bit_length()
+    return k if num << max(-k, 0) >= den << max(k, 0) else k - 1
 
 
-def _template_coords(p: Point, scale: Fraction, d_a, d_b) -> list[Point]:
-    """Each template point p + scale * (ga * d_a + gb * d_b) / 32, in _TEMPLATE order.
+def _placement(p: Point, ends: tuple[Point, ...], r: Fraction
+               ) -> tuple[Fraction, Fraction, list[Point]]:
+    """A crossing's parameters t_p, t_q along its edges (u, v) and (s, t), and
+    its template's points in _TEMPLATE order.
 
-    Per axis, p and scale * d_a / 32 and scale * d_b / 32 are brought over
-    one common denominator, so each coordinate is one Fraction of an
-    integer sum.
+    ends is (u, v, s, t)'s points, and r the free radius at p.  The points are
+    p + scale * (ga * dA + gb * dB) / 32, where scale is half the least of
+    t_p, 1 - t_p, t_q, 1 - t_q and r / (2 * |dA, dB|_1), rounded down to a
+    power of two.  That least is always the last: r is at most half of p's
+    distance to u, v, s and t, e.g. t_p * |dA| / 2, and |dA, dB|_1 is at
+    least |dA| and |dB|.  It all runs on integers, with p and the ends over
+    one common denominator, and each coordinate is one Fraction.
     """
-    axes = []
-    for i in (0, 1):
-        terms = (p[i], scale * d_a[i] / 32, scale * d_b[i] / 32)
-        den = lcm(*(t.denominator for t in terms))
-        at, sa, sb = (t.numerator * (den // t.denominator) for t in terms)
-        axes.append([Fraction(at + ga * sa + gb * sb, den) for ga, gb in _TEMPLATE.values()])
-    return list(zip(*axes))
+    den = lcm(*(c.denominator for q in (p, *ends) for c in q))
+    (px, py), (ux, uy), (vx, vy), (sx, sy), (tx, ty) = (_scaled(q, den) for q in (p, *ends))
+    d_a, d_b = (vx - ux, vy - uy), (tx - sx, ty - sy)
+    t_p = _segment_param((px - ux, py - uy), d_a)
+    t_q = _segment_param((px - sx, py - sy), d_b)
+    # scale = r / (4 * |dA, dB|_1), whose L1 norm is l1 / den.  It is below
+    # t_p / 8 < 1 / 8, so 2^k <= scale has k <= -4, and 2^k / 32 = 1 / 2^shift.
+    l1 = abs(d_a[0]) + abs(d_a[1]) + abs(d_b[0]) + abs(d_b[1])
+    shift = 5 - _dyadic_floor(r.numerator * den, 4 * l1 * r.denominator)
+    px, py, den = px << shift, py << shift, den << shift
+    return (t_p, t_q,
+            [(Fraction(px + ga * d_a[0] + gb * d_b[0], den),
+              Fraction(py + ga * d_a[1] + gb * d_b[1], den)) for ga, gb in _TEMPLATE.values()])
 
 
 def _template_fragment(ids: dict[str, int]) -> GadgetFragment:
@@ -145,26 +158,15 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Cro
     records = []
     for c in crossings:
         e1, e2 = c.edge_a, c.edge_b
-        pu, pv, ps, pt = (d.coords[n] for n in e1 + e2)
         p = c.point
         r = free_radius(instance, d, p, exclude={e1, e2}, crossings=crossings)
-
-        d_a = (pv[0] - pu[0], pv[1] - pu[1])
-        d_b = (pt[0] - ps[0], pt[1] - ps[1])
-        t_p = _segment_param(p, pu, pv)
-        t_q = _segment_param(p, ps, pt)
-        basis_l1 = abs(d_a[0]) + abs(d_a[1]) + abs(d_b[0]) + abs(d_b[1])
-        scale = Fraction(1, 2) * min(t_p, 1 - t_p, t_q, 1 - t_q, r / (2 * basis_l1))
-        if scale <= 0:
-            raise PlanarizeError("free radius unusable at crossing point")
-        scale = _dyadic_floor(scale)
-
+        t_p, t_q, points = _placement(p, tuple(d.coords[n] for n in e1 + e2), r)
         ids = {name: fresh + i for i, name in enumerate(_TEMPLATE)}
         fresh += AUX_PER_CROSSING
         frag = _template_fragment(ids)
         unary.update(frag.unary)
         gadget_pairwise.update(frag.pairwise)
-        coords.update(zip(ids.values(), _template_coords(p, scale, d_a, d_b)))
+        coords.update(zip(ids.values(), points))
         aux = tuple(ids.values())
         chains.setdefault(e1, []).append((t_p, ids["vp"], ids["vpp"]))
         chains.setdefault(e2, []).append((t_q, ids["tp"], ids["tpp"]))

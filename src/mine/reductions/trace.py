@@ -8,7 +8,7 @@ reverse map can run in a separate process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,15 @@ class ReductionTrace:
         return set(self.original_nodes) | set(self.aux_nodes)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields as JSON-ready lists and dicts, in declaration order."""
+        return {"kind": self.kind,
+                "original_nodes": list(self.original_nodes),
+                "aux_nodes": list(self.aux_nodes),
+                "big_m": self.big_m,
+                "next_fresh_id": self.next_fresh_id,
+                "crossings": [{"edge_a": list(c.edge_a), "edge_b": list(c.edge_b),
+                               "point": list(c.point), "aux_nodes": list(c.aux_nodes)}
+                              for c in self.crossings]}
 
 
 def trace_from_json(data: dict) -> ReductionTrace:

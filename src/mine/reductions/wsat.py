@@ -16,7 +16,8 @@ from itertools import combinations, product
 
 from ..costs import I64_MAX, I64_MIN, check_range
 from ..instance import LABEL_TYPES, EnergyInstance, Labeling, check_labeling, evaluate
-from ..poly import MultilinearPoly, poly, poly_add, poly_scale, quadratic_poly_to_instance
+from ..poly import (MultilinearPoly, _from_owned, poly, poly_add, poly_scale,
+                    quadratic_poly_to_instance)
 from .trace import ReductionTrace
 
 
@@ -92,8 +93,8 @@ def _falsity(clause: Clause, scale: int) -> MultilinearPoly:
     validate_clause(clause)
     pos = [lit for lit in clause if lit > 0]
     neg = frozenset(-lit for lit in clause if lit < 0)
-    return MultilinearPoly({neg.union(s): -scale if r % 2 else scale
-                            for r in range(len(pos) + 1) for s in combinations(pos, r)})
+    return _from_owned({neg.union(s): -scale if r % 2 else scale
+                        for r in range(len(pos) + 1) for s in combinations(pos, r)})
 
 
 def clause_penalty(clause: Clause, big_m: int) -> MultilinearPoly:
@@ -124,7 +125,7 @@ def quadratize(p: MultilinearPoly, fresh_start: int) -> tuple[MultilinearPoly, t
                            (i,): -1, (j,): -1, (k,): -1, (): 1,
                            (i, j): 1, (i, k): 1, (j, k): 1})
         gadgets.append(poly_scale(gadget, a))
-    low = MultilinearPoly({m: c for m, c in p.terms.items() if len(m) < 3})
+    low = _from_owned({m: c for m, c in p.terms.items() if len(m) < 3})
     return poly_add(low, *gadgets), aux
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mine.generate import random_crossed_3label
 from mine.geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
                            PositionViolation, circle_layout, free_radius,
                            list_crossings, rational_sqrt_lower,
@@ -175,8 +176,102 @@ def test_free_radius_midpoint_of_excluded_edge():
 def test_free_radius_empty_drawing_rejected():
     inst = make_instance({})
     d = Drawing({})
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="empty drawing"):
         free_radius(inst, d, pt(0, 0), crossings=list_crossings(inst, d))
+
+
+# ---------------------------------------------------------------------------
+# free_radius on integers against the Fraction version it replaced
+
+
+def _dist2_point(p, q):
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
+def _dist2_segment(p, a, b):
+    ab2 = _dist2_point(a, b)
+    t = ((p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])) / ab2
+    t = max(F(0), min(F(1), t))
+    foot = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    return _dist2_point(p, foot)
+
+
+def _reference_free_radius(instance, d, p, exclude=frozenset(), *, crossings):
+    """free_radius as it was on Fractions: every distance taken, then the minimum."""
+    exclude = {tuple(sorted(e)) for e in exclude}
+    d2s = [_dist2_point(p, d.coords[u]) for u in instance.nodes]
+    for e in instance.edges:
+        if e in exclude:
+            continue
+        d2 = _dist2_segment(p, d.coords[e[0]], d.coords[e[1]])
+        if d2 == 0:
+            raise GeometryError(f"point lies on non-excluded edge {e}")
+        d2s.append(d2)
+    d2s += [_dist2_point(p, c.point) for c in crossings if c.point != p]
+    if not d2s:
+        raise GeometryError("empty drawing: free radius undefined")
+    min_d2 = min(d2s)
+    if min_d2 == 0:
+        raise GeometryError("point coincides with a node or crossing")
+    return rational_sqrt_lower(min_d2) / 2
+
+
+def _radius_outcome(radius, inst, d, p, exclude, crossings):
+    """("ok", the radius), or the error's type and message."""
+    try:
+        return "ok", radius(inst, d, p, exclude, crossings=crossings)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+def _radius_probes(inst, d, crossings):
+    """(p, exclude): every crossing with its own edges and with every edge
+    excluded, every node with and without its incident edges, every edge
+    midpoint with and without its edge.  Another crossing is nearer than
+    every non-excluded edge only when both its edges are excluded."""
+    for c in crossings:
+        yield c.point, {c.edge_a, c.edge_b}
+        yield c.point, set(inst.edges)
+    for u in inst.nodes:
+        yield d.coords[u], set()
+        yield d.coords[u], {e for e in inst.edges if u in e}
+    for e in inst.edges:
+        (ax, ay), (bx, by) = d.coords[e[0]], d.coords[e[1]]
+        mid = ((ax + bx) / 2, (ay + by) / 2)
+        yield mid, set()
+        yield mid, {e}
+
+
+def _check_free_radius_agrees(inst, d, crossings, probes, counts):
+    for p, exclude in probes:
+        got = _radius_outcome(free_radius, inst, d, p, exclude, crossings)
+        assert got == _radius_outcome(_reference_free_radius, inst, d, p, exclude,
+                                      crossings), (p, exclude)
+        counts[got[0] == "ok"] += 1
+
+
+def test_free_radius_matches_the_fraction_reference_on_random_drawings():
+    counts = [0, 0]
+    for seed in range(300):
+        inst, d = random_crossed_3label(seed)
+        crossings = list_crossings(inst, d)
+        probes = list(_radius_probes(inst, d, crossings))
+        # Every crossing; the node and midpoint probes on the first 100 drawings.
+        _check_free_radius_agrees(inst, d, crossings,
+                                  probes if seed < 100 else probes[:2 * len(crossings)],
+                                  counts)
+    assert counts[0] > 1000 and counts[1] > 1000  # both the error and the radius paths ran
+
+
+def test_free_radius_matches_the_fraction_reference_on_planarized_drawings(
+        criterion5_outputs):
+    # Criterion 5's planarized drawings put nodes at dyadic points, so the
+    # common denominator is more than the probe point's own.
+    counts = [0, 0]
+    for seed, (out, od, _) in enumerate(criterion5_outputs[:25]):
+        probes = random.Random(seed).sample(list(_radius_probes(out, od, [])), 8)
+        _check_free_radius_agrees(out, od, [], probes, counts)
+    assert counts[0] > 50 and counts[1] > 50
 
 
 def test_rational_sqrt_lower_bounds():

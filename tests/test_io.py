@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -18,6 +19,7 @@ from mine.instance import InstanceError, evaluate, make_instance
 from mine.reductions.harness import SAT_SOURCE, verify_ap_reduction
 from mine.reductions.klabel import klabel_sigma, qpbo_to_klabel
 from mine.reductions.planar import planar_sigma, planarize
+from mine.reductions.trace import trace_from_json
 from mine.reductions.wsat import W3SatTriv, w3sat_sigma, w3sat_to_qpbo
 from mine.solvers import (alpha_expansion, solve_brute_force, solve_elimination,
                           solve_submodular_qpbo)
@@ -200,6 +202,35 @@ def test_trace_text_round_trip():
     inst = random_qpbo("trace-io", max_nodes=4)
     _, trace = qpbo_to_klabel(inst, 3)
     assert read_trace(write_trace(trace)) == trace
+
+
+def _seeded_traces():
+    """Traces of every kind: planarize with 0 to 3 crossings (the 0-crossing
+    one re-planarizes a planar output), w3sat-to-qpbo and qpbo-to-klabel."""
+    by_crossings = {}
+    seed = 0
+    while len(by_crossings) < 3:
+        inst, d = random_crossed_3label(seed)
+        by_crossings.setdefault(len(list_crossings(inst, d)), (inst, d))
+        seed += 1
+    for n in sorted(by_crossings):
+        out, od, trace = planarize(*by_crossings[n])
+        yield trace
+    yield planarize(out, od)[2]
+    for seed in range(5):
+        yield w3sat_to_qpbo(random_w3sat(seed))[1]
+        yield qpbo_to_klabel(random_qpbo(seed, max_nodes=4), 3 + seed % 2)[1]
+
+
+def test_write_trace_matches_the_dataclass_encoding():
+    traces = list(_seeded_traces())
+    assert {t.kind for t in traces} == {"planarize", "w3sat-to-qpbo", "qpbo-to-klabel"}
+    assert sorted({len(t.crossings) for t in traces}) == [0, 1, 2, 3]
+    for trace in traces:
+        assert write_trace(trace) == json.dumps(dataclasses.asdict(trace), indent=2,
+                                                sort_keys=True) + "\n"
+        assert trace_from_json(trace.to_json()) == trace
+        assert read_trace(write_trace(trace)) == trace
 
 
 def test_trace_rejects_garbage():

@@ -453,9 +453,9 @@ def _reference_parse_solution(text):
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "energy":
+        if tokens[0] in ("energy", "value"):
             if len(tokens) != 2:
-                raise ParseError(line_no, "energy takes one value")
+                raise ParseError(line_no, f"{tokens[0]} takes one value")
             energy = _reference_cost_token(tokens[1], line_no)
         else:
             if len(tokens) != 2:
@@ -497,7 +497,7 @@ def solution_texts(draw):
         return serialize_solution(labeling, draw(st.one_of(st.none(), _costs)))
     lines = draw(st.lists(st.builds(
         lambda head, rest: " ".join([*head, *rest]),
-        st.sampled_from([["energy"], [], [], ["#"]]),
+        st.sampled_from([["energy"], ["value"], [], [], ["#"]]),
         st.lists(_short_tokens, max_size=3)), max_size=6))
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 

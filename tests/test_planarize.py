@@ -255,11 +255,29 @@ def test_criterion5_output_denominators_fit_64_bits(criterion5_outputs):
 # Template placement on integers against the Fraction formula
 
 
-def _reference_template_coords(p, scale, d_a, d_b):
-    """p + scale * (ga * d_a + gb * d_b), term by term in Fractions."""
-    return [(p[0] + scale * (F(ga, 32) * d_a[0] + F(gb, 32) * d_b[0]),
-             p[1] + scale * (F(ga, 32) * d_a[1] + F(gb, 32) * d_b[1]))
-            for ga, gb in planar._TEMPLATE.values()]
+def _reference_placement(p, ends, r):
+    """_placement term by term in Fractions: the parameters along both edges,
+    then the template points p + scale * (ga * d_a + gb * d_b) / 32."""
+    pu, pv, ps, pt = ends
+    d_a = (pv[0] - pu[0], pv[1] - pu[1])
+    d_b = (pt[0] - ps[0], pt[1] - ps[1])
+    t_p = (p[0] - pu[0]) / d_a[0] if d_a[0] else (p[1] - pu[1]) / d_a[1]
+    t_q = (p[0] - ps[0]) / d_b[0] if d_b[0] else (p[1] - ps[1]) / d_b[1]
+    basis_l1 = abs(d_a[0]) + abs(d_a[1]) + abs(d_b[0]) + abs(d_b[1])
+    scale = F(1, 2) * min(t_p, 1 - t_p, t_q, 1 - t_q, r / (2 * basis_l1))
+    assert scale > 0
+    power = F(2) ** (scale.numerator.bit_length() - scale.denominator.bit_length())
+    scale = power / 2 if power > scale else power
+    return t_p, t_q, [(p[0] + scale * (F(ga, 32) * d_a[0] + F(gb, 32) * d_b[0]),
+                       p[1] + scale * (F(ga, 32) * d_a[1] + F(gb, 32) * d_b[1]))
+                      for ga, gb in planar._TEMPLATE.values()]
+
+
+def test_dyadic_floor_brackets_the_ratio():
+    for num in range(1, 70):
+        for den in range(1, 70):
+            k = planar._dyadic_floor(num, den)
+            assert F(2) ** k <= F(num, den) < F(2) ** (k + 1), (num, den)
 
 
 def _rational_drawings(count):
@@ -294,7 +312,8 @@ def test_template_coordinates_match_the_fraction_formula(monkeypatch):
     drawings = _rational_drawings(12)
     assert all(2 <= len(list_crossings(inst, d)) <= 3 for inst, d in drawings)
     assert all(any(x.denominator > 1 for x, _ in d.coords.values()) for _, d in drawings)
+    drawings += [random_crossed_3label(seed) for seed in range(30)]
     got = [_planarized_text(inst, d) for inst, d in drawings]
-    monkeypatch.setattr(planar, "_template_coords", _reference_template_coords)
+    monkeypatch.setattr(planar, "_placement", _reference_placement)
     want = [_planarized_text(inst, d) for inst, d in drawings]
     assert got == want

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from mine.instance import evaluate
-from mine.poly import (MultilinearPoly, PolyError, poly, poly_add,
+from mine.poly import (MultilinearPoly, PolyError, _from_owned, poly, poly_add,
                        poly_evaluate, poly_scale, quadratic_poly_to_instance)
 from mine.reductions.wsat import quadratize
 
@@ -43,6 +43,21 @@ def test_terms_are_read_only():
     assert quadratize(p, 10) == (poly({(): 7, (1,): -1, (2,): -2, (3,): -2, (10,): -2,
                                        (1, 2): 2, (1, 3): 2, (1, 10): 2, (2, 3): 2,
                                        (2, 4): -3, (2, 10): 2, (3, 10): 2}), (10,))
+
+
+def test_wrapped_results_are_checked_and_read_only():
+    with pytest.raises(PolyError, match="exceeds degree"):
+        _from_owned({frozenset({1, 2, 3, 4}): 1})
+    with pytest.raises(PolyError, match="zero coefficients"):
+        _from_owned({frozenset({1}): 0})
+    p = poly({(1, 2, 3): 2, (1,): 1})
+    for q in (poly_add(p, poly({(2,): 1})), poly_scale(p, 3), poly_scale(p, 0),
+              quadratize(p, 10)[0]):
+        assert type(q) is MultilinearPoly
+        with pytest.raises(TypeError):
+            q.terms[frozenset({1, 2, 3, 4})] = 5
+    assert poly_scale(p, 3) == MultilinearPoly({frozenset({1, 2, 3}): 6, frozenset({1}): 3})
+    assert poly_scale(p, 0) == MultilinearPoly()
 
 
 def test_poly_evaluate_examples():
