@@ -35,8 +35,16 @@ class Drawing:
     coords: dict[int, Point]
 
     def __post_init__(self):
-        points = list(self.coords.values())
-        if len(set(points)) != len(points):
+        # Points are told apart by their coordinates' integer numerators and
+        # denominators, which hash faster than a Fraction.  A float has
+        # neither; then every coordinate is compared as its exact Fraction,
+        # so a point equal in value across int, Fraction and float is found.
+        points = self.coords.values()
+        try:
+            keys = {(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in points}
+        except AttributeError:
+            keys = {(Fraction(x), Fraction(y)) for x, y in points}
+        if len(keys) != len(self.coords):
             raise GeometryError("two nodes share a point")
 
     def covers(self, instance: EnergyInstance) -> bool:
@@ -50,8 +58,8 @@ class Crossing:
     point: Point
 
 
-def frac_str(f: Fraction) -> str:
-    """Exact "num/den" text of a rational coordinate."""
+def frac_str(f: int | Fraction) -> str:
+    """Exact "num/den" text of a rational coordinate, an int or a Fraction."""
     return f"{f.numerator}/{f.denominator}"
 
 

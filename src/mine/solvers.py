@@ -8,11 +8,11 @@ order); elimination, going back through its order, gives each node the
 first label that attains its bucket's minimum under the labels already
 chosen (label 0 when every label costs INF); tree DP is elimination
 along a leaf-first order, each component rooted at its first node in
-instance order, so it breaks ties the same way, and each node's bucket
-adds its unary, then the edge to its parent, then its children's
-messages in edge order, range-checking every partial sum; the flow-based
-solver returns the canonical reachable-set cut.  One max-flow core,
-Boykov and Kolmogorov's two-tree augmenting-path algorithm over node
+instance order, so it breaks ties the same way, and past the int64 bound
+each node's bucket adds its unary, then the edge to its parent, then its
+children's messages in edge order, range-checking every partial sum; the
+flow-based solver returns the canonical reachable-set cut.  One max-flow
+core, Boykov and Kolmogorov's two-tree augmenting-path algorithm over node
 indices, with one signed terminal residual per node and one-way arcs
 between nodes, has one caller: the posiform min cut that submodular
 min-cut and every alpha-expansion move share, each building its node
@@ -34,11 +34,17 @@ range-checked only when that bound exceeds int64).  A node's domain is
 its finite-unary labels (node consistency) while finite_sum fits in
 int64, and all its labels past that bound or when the value comes out
 INF, which reruns elimination so the labeling keeps the tie-break above.
-Each factor sits in the bucket of its scope's first node along the order,
-is broadcast to the bucket's joint scope by C-level list repetition, zip
-and chain, with no Python loop per entry, and each bucket is summed with
-whole-list passes; each node's argmin is taken there.  ``stats`` count
-the plan, over the label counts, whatever the domains.
+Each factor sits in the bucket of its scope's first node along the order.
+While finite_sum fits in int64, each factor of a bucket is first added
+into a larger factor of the bucket whose scope contains its own, at that
+factor's size (a unary into an edge, an edge into a message over both its
+nodes); past that bound nothing folds, so that every partial sum is formed
+and checked in bucket order.  What is left is broadcast to the bucket's
+joint scope by C-level list repetition, zip and chain, with no Python
+loop per entry, and summed with whole-list passes.  Each message is taken
+by compare-select list passes over one strided slice of the joint per
+label, and each node's argmin by slicing the bucket's tables.  ``stats``
+count the plan, over the label counts, whatever the domains.
 """
 
 from __future__ import annotations
@@ -192,24 +198,29 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     value or argmin.  When the value is INF, elimination runs again over
     every label, so that the labeling follows the tie-break below.
 
-    Each factor, a flat row-major list over its sorted scope's domains,
-    sits in the bucket of its scope's first node along the order (Dechter
-    1999), in creation order.  The bucket of node u is summed over its
-    joint scope (the sorted separator, then u last and fastest), each
-    factor broadcast to it by list repetition; each message entry is the
-    minimum of one run of u's domain in the joint, and the empty-scope
-    messages join the constant after the last bucket.  Going back through
-    the order each node gets the first label that attains the minimum of
-    its bucket sum at its separator's chosen labels (label 0 when every
-    label costs INF).  A finite bucket value lies within
-    +-instance.finite_sum, being a sum of entries of distinct input
+    Each factor, a flat row-major list over its sorted scope's domains, sits
+    in the bucket of its scope's first node along the order (Dechter 1999),
+    in creation order.  While finite_sum fits in int64, each factor of a
+    bucket whose scope lies inside a larger factor's is first added into
+    that factor, broadcast to its scope, and the folded tables replace the
+    bucket's entries, so that fewer tables reach the joint and the backward
+    pass slices fewer, with the same totals.  The bucket of node u is summed
+    over its joint scope (the sorted separator, then u last and fastest),
+    each factor broadcast to it by list repetition; each message entry is
+    the minimum of one run of u's domain in the joint, taken by k - 1
+    compare-select passes over the slices of the joint at each of u's k
+    labels, and the empty-scope messages join the constant after the last
+    bucket.  Going back through the order each node gets the first label
+    that attains the minimum of its bucket sum at its separator's chosen
+    labels (label 0 when every label costs INF).  A finite bucket value lies
+    within +-instance.finite_sum, being a sum of entries of distinct input
     factors: INF is coded as 2 * finite_sum + 1, and any value above
-    finite_sum reads as INF.  A partial bucket sum of finite entries
-    outside the signed 64-bit range raises CostOverflowError, checked in
-    bucket order (every partial sum exactly when finite_sum exceeds int64;
-    otherwise none can leave that range).  ``stats`` come from the plan
-    over the instance's label counts, whatever the domains: they hold
-    ``max_separator`` (the most nodes in one separator) and
+    finite_sum reads as INF.  A partial bucket sum of finite entries outside
+    the signed 64-bit range raises CostOverflowError, checked in bucket
+    order (every partial sum exactly when finite_sum exceeds int64, and then
+    no factor folds; otherwise none can leave that range).  ``stats`` come
+    from the plan over the instance's label counts, whatever the domains:
+    they hold ``max_separator`` (the most nodes in one separator) and
     ``joint_entries`` (the joint entries summed over all buckets).
     """
     if order is not None and sorted(order) != sorted(instance.nodes):
@@ -251,27 +262,35 @@ def _eliminate(instance: EnergyInstance, plan: list, domains: dict) -> tuple[Lab
     bound = instance.finite_sum
     inf = 2 * bound + 1
     check = bound > I64_MAX
+    labels = instance.labels
     sizes = {u: len(dom) for u, dom in domains.items()}
 
     def restrict(row, u):
         dom = domains[u]
         return row if len(dom) == len(row) else [row[a] for a in dom]
 
+    def coded(entries):  # a fresh list, INF as inf
+        return list(entries) if instance.all_finite else [inf if c is INF else c
+                                                          for c in entries]
+
     position = {u: p for p, (u, _) in enumerate(plan)}
     buckets = [[] for _ in plan]  # (scope, flat table) per node along the plan
     for u in instance.nodes:
-        buckets[position[u]].append(((u,), [inf if c is INF else c
-                                            for c in restrict(instance.unary[u], u)]))
+        buckets[position[u]].append(((u,), coded(restrict(instance.unary[u], u))))
     for e in instance.edges:
         u, v = e
-        buckets[min(position[u], position[v])].append(
-            (e, [inf if c is INF else c
-                 for row in restrict(instance.pairwise[e], u) for c in restrict(row, v)]))
+        rows = restrict(instance.pairwise[e], u)
+        if sizes[v] < labels[v]:
+            rows = [restrict(row, v) for row in rows]
+        buckets[min(position[u], position[v])].append((e, coded(chain.from_iterable(rows))))
 
     constants = []  # each empty-separator message's one entry
-    for (u, sep), bucket in zip(plan, buckets):
+    for i, (u, sep) in enumerate(plan):
+        bucket = buckets[i]
+        if not check and len(bucket) > 1:
+            buckets[i] = bucket = _fold(bucket, sizes)
         k = sizes[u]
-        joint = [*sep, u]
+        joint = (*sep, u)
         acc = None
         for scope, table in bucket:
             column = _broadcast(table, scope, joint, sizes)
@@ -280,7 +299,9 @@ def _eliminate(instance: EnergyInstance, plan: list, domains: dict) -> tuple[Lab
                 for v in acc:
                     if v < I64_MIN or I64_MAX < v <= bound:
                         check_range(v)
-        message = acc if k == 1 else list(map(min, *(acc[a::k] for a in range(k))))
+        message = acc[::k] if k > 1 else acc
+        for a in range(1, k):
+            message = [m if m <= c else c for m, c in zip(message, acc[a::k])]
         if sep:
             buckets[min(map(position.get, sep))].append((sep, message))
         else:
@@ -314,19 +335,46 @@ def _eliminate(instance: EnergyInstance, plan: list, domains: dict) -> tuple[Lab
     return x, value
 
 
-def _broadcast(table: list, scope: tuple, joint: list, sizes) -> list:
+def _fold(bucket: list, sizes) -> list:
+    """The bucket's factors, each summed into a larger one whose scope holds its own.
+
+    Smallest table first, each factor is broadcast to the scope of the first
+    factor after it whose scope contains its own, and added into that
+    factor's table (a unary into an edge, an edge into a message over both
+    its nodes); a factor with no such host is kept.  Every scope in a
+    bucket holds its node, so a one-node scope fits any host.  Tables are
+    replaced, never changed in place.
+    """
+    bucket = sorted(bucket, key=lambda factor: len(factor[1]))
+    kept = []
+    for i, (scope, table) in enumerate(bucket, 1):
+        for j in range(i, len(bucket)):
+            host, into = bucket[j]
+            if len(scope) == 1 or set(scope).issubset(host):
+                bucket[j] = host, list(map(add, into, _broadcast(table, scope, host, sizes)))
+                break
+        else:
+            kept.append((scope, table))
+    return kept
+
+
+def _broadcast(table: list, scope: tuple, joint: tuple, sizes) -> list:
     """A factor's flat table repeated out to the joint scope's row-major order.
 
     scope is sorted and a subset of joint, which is sorted except for its
-    last node; that node moves to the end of the table first.  Every step
+    last node.  When scope holds that node, it moves to the end of the
+    table first; when it does not (a fold into a factor's sorted scope),
+    the table's axes are already in joint order.  Every step
     runs at C level, over whole tables: the move is one transposition per
     block of rows, and each run of consecutive joint nodes missing from
     scope is one repetition of the table, of each entry, or of each group
     of entries that the axes after the run span.
     """
+    if scope == joint:
+        return table
     last = joint[-1]
-    p = scope.index(last)
-    if p < len(scope) - 1:
+    if last in scope and scope[-1] != last:
+        p = scope.index(last)
         rows = zip(*[iter(table)] * math.prod(sizes[w] for w in scope[p + 1:]))
         table = list(chain.from_iterable(chain.from_iterable(
             starmap(zip, zip(*[rows] * sizes[last])))))

@@ -321,15 +321,20 @@ def test_width_bound_reads_the_instance_label_counts(monkeypatch):
 
 def test_broadcast_matches_index_arithmetic():
     # Random (table, scope, joint, sizes) as a bucket meets them: joint is
-    # sorted but for its last node u, and scope is a sorted subset holding u.
+    # sorted but for its last node u, and scope is a sorted subset, holding
+    # u when joint is a bucket's joint scope and not always when joint is
+    # the sorted scope of a factor another one folds into.
     rng = random.Random(21)
-    moved = ones = 0
-    for _ in range(600):
+    moved = ones = missing = 0
+    for _ in range(900):
         nodes = sorted(rng.sample(range(30), rng.randint(1, 6)))
         sizes = {w: rng.randint(1, 3) for w in nodes}
         u = rng.choice(nodes)
         joint = [w for w in nodes if w != u] + [u]
-        scope = tuple(sorted({w for w in nodes if rng.random() < 0.5} | {u}))
+        scope = {w for w in nodes if rng.random() < 0.5}
+        if rng.random() < 0.5 or not scope:
+            scope.add(u)
+        scope = tuple(sorted(scope))
         table = list(range(100, 100 + math.prod(sizes[w] for w in scope)))
         at = [joint.index(w) for w in scope]
         expected = []
@@ -341,9 +346,10 @@ def test_broadcast_matches_index_arithmetic():
         before = list(table)
         assert _broadcast(table, scope, joint, sizes) == expected, (scope, joint, sizes)
         assert table == before
-        moved += scope[-1] != u and sizes[u] > 1
+        moved += u in scope and scope[-1] != u and sizes[u] > 1
+        missing += u not in scope and sizes[u] > 1
         ones += 1 in sizes.values()
-    assert moved > 100 and ones > 300
+    assert moved > 100 and missing > 100 and ones > 300
 
 
 def test_broadcast_moves_the_eliminated_node_last():
@@ -355,6 +361,64 @@ def test_broadcast_moves_the_eliminated_node_last():
     assert _broadcast(table, (1, 5, 7), [2, 5, 7, 1], sizes) == moved * 2
     # A 1-label node missing from the scope changes nothing.
     assert _broadcast(table, (1, 5, 7), [5, 6, 7, 1], {**sizes, 6: 1}) == moved
+    # Into a target whose last node, 9 over 2 labels, the scope lacks: each
+    # entry repeats in place, and the table is not moved.
+    assert _broadcast(table, (1, 5, 7), (1, 5, 7, 9), {**sizes, 9: 2}) == [
+        v for v in table for _ in range(2)]
+
+
+# --- folding a bucket's factors into the ones containing them ----------
+
+def _fold_instance(rng, label_counts):
+    """Two hubs 0 and 1, joined, each other node tied to one or both of them
+    or to a random earlier node, with random chords; INF entries at random.
+    Along a spokes-first order the hubs' buckets get several messages over
+    one scope, edges inside messages and edges no other factor contains."""
+    n = rng.randint(3, 7)
+    labels = {u: rng.choice(label_counts) for u in range(n)}
+
+    def entry():
+        return INF if rng.random() < 0.15 else rng.randint(-4, 6)
+
+    edges = {(0, 1)}
+    for w in range(2, n):
+        ends = rng.choice([(0,), (1,), (0, 1), (rng.randrange(w),)])
+        edges |= {(a, w) for a in ends}
+        if rng.random() < 0.3:
+            edges.add((rng.randrange(w), w))
+    unary = {}
+    for u in range(n):
+        row = [entry() for _ in range(labels[u])]
+        row[rng.randrange(labels[u])] = rng.randint(-4, 6)
+        unary[u] = tuple(row)
+    pairwise = {(u, v): tuple(tuple(entry() for _ in range(labels[v]))
+                              for _ in range(labels[u])) for u, v in edges}
+    return make_instance(labels, unary, pairwise)
+
+
+@pytest.mark.parametrize("label_counts", [(1,), (2,), (1, 2), (1, 2, 3)])
+def test_folded_buckets_match_the_reference(monkeypatch, label_counts):
+    fold = solvers._fold
+    seen = dict.fromkeys(["one scope", "nested", "kept apart"], 0)
+
+    def spy(bucket, sizes):
+        scopes = [scope for scope, _ in bucket]
+        kept = fold(bucket, sizes)
+        seen["one scope"] += len(set(scopes)) < len(scopes)
+        seen["nested"] += any(1 < len(a) < len(b) and set(a) < set(b)
+                              for a in scopes for b in scopes)
+        seen["kept apart"] += len(kept) > 1
+        return kept
+
+    monkeypatch.setattr(solvers, "_fold", spy)
+    rng = random.Random(f"fold-{label_counts}")
+    for _ in range(150):
+        inst = _fold_instance(rng, label_counts)
+        spokes = list(inst.nodes)[2:]
+        rng.shuffle(spokes)
+        for order in (spokes + [0, 1], spokes + [1, 0], None):
+            assert isinstance(assert_same(inst, order), SolveResult)
+    assert min(seen.values()) > 20, seen
 
 
 # --- the plan: min-fill order and separators ----------------------------
@@ -407,6 +471,20 @@ def test_partial_bucket_sum_leaving_int64_raises():
         _reference_elimination(inst)
     with pytest.raises(CostOverflowError):
         solve_elimination(inst)
+
+
+def test_past_int64_a_bucket_sums_in_bucket_order_without_folding():
+    # finite_sum is I64_MAX + 2.  Node 2 goes first, and node 0's bucket
+    # holds its unary I64_MAX, the edge (0, 1) at 1 for label 0 of node 1,
+    # and node 2's message -1, in that order: the partial sum I64_MAX + 1
+    # leaves int64 and raises, as in the reference.  Folding would add the
+    # message to the unary first, and then the edge, and stay in range.
+    inst = make_instance({0: 1, 1: 2, 2: 1}, {0: (I64_MAX,), 2: (-1,)},
+                         {(0, 1): ((1, 0),), (0, 2): ((0,),)})
+    assert inst.finite_sum == I64_MAX + 2
+    assert assert_same(inst, [2, 0, 1]) is CostOverflowError
+    assert assert_same(inst, [2, 1, 0]) == SolveResult({0: 0, 1: 1, 2: 0}, I64_MAX - 1,
+                                                       "elimination", True)
 
 
 def test_sum_landing_on_int64_max_does_not_raise():

@@ -157,6 +157,27 @@ def test_node_on_edge_violation():
     assert kinds == ["node-on-edge"]
 
 
+@pytest.mark.parametrize("a, b", [
+    ((1, 2), (1, 2)),
+    ((F(1, 2), F(-3)), (F(1, 2), F(-3))),
+    ((0.5, -3.0), (0.5, -3.0)),
+    ((1, 2), (F(1), F(2))),
+    ((1, 2), (1.0, 2.0)),
+    ((F(1, 2), 2), (0.5, F(2))),
+    ((F(1, 4), 7), (0.25, 7.0)),
+    ((-0.0, 0), (0, F(0))),
+])
+def test_drawing_finds_a_shared_point_across_int_fraction_and_float(a, b):
+    with pytest.raises(GeometryError, match="two nodes share a point"):
+        Drawing({0: a, 1: (5, 5), 2: b})
+
+
+def test_drawing_tells_apart_points_that_differ_in_exact_value():
+    # 0.1 is not 1/10 in binary, and (1, 2) is not (2, 1).
+    Drawing({0: (0.1, 0), 1: (F(1, 10), 0), 2: (1, 2), 3: (2.0, F(1))})
+    Drawing({0: (1, 2), 1: (F(2), F(1)), 2: (F(1, 2), 0), 3: (F(1, 3), 0.5)})
+
+
 def test_free_radius_x_center():
     inst, d = x_instance()
     r = free_radius(inst, d, (F(1, 2), F(1, 2)), exclude={(1, 3), (2, 4)},

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,23 @@ def test_canonical_round_trip_random_instances():
         assert back == inst
         assert bd.coords == d.coords
         assert serialize_instance(back, bd) == text
+
+
+def test_int_fraction_and_float_coordinates_write_the_same_bytes():
+    # Equal values give equal lines whatever their type, and a float is
+    # written as its exact binary value.
+    inst = make_instance({0: 2, 1: 2, 2: 2}, pairwise={(0, 1): ((0, 1), (1, 0))})
+    ints = Drawing({0: (1, -2), 1: (0, 3), 2: (-7, 0)})
+    fractions = Drawing({u: (F(x), F(y)) for u, (x, y) in ints.coords.items()})
+    floats = Drawing({u: (float(x), float(y)) for u, (x, y) in ints.coords.items()})
+    mixed = Drawing({0: (1, F(-2)), 1: (0.0, 3), 2: (F(-7), 0.0)})
+    text = serialize_instance(inst, ints)
+    assert "coord 0 1/1 -2/1\ncoord 1 0/1 3/1\ncoord 2 -7/1 0/1\n" in text
+    for d in (fractions, floats, mixed):
+        assert serialize_instance(inst, d) == text
+    halves = Drawing({0: (F(1, 2), F(-3, 4)), 1: (-0.75, 0.5), 2: (0.1, F(1, 10))})
+    assert ("coord 0 1/2 -3/4\ncoord 1 -3/4 1/2\n"
+            "coord 2 3602879701896397/36028797018963968 1/10\n") in serialize_instance(inst, halves)
 
 
 def test_noncontiguous_ids_round_trip():
