@@ -298,8 +298,6 @@ def serialize_instance(instance: EnergyInstance, d: Drawing | None = None) -> st
     if d is not None:
         for u in ids:
             x, y = d.coords[u]
-            if not (isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction))):
-                x, y = Fraction(x), Fraction(y)  # a float's exact value
             out.append(f"coord {u} {frac_str(x)} {frac_str(y)}")
     for u in ids:
         out.append(f"unary {u} " + " ".join(map(str, instance.unary[u])))

@@ -37,13 +37,23 @@ class Drawing:
     def __post_init__(self):
         # Points are told apart by their coordinates' integer numerators and
         # denominators, which hash faster than a Fraction.  A float has
-        # neither; then every coordinate is compared as its exact Fraction,
-        # so a point equal in value across int, Fraction and float is found.
+        # neither; then every coordinate is stored as its exact Fraction, so
+        # the scans see rationals only and a point equal in value across int,
+        # Fraction and float is found.  NaN and infinities have no exact
+        # value and are rejected.
         points = self.coords.values()
         try:
             keys = {(x.numerator, x.denominator, y.numerator, y.denominator) for x, y in points}
         except AttributeError:
-            keys = {(Fraction(x), Fraction(y)) for x, y in points}
+            coords = {}
+            for u, point in self.coords.items():
+                try:
+                    coords[u] = Fraction(point[0]), Fraction(point[1])
+                except (ValueError, OverflowError):
+                    raise GeometryError(
+                        f"node {u}: coordinate {point} is not a finite number") from None
+            object.__setattr__(self, "coords", coords)
+            keys = set(coords.values())
         if len(keys) != len(self.coords):
             raise GeometryError("two nodes share a point")
 

@@ -26,9 +26,15 @@ plans first: one symbolic pass over the elimination graph gives every
 separator along the order, by default the min-fill order (fewest fill
 edges, then fewest live neighbours, then smallest id, with fill counts
 kept up to date by deltas), and an over-wide separator raises before any
-table is built, both over the instance's label counts.  It then stores
-every factor as a flat row-major list of ints over its sorted scope's
-label domains, with INF coded as 2 * finite_sum + 1 (the instance's sum
+table is built, both over the instance's label counts.  One backward
+pass over the plan then fixes each bucket's joint axes: its separator in
+the order of the joint its message goes to, then its own node.  Every
+factor is a flat row-major list of ints over its scope's label domains,
+in the axis order of the bucket that reads it (an edge with its bucket's
+node last, its rows transposed once when that node is the smaller id; a
+message over its joint less the node), so every scope in a bucket is an
+ordered subsequence of the joint and no table is ever transposed after
+set-up.  INF is coded as 2 * finite_sum + 1 (the instance's sum
 of finite entry magnitudes bounds every finite sum, and a partial sum is
 range-checked only when that bound exceeds int64).  A node's domain is
 its finite-unary labels (node consistency) while finite_sum fits in
@@ -43,8 +49,9 @@ and checked in bucket order.  What is left is broadcast to the bucket's
 joint scope by C-level list repetition, zip and chain, with no Python
 loop per entry, and summed with whole-list passes.  Each message is taken
 by compare-select list passes over one strided slice of the joint per
-label, and each node's argmin by slicing the bucket's tables.  ``stats``
-count the plan, over the label counts, whatever the domains.
+label, and each node's argmin from one contiguous run of each table in
+its bucket.  ``stats`` count the plan, over the label counts, whatever
+the domains.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import chain, cycle, starmap
+from itertools import chain, cycle
 from operator import add, itemgetter
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add
@@ -198,27 +205,35 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     value or argmin.  When the value is INF, elimination runs again over
     every label, so that the labeling follows the tie-break below.
 
-    Each factor, a flat row-major list over its sorted scope's domains, sits
-    in the bucket of its scope's first node along the order (Dechter 1999),
-    in creation order.  While finite_sum fits in int64, each factor of a
+    Each factor sits in the bucket of its scope's first node along the
+    order (Dechter 1999), in creation order, as a flat row-major list over
+    its scope's domains in that bucket's axis order.  A bucket's joint
+    scope is its separator, in the order of the joint its message goes to
+    (fixed by one pass back over the plan), then u last and fastest; an
+    edge's scope puts its bucket's node last, and a message's scope is its
+    joint less u.  So every scope in a bucket is an ordered subsequence of
+    the joint, and of any scope there that contains it, and broadcasting
+    never moves an axis.  While finite_sum fits in int64, each factor of a
     bucket whose scope lies inside a larger factor's is first added into
     that factor, broadcast to its scope, and the folded tables replace the
     bucket's entries, so that fewer tables reach the joint and the backward
     pass slices fewer, with the same totals.  The bucket of node u is summed
-    over its joint scope (the sorted separator, then u last and fastest),
-    each factor broadcast to it by list repetition; each message entry is
-    the minimum of one run of u's domain in the joint, taken by k - 1
-    compare-select passes over the slices of the joint at each of u's k
-    labels, and the empty-scope messages join the constant after the last
-    bucket.  Going back through the order each node gets the first label
-    that attains the minimum of its bucket sum at its separator's chosen
-    labels (label 0 when every label costs INF).  A finite bucket value lies
-    within +-instance.finite_sum, being a sum of entries of distinct input
+    over its joint scope, each factor broadcast to it by list repetition;
+    each message entry is the minimum of one run of u's domain in the
+    joint, taken by k - 1 compare-select passes over the slices of the
+    joint at each of u's k labels, and the empty-scope messages join the
+    constant after the last bucket.  Going back through the order each node
+    gets the first label that attains the minimum of its bucket sum at its
+    separator's chosen labels (label 0 when every label costs INF), each
+    table giving one contiguous run since u is last in its scope.  A finite
+    bucket value lies within +-instance.finite_sum, being a sum of entries of distinct input
     factors: INF is coded as 2 * finite_sum + 1, and any value above
     finite_sum reads as INF.  A partial bucket sum of finite entries outside
     the signed 64-bit range raises CostOverflowError, checked in bucket
     order (every partial sum exactly when finite_sum exceeds int64, and then
-    no factor folds; otherwise none can leave that range).  ``stats`` come
+    no factor folds; otherwise none can leave that range); the value named
+    is the first out of range in the row order of the sorted separator with
+    u last, whatever order the joint's separator has.  ``stats`` come
     from the plan over the instance's label counts, whatever the domains:
     they hold ``max_separator`` (the most nodes in one separator) and
     ``joint_entries`` (the joint entries summed over all buckets).
@@ -237,21 +252,33 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
         joint_entries += size * labels[u]
     stats = {"max_separator": max_separator, "joint_entries": joint_entries}
 
+    # Each bucket's joint axes, fixed back to front: its separator in the
+    # order of the joint its message goes to, its first separator node's
+    # along the order, then its own node.
+    position = {u: p for p, (u, _) in enumerate(plan)}
+    axes = {}
+    for u, sep in reversed(plan):
+        if len(sep) > 1:
+            sep = [w for w in axes[min(sep, key=position.get)] if w in sep]
+        axes[u] = (*sep, u)
+    joints = [axes[u] for u, _ in plan]
+
     every = {u: range(k) for u, k in labels.items()}
     if instance.all_finite or instance.finite_sum > I64_MAX:
         domains = every
     else:
         domains = {u: [a for a, c in enumerate(row) if c is not INF]
                    for u, row in instance.unary.items()}
-    x, value = _eliminate(instance, plan, domains)
+    x, value = _eliminate(instance, joints, domains)
     if value is INF and domains is not every:
-        x, value = _eliminate(instance, plan, every)
+        x, value = _eliminate(instance, joints, every)
     return SolveResult(x, value, "elimination", True, stats=stats)
 
 
-def _eliminate(instance: EnergyInstance, plan: list, domains: dict) -> tuple[Labeling, Cost]:
+def _eliminate(instance: EnergyInstance, joints: list, domains: dict) -> tuple[Labeling, Cost]:
     """solve_elimination's tables, messages and backward pass over domains.
 
+    joints lists each bucket's joint axes along the order, its node last;
     domains[u] lists the labels of u the tables cover, ascending; every
     label it leaves out must have an INF unary entry.
     """
@@ -273,35 +300,35 @@ def _eliminate(instance: EnergyInstance, plan: list, domains: dict) -> tuple[Lab
         return list(entries) if instance.all_finite else [inf if c is INF else c
                                                           for c in entries]
 
-    position = {u: p for p, (u, _) in enumerate(plan)}
-    buckets = [[] for _ in plan]  # (scope, flat table) per node along the plan
+    position = {joint[-1]: p for p, joint in enumerate(joints)}
+    buckets = [[] for _ in joints]  # (scope, flat table) per node along the plan
     for u in instance.nodes:
         buckets[position[u]].append(((u,), coded(restrict(instance.unary[u], u))))
-    for e in instance.edges:
+    for e in instance.edges:  # scope (other node, bucket node)
         u, v = e
         rows = restrict(instance.pairwise[e], u)
         if sizes[v] < labels[v]:
             rows = [restrict(row, v) for row in rows]
-        buckets[min(position[u], position[v])].append((e, coded(chain.from_iterable(rows))))
+        if position[u] < position[v]:
+            e, rows = (v, u), zip(*rows)
+        buckets[position[e[1]]].append((e, coded(chain.from_iterable(rows))))
 
     constants = []  # each empty-separator message's one entry
-    for i, (u, sep) in enumerate(plan):
+    for i, joint in enumerate(joints):
         bucket = buckets[i]
         if not check and len(bucket) > 1:
             buckets[i] = bucket = _fold(bucket, sizes)
-        k = sizes[u]
-        joint = (*sep, u)
+        k = sizes[joint[-1]]
         acc = None
         for scope, table in bucket:
             column = _broadcast(table, scope, joint, sizes)
             acc = column if acc is None else list(map(add, acc, column))
             if check:
-                for v in acc:
-                    if v < I64_MIN or I64_MAX < v <= bound:
-                        check_range(v)
+                _check_partial_sums(acc, joint, sizes, bound)
         message = acc[::k] if k > 1 else acc
         for a in range(1, k):
             message = [m if m <= c else c for m, c in zip(message, acc[a::k])]
+        sep = joint[:-1]
         if sep:
             buckets[min(map(position.get, sep))].append((sep, message))
         else:
@@ -310,29 +337,52 @@ def _eliminate(instance: EnergyInstance, plan: list, domains: dict) -> tuple[Lab
     for c in constants:
         value = ext_add(value, INF if c > bound else c)
 
-    # Each factor's entries at the chosen indices on its other nodes, for
-    # every index of u, are one strided slice of its table; their sum is the
-    # joint run the message took its minimum from.
+    # u is the last node of every scope in its bucket, so each factor's
+    # entries at the chosen labels of its other nodes, for every label of
+    # u, are one run of its table, which starts where u's index is 0; their
+    # sum is the joint run the message took its minimum from.
     x: Labeling = {}
     index = {}  # each decided node's position in its domain
-    for (u, _), bucket in zip(reversed(plan), reversed(buckets)):
+    for joint, bucket in zip(reversed(joints), reversed(buckets)):
+        u = joint[-1]
         k = sizes[u]
+        index[u] = 0
         total = None
         for scope, table in bucket:
-            base = stride = 0
+            base = 0
             for w in scope:
-                base *= sizes[w]
-                stride *= sizes[w]
-                if w == u:
-                    stride = 1
-                else:
-                    base += index[w]
-            column = table[base:base + stride * k:stride]
+                base = base * sizes[w] + index[w]
+            column = table[base:base + k]
             total = column if total is None else list(map(add, total, column))
         best = min(total)
         index[u] = 0 if best > bound else total.index(best)
         x[u] = domains[u][index[u]]
     return x, value
+
+
+def _check_partial_sums(acc: list, joint: tuple, sizes, bound: int) -> None:
+    """CostOverflowError on the first finite entry of acc outside int64.
+
+    Entries above bound are coded INF.  "First" is in the row-major order
+    of the sorted separator with the bucket's node last, whatever order
+    joint's separator comes in, so the value named does not depend on the
+    layout.
+    """
+    bad = [i for i, v in enumerate(acc) if v < I64_MIN or I64_MAX < v <= bound]
+    if not bad:
+        return
+    order = (*sorted(joint[:-1]), joint[-1])
+
+    def rank(i):  # i's position in that order
+        digits = {}
+        for w in reversed(joint):
+            i, digits[w] = divmod(i, sizes[w])
+        r = 0
+        for w in order:
+            r = r * sizes[w] + digits[w]
+        return r
+
+    check_range(acc[min(bad, key=rank)])
 
 
 def _fold(bucket: list, sizes) -> list:
@@ -342,10 +392,13 @@ def _fold(bucket: list, sizes) -> list:
     factor after it whose scope contains its own, and added into that
     factor's table (a unary into an edge, an edge into a message over both
     its nodes); a factor with no such host is kept.  Every scope in a
-    bucket holds its node, so a one-node scope fits any host.  Tables are
-    replaced, never changed in place.
+    bucket holds its node, so a one-node scope fits any host.  The bucket
+    list is sorted (stably) and rewritten in place, with no copy, and a
+    bucket already in table-size order, such as a tree leaf's unary and
+    edge, costs the sort one pass of comparisons; tables are replaced,
+    never changed in place.
     """
-    bucket = sorted(bucket, key=lambda factor: len(factor[1]))
+    bucket.sort(key=lambda factor: len(factor[1]))
     kept = []
     for i, (scope, table) in enumerate(bucket, 1):
         for j in range(i, len(bucket)):
@@ -361,23 +414,14 @@ def _fold(bucket: list, sizes) -> list:
 def _broadcast(table: list, scope: tuple, joint: tuple, sizes) -> list:
     """A factor's flat table repeated out to the joint scope's row-major order.
 
-    scope is sorted and a subset of joint, which is sorted except for its
-    last node.  When scope holds that node, it moves to the end of the
-    table first; when it does not (a fold into a factor's sorted scope),
-    the table's axes are already in joint order.  Every step
-    runs at C level, over whole tables: the move is one transposition per
-    block of rows, and each run of consecutive joint nodes missing from
-    scope is one repetition of the table, of each entry, or of each group
-    of entries that the axes after the run span.
+    scope is an ordered subsequence of joint: its nodes come in joint's
+    order, so no axis moves.  Every step runs at C level, over whole
+    tables: each run of consecutive joint nodes missing from scope is one
+    repetition of the table, of each entry, or of each group of entries
+    that the axes after the run span.
     """
     if scope == joint:
         return table
-    last = joint[-1]
-    if last in scope and scope[-1] != last:
-        p = scope.index(last)
-        rows = zip(*[iter(table)] * math.prod(sizes[w] for w in scope[p + 1:]))
-        table = list(chain.from_iterable(chain.from_iterable(
-            starmap(zip, zip(*[rows] * sizes[last])))))
     out = table
     block = k = 1  # entries one step of the axis at w spans; the pending run's repeats
     for w in reversed(joint):

@@ -11,14 +11,17 @@ submodular file with every node id moved up by 5; `solutions/` holds `mine
 solve` output on reduced instances, once with its `value` line left out
 and once as printed (`mine sigma` reads both).  `far/` holds a drawing
 with a coordinate beyond float range and one whose coordinates are in
-range but whose span is not.  Every command in COMMANDS
-then runs in order in a scratch copy of the inputs, and manifest.json
-records what `tests/test_golden.py::run_command` saw.
+range but whose span is not.  `overflow/` holds a hand-written instance
+whose elimination leaves int64, and `grid/` a 6x6 3-label Potts grid.
+Every command in COMMANDS then runs in order in a scratch copy of the
+inputs, and manifest.json records what `tests/test_golden.py::run_command`
+saw.
 """
 
 import io
 import json
 import os
+import random
 import shutil
 import sys
 import tempfile
@@ -51,6 +54,11 @@ FAR_MINE = f"MINE 1\nnodes 2\nlabels 2 2\ncoord 0 0 0\ncoord 1 {'9' * 400} 1\ned
 # Each coordinate converts to a float, but their span (2 * 10^308) does not.
 WIDE_MINE = (f"MINE 1\nnodes 2\nlabels 2 2\ncoord 0 -1{'0' * 308} 0\n"
              f"coord 1 1{'0' * 308} 0\nedge 0 1 0 1 1 0\n")
+# A triangle whose sum leaves int64 at two entries of node 0's bucket; the
+# error names the first in the sorted separator's row order.
+OVERFLOW_MINE = ("MINE 1\nnodes 3\nlabels 1 2 2\nunary 0 4611686018427387904\n"
+                 "edge 0 1 0 4611686018427387903\nedge 0 2 1 4611686018427387909\n"
+                 "edge 1 2 0 0 0 0\n")
 GEN_FAMILIES = ("w3sat", "potts", "submodular", "random3label")
 # (reduction, source, solution name, solve method) for `mine sigma` inputs
 SOLVED = [
@@ -144,6 +152,10 @@ COMMANDS = [
     ["solve-mincut-not-submodular", "solve", "w3sat-0.mine", "--method", "mincut"],
     ["solve-alphaexp-potts-0", "solve", "potts/0.mine", "--method", "alphaexp"],
     ["solve-alphaexp-infinite-entry", "solve", "planar-0.mine", "--method", "alphaexp"],
+    # elimination's labeling and stats, and the value its overflow error names
+    ["solve-elim-stats-crossed-0", "solve", "crossed/0.mine", "--method", "elim", "--stats"],
+    ["solve-elim-stats-grid-6x6", "solve", "grid/6x6.mine", "--method", "elim", "--stats"],
+    ["solve-elim-overflow", "solve", "overflow/0.mine", "--method", "elim"],
     # classify reads instances, so the w3sat family is classified reduced
     ["classify-w3sat-0", "classify", "w3sat-0.mine"],
     ["classify-formula", "classify", "w3sat/0.wcnf3"],
@@ -157,6 +169,20 @@ COMMANDS = [
        "--out", f"gen-{family}-{seed}.txt"]
       for family in GEN_FAMILIES for seed in ("1", "2", "3")),
 ]
+
+
+def _potts_grid_text(side, k, seed) -> str:
+    """A side x side 4-neighbour Potts grid: unary costs 0-20, edge weights 1-10."""
+    rng = random.Random(seed)
+    n = side * side
+    unary = {u: tuple(rng.randint(0, 20) for _ in range(k)) for u in range(n)}
+    pairwise = {}
+    for u in range(n):
+        for v in ([u + 1] if (u + 1) % side else []) + ([u + side] if u + side < n else []):
+            w = rng.randint(1, 10)
+            pairwise[(u, v)] = tuple(tuple(0 if a == b else w for b in range(k))
+                                     for a in range(k))
+    return serialize_instance(make_instance({u: k for u in range(n)}, unary, pairwise))
 
 
 def _cli(argv) -> str:
@@ -185,7 +211,9 @@ def build_inputs(inputs: Path) -> None:
                           ("mixed", {"0.mine": (inputs / "potts/0.mine").read_text(),
                                      "1.mine": MALFORMED_MINE}),
                           ("traces", {"unknown.json": UNKNOWN_TRACE, "list.json": "[]\n"}),
-                          ("far", {"0.mine": FAR_MINE, "1.mine": WIDE_MINE})]:
+                          ("far", {"0.mine": FAR_MINE, "1.mine": WIDE_MINE}),
+                          ("overflow", {"0.mine": OVERFLOW_MINE}),
+                          ("grid", {"6x6.mine": _potts_grid_text(6, 3, 6)})]:
         (inputs / corpus).mkdir()
         for name, text in files.items():
             (inputs / corpus / name).write_text(text)

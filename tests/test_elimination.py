@@ -320,21 +320,15 @@ def test_width_bound_reads_the_instance_label_counts(monkeypatch):
 # --- the broadcast ------------------------------------------------------
 
 def test_broadcast_matches_index_arithmetic():
-    # Random (table, scope, joint, sizes) as a bucket meets them: joint is
-    # sorted but for its last node u, and scope is a sorted subset, holding
-    # u when joint is a bucket's joint scope and not always when joint is
-    # the sorted scope of a factor another one folds into.
+    # Random (table, scope, joint, sizes) as a bucket meets them: joint in
+    # any order, and scope an ordered subsequence of it, as every factor of
+    # a bucket is of its joint and every folded factor of its host.
     rng = random.Random(21)
-    moved = ones = missing = 0
+    unsorted = ones = missing = 0
     for _ in range(900):
-        nodes = sorted(rng.sample(range(30), rng.randint(1, 6)))
-        sizes = {w: rng.randint(1, 3) for w in nodes}
-        u = rng.choice(nodes)
-        joint = [w for w in nodes if w != u] + [u]
-        scope = {w for w in nodes if rng.random() < 0.5}
-        if rng.random() < 0.5 or not scope:
-            scope.add(u)
-        scope = tuple(sorted(scope))
+        joint = rng.sample(range(30), rng.randint(1, 6))
+        sizes = {w: rng.randint(1, 3) for w in joint}
+        scope = tuple(w for w in joint if rng.random() < 0.6) or (joint[-1],)
         table = list(range(100, 100 + math.prod(sizes[w] for w in scope)))
         at = [joint.index(w) for w in scope]
         expected = []
@@ -346,25 +340,59 @@ def test_broadcast_matches_index_arithmetic():
         before = list(table)
         assert _broadcast(table, scope, joint, sizes) == expected, (scope, joint, sizes)
         assert table == before
-        moved += u in scope and scope[-1] != u and sizes[u] > 1
-        missing += u not in scope and sizes[u] > 1
+        unsorted += list(scope) != sorted(scope)
+        missing += any(sizes[w] > 1 for w in joint if w not in scope)
         ones += 1 in sizes.values()
-    assert moved > 100 and missing > 100 and ones > 300
+    assert unsorted > 100 and missing > 300 and ones > 300
 
 
-def test_broadcast_moves_the_eliminated_node_last():
-    # scope (1, 5, 7), eliminated node 1 over 3 labels: the table moves to
-    # order (5, 7, 1), then repeats over node 2 (2 labels) in front.
+def test_broadcast_keeps_the_scope_axis_order():
+    # scope (7, 5, 1) over 2, 2 and 3 labels, the table row-major over it in
+    # that order: no axis moves, and node 2 (2 labels) in front repeats the
+    # whole table.
     sizes = {1: 3, 2: 2, 5: 2, 7: 2}
-    table = list(range(12))  # row-major over (1, 5, 7)
-    moved = [0, 4, 8, 1, 5, 9, 2, 6, 10, 3, 7, 11]
-    assert _broadcast(table, (1, 5, 7), [2, 5, 7, 1], sizes) == moved * 2
+    table = list(range(12))
+    assert _broadcast(table, (7, 5, 1), (2, 7, 5, 1), sizes) == table * 2
     # A 1-label node missing from the scope changes nothing.
-    assert _broadcast(table, (1, 5, 7), [5, 6, 7, 1], {**sizes, 6: 1}) == moved
-    # Into a target whose last node, 9 over 2 labels, the scope lacks: each
-    # entry repeats in place, and the table is not moved.
-    assert _broadcast(table, (1, 5, 7), (1, 5, 7, 9), {**sizes, 9: 2}) == [
+    assert _broadcast(table, (7, 5, 1), (7, 6, 5, 1), {**sizes, 6: 1}) == table
+    # Node 9 over 2 labels, missing before the last node: each run of
+    # node 1's three entries repeats; missing at the end: each entry does.
+    assert _broadcast(table, (7, 5, 1), (7, 5, 9, 1), {**sizes, 9: 2}) == [
+        v for i in range(0, 12, 3) for _ in range(2) for v in table[i:i + 3]]
+    assert _broadcast(table, (7, 5, 1), (7, 5, 1, 9), {**sizes, 9: 2}) == [
         v for v in table for _ in range(2)]
+
+
+def test_every_broadcast_meets_an_ordered_subsequence_of_its_target(monkeypatch,
+                                                                    criterion5_outputs):
+    # Each bucket's joint lists its separator in the order of the joint its
+    # message goes to, then its node; edges go in with the bucket's node
+    # last.  So every factor, message and fold host of a bucket comes in its
+    # joint's order, and none is transposed.  A message laid out over its
+    # sorted separator would break this wherever that order is not sorted.
+    broadcast = solvers._broadcast
+    calls = unsorted = 0
+
+    def spy(table, scope, joint, sizes):
+        nonlocal calls, unsorted
+        assert tuple(w for w in joint if w in scope) == tuple(scope), (scope, joint)
+        calls += 1
+        unsorted += len(scope) > 2 and list(scope[:-1]) != sorted(scope[:-1])
+        return broadcast(table, scope, joint, sizes)
+
+    monkeypatch.setattr(solvers, "_broadcast", spy)
+    rng = random.Random(28)
+    corpus = [(out, None) for out, _, _ in criterion5_outputs]
+    corpus += [(potts_grid(side, 3, seed), None) for side in (4, 5, 6) for seed in range(2)]
+    for seed in range(300):
+        inst = random_general(f"layout-{seed}", max_nodes=8, max_labels=3, inf_prob=0.3)
+        order = list(inst.nodes)
+        rng.shuffle(order)
+        corpus.append((inst, order))
+    for inst, order in corpus:
+        result = solve_elimination(inst, order)
+        assert evaluate(inst, result.labeling) == result.value
+    assert calls > 10000 and unsorted > 1000, (calls, unsorted)
 
 
 # --- folding a bucket's factors into the ones containing them ----------
@@ -547,6 +575,32 @@ def test_a_bucket_overflow_is_raised_before_the_constant_chain_overflows():
     for solve in (_reference_elimination, solve_elimination):
         with pytest.raises(CostOverflowError, match=message):
             solve(inst, [2, 0, 1])
+
+
+def test_overflow_names_the_first_entry_in_sorted_separator_order():
+    # A triangle along 0, 1, 2: node 0's joint is (2, 1, 0), its separator
+    # in node 1's joint order.  The bucket's third factor, the edge (0, 2),
+    # takes the sum out of int64 at (x1, x2) = (0, 1), 2^63 + 5, and at
+    # (1, 0), 2^63.  The error names the first in the row order of the
+    # sorted separator, (0, 1), although the joint's own order meets (1, 0)
+    # first; tests/golden/inputs/overflow/0.mine holds the same instance.
+    inst = make_instance({0: 1, 1: 2, 2: 2}, {0: (2**62,)},
+                         {(0, 1): ((0, 2**62 - 1),), (0, 2): ((1, 2**62 + 5),),
+                          (1, 2): ((0, 0), (0, 0))})
+    with pytest.raises(CostOverflowError) as got:
+        solve_elimination(inst)
+    assert str(got.value) == f"cost {2**63 + 5} outside signed 64-bit range"
+    # A seeded instance past int64 whose first out-of-range entries differ
+    # in the two orders.
+    inst = random_general("wide-688", max_nodes=8, max_labels=3, inf_prob=0.2)
+    inst = make_instance(inst.labels, {u: tuple(c if c is INF else c * 2**59 for c in row)
+                                       for u, row in inst.unary.items()},
+                         {e: tuple(tuple(c if c is INF else c * 2**59 for c in row)
+                                   for row in table) for e, table in inst.pairwise.items()},
+                         inst.constant)
+    with pytest.raises(CostOverflowError) as got:
+        solve_elimination(inst, [3, 1, 0, 2])
+    assert str(got.value) == "cost 13835058055282163712 outside signed 64-bit range"
 
 
 def test_inf_coding_at_its_tightest():

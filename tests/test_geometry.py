@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mine.fileformat import serialize_instance, write_trace
 from mine.generate import random_crossed_3label
 from mine.geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
                            PositionViolation, circle_layout, free_radius,
                            list_crossings, rational_sqrt_lower,
                            validate_general_position)
 from mine.instance import make_instance
+from mine.reductions.planar import planarize
 
 
 def _cross(o, a, b):
@@ -176,6 +178,31 @@ def test_drawing_tells_apart_points_that_differ_in_exact_value():
     # 0.1 is not 1/10 in binary, and (1, 2) is not (2, 1).
     Drawing({0: (0.1, 0), 1: (F(1, 10), 0), 2: (1, 2), 3: (2.0, F(1))})
     Drawing({0: (1, 2), 1: (F(2), F(1)), 2: (F(1, 2), 0), 3: (F(1, 3), 0.5)})
+
+
+def test_a_float_drawing_scans_and_planarizes_like_its_fraction_twin():
+    # A float coordinate is stored as its exact Fraction, so the integer
+    # scans and planarize see the same rationals as in the twin built from
+    # Fraction(float) by hand, and write the same bytes.
+    for seed in range(20):
+        inst, d = random_crossed_3label(seed)
+        floats = {u: (float(x), float(y)) for u, (x, y) in d.coords.items()}
+        drawing = Drawing(floats)
+        twin = Drawing({u: (F(x), F(y)) for u, (x, y) in floats.items()})
+        assert drawing.coords == twin.coords
+        assert all(type(c) is F for point in drawing.coords.values() for c in point)
+        assert list_crossings(inst, drawing) == list_crossings(inst, twin)
+        assert (validate_general_position(inst, drawing)
+                == validate_general_position(inst, twin))
+        got, want = planarize(inst, drawing), planarize(inst, twin)
+        assert serialize_instance(*got[:2]) == serialize_instance(*want[:2])
+        assert write_trace(got[2]) == write_trace(want[2])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_a_coordinate_with_no_exact_value_is_a_geometry_error(bad):
+    with pytest.raises(GeometryError, match=r"node 1: coordinate \(0\.5, .*\) is not a finite"):
+        Drawing({0: (0, 0), 1: (0.5, bad), 2: (1, 1)})
 
 
 def test_free_radius_x_center():
