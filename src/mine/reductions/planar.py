@@ -42,8 +42,8 @@ from math import lcm
 from ..geometry import (Crossing, Drawing, GeometryError, Point,
                         _position_and_crossings, _scaled, frac_str, free_radius,
                         list_crossings)
-from ..instance import (EnergyInstance, InstanceError, Labeling, evaluate, is_finite,
-                        normalize_edge)
+from ..instance import (LABEL_TYPES, EnergyInstance, InstanceError, Labeling, check_labeling,
+                        evaluate, is_finite, make_instance, normalize_edge)
 from .gadgets import (GadgetFragment, equality3, merge_fragments, split_gadget,
                       uncross_copy_gadget)
 from .trace import CrossingRecord, ReductionTrace
@@ -217,7 +217,8 @@ def planar_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -
     """Restriction of y to the original nodes when that is finite, else all-zeros.
 
     original must have exactly the trace's original nodes, and y must label
-    exactly the planarized instance's nodes.  The gadgets carry only 0/+INF
+    exactly the planarized instance's nodes, each with an int in 0..2 (every
+    planarized node has 3 labels).  The gadgets carry only 0/+INF
     costs, so any y whose restriction has finite original energy costs at
     least as much in the planarized instance (equal when the gadget
     relations hold, +INF otherwise).
@@ -228,6 +229,11 @@ def planar_sigma(original: EnergyInstance, trace: ReductionTrace, y: Labeling) -
         raise InstanceError("source instance's nodes are not the trace's original nodes")
     if set(y) != trace.target_nodes():
         raise InstanceError("solution does not label exactly the planarized instance's nodes")
+    values = y.values()
+    # check_labeling's conditions, each one C-level pass; on a bad label it
+    # names the first bad node, over 3 labels per node.
+    if not (LABEL_TYPES.issuperset(map(type, values)) and {0, 1, 2}.issuperset(values)):
+        check_labeling(make_instance(dict.fromkeys(y, 3)), y)
     restriction = {n: y[n] for n in original.nodes}
     if is_finite(evaluate(original, restriction)):
         return restriction

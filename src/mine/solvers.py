@@ -22,36 +22,8 @@ label is known not to improve its labeling.
 
 Costs stay exact everywhere, and a partial sum of finite costs that
 leaves the signed 64-bit range raises CostOverflowError.  Elimination
-plans first: one symbolic pass over the elimination graph gives every
-separator along the order, by default the min-fill order (fewest fill
-edges, then fewest live neighbours, then smallest id, with fill counts
-kept up to date by deltas), and an over-wide separator raises before any
-table is built, both over the instance's label counts.  One backward
-pass over the plan then fixes each bucket's joint axes: its separator in
-the order of the joint its message goes to, then its own node.  Every
-factor is a flat row-major list of ints over its scope's label domains,
-in the axis order of the bucket that reads it (an edge with its bucket's
-node last, its rows transposed once when that node is the smaller id; a
-message over its joint less the node), so every scope in a bucket is an
-ordered subsequence of the joint and no table is ever transposed after
-set-up.  INF is coded as 2 * finite_sum + 1 (the instance's sum
-of finite entry magnitudes bounds every finite sum, and a partial sum is
-range-checked only when that bound exceeds int64).  A node's domain is
-its finite-unary labels (node consistency) while finite_sum fits in
-int64, and all its labels past that bound or when the value comes out
-INF, which reruns elimination so the labeling keeps the tie-break above.
-Each factor sits in the bucket of its scope's first node along the order.
-While finite_sum fits in int64, each factor of a bucket is first added
-into a larger factor of the bucket whose scope contains its own, at that
-factor's size (a unary into an edge, an edge into a message over both its
-nodes); past that bound nothing folds, so that every partial sum is formed
-and checked in bucket order.  What is left is broadcast to the bucket's
-joint scope by C-level list repetition, zip and chain, with no Python
-loop per entry, and summed with whole-list passes.  Each message is taken
-by compare-select list passes over one strided slice of the joint per
-label, and each node's argmin from one contiguous run of each table in
-its bucket.  ``stats`` count the plan, over the label counts, whatever
-the domains.
+plans every separator first and then builds flat tables in one pass;
+solve_elimination states its contract.
 """
 
 from __future__ import annotations
@@ -121,13 +93,8 @@ def solve_brute_force(instance: EnergyInstance) -> SolveResult:
 # Variable elimination
 
 
-def min_fill_order(instance: EnergyInstance) -> list[int]:
-    """Min-fill elimination order (ties: fewer live neighbours, then smallest id)."""
-    return [u for u, _ in _elimination_plan(instance)]
-
-
 def _elimination_plan(instance: EnergyInstance, order=None):
-    """Yield (node, sorted separator) along an elimination order, lazily.
+    """Yield (node, separator) along an elimination order, lazily.
 
     One symbolic pass over the elimination graph: a node's separator is its
     live neighbours when it goes, which then become a clique.  Along a given
@@ -163,7 +130,7 @@ def _elimination_plan(instance: EnergyInstance, order=None):
                 if u in adj and f == fill[u] and d == len(adj[u]):
                     break
         nbrs = adj.pop(u)
-        yield u, tuple(sorted(nbrs))
+        yield u, tuple(nbrs)
         touched = set(nbrs)
         for a in nbrs:  # the clique, with u still beside every neighbour
             adj_a = adj[a]
@@ -194,16 +161,21 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     """Exact minimum via bucket elimination along the given (or min-fill) order.
 
     The plan comes first: one symbolic pass gives every node's separator
-    along the order (min_fill_order's when none is given), and the first
-    separator, in order, with more than DEFAULT_ELIM_LIMIT label
-    combinations raises SolverError before any table is built.  The tables
-    then cover each node's domain: its finite-unary labels (node
-    consistency), or all its labels when finite_sum exceeds int64, so that
-    every partial sum the overflow rule checks is formed.  A node's unary
-    sits in its own bucket, so a label with an INF unary entry cannot
-    attain a finite minimum there, and dropping it changes no finite
-    value or argmin.  When the value is INF, elimination runs again over
-    every label, so that the labeling follows the tie-break below.
+    along the order, by default the min-fill order (fewest fill edges, then
+    fewest live neighbours, then smallest id), and the first separator, in
+    order, with more than DEFAULT_ELIM_LIMIT label combinations raises
+    SolverError before any table is built.  The tables are then built once,
+    over each node's domain: all its labels when finite_sum exceeds int64,
+    so that every partial sum the overflow rule checks is formed, and
+    otherwise its finite-unary labels (node consistency) and label 0.  INF
+    is coded as 2 * finite_sum + 1, so every value formed, a sum of entries
+    of distinct input factors, is its number of INF terms times that code
+    plus a finite part within +-finite_sum, and any value above finite_sum
+    reads as INF.  A node's unary sits in its own bucket, so a kept label 0
+    whose unary is INF never attains a finite minimum there: every
+    finite/INF decision and every finite argmin is the one over all labels,
+    and a bucket that is INF at every label takes label 0, as it would over
+    all labels.
 
     Each factor sits in the bucket of its scope's first node along the
     order (Dechter 1999), in creation order, as a flat row-major list over
@@ -225,17 +197,15 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     constant after the last bucket.  Going back through the order each node
     gets the first label that attains the minimum of its bucket sum at its
     separator's chosen labels (label 0 when every label costs INF), each
-    table giving one contiguous run since u is last in its scope.  A finite
-    bucket value lies within +-instance.finite_sum, being a sum of entries of distinct input
-    factors: INF is coded as 2 * finite_sum + 1, and any value above
-    finite_sum reads as INF.  A partial bucket sum of finite entries outside
-    the signed 64-bit range raises CostOverflowError, checked in bucket
-    order (every partial sum exactly when finite_sum exceeds int64, and then
-    no factor folds; otherwise none can leave that range); the value named
-    is the first out of range in the row order of the sorted separator with
-    u last, whatever order the joint's separator has.  ``stats`` come
-    from the plan over the instance's label counts, whatever the domains:
-    they hold ``max_separator`` (the most nodes in one separator) and
+    table giving one contiguous run since u is last in its scope.  A
+    partial bucket sum of finite entries outside the signed 64-bit range
+    raises CostOverflowError, checked in bucket order (every partial sum
+    exactly when finite_sum exceeds int64, and then no factor folds;
+    otherwise none can leave that range); the value named is the first out
+    of range in the row order of the sorted separator with u last, whatever
+    order the joint's separator has.  ``stats`` come from the plan over the
+    instance's label counts, whatever the domains: they hold
+    ``max_separator`` (the most nodes in one separator) and
     ``joint_entries`` (the joint entries summed over all buckets).
     """
     if order is not None and sorted(order) != sorted(instance.nodes):
@@ -263,15 +233,12 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
         axes[u] = (*sep, u)
     joints = [axes[u] for u, _ in plan]
 
-    every = {u: range(k) for u, k in labels.items()}
-    if instance.all_finite or instance.finite_sum > I64_MAX:
-        domains = every
+    if instance.finite_sum > I64_MAX:
+        domains = {u: range(k) for u, k in labels.items()}
     else:
-        domains = {u: [a for a, c in enumerate(row) if c is not INF]
+        domains = {u: [a for a, c in enumerate(row) if c is not INF or a == 0]
                    for u, row in instance.unary.items()}
     x, value = _eliminate(instance, joints, domains)
-    if value is INF and domains is not every:
-        x, value = _eliminate(instance, joints, every)
     return SolveResult(x, value, "elimination", True, stats=stats)
 
 
@@ -279,13 +246,11 @@ def _eliminate(instance: EnergyInstance, joints: list, domains: dict) -> tuple[L
     """solve_elimination's tables, messages and backward pass over domains.
 
     joints lists each bucket's joint axes along the order, its node last;
-    domains[u] lists the labels of u the tables cover, ascending; every
-    label it leaves out must have an INF unary entry.
+    domains[u] lists the labels of u the tables cover, ascending, label 0
+    always among them; every label it leaves out has an INF unary entry.
     """
-    # Every value formed below is a sum of entries of distinct input factors,
-    # so a finite one lies within +-finite_sum, and with INF encoded as
-    # 2 * finite_sum + 1 one holding an INF exceeds finite_sum.  A finite
-    # partial sum can leave int64 only if finite_sum does.
+    # A value above bound holds an INF term (see solve_elimination), and a
+    # finite partial sum can leave int64 only if finite_sum does.
     bound = instance.finite_sum
     inf = 2 * bound + 1
     check = bound > I64_MAX

@@ -9,7 +9,8 @@ per corpus.  `drawn/` holds small Potts files with circle-layout
 coordinates added, so they have no crossings; `shifted/` holds one
 submodular file with every node id moved up by 5; `solutions/` holds `mine
 solve` output on reduced instances, once with its `value` line left out
-and once as printed (`mine sigma` reads both).  `far/` holds a drawing
+and once as printed (`mine sigma` reads both), and planar-0's with its
+last auxiliary node labelled 7, outside its 3 labels.  `far/` holds a drawing
 with a coordinate beyond float range and one whose coordinates are in
 range but whose span is not.  `overflow/` holds a hand-written instance
 whose elimination leaves int64, and `grid/` a 6x6 3-label Potts grid.
@@ -34,7 +35,8 @@ sys.path.insert(0, str(HERE.parent))
 from test_golden import run_command  # noqa: E402
 
 from mine.cli import run_cli  # noqa: E402
-from mine.fileformat import parse_instance, serialize_instance  # noqa: E402
+from mine.fileformat import (parse_instance, parse_solution, serialize_instance,  # noqa: E402
+                             serialize_solution)
 from mine.geometry import circle_layout  # noqa: E402
 from mine.instance import make_instance  # noqa: E402
 from mine.solvers import BRUTE_LIMIT_ENV  # noqa: E402
@@ -139,6 +141,8 @@ COMMANDS = [
            "solutions/klabel-5.sol"),
     _sigma("klabel-other-node-ids", "shifted/5.mine", "klabel-5.json",
            "solutions/klabel-shifted-5.sol"),
+    _sigma("planar-aux-label-out-of-range", "crossed/0.mine", "planar-0.json",
+           "solutions/planar-0-aux-label.sol"),
     ["plot-crossed-0", "plot", "crossed/0.mine", "--out", "crossed-0.svg"],
     ["plot-crossed-1", "plot", "crossed/1.mine", "--out", "crossed-1.svg"],
     ["plot-drawn-50", "plot", "drawn/50.mine", "--out", "drawn-50.svg"],
@@ -233,6 +237,9 @@ def build_inputs(inputs: Path) -> None:
             (inputs / "solutions" / f"{name}.sol").write_text(
                 "".join(line for line in printed.splitlines(keepends=True)
                         if not line.startswith("value ")))
+    y, _ = parse_solution((inputs / "solutions/planar-0.sol").read_text())
+    y[max(y)] = 7
+    (inputs / "solutions/planar-0-aux-label.sol").write_text(serialize_solution(y))
 
 
 def build_manifest(inputs: Path) -> list[dict]:

@@ -5,8 +5,8 @@ every joint entry builds a dict context and pays one tuple key, one dict
 lookup and one ext_add per factor, and each separator is read off the
 bucket's scopes.  The solver must return an equal SolveResult (labeling,
 value, method, exact) with equal stats on every input and raise the same
-errors.  _reference_min_fill_order is the oracle for the order: it
-recomputes every live node's fill at every step.
+errors, with the same message.  _reference_min_fill_order is the oracle
+for the order: it recomputes every live node's fill at every step.
 """
 
 import math
@@ -23,13 +23,13 @@ from mine.costs import I64_MAX, I64_MIN, INF, CostOverflowError, ext_add
 from mine.generate import random_general
 from mine.instance import InstanceError, evaluate, make_instance
 from mine.solvers import (DEFAULT_ELIM_LIMIT, SolveResult, SolverError, _broadcast,
-                          adjacency, min_fill_order, solve_brute_force, solve_elimination,
+                          _elimination_plan, adjacency, solve_brute_force, solve_elimination,
                           solve_tree_dp)
 
 
 def _reference_elimination(instance, order=None):
     if order is None:
-        order = min_fill_order(instance)
+        order = _reference_min_fill_order(instance)
     if sorted(order) != sorted(instance.nodes):
         raise SolverError("elimination order must be a permutation of the nodes")
     width_limit = solvers.DEFAULT_ELIM_LIMIT  # read per call, as tests patch it
@@ -58,21 +58,24 @@ def _reference_elimination(instance, order=None):
             raise SolverError(f"separator size {size} exceeds elimination bound")
         max_separator = max(max_separator, len(sep))
         joint_entries += size * instance.labels[u]
+        # The bucket sum over every joint entry, in the row order of the
+        # sorted separator with u last, taken factor by factor across all
+        # entries: an overflow names the first entry out of range at the
+        # first factor that takes one out.
+        k = instance.labels[u]
+        joint = (*sep, u)
+        contexts = [dict(zip(joint, assign))
+                    for assign in product(*(range(instance.labels[w]) for w in joint))]
+        sums = [0] * len(contexts)
+        for scope, table in bucket:
+            sums = [ext_add(v, table[tuple(ctx[w] for w in scope)])
+                    for v, ctx in zip(sums, contexts)]
         message = {}
         argmin = {}
-        for sep_assign in product(*(range(instance.labels[w]) for w in sep)):
-            ctx = dict(zip(sep, sep_assign))
-            best = None
-            best_label = None
-            for a in range(instance.labels[u]):
-                ctx[u] = a
-                v = 0
-                for scope, table in bucket:
-                    v = ext_add(v, table[tuple(ctx[w] for w in scope)])
-                if best is None or v < best:
-                    best, best_label = v, a
-            message[sep_assign] = best
-            argmin[sep_assign] = best_label
+        for i, sep_assign in enumerate(product(*(range(instance.labels[w]) for w in sep))):
+            run = sums[i * k:(i + 1) * k]
+            message[sep_assign] = min(run)
+            argmin[sep_assign] = run.index(message[sep_assign])  # the first minimum
         factors.append((tuple(sep), message))
         eliminated.append((u, tuple(sep), argmin))
 
@@ -121,16 +124,17 @@ def _separators(instance, order):
 
 
 def _outcome(solve, instance, order=None):
+    """The SolveResult, or the error's type, and the error's message."""
     try:
-        return solve(instance, order)
+        return solve(instance, order), None
     except (SolverError, CostOverflowError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def assert_same(instance, order=None):
-    expected = _outcome(_reference_elimination, instance, order)
-    got = _outcome(solve_elimination, instance, order)
-    assert got == expected
+    expected, message = _outcome(_reference_elimination, instance, order)
+    got, got_message = _outcome(solve_elimination, instance, order)
+    assert (got, got_message) == (expected, message)
     if isinstance(expected, SolveResult):
         assert got.stats == expected.stats
     return expected
@@ -281,6 +285,28 @@ def test_inf_optimum_keeps_a_dropped_label_zero():
     for order in permutations(inst.nodes):
         result = assert_same(inst, list(order))
         assert result.value is INF and result.labeling[2] == 0
+
+
+def test_inf_valued_instances_whose_label_zero_unary_is_inf():
+    # Label 0 of about half the nodes has an INF unary entry, and the value
+    # is INF, in shuffled orders.  Label 0 stays in every domain, so each
+    # node whose bucket is INF at every label takes it, as over all labels;
+    # over the finite-unary labels alone such a node would take its first
+    # finite label.
+    rng = random.Random(29)
+    solved = zeros = 0
+    for seed in range(1200):
+        inst = random_general(f"inf-zero-{seed}", max_nodes=7, max_labels=4, inf_prob=0.4)
+        unary = {u: (INF, *row[1:]) if rng.random() < 0.5 and any(
+                     c is not INF for c in row[1:]) else row for u, row in inst.unary.items()}
+        inst = make_instance(inst.labels, unary, inst.pairwise, inst.constant)
+        order = list(inst.nodes)
+        rng.shuffle(order)
+        result = assert_same(inst, order)
+        if result.value is INF:
+            solved += 1
+            zeros += any(inst.unary[u][0] is INF and a == 0 for u, a in result.labeling.items())
+    assert solved > 300 and zeros > 100, (solved, zeros)
 
 
 def test_past_int64_every_label_stays_in_the_overflow_rule():
@@ -457,13 +483,16 @@ def _grids():
 
 
 def test_min_fill_order_equals_the_naive_reference(criterion5_outputs):
-    for seed in range(300):
-        inst = random_general(f"fill-{seed}", max_nodes=10, max_labels=3)
-        assert min_fill_order(inst) == _reference_min_fill_order(inst), seed
-    for out, _, _ in criterion5_outputs:
-        assert min_fill_order(out) == _reference_min_fill_order(out)
-    for inst in _grids():
-        assert min_fill_order(inst) == _reference_min_fill_order(inst)
+    # The plan's order, and each separator as a set: the plan yields it in
+    # no particular order.
+    corpus = [random_general(f"fill-{seed}", max_nodes=10, max_labels=3)
+              for seed in range(300)]
+    corpus += [out for out, _, _ in criterion5_outputs] + list(_grids())
+    for inst in corpus:
+        plan = list(_elimination_plan(inst))
+        order = _reference_min_fill_order(inst)
+        assert [u for u, _ in plan] == order
+        assert [sorted(sep) for _, sep in plan] == _separators(inst, order)
 
 
 def test_max_separator_equals_networkx_min_fill_width(criterion5_outputs):
@@ -481,7 +510,7 @@ def test_over_wide_separator_fails_before_any_table():
     # runs on the whole plan before any table, so neither builds one.
     inst = potts_grid(16, 3, 0)
     for order in [None, list(inst.nodes)]:
-        seps = _separators(inst, order or min_fill_order(inst))
+        seps = _separators(inst, order or [u for u, _ in _elimination_plan(inst)])
         first = next(3 ** len(sep) for sep in seps if 3 ** len(sep) > DEFAULT_ELIM_LIMIT)
         start = time.perf_counter()
         with pytest.raises(SolverError) as got:
@@ -659,7 +688,7 @@ def test_stats_on_a_three_by_three_grid():
     # 3, then 4, 5, 7 (2, 1, 0): 4 * 2**3 + 2 * 2**4 + 2**3 + 2**2 + 2**1
     # entries.
     inst = potts_grid(3, 2, 0)
-    assert min_fill_order(inst) == [0, 2, 6, 8, 1, 3, 4, 5, 7]
+    assert [u for u, _ in _elimination_plan(inst)] == [0, 2, 6, 8, 1, 3, 4, 5, 7]
     result = solve_elimination(inst)
     assert result.stats == {"max_separator": 3, "joint_entries": 78}
 

@@ -126,6 +126,26 @@ def test_sigma_infinite_restriction_falls_back():
     assert planar_sigma(inst, trace, {0: 2, 1: 1}) == {0: 2, 1: 1}
 
 
+@pytest.mark.parametrize("bad, message", [
+    (7, "label 7 out of range"), (-4, "label -4 out of range"), (3, "label 3 out of range"),
+    ("zz", "label 'zz' is not an int"), (1.0, "label 1.0 is not an int"),
+    ([1], r"label \[1\] is not an int")])
+def test_sigma_rejects_a_label_outside_three_on_any_node(bad, message):
+    # Every planarized node has 3 labels: an auxiliary node's bad label is
+    # rejected as an original node's is, naming the first bad node of y.
+    inst, d = x_instance()
+    _, _, trace = planarize(inst, d)
+    aux = trace.aux_nodes[-1]
+    y = dict.fromkeys(sorted(trace.target_nodes()), 1)
+    for node in (aux, inst.nodes[0]):
+        with pytest.raises(InstanceError, match=f"^node {node}: {message}$"):
+            planar_sigma(inst, trace, {**y, node: bad})
+    y[aux] = 9
+    with pytest.raises(InstanceError, match=f"^node {inst.nodes[0]}: {message}$"):
+        planar_sigma(inst, trace, {**y, inst.nodes[0]: bad})
+    assert planar_sigma(inst, trace, {**y, aux: True}) == {u: 1 for u in inst.nodes}
+
+
 def test_trace_round_trips_through_json():
     inst, d = x_instance()
     _, _, trace = planarize(inst, d)

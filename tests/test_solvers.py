@@ -15,10 +15,10 @@ from mine.fileformat import serialize_instance
 from mine.generate import (random_forest, random_general, random_potts,
                            random_submodular)
 from mine.instance import EnergyInstance, all_labelings, evaluate, make_instance
-from mine.solvers import (SolveResult, SolverError, _bk_max_flow, adjacency,
-                          alpha_expansion, is_forest, is_metric,
+from mine.solvers import (SolveResult, SolverError, _bk_max_flow, _elimination_plan,
+                          adjacency, alpha_expansion, is_forest, is_metric,
                           is_potts, is_submodular_binary, is_submodular_lattice,
-                          min_fill_order, solve_brute_force, solve_elimination,
+                          solve_brute_force, solve_elimination,
                           solve_submodular_qpbo, solve_tree_dp)
 
 
@@ -97,7 +97,7 @@ def test_elimination_respects_explicit_order():
 
 def test_min_fill_order_is_permutation():
     inst = random_general("order", max_nodes=6)
-    assert sorted(min_fill_order(inst)) == sorted(inst.nodes)
+    assert sorted(u for u, _ in _elimination_plan(inst)) == sorted(inst.nodes)
 
 
 # --- graph structure ----------------------------------------------------
