@@ -12,7 +12,9 @@ digits (MAX_DIGITS; a sign is not a digit, a leading zero is): the
 underscores and non-ASCII digits int() also reads are a ParseError, and so
 is a longer token, whatever sys.get_int_max_str_digits() allows, and a
 cost or weight outside signed 64-bit range, at its line.  Each part of a
-coordinate obeys the same length.
+coordinate obeys the same length.  A record a file holds at most once
+(nodes, ids, labels and constant; p and w; energy or value) is a
+ParseError at its second copy.
 
 Whether a text holds an underscore or a non-ASCII character is decided
 once per text; without either, int() alone checks a token.  The unary and
@@ -173,6 +175,7 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
     ids: list[int] | None = None
     label_counts: list[int] | None = None
     constant = 0
+    seen = set()  # the records read so far of those a file holds at most once
     coords: dict[int, Point] = {}
     # Unary and edge records are set aside in the loop and converted after
     # it, a whole table at a time; on a bad file _check_records names the
@@ -195,6 +198,10 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
                 unary_records.append(record)
                 continue
             line_no, tokens = record
+            if kw in ("nodes", "ids", "labels", "constant"):
+                if kw in seen:
+                    raise ParseError(line_no, f"duplicate {kw} record")
+                seen.add(kw)
             if kw == "nodes":
                 if len(tokens) != 2:
                     raise ParseError(line_no, "nodes takes one count")
@@ -315,12 +322,16 @@ def parse_wcnf3(text: str) -> W3SatTriv:
     last, records = _records(text, "c")
     for line_no, tokens in records:
         if tokens[0] == "p":
+            if n is not None:
+                raise ParseError(line_no, "duplicate problem line")
             if len(tokens) != 4 or tokens[1] != "wcnf3":
                 raise ParseError(line_no, "expected 'p wcnf3 <vars> <clauses>'")
             n, m = _ints(tokens[2:], line_no, strict)
         elif tokens[0] == "w":
             if n is None:
                 raise ParseError(line_no, "weight line before problem line")
+            if weights is not None:
+                raise ParseError(line_no, "duplicate weight line")
             weights = _ints(tokens[1:], line_no, strict)
             if len(weights) != n:
                 raise ParseError(line_no, f"expected {n} weights, got {len(weights)}")
@@ -361,6 +372,8 @@ def parse_solution(text: str) -> tuple[Labeling, Cost | None]:
     energy = None
     for line_no, tokens in _records(text, "#")[1]:
         if tokens[0] in ("energy", "value"):  # `mine solve` prints "value"
+            if energy is not None:
+                raise ParseError(line_no, "duplicate energy or value record")
             if len(tokens) != 2:
                 raise ParseError(line_no, f"{tokens[0]} takes one value")
             energy = _costs(tokens[1:], line_no, strict)[0]

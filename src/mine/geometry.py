@@ -99,18 +99,17 @@ def _integer_coords(instance: EnergyInstance, d: Drawing) -> tuple[dict[int, tup
     return {u: _scaled(p, den) for u, p in coords.items()}, den
 
 
-def _pair_scan(instance: EnergyInstance, d: Drawing) -> list[tuple[int, int, Point | None]]:
+def _pair_scan(instance: EnergyInstance, pts: dict[int, tuple[int, int]],
+               den: int) -> list[tuple[int, int, Point | None]]:
     """(i, j, point) for every pair of edges i < j that share no endpoint but meet.
 
     point is the proper crossing point of the open segments (touching at an
     endpoint is not proper), or None for a collinear overlap; pairs come in
-    lexicographic edge order.  All of it is computed on integers: the
-    coordinates are scaled by one common denominator, edges are swept by
-    the left end of their bounding boxes, and pairs whose boxes are
-    strictly disjoint (which can neither cross nor overlap) are never
-    tested.
+    lexicographic edge order.  All of it is computed on integers: pts and
+    den are the drawing's _integer_coords, edges are swept by the left end
+    of their bounding boxes, and pairs whose boxes are strictly disjoint
+    (which can neither cross nor overlap) are never tested.
     """
-    pts, den = _integer_coords(instance, d)
     segs = []
     for (u, v) in instance.edges:
         (x1, y1), (x2, y2) = pts[u], pts[v]
@@ -161,7 +160,7 @@ def list_crossings(instance: EnergyInstance, d: Drawing) -> list[Crossing]:
     """
     edges = instance.edges
     out = []
-    for i, j, p in _pair_scan(instance, d):
+    for i, j, p in _pair_scan(instance, *_integer_coords(instance, d)):
         if p is None:
             raise GeneralPositionError("collinear overlapping segments")
         out.append(Crossing(edges[i], edges[j], p))
@@ -189,7 +188,7 @@ def _position_and_crossings(instance: EnergyInstance,
 
     When there are no violations the crossings are list_crossings(instance, d).
     """
-    pts, _ = _integer_coords(instance, d)
+    pts, den = _integer_coords(instance, d)
     by_x = sorted((pts[w][0], k) for k, w in enumerate(instance.nodes))
     xs = [x for x, _ in by_x]
     violations = []
@@ -208,7 +207,7 @@ def _position_and_crossings(instance: EnergyInstance,
     edges = instance.edges
     crossings = []
     point_to_edges: dict[Point, set] = {}
-    for i, j, p in _pair_scan(instance, d):
+    for i, j, p in _pair_scan(instance, pts, den):
         if p is None:
             violations.append(PositionViolation("collinear-overlap", (edges[i], edges[j])))
         else:

@@ -22,8 +22,9 @@ label is known not to improve its labeling.
 
 Costs stay exact everywhere, and a partial sum of finite costs that
 leaves the signed 64-bit range raises CostOverflowError.  Elimination
-plans every separator first and then builds flat tables in one pass;
-solve_elimination states its contract.
+plans every separator first, fixes each bucket's joint axes and the
+bucket its message joins in one pass back over the plan, and then builds
+flat tables in one pass; solve_elimination states its contract.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _elimination_plan(instance: EnergyInstance, order=None):
                     break
         nbrs = adj.pop(u)
         yield u, tuple(nbrs)
-        touched = set(nbrs)
+        touched = set(nbrs) if fill is not None else None
         for a in nbrs:  # the clique, with u still beside every neighbour
             adj_a = adj[a]
             for b in nbrs - adj_a:
@@ -177,85 +178,77 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     and a bucket that is INF at every label takes label 0, as it would over
     all labels.
 
-    Each factor sits in the bucket of its scope's first node along the
-    order (Dechter 1999), in creation order, as a flat row-major list over
-    its scope's domains in that bucket's axis order.  A bucket's joint
-    scope is its separator, in the order of the joint its message goes to
-    (fixed by one pass back over the plan), then u last and fastest; an
-    edge's scope puts its bucket's node last, and a message's scope is its
-    joint less u.  So every scope in a bucket is an ordered subsequence of
-    the joint, and of any scope there that contains it, and broadcasting
+    Each factor sits in the bucket of its scope's first node along the order
+    (Dechter 1999), in creation order, as a flat row-major list over its
+    scope's domains in that bucket's axis order.  One pass back over the
+    plan fixes each bucket's consumer, the bucket of its separator's first
+    node along the order, which its message joins, and its joint scope: its
+    separator in the order of the consumer's joint, then u last and fastest.
+    An edge's scope puts its bucket's node last, and a message's scope is
+    its joint less u.  So every scope in a bucket is an ordered subsequence
+    of the joint, and of any scope there that contains it, and broadcasting
     never moves an axis.  While finite_sum fits in int64, each factor of a
     bucket whose scope lies inside a larger factor's is first added into
     that factor, broadcast to its scope, and the folded tables replace the
     bucket's entries, so that fewer tables reach the joint and the backward
     pass slices fewer, with the same totals.  The bucket of node u is summed
     over its joint scope, each factor broadcast to it by list repetition;
-    each message entry is the minimum of one run of u's domain in the
-    joint, taken by k - 1 compare-select passes over the slices of the
-    joint at each of u's k labels, and the empty-scope messages join the
-    constant after the last bucket.  Going back through the order each node
-    gets the first label that attains the minimum of its bucket sum at its
-    separator's chosen labels (label 0 when every label costs INF), each
-    table giving one contiguous run since u is last in its scope.  A
-    partial bucket sum of finite entries outside the signed 64-bit range
-    raises CostOverflowError, checked in bucket order (every partial sum
-    exactly when finite_sum exceeds int64, and then no factor folds;
-    otherwise none can leave that range); the value named is the first out
-    of range in the row order of the sorted separator with u last, whatever
-    order the joint's separator has.  ``stats`` come from the plan over the
-    instance's label counts, whatever the domains: they hold
-    ``max_separator`` (the most nodes in one separator) and
-    ``joint_entries`` (the joint entries summed over all buckets).
+    each message entry is the minimum of one run of u's domain in the joint,
+    taken by k - 1 compare-select passes over the slices of the joint at
+    each of u's k labels, and the empty-scope messages join the constant
+    after the last bucket, so a bucket's overflow is raised before any of
+    theirs.  Going back through the order each node gets the first label
+    that attains the minimum of its bucket sum at its separator's chosen
+    labels (label 0 when every label costs INF), each table giving one
+    contiguous run since u is last in its scope.  A partial bucket sum of
+    finite entries outside the signed 64-bit range raises CostOverflowError,
+    checked in bucket order (every partial sum exactly when finite_sum
+    exceeds int64, and then no factor folds; otherwise none can leave that
+    range); the value named is the first out of range in the row order of
+    the sorted separator with u last, whatever order the joint's separator
+    has.  ``stats`` come from the plan over the instance's label counts,
+    whatever the domains: they hold ``max_separator`` (the most nodes in one
+    separator) and ``joint_entries`` (the joint entries summed over all
+    buckets).
     """
     if order is not None and sorted(order) != sorted(instance.nodes):
         raise SolverError("elimination order must be a permutation of the nodes")
     labels = instance.labels
     plan = []  # (node, separator)
+    position = {}  # each node's place in the plan
     max_separator = joint_entries = 0
     for u, sep in _elimination_plan(instance, order):
         size = math.prod(labels[w] for w in sep)
         if size > DEFAULT_ELIM_LIMIT:
             raise SolverError(f"separator size {size} exceeds elimination bound")
+        position[u] = len(plan)
         plan.append((u, sep))
         max_separator = max(max_separator, len(sep))
         joint_entries += size * labels[u]
     stats = {"max_separator": max_separator, "joint_entries": joint_entries}
 
-    # Each bucket's joint axes, fixed back to front: its separator in the
-    # order of the joint its message goes to, its first separator node's
-    # along the order, then its own node.
-    position = {u: p for p, (u, _) in enumerate(plan)}
-    axes = {}
-    for u, sep in reversed(plan):
-        if len(sep) > 1:
-            sep = [w for w in axes[min(sep, key=position.get)] if w in sep]
-        axes[u] = (*sep, u)
-    joints = [axes[u] for u, _ in plan]
+    # Back to front, each bucket's consumer and joint axes.
+    joints = [None] * len(plan)
+    consumers = [None] * len(plan)
+    for i in reversed(range(len(plan))):
+        u, sep = plan[i]
+        if sep:
+            consumers[i] = c = min(map(position.get, sep))
+            if len(sep) > 1:
+                sep = [w for w in joints[c] if w in sep]
+        joints[i] = (*sep, u)
 
     if instance.finite_sum > I64_MAX:
         domains = {u: range(k) for u, k in labels.items()}
     else:
         domains = {u: [a for a, c in enumerate(row) if c is not INF or a == 0]
                    for u, row in instance.unary.items()}
-    x, value = _eliminate(instance, joints, domains)
-    return SolveResult(x, value, "elimination", True, stats=stats)
-
-
-def _eliminate(instance: EnergyInstance, joints: list, domains: dict) -> tuple[Labeling, Cost]:
-    """solve_elimination's tables, messages and backward pass over domains.
-
-    joints lists each bucket's joint axes along the order, its node last;
-    domains[u] lists the labels of u the tables cover, ascending, label 0
-    always among them; every label it leaves out has an INF unary entry.
-    """
-    # A value above bound holds an INF term (see solve_elimination), and a
-    # finite partial sum can leave int64 only if finite_sum does.
+    sizes = {u: len(dom) for u, dom in domains.items()}
+    # A value above bound holds an INF term, and a finite partial sum can
+    # leave int64 only if finite_sum does.
     bound = instance.finite_sum
     inf = 2 * bound + 1
     check = bound > I64_MAX
-    labels = instance.labels
-    sizes = {u: len(dom) for u, dom in domains.items()}
 
     def restrict(row, u):
         dom = domains[u]
@@ -265,8 +258,7 @@ def _eliminate(instance: EnergyInstance, joints: list, domains: dict) -> tuple[L
         return list(entries) if instance.all_finite else [inf if c is INF else c
                                                           for c in entries]
 
-    position = {joint[-1]: p for p, joint in enumerate(joints)}
-    buckets = [[] for _ in joints]  # (scope, flat table) per node along the plan
+    buckets = [[] for _ in plan]  # (scope, flat table) per node along the plan
     for u in instance.nodes:
         buckets[position[u]].append(((u,), coded(restrict(instance.unary[u], u))))
     for e in instance.edges:  # scope (other node, bucket node)
@@ -293,11 +285,10 @@ def _eliminate(instance: EnergyInstance, joints: list, domains: dict) -> tuple[L
         message = acc[::k] if k > 1 else acc
         for a in range(1, k):
             message = [m if m <= c else c for m, c in zip(message, acc[a::k])]
-        sep = joint[:-1]
-        if sep:
-            buckets[min(map(position.get, sep))].append((sep, message))
-        else:
+        if consumers[i] is None:
             constants.append(message[0])
+        else:
+            buckets[consumers[i]].append((joint[:-1], message))
     value: Cost = instance.constant
     for c in constants:
         value = ext_add(value, INF if c > bound else c)
@@ -322,7 +313,7 @@ def _eliminate(instance: EnergyInstance, joints: list, domains: dict) -> tuple[L
         best = min(total)
         index[u] = 0 if best > bound else total.index(best)
         x[u] = domains[u][index[u]]
-    return x, value
+    return SolveResult(x, value, "elimination", True, stats=stats)
 
 
 def _check_partial_sums(acc: list, joint: tuple, sizes, bound: int) -> None:

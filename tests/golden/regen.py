@@ -13,7 +13,8 @@ and once as printed (`mine sigma` reads both), and planar-0's with its
 last auxiliary node labelled 7, outside its 3 labels.  `far/` holds a drawing
 with a coordinate beyond float range and one whose coordinates are in
 range but whose span is not.  `overflow/` holds a hand-written instance
-whose elimination leaves int64, and `grid/` a 6x6 3-label Potts grid.
+whose elimination leaves int64, `grid/` a 6x6 3-label Potts grid, and
+`repeated/` an instance with two constant records.
 Every command in COMMANDS then runs in order in a scratch copy of the
 inputs, and manifest.json records what `tests/test_golden.py::run_command`
 saw.
@@ -51,6 +52,7 @@ GEN = [
 ]
 MALFORMED_MINE = "MINE 1\nnodes 1\nlabels 2\nunary 0 0 x\n"
 MALFORMED_WCNF3 = "p wcnf3 3 1\nw 1 1\n1 2 3 0\n"
+REPEATED_MINE = "MINE 1\nnodes 1\nlabels 2\nconstant 3\nconstant 9\nunary 0 0 1\n"
 UNKNOWN_TRACE = '{"aux_nodes": [], "kind": "mystery", "original_nodes": [0, 1]}\n'
 FAR_MINE = f"MINE 1\nnodes 2\nlabels 2 2\ncoord 0 0 0\ncoord 1 {'9' * 400} 1\nedge 0 1 0 1 1 0\n"
 # Each coordinate converts to a float, but their span (2 * 10^308) does not.
@@ -172,6 +174,7 @@ COMMANDS = [
     *([f"gen-{family}-{seed}", "gen", "--family", family, "--seed", seed,
        "--out", f"gen-{family}-{seed}.txt"]
       for family in GEN_FAMILIES for seed in ("1", "2", "3")),
+    ["solve-repeated-constant", "solve", "repeated/0.mine", "--method", "brute"],
 ]
 
 
@@ -217,7 +220,8 @@ def build_inputs(inputs: Path) -> None:
                           ("traces", {"unknown.json": UNKNOWN_TRACE, "list.json": "[]\n"}),
                           ("far", {"0.mine": FAR_MINE, "1.mine": WIDE_MINE}),
                           ("overflow", {"0.mine": OVERFLOW_MINE}),
-                          ("grid", {"6x6.mine": _potts_grid_text(6, 3, 6)})]:
+                          ("grid", {"6x6.mine": _potts_grid_text(6, 3, 6)}),
+                          ("repeated", {"0.mine": REPEATED_MINE})]:
         (inputs / corpus).mkdir()
         for name, text in files.items():
             (inputs / corpus / name).write_text(text)

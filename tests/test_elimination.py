@@ -600,10 +600,15 @@ def test_a_bucket_overflow_is_raised_before_the_constant_chain_overflows():
     # constant only after the last bucket.
     inst = make_instance({0: 2, 1: 2, 2: 1}, {0: (2**62, 0), 2: (-1,)},
                          {(0, 1): ((2**62, 0), (0, 0))}, constant=I64_MIN)
+    # With the constant 0, nodes 2 and 3 go first and their messages alone,
+    # I64_MAX and 5, sum to 2^63 + 4, before node 0's bucket reaches 2^63.
+    constants = make_instance({0: 2, 1: 2, 2: 1, 3: 1}, {0: (2**62, 0), 2: (I64_MAX,), 3: (5,)},
+                              {(0, 1): ((2**62, 0), (0, 0))})
     message = "cost 9223372036854775808 outside signed 64-bit range"
-    for solve in (_reference_elimination, solve_elimination):
-        with pytest.raises(CostOverflowError, match=message):
-            solve(inst, [2, 0, 1])
+    for inst, order in ((inst, [2, 0, 1]), (constants, [2, 3, 0, 1])):
+        for solve in (_reference_elimination, solve_elimination):
+            with pytest.raises(CostOverflowError, match=message):
+                solve(inst, order)
 
 
 def test_overflow_names_the_first_entry_in_sorted_separator_order():

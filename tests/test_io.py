@@ -216,6 +216,28 @@ def test_solution_rejects_duplicates():
         parse_solution("0 1\n0 0\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_instance, "MINE 1\nnodes 1\nnodes 1\nlabels 2\n", "line 3: duplicate nodes record"),
+    (parse_instance, "MINE 1\nnodes 1\nids 4\nlabels 2\nids 4\n",
+     "line 5: duplicate ids record"),
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\nlabels 3\n", "line 4: duplicate labels record"),
+    (parse_instance, "MINE 1\nnodes 1\nlabels 2\nconstant 3\nconstant 9\nunary 0 0 1\n",
+     "line 5: duplicate constant record"),
+    (parse_wcnf3, "p wcnf3 3 1\np wcnf3 3 1\nw 1 2 3\n1 -2 3 0\n",
+     "line 2: duplicate problem line"),
+    (parse_wcnf3, "p wcnf3 3 1\nw 1 2 3\n1 -2 3 0\nw 4 5 6\n", "line 4: duplicate weight line"),
+    (parse_solution, "0 1\nenergy 5\nvalue 7\n", "line 3: duplicate energy or value record"),
+    (parse_solution, "value INF\n0 1\nvalue INF\n", "line 3: duplicate energy or value record"),
+], ids=["nodes", "ids", "labels", "constant", "wcnf3-p", "wcnf3-w", "energy-value",
+        "value-value"])
+def test_a_record_read_once_is_a_parse_error_when_repeated(parse, text, message):
+    # Each of these records holds one fact of the file; a second copy is an
+    # error at its own line, never a silent replacement of the first.
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_trace_text_round_trip():
     inst = random_qpbo("trace-io", max_nodes=4)
     _, trace = qpbo_to_klabel(inst, 3)

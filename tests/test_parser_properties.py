@@ -307,6 +307,7 @@ def _reference_parse_instance(text):
     unary = {}
     coords = {}
     edges = []
+    singletons = set()
     header_seen = False
 
     for line_no, raw in enumerate(lines, start=1):
@@ -320,6 +321,10 @@ def _reference_parse_instance(text):
             header_seen = True
             continue
         kw, rest = tokens[0], tokens[1:]
+        if kw in ("nodes", "ids", "labels", "constant"):
+            if kw in singletons:
+                raise ParseError(line_no, f"duplicate {kw} record")
+            singletons.add(kw)
         if kw == "nodes":
             if len(rest) != 1:
                 raise ParseError(line_no, "nodes takes one count")
@@ -412,12 +417,16 @@ def _reference_parse_wcnf3(text):
             continue
         tokens = line.split()
         if tokens[0] == "p":
+            if n is not None:
+                raise ParseError(line_no, "duplicate problem line")
             if len(tokens) != 4 or tokens[1] != "wcnf3":
                 raise ParseError(line_no, "expected 'p wcnf3 <vars> <clauses>'")
             n, m = _reference_ints(tokens[2:], line_no)
         elif tokens[0] == "w":
             if n is None:
                 raise ParseError(line_no, "weight line before problem line")
+            if weights is not None:
+                raise ParseError(line_no, "duplicate weight line")
             weights = _reference_ints(tokens[1:], line_no)
             if len(weights) != n:
                 raise ParseError(line_no, f"expected {n} weights, got {len(weights)}")
@@ -454,6 +463,8 @@ def _reference_parse_solution(text):
             continue
         tokens = line.split()
         if tokens[0] in ("energy", "value"):
+            if energy is not None:
+                raise ParseError(line_no, "duplicate energy or value record")
             if len(tokens) != 2:
                 raise ParseError(line_no, f"{tokens[0]} takes one value")
             energy = _reference_cost_token(tokens[1], line_no)
@@ -665,12 +676,15 @@ _HEAD = "MINE 1\nnodes 3\nlabels 2 2 2\n"
     ("edge 0 9 0 0 0 0\nedge 0 1 0 0 0 0\nedge 1 0 0 0 0 0\n",
      "line 6: edge (0, 9) references unknown node"),
     ("edge 2 2 0 0 0 0\nedge 2 2 0 0 0 0\n", "line 5: duplicate edge (2, 2)"),
+    ("unary 0 x 0\nconstant 1\nconstant 2\n", "line 4: expected integer or INF, got 'x'"),
+    ("constant 1\nconstant 2\nunary 0 x 0\n", "line 5: duplicate constant record"),
 ], ids=["token-before-record", "record-before-token", "short-edge-before-token",
         "token-before-short-edge", "edge-id-before-duplicate-unary",
         "duplicate-unary-before-token", "range-before-labels", "duplicate-before-nodes",
         "unknown-unary-before-length", "length-before-unknown-unary",
         "edge-length-before-duplicate", "duplicate-before-edge-length",
-        "duplicate-before-unknown", "unknown-before-duplicate", "self-loop-twice"])
+        "duplicate-before-unknown", "unknown-before-duplicate", "self-loop-twice",
+        "token-before-repeated-constant", "repeated-constant-before-token"])
 def test_the_first_defect_in_file_order_is_reported(body, message):
     # Unary and edge records are converted a whole table at a time after the
     # other records; the error is still the one a per-record reading meets

@@ -248,9 +248,9 @@ def test_planarize_scans_the_source_once(monkeypatch):
     calls = []
     scan = geometry._pair_scan
 
-    def counted(instance, d):
+    def counted(instance, pts, den):
         calls.append(len(instance.nodes))
-        return scan(instance, d)
+        return scan(instance, pts, den)
 
     monkeypatch.setattr(geometry, "_pair_scan", counted)
     inst, d = two_x_instance()

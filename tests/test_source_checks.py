@@ -53,6 +53,19 @@ def test_every_definition_in_package_is_named_elsewhere():
     assert unnamed == []
 
 
+def test_every_private_definition_is_named_in_the_package():
+    # Tests name private helpers too (they spy on some), so a private function
+    # or class must also be named by the package itself, or it has lost its
+    # last production caller.
+    defined, named = [], Counter()
+    for path in sorted(Path(mine.__file__).parent.rglob("*.py")):
+        names, tokens = _names(path)
+        named.update(tokens)
+        defined += [f"{path.name}:{name}" for name in names
+                    if name.startswith("_") and not name.endswith("__")]
+    assert [where for where in defined if not named[where.partition(":")[2]]] == []
+
+
 def test_package_init_files_import_nothing():
     # Each name is imported from the module that defines it: no __init__.py
     # re-exports, and none defines a name other than __version__.
