@@ -18,9 +18,12 @@ ParseError at its second copy.
 
 Whether a text holds an underscore or a non-ASCII character is decided
 once per text; without either, int() alone checks a token.  The unary and
-edge records of an instance are converted a whole table at a time after
-the other records, and a bad table is read again record by record only
-to name its first bad record.
+edge records of an instance are read after the other records: each
+distinct node id or cost token is converted and range-checked once per
+call, equal tables (the same cost tokens and row width) and equal unary
+rows are one shared immutable tuple, and nothing is kept across calls.
+A bad table is read again record by record only to name its first bad
+record.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import itemgetter, mul
 
 from .costs import I64_MAX, I64_MIN, INF, Cost
@@ -122,30 +125,38 @@ def _frac_token(tok: str, line_no: int) -> Fraction:
     raise ParseError(line_no, f"expected int or int/int, got {tok!r}")
 
 
-def _table(records: list, ends: int, strict: bool):
-    """The node ids and costs of unary (ends = 1) or edge (ends = 2)
-    records, converted a whole table at a time: one list of ids per end,
-    every record's costs in one list, and each record's cost count.  None
-    if a record is short, a token is bad or a unary node repeats."""
-    tokens = list(map(itemgetter(1), records))
-    if min(map(len, tokens), default=ends + 2) < ends + 2:
+def _read_tables(unary: list[list[str]], edges: list[list[str]], strict: bool):
+    """The node ids of the unary and edge records, one list per end; each
+    record's cost tokens as a tuple; and each distinct id or cost token's
+    value, converted and checked once.  None if a record is short, a token
+    is bad or a unary node repeats."""
+    if min(map(len, unary), default=3) < 3 or min(map(len, edges), default=4) < 4:
         return None
-    ids = [_int_values(list(map(itemgetter(i), tokens)), strict) for i in range(1, ends + 1)]
-    if None in ids or ends == 1 and len(set(ids[0])) != len(ids[0]):
+    rows = [list(map(tuple, map(itemgetter(slice(first, None)), records)))
+            for first, records in ((2, unary), (3, edges))]
+    ends = [list(map(itemgetter(1), unary)), list(map(itemgetter(1), edges)),
+            list(map(itemgetter(2), edges))]
+    costs = set(chain.from_iterable(set(rows[0]).union(rows[1])))
+    ids = set(chain.from_iterable(ends))
+    if "INF" in ids:  # an id token that is also a cost token is converted as a cost
         return None
-    entries = list(map(itemgetter(slice(ends + 1, None)), tokens))
-    costs = _cost_values(list(chain.from_iterable(entries)), strict)
-    if costs is None:
+    costs, ids = list(costs), list(ids.difference(costs))
+    cost_values, id_values = _cost_values(costs, strict), _int_values(ids, strict)
+    if cost_values is None or id_values is None:
         return None
-    return ids, costs, list(map(len, entries))
+    values = dict(zip(costs + ids, cost_values + id_values))
+    ends = [list(map(values.__getitem__, end)) for end in ends]
+    if len(set(ends[0])) != len(ends[0]):
+        return None
+    return ends, rows, values
 
 
-def _check_records(records: list, strict: bool) -> None:
+def _check_records(lines: list[list[str]], strict: bool) -> None:
     """Raise the ParseError of the first bad one of the unary and edge
-    records, in line order: a short record, a bad node id, a repeated unary
-    node or a bad cost."""
+    records among the lines' tokens, in line order: a short record, a bad
+    node id, a repeated unary node or a bad cost."""
     unary = set()
-    for line_no, (kw, *rest) in records:
+    for line_no, (kw, *rest) in filter(itemgetter(1), enumerate(lines, start=1)):
         if kw == "unary":
             if len(rest) < 2:
                 raise ParseError(line_no, "unary needs a node id and entries")
@@ -154,19 +165,11 @@ def _check_records(records: list, strict: bool) -> None:
                 raise ParseError(line_no, f"duplicate unary record for node {u}")
             unary.add(u)
             _costs(rest[1:], line_no, strict)
-        else:
+        elif kw == "edge":
             if len(rest) < 3:
                 raise ParseError(line_no, "edge needs two node ids and entries")
             _ints(rest[:2], line_no, strict)
             _costs(rest[2:], line_no, strict)
-
-
-def _split(values: list, sizes: list[int]) -> list[tuple]:
-    """values cut into consecutive tuples of the given sizes."""
-    if sizes and sizes.count(sizes[0]) == len(sizes):
-        return list(zip(*[iter(values)] * sizes[0]))
-    values = iter(values)
-    return [tuple(islice(values, k)) for k in sizes]
 
 
 def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
@@ -177,27 +180,33 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
     constant = 0
     seen = set()  # the records read so far of those a file holds at most once
     coords: dict[int, Point] = {}
-    # Unary and edge records are set aside in the loop and converted after
-    # it, a whole table at a time; on a bad file _check_records names the
-    # first bad one, in line order with the other records' errors.
-    unary_records: list[tuple[int, list[str]]] = []
-    edge_records: list[tuple[int, list[str]]] = []
+    # The tokens of unary and edge records are set aside in the loop and
+    # read after it, each distinct token and table once; on a bad file
+    # _check_records names the first bad record, in line order with the
+    # other records' errors.
+    unary_tokens: list[list[str]] = []
+    edge_tokens: list[list[str]] = []
 
-    last, records = _records(text, "#")
-    if not records:
+    lines = list(map(str.split, text.splitlines()))
+    last = len(lines)
+    head = next((i for i, tokens in enumerate(lines) if tokens and tokens[0][0] != "#"), last)
+    if head == last:
         raise ParseError(1, "missing header 'MINE 1'")
-    if records[0][1] != ["MINE", "1"]:
-        raise ParseError(records[0][0], "expected header 'MINE 1'")
+    if lines[head] != ["MINE", "1"]:
+        raise ParseError(head + 1, "expected header 'MINE 1'")
     try:
-        for record in islice(records, 1, None):
-            kw = record[1][0]
+        for line_no, tokens in enumerate(islice(lines, head + 1, None), start=head + 2):
+            if not tokens:
+                continue
+            kw = tokens[0]
             if kw == "edge":
-                edge_records.append(record)
+                edge_tokens.append(tokens)
                 continue
             if kw == "unary":
-                unary_records.append(record)
+                unary_tokens.append(tokens)
                 continue
-            line_no, tokens = record
+            if kw[0] == "#":
+                continue
             if kw in ("nodes", "ids", "labels", "constant"):
                 if kw in seen:
                     raise ParseError(line_no, f"duplicate {kw} record")
@@ -230,13 +239,14 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
                 coords[u] = (_frac_token(tokens[2], line_no), _frac_token(tokens[3], line_no))
             else:
                 raise ParseError(line_no, f"unknown record {kw!r}")
-    except ParseError:
-        _check_records(sorted(unary_records + edge_records), strict)  # an earlier one wins
+    except ParseError as exc:  # an earlier bad table record wins
+        _check_records(lines[:exc.line_no], strict)
         raise
-    unary_table = _table(unary_records, 1, strict)
-    edge_table = _table(edge_records, 2, strict)
-    if unary_table is None or edge_table is None:
-        _check_records(sorted(unary_records + edge_records), strict)
+    read = _read_tables(unary_tokens, edge_tokens, strict)
+    if read is None:
+        _check_records(lines, strict)
+    (nodes, us, vs), (unary_rows, edge_rows), values = read
+    cost = values.__getitem__
 
     if n is None:
         raise ParseError(last, "missing 'nodes' record")
@@ -250,20 +260,20 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
         raise ParseError(last, "ids must list exactly the declared node count, no repeats")
 
     labels = dict(zip(ids, label_counts))
-    (nodes,), costs, sizes = unary_table
+    sizes = list(map(len, unary_rows))
     if not (labels.keys() >= set(nodes) and sizes == list(map(labels.__getitem__, nodes))):
         for u, size in zip(nodes, sizes):
             if u not in labels:
                 raise ParseError(last, f"unary record for unknown node {u}")
             if size != labels[u]:
                 raise ParseError(last, f"node {u}: unary has {size} entries, expected {labels[u]}")
-    unary = dict(zip(nodes, _split(costs, sizes)))
+    row_values = {row: tuple(map(cost, row)) for row in set(unary_rows)}  # equal rows: one tuple
+    unary = dict(zip(nodes, map(row_values.__getitem__, unary_rows)))
     for u in coords:
         if u not in labels:
             raise ParseError(last, f"coord record for unknown node {u}")
 
-    (us, vs), costs, sizes = edge_table
-    ends = list(zip(us, vs))
+    ends, sizes = list(zip(us, vs)), list(map(len, edge_rows))
     pairs = set(ends)
     if not (labels.keys() >= set(us) and labels.keys() >= set(vs) and len(pairs) == len(ends)
             and pairs.isdisjoint(zip(vs, us))
@@ -278,14 +288,12 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
             if (u, v) in pairs or (v, u) in pairs:
                 raise ParseError(last, f"duplicate edge ({u}, {v})")
             pairs.add((u, v))
-    heights, widths = list(map(labels.__getitem__, us)), list(map(labels.__getitem__, vs))
-    if min(label_counts, default=1) > 0:
-        rows = _split(costs, list(chain.from_iterable(map(repeat, widths, heights))))
-        tables = _split(rows, heights)
-    else:  # construction rejects a count below 1; cut each record as one at a time would
-        tables = [tuple(flat[i:i + kv] for i in range(0, len(flat), kv))
-                  for flat, kv in zip(_split(costs, sizes), widths)]
-    pairwise = dict(zip(ends, tables))
+    # Each distinct (cost tokens, row width) becomes one k_u x k_v table,
+    # shared by every edge that writes it.  A width below 1 gives (), as
+    # cutting the record row by row would; construction rejects it.
+    keys = list(zip(edge_rows, map(labels.__getitem__, vs)))
+    tables = {key: tuple(zip(*[map(cost, key[0])] * key[1])) for key in set(keys)}
+    pairwise = dict(zip(ends, map(tables.__getitem__, keys)))
 
     instance = make_instance(labels, unary, pairwise, constant)
     drawing = None

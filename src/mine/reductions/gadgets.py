@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..costs import INF, Cost
-from ..instance import EnergyInstance, orient_edge
+from ..instance import orient_edge
 
 ZERO = 0
 
@@ -65,9 +65,6 @@ class GadgetFragment:
 
     unary: dict[int, tuple[Cost, ...]] = field(default_factory=dict)
     pairwise: dict[tuple[int, int], tuple[tuple[Cost, ...], ...]] = field(default_factory=dict)
-
-    def to_instance(self) -> EnergyInstance:
-        return EnergyInstance(tuple(sorted(self.unary)), dict(self.unary), dict(self.pairwise))
 
 
 def split_gadget(boundary_id: int, d_id: int, f_id: int) -> GadgetFragment:

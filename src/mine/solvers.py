@@ -167,9 +167,10 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     order, with more than DEFAULT_ELIM_LIMIT label combinations raises
     SolverError before any table is built.  The tables are then built once,
     over each node's domain: all its labels when finite_sum exceeds int64,
-    so that every partial sum the overflow rule checks is formed, and
-    otherwise its finite-unary labels (node consistency) and label 0.  INF
-    is coded as 2 * finite_sum + 1, so every value formed, a sum of entries
+    so that every partial sum the overflow rule checks is formed, and when
+    no entry is INF, where they are its finite-unary labels; otherwise its
+    finite-unary labels (node consistency) and label 0.  INF is coded as
+    2 * finite_sum + 1, so every value formed, a sum of entries
     of distinct input factors, is its number of INF terms times that code
     plus a finite part within +-finite_sum, and any value above finite_sum
     reads as INF.  A node's unary sits in its own bucket, so a kept label 0
@@ -238,7 +239,7 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
                 sep = [w for w in joints[c] if w in sep]
         joints[i] = (*sep, u)
 
-    if instance.finite_sum > I64_MAX:
+    if instance.all_finite or instance.finite_sum > I64_MAX:
         domains = {u: range(k) for u, k in labels.items()}
     else:
         domains = {u: [a for a, c in enumerate(row) if c is not INF or a == 0]

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from itertools import product
 
 from test_classifier import corpus as classifier_corpus
+from test_gadgets import fragment_instance
 from test_solvers import _reference_core, potts_grid
 
 from mine.classify import classify
@@ -138,7 +139,7 @@ def test_criterion_3_klabel_embedding():
 
 def test_criterion_4_gadget_semantics():
     with criterion(4, "gadget relation tables", 1):
-        split = split_gadget(0, 1, 2).to_instance()
+        split = fragment_instance(split_gadget(0, 1, 2))
         states = {}
         for combo in product(range(3), range(2), range(2)):
             e = evaluate(split, dict(zip((0, 1, 2), combo)))
@@ -147,7 +148,7 @@ def test_criterion_4_gadget_semantics():
         assert set(states) == {(0, 0, 0), (1, 0, 1), (1, 1, 1), (2, 1, 0)}
         assert set(states.values()) == {0}
 
-        cross = uncross_copy_gadget(0, 1, 2, 3, 4, 5).to_instance()
+        cross = fragment_instance(uncross_copy_gadget(0, 1, 2, 3, 4, 5))
         ports = {}
         for combo in product(range(3), repeat=6):
             e = evaluate(cross, dict(zip(range(6), combo)))

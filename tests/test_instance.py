@@ -9,6 +9,7 @@ an int below its label count.
 import random
 
 import pytest
+from test_gadgets import fragment_instance
 
 from mine.costs import INF
 from mine.fileformat import serialize_instance
@@ -40,7 +41,7 @@ def test_label_counts_and_edges_are_read_off_the_tables(criterion5_outputs):
         assert_derived(target)
         assert set(target.labels.values()) == {k}
     for frag in (split_gadget(0, 1, 2), uncross_copy_gadget(0, 1, 2, 3, 4, 5)):
-        inst = frag.to_instance()
+        inst = fragment_instance(frag)
         assert_derived(inst)
         assert set(inst.labels.values()) == {3}
 

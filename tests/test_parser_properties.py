@@ -17,6 +17,7 @@ Three properties, each over text hypothesis generates:
 """
 
 import io
+import random
 import re
 import sys
 import time
@@ -26,6 +27,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_solvers import potts_grid
 
 from mine.cli import run_cli
 from mine.costs import I64_MAX, I64_MIN, INF, CostOverflowError, check_range
@@ -57,7 +59,16 @@ _lines = st.builds(lambda kw, rest: " ".join([kw, *rest]),
 @st.composite
 def mine_texts(draw):
     """Text shaped like a MINE 1 file: usually its header, then records of
-    the format's keywords over small numbers, INF, rationals and junk."""
+    the format's keywords over small numbers, INF, rationals and junk; or,
+    a quarter of the time, a generated instance's text with a second copy
+    of a record a file holds at most once, at a later line."""
+    if draw(st.integers(0, 3)) == 0:
+        lines = serialize_instance(*draw(instances())).splitlines()
+        i = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                  if line.split()[0] in ("nodes", "ids", "labels", "constant")]))
+        copy = draw(st.sampled_from([lines[i], lines[i].split()[0] + " 2"]))
+        lines.insert(draw(st.integers(i + 1, len(lines))), copy)
+        return "\n".join(lines) + "\n"
     header = draw(st.sampled_from(["MINE 1", "MINE 1", "MINE 1", "MINE 2", ""]))
     lines = draw(st.lists(_lines, max_size=12))
     return "\n".join([header, *lines]) + draw(st.sampled_from(["\n", "", "\r\n"]))
@@ -488,10 +499,15 @@ _short_tokens = st.one_of(
 
 @st.composite
 def wcnf3_texts(draw):
-    """Text shaped like a wcnf3 formula: a generated formula, or problem,
-    weight and clause lines over small numbers, comments and junk."""
+    """Text shaped like a wcnf3 formula: a generated formula, half the time
+    with a second copy of its problem or weight line at a later line, or
+    problem, weight and clause lines over small numbers, comments and junk."""
     if draw(st.booleans()):
-        return serialize_wcnf3(random_w3sat(draw(st.integers(0, 10**6))))
+        lines = serialize_wcnf3(random_w3sat(draw(st.integers(0, 10**6)))).splitlines()
+        if draw(st.booleans()):
+            i = draw(st.sampled_from([0, 1]))  # the p line, then the w line
+            lines.insert(draw(st.integers(i + 1, len(lines))), lines[i])
+        return "\n".join(lines) + "\n"
     lines = draw(st.lists(st.builds(
         lambda head, rest: " ".join([*head, *rest]),
         st.sampled_from([["p", "wcnf3"], ["p", "wcnf3"], ["w"], ["w"], [], [], ["c"]]),
@@ -702,3 +718,103 @@ def test_a_label_count_below_one_leaves_the_error_construction_gives():
                  "MINE 1\nnodes 3\nlabels 1 -1 -1\nedge 1 2 5\nedge 0 0 7\n"):
         assert _outcome(parse_instance, text) == _outcome(_reference_parse_instance, text)
         assert _outcome(parse_instance, text)[0] in TYPED_ERRORS
+
+
+# --- whole files of perfbench's size, where tokens and tables repeat -----------
+
+def _grid(seed, rows, cols, counts, costs):
+    """A 4-neighbour grid with label counts drawn from `counts`, unary entries
+    from `costs` (each row keeps one finite entry) and every edge's entries
+    one of eight lists per entry count, so that tables repeat as they do in
+    a grid file, and a k x m and an m x k table can share their entries."""
+    rng = random.Random(seed)
+    n = rows * cols
+    labels = {u: rng.choice(counts) for u in range(n)}
+    unary = {}
+    for u, k in labels.items():
+        row = [rng.choice(costs) for _ in range(k)]
+        row[rng.randrange(k)] = rng.randint(0, 20)
+        unary[u] = tuple(row)
+    pool = {}
+    pairwise = {}
+    for u in range(n):
+        for v in ([u + 1] if (u + 1) % cols else []) + ([u + cols] if u + cols < n else []):
+            ku, kv = labels[u], labels[v]
+            if ku * kv not in pool:
+                pool[ku * kv] = [[rng.choice(costs) for _ in range(ku * kv)] for _ in range(8)]
+            flat = rng.choice(pool[ku * kv])
+            pairwise[(u, v)] = tuple(tuple(flat[a * kv:(a + 1) * kv]) for a in range(ku))
+    return make_instance(labels, unary, pairwise)
+
+
+def _rewritten(text, seed):
+    """The same instance written otherwise: some edges as `v u` with the table
+    transposed, and comment and blank lines between the records."""
+    rng = random.Random(seed)
+    head, *body = text.splitlines()
+    labels = dict(zip(map(int, body[1].split()[1:]), map(int, body[2].split()[1:])))
+    out = [head]
+    for line in body:
+        kw, *rest = line.split()
+        if kw == "edge" and rng.random() < 0.3:
+            u, v, entries = int(rest[0]), int(rest[1]), rest[2:]
+            kv = labels[v]
+            columns = [entries[b::kv] for b in range(kv)]
+            line = f"edge {v} {u} " + " ".join(t for column in columns for t in column)
+        out.append(line)
+        if rng.random() < 0.05:
+            out.append(rng.choice(["", "# a comment", "   ", "#edge 0 1 x"]))
+    return "\n".join(out) + "\n"
+
+
+_FILE_SCALE = {
+    "binary-20x20": lambda: potts_grid(1, 20, 20, 2),
+    "potts4-12x12": lambda: potts_grid(2, 12, 12, 4),
+    "inf-and-boundary": lambda: _grid(3, 12, 12, (3,), (0, 1, -7, INF, I64_MIN, I64_MAX)),
+    "mixed-labels": lambda: _grid(4, 15, 15, (1, 2, 3, 4), (0, 5, -3, INF, I64_MIN, I64_MAX)),
+}
+
+
+@pytest.mark.parametrize("build", list(_FILE_SCALE.values()), ids=list(_FILE_SCALE))
+def test_file_scale_instances_read_as_the_reference_reads_them(build):
+    instance = build()
+    text = serialize_instance(instance)
+    got = _outcome(parse_instance, text)
+    assert got == _outcome(_reference_parse_instance, text)
+    back = got[1][0]
+    assert back == instance and serialize_instance(back) == text
+    # An edge table written twice is one tuple, read once.
+    assert len(set(map(id, back.pairwise.values()))) == len(set(back.pairwise.values()))
+    rewritten = _rewritten(text, 0)
+    assert _outcome(parse_instance, rewritten) == _outcome(_reference_parse_instance, rewritten)
+    assert parse_instance(rewritten)[0] == instance
+
+
+# A record put fifth from the end: the error, and whether it names that
+# record's line (else the file's last line, as every structural check does).
+_NEAR_THE_END = {
+    "loose-token": ("edge 398 399 0 1_0 3 0", "expected integer or INF, got '1_0'", True),
+    "cost-2^63": ("edge 398 399 0 9223372036854775808 3 0",
+                  "cost 9223372036854775808 outside signed 64-bit range", True),
+    "short-edge": ("edge 398 399", "edge needs two node ids and entries", True),
+    "bad-edge-id": ("edge 398 x 0 1 1 0", "expected integers, got ['398', 'x']", True),
+    "inf-edge-id": ("edge INF 399 0 INF 1 0", "expected integers, got ['INF', '399']", True),
+    "repeated-unary": ("unary 7 0 1", "duplicate unary record for node 7", True),
+    "duplicate-edge": ("edge 1 0 0 1 1 0", "duplicate edge (1, 0)", False),
+    "unknown-node": ("edge 398 400 0 1 1 0", "edge (398, 400) references unknown node", False),
+    "edge-length": ("edge 398 399 0 1 1", "edge (398, 399): expected 4 entries, got 3", False),
+    "unknown-unary": ("unary 401 0 1", "unary record for unknown node 401", False),
+}
+
+
+@pytest.mark.parametrize("record, message, at_its_line", list(_NEAR_THE_END.values()),
+                         ids=list(_NEAR_THE_END))
+def test_a_defect_near_the_end_of_a_long_file_names_its_own_line(record, message, at_its_line):
+    lines = serialize_instance(potts_grid(5, 20, 20, 2)).splitlines()
+    assert len(lines) > 1000
+    lines.insert(len(lines) - 4, record)
+    text = "\n".join(lines) + "\n"
+    line = len(lines) - 4 if at_its_line else len(lines)
+    assert _outcome(parse_instance, text) == (ParseError, f"line {line}: {message}")
+    if "_" not in record:  # the reference reads 1_0 as int() does
+        assert _outcome(_reference_parse_instance, text) == (ParseError, f"line {line}: {message}")
