@@ -16,12 +16,13 @@ coordinate obeys the same length.  A record a file holds at most once
 (nodes, ids, labels and constant; p and w; energy or value) is a
 ParseError at its second copy.
 
-Whether a text holds an underscore or a non-ASCII character is decided
-once per text; without either, int() alone checks a token.  The unary and
-edge records of an instance are read after the other records: each
-distinct node id or cost token is converted and range-checked once per
-call, equal tables (the same cost tokens and row width) and equal unary
-rows are one shared immutable tuple, and nothing is kept across calls.
+Whether a list of tokens holds an underscore or a non-ASCII character is
+decided once per list; without either, int() alone checks a token.  The
+unary and edge records of an instance are read after the other records:
+each distinct node id or cost token is converted and range-checked once
+per call, equal tables (the same cost tokens and row width) and equal
+unary rows are one shared immutable tuple, and nothing is kept across
+calls.
 A bad table is read again record by record only to name its first bad
 record.
 """
@@ -62,18 +63,17 @@ def _records(text: str, comment: str) -> tuple[int, list[tuple[int, list[str]]]]
                         if tokens and tokens[0][0] != comment]
 
 
-def _strict(text: str) -> bool:
-    """Whether the text holds no underscore and no non-ASCII character.  Bar
-    the whitespace around it, which split() tokens never hold, every string
-    int() reads that is not ASCII [-+]?[0-9]+ has one of the two, so int()
-    alone checks the tokens of a strict text."""
-    return text.isascii() and "_" not in text
-
-
-def _int_values(tokens: list[str], strict: bool) -> list[int] | None:
+def _int_values(tokens: list[str]) -> list[int] | None:
     """The tokens as ints, or None if one is not ASCII [-+]?[0-9]+ with at
-    most MAX_DIGITS digits."""
-    if strict and max(map(len, tokens), default=0) <= MAX_DIGITS:
+    most MAX_DIGITS digits.
+
+    Bar the whitespace around it, which split() tokens never hold, every
+    string int() reads that is not ASCII [-+]?[0-9]+ holds an underscore or
+    a non-ASCII character; so when the tokens hold neither, int() alone
+    checks them."""
+    joined = "".join(tokens)
+    if joined.isascii() and "_" not in joined and (
+            len(joined) <= MAX_DIGITS or max(map(len, tokens)) <= MAX_DIGITS):
         try:
             return list(map(int, tokens))
         except ValueError:
@@ -81,11 +81,11 @@ def _int_values(tokens: list[str], strict: bool) -> list[int] | None:
     return list(map(int, tokens)) if all(map(_INTEGER.fullmatch, tokens)) else None
 
 
-def _cost_values(tokens: list[str], strict: bool) -> list[Cost] | None:
+def _cost_values(tokens: list[str]) -> list[Cost] | None:
     """The tokens as costs, each INF or an integer in signed 64-bit range,
     or None if one is not."""
     finite = [t for t in tokens if t != "INF"] if "INF" in tokens else tokens
-    values = _int_values(finite, strict)
+    values = _int_values(finite)
     if values is None or values and not (I64_MIN <= min(values) and max(values) <= I64_MAX):
         return None
     if finite is tokens:
@@ -94,16 +94,16 @@ def _cost_values(tokens: list[str], strict: bool) -> list[Cost] | None:
     return [INF if t == "INF" else next(values) for t in tokens]
 
 
-def _ints(tokens: list[str], line_no: int, strict: bool) -> list[int]:
-    values = _int_values(tokens, strict)
+def _ints(tokens: list[str], line_no: int) -> list[int]:
+    values = _int_values(tokens)
     if values is None:
         raise ParseError(line_no, f"expected integers, got {tokens}")
     return values
 
 
-def _costs(tokens: list[str], line_no: int, strict: bool) -> list[Cost]:
+def _costs(tokens: list[str], line_no: int) -> list[Cost]:
     """One record's costs; a bad record is reported at its first bad token."""
-    costs = _cost_values(tokens, strict)
+    costs = _cost_values(tokens)
     if costs is not None:
         return costs
     for tok in tokens:
@@ -125,7 +125,7 @@ def _frac_token(tok: str, line_no: int) -> Fraction:
     raise ParseError(line_no, f"expected int or int/int, got {tok!r}")
 
 
-def _read_tables(unary: list[list[str]], edges: list[list[str]], strict: bool):
+def _read_tables(unary: list[list[str]], edges: list[list[str]]):
     """The node ids of the unary and edge records, one list per end; each
     record's cost tokens as a tuple; and each distinct id or cost token's
     value, converted and checked once.  None if a record is short, a token
@@ -141,7 +141,7 @@ def _read_tables(unary: list[list[str]], edges: list[list[str]], strict: bool):
     if "INF" in ids:  # an id token that is also a cost token is converted as a cost
         return None
     costs, ids = list(costs), list(ids.difference(costs))
-    cost_values, id_values = _cost_values(costs, strict), _int_values(ids, strict)
+    cost_values, id_values = _cost_values(costs), _int_values(ids)
     if cost_values is None or id_values is None:
         return None
     values = dict(zip(costs + ids, cost_values + id_values))
@@ -151,7 +151,7 @@ def _read_tables(unary: list[list[str]], edges: list[list[str]], strict: bool):
     return ends, rows, values
 
 
-def _check_records(lines: list[list[str]], strict: bool) -> None:
+def _check_records(lines: list[list[str]]) -> None:
     """Raise the ParseError of the first bad one of the unary and edge
     records among the lines' tokens, in line order: a short record, a bad
     node id, a repeated unary node or a bad cost."""
@@ -160,20 +160,19 @@ def _check_records(lines: list[list[str]], strict: bool) -> None:
         if kw == "unary":
             if len(rest) < 2:
                 raise ParseError(line_no, "unary needs a node id and entries")
-            u = _ints(rest[:1], line_no, strict)[0]
+            u = _ints(rest[:1], line_no)[0]
             if u in unary:
                 raise ParseError(line_no, f"duplicate unary record for node {u}")
             unary.add(u)
-            _costs(rest[1:], line_no, strict)
+            _costs(rest[1:], line_no)
         elif kw == "edge":
             if len(rest) < 3:
                 raise ParseError(line_no, "edge needs two node ids and entries")
-            _ints(rest[:2], line_no, strict)
-            _costs(rest[2:], line_no, strict)
+            _ints(rest[:2], line_no)
+            _costs(rest[2:], line_no)
 
 
 def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
-    strict = _strict(text)
     n = None
     ids: list[int] | None = None
     label_counts: list[int] | None = None
@@ -214,11 +213,11 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
             if kw == "nodes":
                 if len(tokens) != 2:
                     raise ParseError(line_no, "nodes takes one count")
-                n = _ints(tokens[1:], line_no, strict)[0]
+                n = _ints(tokens[1:], line_no)[0]
             elif kw == "ids":
-                ids = _ints(tokens[1:], line_no, strict)
+                ids = _ints(tokens[1:], line_no)
             elif kw == "labels":
-                label_counts = _ints(tokens[1:], line_no, strict)
+                label_counts = _ints(tokens[1:], line_no)
                 if label_counts and not (I64_MIN <= min(label_counts)
                                          and max(label_counts) <= I64_MAX):
                     raise ParseError(line_no, "label count outside signed 64-bit range")
@@ -228,23 +227,23 @@ def parse_instance(text: str) -> tuple[EnergyInstance, Drawing | None]:
             elif kw == "constant":
                 if len(tokens) != 2:
                     raise ParseError(line_no, "constant takes one integer")
-                _ints(tokens[1:], line_no, strict)  # an integer, never INF
-                constant = _costs(tokens[1:], line_no, strict)[0]
+                _ints(tokens[1:], line_no)  # an integer, never INF
+                constant = _costs(tokens[1:], line_no)[0]
             elif kw == "coord":
                 if len(tokens) != 4:
                     raise ParseError(line_no, "coord needs a node id and two rationals")
-                u = _ints(tokens[1:2], line_no, strict)[0]
+                u = _ints(tokens[1:2], line_no)[0]
                 if u in coords:
                     raise ParseError(line_no, f"duplicate coord record for node {u}")
                 coords[u] = (_frac_token(tokens[2], line_no), _frac_token(tokens[3], line_no))
             else:
                 raise ParseError(line_no, f"unknown record {kw!r}")
     except ParseError as exc:  # an earlier bad table record wins
-        _check_records(lines[:exc.line_no], strict)
+        _check_records(lines[:exc.line_no])
         raise
-    read = _read_tables(unary_tokens, edge_tokens, strict)
+    read = _read_tables(unary_tokens, edge_tokens)
     if read is None:
-        _check_records(lines, strict)
+        _check_records(lines)
     (nodes, us, vs), (unary_rows, edge_rows), values = read
     cost = values.__getitem__
 
@@ -323,7 +322,6 @@ def serialize_instance(instance: EnergyInstance, d: Drawing | None = None) -> st
 
 
 def parse_wcnf3(text: str) -> W3SatTriv:
-    strict = _strict(text)
     n = m = None
     weights = None
     clauses = []
@@ -334,13 +332,13 @@ def parse_wcnf3(text: str) -> W3SatTriv:
                 raise ParseError(line_no, "duplicate problem line")
             if len(tokens) != 4 or tokens[1] != "wcnf3":
                 raise ParseError(line_no, "expected 'p wcnf3 <vars> <clauses>'")
-            n, m = _ints(tokens[2:], line_no, strict)
+            n, m = _ints(tokens[2:], line_no)
         elif tokens[0] == "w":
             if n is None:
                 raise ParseError(line_no, "weight line before problem line")
             if weights is not None:
                 raise ParseError(line_no, "duplicate weight line")
-            weights = _ints(tokens[1:], line_no, strict)
+            weights = _ints(tokens[1:], line_no)
             if len(weights) != n:
                 raise ParseError(line_no, f"expected {n} weights, got {len(weights)}")
             if any(w < 0 for w in weights):
@@ -352,7 +350,7 @@ def parse_wcnf3(text: str) -> W3SatTriv:
             if total > I64_MAX:
                 raise ParseError(line_no, f"weights sum to {total}, outside signed 64-bit range")
         else:
-            lits = _ints(tokens, line_no, strict)
+            lits = _ints(tokens, line_no)
             if len(lits) != 4 or lits[-1] != 0:
                 raise ParseError(line_no, "clause must be 3 literals plus terminating 0")
             clauses.append(tuple(lits[:3]))
@@ -375,7 +373,6 @@ def serialize_wcnf3(sat: W3SatTriv) -> str:
 
 
 def parse_solution(text: str) -> tuple[Labeling, Cost | None]:
-    strict = _strict(text)
     labeling: Labeling = {}
     energy = None
     for line_no, tokens in _records(text, "#")[1]:
@@ -384,11 +381,11 @@ def parse_solution(text: str) -> tuple[Labeling, Cost | None]:
                 raise ParseError(line_no, "duplicate energy or value record")
             if len(tokens) != 2:
                 raise ParseError(line_no, f"{tokens[0]} takes one value")
-            energy = _costs(tokens[1:], line_no, strict)[0]
+            energy = _costs(tokens[1:], line_no)[0]
         else:
             if len(tokens) != 2:
                 raise ParseError(line_no, "expected '<node> <label>'")
-            u, a = _ints(tokens, line_no, strict)
+            u, a = _ints(tokens, line_no)
             if u in labeling:
                 raise ParseError(line_no, f"duplicate assignment for node {u}")
             labeling[u] = a

@@ -4,10 +4,9 @@ Every predicate is exact, with no floating point anywhere, so "no
 crossings remain" is a decidable postcondition.  The whole-drawing scans
 (list_crossings, validate_general_position) scale the drawing by one
 common denominator and work on integers, skipping edge pairs whose
-bounding boxes are disjoint.  free_radius does the same with the probe
-point and the crossing points in the denominator, and builds a Fraction
-only for the least squared distance.  Degenerate drawings are rejected,
-never perturbed.
+bounding boxes are disjoint.  free_radius does the same with the crossing
+point in the denominator, and builds a Fraction only for the least
+squared distance.  Degenerate drawings are rejected, never perturbed.
 """
 
 from __future__ import annotations
@@ -231,36 +230,32 @@ def rational_sqrt_lower(value: Fraction) -> Fraction:
     return Fraction(isqrt(a * b * shift * shift), b * shift)
 
 
-def free_radius(instance: EnergyInstance, d: Drawing, p: Point,
-                exclude: set[tuple[int, int]] = frozenset(), *,
-                crossings: list[Crossing]) -> Fraction:
-    """A positive radius around p clear of nodes, non-excluded edges, and other crossings.
+def free_radius(instance: EnergyInstance, d: Drawing, crossing: Crossing) -> Fraction:
+    """A positive radius around a crossing's point, clear of every node, of
+    every edge but the crossing's two, and of every other crossing.
 
     Returns a deterministic rational lower bound on half the exact minimum
-    distance (the exact value is generally irrational).  crossings must be
-    list_crossings(instance, d): the caller lists them once for every radius
-    it takes on the drawing, so no call rescans the edge pairs.
+    distance (the exact value is generally irrational).  Only nodes and
+    edges are measured: two segments properly cross at most once, so every
+    other crossing lies on a third edge, which is no farther from the point.
 
-    p, the nodes and the other crossings are scaled by one common
-    denominator, and every squared distance is an integer ratio: |p - q|^2
-    to a node or crossing; to a segment ab, |p - a|^2 or |p - b|^2 past
-    either end and cross^2 / |ab|^2 between them.  Candidates are compared
-    by cross-multiplication, so only the minimum becomes a Fraction.
-    Raises GeometryError if p lies on a non-excluded edge (the first in
-    edge order), if there is nothing to measure, or if p is a node.
+    The point and the nodes are scaled by one common denominator, and every
+    squared distance is an integer ratio: |p - q|^2 to a node; to a segment
+    ab, |p - a|^2 or |p - b|^2 past either end and cross^2 / |ab|^2 between
+    them.  Candidates are compared by cross-multiplication, so only the
+    minimum becomes a Fraction.  Raises GeometryError if the point lies on
+    another edge (the first in edge order) or is a node.
     """
-    exclude = {tuple(sorted(e)) for e in exclude}
-    others = [c.point for c in crossings if c.point != p]
+    p, own = crossing.point, (crossing.edge_a, crossing.edge_b)
     coords = d.coords
     den = lcm(p[0].denominator, p[1].denominator,
-              *(c.denominator for u in instance.nodes for c in coords[u]),
-              *(c.denominator for q in others for c in q))
+              *(c.denominator for u in instance.nodes for c in coords[u]))
     px, py = _scaled(p, den)
     pts = {u: _scaled(coords[u], den) for u in instance.nodes}
-    # The minimum squared distance so far, best_num / best_den; None until one is seen.
-    best_num, best_den = None, 1
+    # The minimum squared distance so far, best_num / best_den.
+    best_num, best_den = min((px - qx) ** 2 + (py - qy) ** 2 for qx, qy in pts.values()), 1
     for e in instance.edges:
-        if e in exclude:
+        if e in own:
             continue
         (ax, ay), (bx, by) = pts[e[0]], pts[e[1]]
         abx, aby, apx, apy = bx - ax, by - ay, px - ax, py - ay
@@ -274,14 +269,8 @@ def free_radius(instance: EnergyInstance, d: Drawing, p: Point,
             num, div = (apx * aby - apy * abx) ** 2, ab2
         if num == 0:
             raise GeometryError(f"point lies on non-excluded edge {e}")
-        if best_num is None or num * best_den < best_num * div:
+        if num * best_den < best_num * div:
             best_num, best_den = num, div
-    for qx, qy in [*pts.values(), *(_scaled(q, den) for q in others)]:
-        num = (px - qx) ** 2 + (py - qy) ** 2
-        if best_num is None or num * best_den < best_num:
-            best_num, best_den = num, 1
-    if best_num is None:
-        raise GeometryError("empty drawing: free radius undefined")
     if best_num == 0:
         raise GeometryError("point coincides with a node or crossing")
     return rational_sqrt_lower(Fraction(best_num, best_den * den * den)) / 2

@@ -153,12 +153,16 @@ def make_instance(labels: dict[int, int],
     if ready:
         pw = dict(pairwise)
     else:
+        # Only a table that is not yet a tuple of tuples is rebuilt (a
+        # transposed one already is), so shared tables stay shared.
         pw = {}
         for (u, v), table in pairwise.items():
             key, table = orient_edge(u, v, table)
             if key in pw:
                 raise InstanceError(f"edge {key} given twice")
-            pw[key] = tuple(tuple(row) for row in table)
+            if not (type(table) is tuple and set(map(type, table)) <= {tuple}):
+                table = tuple(map(tuple, table))
+            pw[key] = table
     return EnergyInstance(nodes=nodes, unary=unary, pairwise=pw, constant=constant)
 
 

@@ -43,14 +43,13 @@ def relation_table(shape: tuple[int, int], allowed) -> tuple[tuple[Cost, ...], .
                  for a in range(shape[0]))
 
 
-def equality3() -> tuple[tuple[Cost, ...], ...]:
-    return relation_table((3, 3), [(a, a) for a in range(3)])
-
-
 # SPLIT relations: boundary B in {0,1,2}; channel D reads 0 for labels {0,1}
 # side, channel F distinguishes label 1 from {0,2}.
 SPLIT_B_D = relation_table((3, 3), [(0, 0), (1, 0), (1, 1), (2, 1)])
 SPLIT_B_F = relation_table((3, 3), [(0, 0), (1, 1), (2, 0)])
+
+# Ties each copy node along a crossed edge's stub chain to the next.
+EQUALITY3 = relation_table((3, 3), [(a, a) for a in range(3)])
 
 # Crossover relations (see module docstring for the internal encoding).
 HEAVY_PORT = relation_table((3, 3), [(0, 0), (1, 1), (0, 2), (1, 2)])

@@ -8,10 +8,12 @@ channel wires pass the two vertical ones.  The channel wires force
 v' = v'' (likewise for t).
 
 planarize works in one pass.  It lists the source drawing's crossings
-once and takes every crossing's free radius against that list, so the
-disks the templates live in are pairwise disjoint and clear of every
-other node and edge; then it places all templates at once.  An edge
-crossed k times becomes a chain of k + 1 stubs through its copy nodes,
+once and takes each crossing's free radius against the nodes and the
+other edges; that also clears every other crossing, so the disks the
+templates live in are pairwise disjoint and clear of every other node and
+edge.  Then it places all templates at once, each as the one template's
+tables, built once per process, at an offset of ids.  An edge crossed k
+times becomes a chain of k + 1 stubs through its copy nodes,
 ordered by the exact parameter of each crossing along the edge: the
 original interaction f_uv goes on the stub at u, and equality ties each
 copy to the next one and the last copy to v.  Each template's scale is
@@ -44,8 +46,7 @@ from ..geometry import (Crossing, Drawing, GeometryError, Point,
                         list_crossings)
 from ..instance import (LABEL_TYPES, EnergyInstance, InstanceError, Labeling, check_labeling,
                         evaluate, is_finite, make_instance, normalize_edge)
-from .gadgets import (GadgetFragment, equality3, merge_fragments, split_gadget,
-                      uncross_copy_gadget)
+from .gadgets import EQUALITY3, merge_fragments, split_gadget, uncross_copy_gadget
 from .trace import CrossingRecord, ReductionTrace
 
 
@@ -119,34 +120,38 @@ def _placement(p: Point, ends: tuple[Point, ...], r: Fraction
               Fraction(py + ga * d_a[1] + gb * d_b[1], den)) for ga, gb in _TEMPLATE.values()])
 
 
-def _template_fragment(ids: dict[str, int]) -> GadgetFragment:
-    return merge_fragments(
-        split_gadget(ids["vp"], ids["D1"], ids["F1"]),
-        split_gadget(ids["vpp"], ids["D2"], ids["F2"]),
-        split_gadget(ids["tp"], ids["D3"], ids["F3"]),
-        split_gadget(ids["tpp"], ids["D4"], ids["F4"]),
-        # Vertical wires are the "heavy" (tl/br) ports, horizontal the light
-        # ones, so each crossover passes one v-channel over one t-channel.
-        uncross_copy_gadget(tl=ids["Jb1"], tr=ids["D1"], bl=ids["Ja1"],
-                            br=ids["D4"], x1=ids["G11x1"], x2=ids["G11x2"]),
-        uncross_copy_gadget(tl=ids["Jb2"], tr=ids["Ja1"], bl=ids["D2"],
-                            br=ids["F4"], x1=ids["G12x1"], x2=ids["G12x2"]),
-        uncross_copy_gadget(tl=ids["D3"], tr=ids["F1"], bl=ids["Ja2"],
-                            br=ids["Jb1"], x1=ids["G21x1"], x2=ids["G21x2"]),
-        uncross_copy_gadget(tl=ids["F3"], tr=ids["Ja2"], bl=ids["F2"],
-                            br=ids["Jb2"], x1=ids["G22x1"], x2=ids["G22x2"]),
-    )
+# Name -> position.  The template's tables are built once, over the
+# positions 0..23; each crossing takes them with its first fresh id added to
+# every position, so its ids ascend in _TEMPLATE order and every key stays
+# normalized.
+_AT = {name: i for i, name in enumerate(_TEMPLATE)}
+_GADGET = merge_fragments(
+    split_gadget(_AT["vp"], _AT["D1"], _AT["F1"]),
+    split_gadget(_AT["vpp"], _AT["D2"], _AT["F2"]),
+    split_gadget(_AT["tp"], _AT["D3"], _AT["F3"]),
+    split_gadget(_AT["tpp"], _AT["D4"], _AT["F4"]),
+    # Vertical wires are the "heavy" (tl/br) ports, horizontal the light
+    # ones, so each crossover passes one v-channel over one t-channel.
+    uncross_copy_gadget(tl=_AT["Jb1"], tr=_AT["D1"], bl=_AT["Ja1"],
+                        br=_AT["D4"], x1=_AT["G11x1"], x2=_AT["G11x2"]),
+    uncross_copy_gadget(tl=_AT["Jb2"], tr=_AT["Ja1"], bl=_AT["D2"],
+                        br=_AT["F4"], x1=_AT["G12x1"], x2=_AT["G12x2"]),
+    uncross_copy_gadget(tl=_AT["D3"], tr=_AT["F1"], bl=_AT["Ja2"],
+                        br=_AT["Jb1"], x1=_AT["G21x1"], x2=_AT["G21x2"]),
+    uncross_copy_gadget(tl=_AT["F3"], tr=_AT["Ja2"], bl=_AT["F2"],
+                        br=_AT["Jb2"], x1=_AT["G22x1"], x2=_AT["G22x2"]),
+)
 
 
 def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Crossing]
                        ) -> tuple[EnergyInstance, Drawing, ReductionTrace]:
     """Replace every crossing at once; returns the instance, drawing and trace.
 
-    crossings is list_crossings(instance, d); every free radius is taken
-    against it, so the templates' disks are pairwise disjoint.  Each crossed
-    edge becomes a chain of stubs through its copy nodes, in the order of
-    the crossings' parameters along it.  Auxiliary ids start after the
-    largest source id.
+    crossings is list_crossings(instance, d).  Each free radius is at most
+    half the distance to every other crossing, so the templates' disks are
+    pairwise disjoint.  Each crossed edge becomes a chain of stubs through
+    its copy nodes, in the order of the crossings' parameters along it.
+    Auxiliary ids start after the largest source id.
     """
     fresh = max(instance.nodes) + 1
     unary = dict(instance.unary)
@@ -157,19 +162,17 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Cro
     chains: dict[tuple[int, int], list[tuple[Fraction, int, int]]] = {}
     records = []
     for c in crossings:
-        e1, e2 = c.edge_a, c.edge_b
-        p = c.point
-        r = free_radius(instance, d, p, exclude={e1, e2}, crossings=crossings)
-        t_p, t_q, points = _placement(p, tuple(d.coords[n] for n in e1 + e2), r)
-        ids = {name: fresh + i for i, name in enumerate(_TEMPLATE)}
+        e1, e2, p = c.edge_a, c.edge_b, c.point
+        t_p, t_q, points = _placement(p, tuple(d.coords[n] for n in e1 + e2),
+                                      free_radius(instance, d, c))
+        aux = tuple(range(fresh, fresh + AUX_PER_CROSSING))
+        unary.update([(fresh + a, row) for a, row in _GADGET.unary.items()])
+        gadget_pairwise.update([((fresh + a, fresh + b), table)
+                                for (a, b), table in _GADGET.pairwise.items()])
+        coords.update(zip(aux, points))
+        chains.setdefault(e1, []).append((t_p, fresh + _AT["vp"], fresh + _AT["vpp"]))
+        chains.setdefault(e2, []).append((t_q, fresh + _AT["tp"], fresh + _AT["tpp"]))
         fresh += AUX_PER_CROSSING
-        frag = _template_fragment(ids)
-        unary.update(frag.unary)
-        gadget_pairwise.update(frag.pairwise)
-        coords.update(zip(ids.values(), points))
-        aux = tuple(ids.values())
-        chains.setdefault(e1, []).append((t_p, ids["vp"], ids["vpp"]))
-        chains.setdefault(e2, []).append((t_q, ids["tp"], ids["tpp"]))
         records.append(CrossingRecord(edge_a=e1, edge_b=e2,
                                       point=(frac_str(p[0]), frac_str(p[1])),
                                       aux_nodes=aux))
@@ -182,8 +185,8 @@ def _replace_crossings(instance: EnergyInstance, d: Drawing, crossings: list[Cro
         chain.sort()
         pairwise[(u, chain[0][1])] = instance.pairwise[(u, v)]
         for (_, _, far), (_, near, _) in zip(chain, chain[1:]):
-            pairwise[normalize_edge(far, near)] = equality3()
-        pairwise[(v, chain[-1][2])] = equality3()
+            pairwise[normalize_edge(far, near)] = EQUALITY3
+        pairwise[(v, chain[-1][2])] = EQUALITY3
 
     aux_nodes = tuple(n for rec in records for n in rec.aux_nodes)
     out = EnergyInstance(nodes=instance.nodes + aux_nodes, unary=unary,

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mine.fileformat import serialize_instance, write_trace
-from mine.generate import random_crossed_3label
+from mine.generate import random_crossed_3label, random_drawing
 from mine.geometry import (Crossing, Drawing, GeneralPositionError, GeometryError,
                            PositionViolation, circle_layout, free_radius,
                            list_crossings, rational_sqrt_lower,
@@ -207,25 +208,21 @@ def test_a_coordinate_with_no_exact_value_is_a_geometry_error(bad):
 
 def test_free_radius_x_center():
     inst, d = x_instance()
-    r = free_radius(inst, d, (F(1, 2), F(1, 2)), exclude={(1, 3), (2, 4)},
-                    crossings=list_crossings(inst, d))
+    [c] = list_crossings(inst, d)
+    r = free_radius(inst, d, c)
     assert r >= F(1, 4)
     # half the true nearest-node distance sqrt(1/2) is an upper bound
     assert r * r <= F(1, 2) / 4
 
 
 def test_free_radius_midpoint_of_excluded_edge():
-    inst = make_instance({0: 2, 1: 2}, pairwise={(0, 1): _table(2, 2)})
-    d = Drawing({0: pt(0, 0), 1: pt(2, 0)})
-    r = free_radius(inst, d, pt(1, 0), exclude={(0, 1)}, crossings=list_crossings(inst, d))
-    assert r == F(1, 2)
-
-
-def test_free_radius_empty_drawing_rejected():
-    inst = make_instance({})
-    d = Drawing({})
-    with pytest.raises(GeometryError, match="empty drawing"):
-        free_radius(inst, d, pt(0, 0), crossings=list_crossings(inst, d))
+    # The crossing is the midpoint of both its edges, which are not measured.
+    inst = make_instance({u: 2 for u in range(4)},
+                         pairwise={(0, 1): _table(2, 2), (2, 3): _table(2, 2)})
+    d = Drawing({0: pt(0, 0), 1: pt(2, 0), 2: pt(1, -1), 3: pt(1, 1)})
+    [c] = list_crossings(inst, d)
+    assert c.point == pt(1, 0)
+    assert free_radius(inst, d, c) == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -264,62 +261,77 @@ def _reference_free_radius(instance, d, p, exclude=frozenset(), *, crossings):
     return rational_sqrt_lower(min_d2) / 2
 
 
-def _radius_outcome(radius, inst, d, p, exclude, crossings):
+def _radius_outcome(radius, *args, **kwargs):
     """("ok", the radius), or the error's type and message."""
     try:
-        return "ok", radius(inst, d, p, exclude, crossings=crossings)
+        return "ok", radius(*args, **kwargs)
     except GeometryError as exc:
         return type(exc), str(exc)
 
 
-def _radius_probes(inst, d, crossings):
-    """(p, exclude): every crossing with its own edges and with every edge
-    excluded, every node with and without its incident edges, every edge
-    midpoint with and without its edge.  Another crossing is nearer than
-    every non-excluded edge only when both its edges are excluded."""
+def _check_free_radius_agrees(inst, d, counts):
+    """free_radius at every crossing of the drawing against the reference,
+    which measures the other crossings as well."""
+    crossings = list_crossings(inst, d)
     for c in crossings:
-        yield c.point, {c.edge_a, c.edge_b}
-        yield c.point, set(inst.edges)
-    for u in inst.nodes:
-        yield d.coords[u], set()
-        yield d.coords[u], {e for e in inst.edges if u in e}
-    for e in inst.edges:
-        (ax, ay), (bx, by) = d.coords[e[0]], d.coords[e[1]]
-        mid = ((ax + bx) / 2, (ay + by) / 2)
-        yield mid, set()
-        yield mid, {e}
-
-
-def _check_free_radius_agrees(inst, d, crossings, probes, counts):
-    for p, exclude in probes:
-        got = _radius_outcome(free_radius, inst, d, p, exclude, crossings)
-        assert got == _radius_outcome(_reference_free_radius, inst, d, p, exclude,
-                                      crossings), (p, exclude)
-        counts[got[0] == "ok"] += 1
+        want = _radius_outcome(_reference_free_radius, inst, d, c.point,
+                               {c.edge_a, c.edge_b}, crossings=crossings)
+        assert _radius_outcome(free_radius, inst, d, c) == want, c
+        counts[want[0] == "ok"] += 1
 
 
 def test_free_radius_matches_the_fraction_reference_on_random_drawings():
     counts = [0, 0]
     for seed in range(300):
-        inst, d = random_crossed_3label(seed)
-        crossings = list_crossings(inst, d)
-        probes = list(_radius_probes(inst, d, crossings))
-        # Every crossing; the node and midpoint probes on the first 100 drawings.
-        _check_free_radius_agrees(inst, d, crossings,
-                                  probes if seed < 100 else probes[:2 * len(crossings)],
-                                  counts)
-    assert counts[0] > 1000 and counts[1] > 1000  # both the error and the radius paths ran
+        _check_free_radius_agrees(*random_crossed_3label(seed), counts)
+    # Crowded drawings on a 5 x 5 grid: a third edge or a node often meets a
+    # crossing there.
+    for seed in range(300):
+        rng = random.Random(seed)
+        points = rng.sample([(x, y) for x in range(5) for y in range(5)], rng.randint(4, 9))
+        pairs = [(u, v) for u in range(len(points)) for v in range(u + 1, len(points))]
+        inst, d = _graph(points, rng.sample(pairs, min(len(pairs), rng.randint(3, 12))))
+        try:
+            _check_free_radius_agrees(inst, d, counts)
+        except GeneralPositionError:  # collinear overlap: no crossing list
+            pass
+    assert counts[0] > 50 and counts[1] > 1000  # both the error and the radius paths ran
 
 
-def test_free_radius_matches_the_fraction_reference_on_planarized_drawings(
-        criterion5_outputs):
-    # Criterion 5's planarized drawings put nodes at dyadic points, so the
-    # common denominator is more than the probe point's own.
-    counts = [0, 0]
-    for seed, (out, od, _) in enumerate(criterion5_outputs[:25]):
-        probes = random.Random(seed).sample(list(_radius_probes(out, od, [])), 8)
-        _check_free_radius_agrees(out, od, [], probes, counts)
-    assert counts[0] > 50 and counts[1] > 50
+@pytest.mark.parametrize("extra, message", [
+    ({}, "point coincides with a node or crossing"),  # node 4 alone
+    ({(4, 5): _table(2, 2)}, r"point lies on non-excluded edge \(4, 5\)"),
+    ({(5, 6): _table(2, 2)}, r"point lies on non-excluded edge \(5, 6\)"),  # concurrent
+])
+def test_free_radius_rejects_a_crossing_on_a_node_or_a_third_edge(extra, message):
+    inst = make_instance({u: 2 for u in range(7)},
+                         pairwise={(0, 1): _table(2, 2), (2, 3): _table(2, 2), **extra})
+    d = Drawing({0: pt(-1, 0), 1: pt(1, 0), 2: pt(0, -1), 3: pt(0, 1), 4: pt(0, 0),
+                 5: pt(-1, -1), 6: pt(1, 1)})
+    crossings = list_crossings(inst, d)
+    c = next(c for c in crossings if c.edge_a == (0, 1) and c.edge_b == (2, 3))
+    with pytest.raises(GeometryError, match=message):
+        free_radius(inst, d, c)
+    with pytest.raises(GeometryError, match=message):
+        _reference_free_radius(inst, d, c.point, {c.edge_a, c.edge_b}, crossings=crossings)
+
+
+def test_free_radius_matches_the_fraction_reference_on_fractional_drawings():
+    # random_drawing's coordinates have denominators up to 9, so the nodes'
+    # common denominator is often more than the crossing point's own.
+    counts, wider = [0, 0], 0
+    for seed in range(150):
+        inst, _ = random_crossed_3label(seed)
+        d = random_drawing(seed, inst)
+        try:
+            crossings = list_crossings(inst, d)
+        except GeneralPositionError:
+            continue
+        nodes = lcm(*(c.denominator for q in d.coords.values() for c in q))
+        wider += sum(nodes % lcm(c.point[0].denominator, c.point[1].denominator) != 0
+                     for c in crossings)
+        _check_free_radius_agrees(inst, d, counts)
+    assert wider > 100 and counts[1] > 100
 
 
 def test_rational_sqrt_lower_bounds():

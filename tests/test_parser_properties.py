@@ -790,6 +790,20 @@ def test_file_scale_instances_read_as_the_reference_reads_them(build):
     assert parse_instance(rewritten)[0] == instance
 
 
+def test_edges_written_v_u_keep_the_other_tables_shared():
+    # make_instance gives a new tuple only to a reversed table, so the
+    # tables of the edges written `u v` stay one object per distinct table.
+    instance = potts_grid(1, 20, 20, 2)
+    text = _rewritten(serialize_instance(instance), 0)
+    ends = [line.split()[1:3] for line in text.splitlines() if line.startswith("edge ")]
+    reversed_edges = sum(int(u) > int(v) for u, v in ends)
+    assert 200 < reversed_edges < 260
+    back = parse_instance(text)[0]
+    assert back == instance
+    tables = list(back.pairwise.values())
+    assert len(set(map(id, tables))) <= len(set(tables)) + reversed_edges
+
+
 # A record put fifth from the end: the error, and whether it names that
 # record's line (else the file's last line, as every structural check does).
 _NEAR_THE_END = {

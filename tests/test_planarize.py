@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import networkx as nx
 import pytest
@@ -10,7 +11,7 @@ from mine.generate import random_crossed_3label
 from mine.geometry import Drawing, GeometryError, list_crossings
 from mine.instance import InstanceError, evaluate, make_instance
 from mine.reductions import planar
-from mine.reductions.gadgets import equality3
+from mine.reductions.gadgets import EQUALITY3
 from mine.reductions.planar import (AUX_PER_CROSSING, PlanarizeError, planar_sigma,
                                     planarize)
 from mine.reductions.trace import ReductionTrace, trace_from_json
@@ -107,6 +108,32 @@ def test_gadget_region_preserves_labeling_energies():
             assert solve_elimination(pinned).value == evaluate(inst, x)
 
 
+def test_the_template_is_an_exact_two_wire_crossover():
+    # The template lemma: with its four stubs pinned, the other 20 nodes can
+    # cost 0 exactly when vp == vpp and tp == tpp, and INF otherwise.
+    unary, pairwise = planar._GADGET.unary, planar._GADGET.pairwise
+    assert sorted(unary) == list(range(AUX_PER_CROSSING)) and len(pairwise) == 36
+    template = make_instance({u: len(row) for u, row in unary.items()}, unary, pairwise)
+    stubs = [planar._AT[name] for name in ("vp", "vpp", "tp", "tpp")]
+    values = {x: solve_elimination(_pin(template, dict(zip(stubs, x)))).value
+              for x in product(range(3), repeat=4)}
+    assert {x for x, value in values.items() if value == 0} == \
+        {(a, a, b, b) for a in range(3) for b in range(3)}
+    assert sum(value is INF for value in values.values()) == 72
+
+
+def test_planarize_builds_no_gadget_per_crossing(monkeypatch):
+    from mine.reductions import gadgets
+    calls = []
+    for module in (planar, gadgets):
+        for name in ("merge_fragments", "split_gadget", "uncross_copy_gadget"):
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    inst, d = random_crossed_3label(1)
+    assert len(list_crossings(inst, d)) == 3
+    out, _, trace = planarize(inst, d)
+    assert calls == [] and len(trace.aux_nodes) == 3 * AUX_PER_CROSSING
+
+
 def _pin(instance, partial):
     """Clamp the original nodes by +INF unary entries on other labels."""
     unary = dict(instance.unary)
@@ -190,7 +217,7 @@ def test_edge_crossed_twice_keeps_optimum():
     near_0, near_1 = trace.crossings
     assert F(near_0.point[0]) < 0 < F(near_1.point[0])
     assert out.pairwise[(0, near_0.aux_nodes[0])] == inst.pairwise[(0, 1)]
-    assert out.pairwise[(1, near_1.aux_nodes[1])] == equality3()
+    assert out.pairwise[(1, near_1.aux_nodes[1])] == EQUALITY3
     # Each labeling of the original nodes keeps its energy once the
     # auxiliaries are minimized over.
     rng = random.Random(5)

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -81,4 +82,22 @@ def test_package_init_files_import_nothing():
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) \
                     and node.id != "__version__":
                 found.append(f"{where}:{node.lineno}: {node.id}")
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # The package stays pure Python with no runtime dependencies: every
+    # import names a standard library module or the package itself.
+    package = Path(mine.__file__).parent
+    found = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(package)}:{node.lineno}: {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names | {"mine"}]
     assert found == []
