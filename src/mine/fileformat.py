@@ -313,11 +313,22 @@ def serialize_instance(instance: EnergyInstance, d: Drawing | None = None) -> st
         for u in ids:
             x, y = d.coords[u]
             out.append(f"coord {u} {frac_str(x)} {frac_str(y)}")
+    # Each distinct row and table object's cost text is built once.
+    texts = {}  # id of a unary row: its text
     for u in ids:
-        out.append(f"unary {u} " + " ".join(map(str, instance.unary[u])))
-    for (u, v) in instance.edges:
-        entries = chain.from_iterable(instance.pairwise[(u, v)])
-        out.append(f"edge {u} {v} " + " ".join(map(str, entries)))
+        row = instance.unary[u]
+        text = texts.get(id(row))
+        if text is None:
+            text = texts[id(row)] = " ".join(map(str, row))
+        out.append(f"unary {u} {text}")
+    texts = {}  # id of a pairwise table: its text
+    pairwise = instance.pairwise
+    for e in instance.edges:
+        table = pairwise[e]
+        text = texts.get(id(table))
+        if text is None:
+            text = texts[id(table)] = " ".join(map(str, chain.from_iterable(table)))
+        out.append(f"edge {e[0]} {e[1]} {text}")
     return "\n".join(out) + "\n"
 
 

@@ -153,11 +153,17 @@ def make_instance(labels: dict[int, int],
     if ready:
         pw = dict(pairwise)
     else:
-        # Only a table that is not yet a tuple of tuples is rebuilt (a
+        # Each table object given for edges written v u is transposed once,
+        # and only a table that is not yet a tuple of tuples is rebuilt (a
         # transposed one already is), so shared tables stay shared.
         pw = {}
+        transposed = {}  # id of a table given: its transposition
         for (u, v), table in pairwise.items():
-            key, table = orient_edge(u, v, table)
+            key = normalize_edge(u, v)
+            if key[0] != u:
+                if id(table) not in transposed:
+                    transposed[id(table)] = tuple(zip(*table))
+                table = transposed[id(table)]
             if key in pw:
                 raise InstanceError(f"edge {key} given twice")
             if not (type(table) is tuple and set(map(type, table)) <= {tuple}):
@@ -189,36 +195,52 @@ def all_labelings(instance: EnergyInstance):
 def scored_labelings(instance: EnergyInstance):
     """Every (labeling, evaluate(instance, labeling)) pair, in all_labelings order.
 
-    When the bound |constant| + finite_sum fits in int64, no partial sum
-    can leave that range, so energies are updated rather than recomputed.
-    The odometer runs over every node but the last and keeps one running
-    labeling, writing only the labels it changes; each labeling yielded is
-    a copy of it.  On each odometer step the changed positions, a suffix of
-    that prefix, re-add their unary terms and the edges whose later
-    endpoint lies among them to the running sum of the unchanged positions.
-    The last node is then scored once per prefix, as one vector over its
-    labels: its unary row plus, for each edge to an earlier node, the
-    table's column at that node's label, plus the prefix sum.  INF is
-    encoded as an int above twice the bound, so a sum holds an INF term
-    exactly when it exceeds the bound.  Otherwise every labeling is scored
-    by evaluate, which raises CostOverflowError where a partial sum
-    overflows.
+    When the bound |constant| + finite_sum fits in int64 and the instance
+    has at least two nodes, the values come from _scored_blocks, one list
+    per labeling of every node but the last two, and each labeling yielded
+    is a copy of its running labeling with the last two nodes' labels
+    written in.  Otherwise every labeling is scored by evaluate, which
+    raises CostOverflowError where a partial sum overflows.
     """
     bound = abs(instance.constant) + instance.finite_sum
-    if bound > I64_MAX:
+    nodes = instance.nodes
+    if bound > I64_MAX or len(nodes) < 2:
         for x in all_labelings(instance):
             yield x, evaluate(instance, x)
         return
+    s, t = nodes[-2:]
+    firsts, seconds = zip(*product(range(instance.labels[s]), range(instance.labels[t])))
+    for x, block in _scored_blocks(instance, bound):
+        for x[s], x[t], v in zip(firsts, seconds, block):
+            yield x.copy(), (INF if v > bound else v)
+
+
+def _scored_blocks(instance: EnergyInstance, bound: int):
+    """Yield (x, block) per labeling of every node but the last two, in
+    all_labelings order, for an instance of at least two nodes.
+
+    block lists the coded energies of x at each labeling of the last two
+    nodes, the last node's label fastest, and x is one running labeling,
+    only ever rewritten, whose last two labels are left as the caller wrote
+    them.  bound is |constant| + finite_sum, at most I64_MAX, so no partial
+    sum can leave int64 and energies are updated rather than recomputed.
+    INF is encoded as an int above twice the bound, so a sum holds an INF
+    term exactly when it exceeds the bound.  The odometer runs over the
+    prefix, every node but the last two, and writes only the labels it
+    changes.  On each step the changed positions, a suffix of the prefix,
+    re-add their unary terms and the edges whose later endpoint lies among
+    them to the running sum of the unchanged positions.  The block is that
+    sum plus flat lists over the last two nodes' labels: their unary rows
+    and their own edge, summed once, and for each prefix node joined to
+    them, its edges' columns at its label, summed once per label.
+    """
     nodes = instance.nodes
-    if not nodes:
-        yield {}, instance.constant
-        return
     inf = 2 * bound + 1
 
     def enc(table):
         return [inf if c is INF else c for c in table]
 
-    n = len(nodes) - 1  # positions 0..n-1 form the prefix, position n is last
+    n = len(nodes) - 2  # positions 0..n-1 form the prefix; n and n + 1 are the last two
     pos = {u: p for p, u in enumerate(nodes)}
     ks = [instance.labels[u] for u in nodes]
     unary = [enc(instance.unary[u]) for u in nodes]
@@ -233,9 +255,26 @@ def scored_labelings(instance: EnergyInstance):
         else:
             table = zip(*table)
         later[q].append((p, [enc(row) for row in table]))
-    # The last node's edges as columns: cols[b] is its cost vector at label b of p.
-    last_edges = [(p, list(map(list, zip(*rows)))) for p, rows in later[n]]
-    last_unary, last = unary[n], nodes[n]
+    # The terms over the last two nodes as flat lists, n's label slowest:
+    # base sums their unary rows and their own edge, and the edges to each
+    # prefix node p come as columns, cols[b] being their sum at label b of p.
+    k = ks[n + 1]
+
+    def spread(column, q):  # a vector over position q's labels, as such a flat list
+        return [c for c in column for _ in range(k)] if q == n else list(column) * ks[n]
+
+    base = list(map(add, spread(unary[n], n), spread(unary[n + 1], n + 1)))
+    columns = {}
+    for q in (n, n + 1):
+        for p, rows in later[q]:
+            if p == n:  # rows[b][a] at label a of n, b of n + 1
+                base = list(map(add, base, chain.from_iterable(zip(*rows))))
+                continue
+            cols = [spread(column, q) for column in zip(*rows)]
+            if p in columns:
+                cols = [list(map(add, a, b)) for a, b in zip(columns[p], cols)]
+            columns[p] = cols
+    edges = list(columns.items())
 
     x = dict.fromkeys(nodes, 0)
     combo = [0] * n
@@ -248,14 +287,10 @@ def scored_labelings(instance: EnergyInstance):
             for p, rows in later[q]:
                 s += rows[a][combo[p]]
             acc[q + 1] = s
-        row = last_unary
-        for p, cols in last_edges:
-            row = map(add, row, cols[combo[p]])
-        s = acc[n]
-        for a, v in enumerate(row):
-            x[last] = a
-            v += s
-            yield x.copy(), (INF if v > bound else v)
+        block = base
+        for p, cols in edges:
+            block = map(add, block, cols[combo[p]])
+        yield x, list(map(add, block, repeat(acc[n])))
         i = n - 1
         while i >= 0 and combo[i] + 1 == ks[i]:
             combo[i] = 0

@@ -9,10 +9,10 @@ instances where either side's optimum is non-positive are flagged
 "ratio-undefined" and skipped for the ratio check only.
 
 Energy instances are enumerated with `scored_labelings`, which copies one
-running labeling per step, updates the energy of every node but the last
-from the nodes that changed, and scores the last node's labels as one
-vector per setting of the others; a value is INF exactly when it is the
-INF singleton, so the harness tests it by identity.  Energy instances and
+running labeling per labeling, updates the energy of every node but the
+last two from the nodes that changed, and scores the last two nodes'
+labels as one list per setting of the others; a value is INF exactly when
+it is the INF singleton, so the harness tests it by identity.  Energy instances and
 weighted 3-SAT sources are enumerated only up to the brute-force bound
 (`solvers.check_enumerable`, MINE_BRUTE_LIMIT): a larger one raises
 SolverError before anything is enumerated.  Sigma binds once per reduced

@@ -21,10 +21,13 @@ counts in ``SolveResult.stats``.  Alpha-expansion stops as soon as every
 label is known not to improve its labeling.
 
 Costs stay exact everywhere, and a partial sum of finite costs that
-leaves the signed 64-bit range raises CostOverflowError.  Elimination
-plans every separator first, fixes each bucket's joint axes and the
-bucket its message joins in one pass back over the plan, and then builds
-flat tables in one pass; solve_elimination states its contract.
+leaves the signed 64-bit range raises CostOverflowError.  Brute force
+reads the energies of the last two nodes' labels as one list per labeling
+of the others and copies out only an improving list's first argmin.
+Elimination plans every separator first, fixes each bucket's joint axes
+and the bucket its message joins in one pass back over the plan, and then
+builds flat tables in one pass, each distinct unary row and table object
+once; solve_elimination states its contract.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from itertools import chain, cycle
 from operator import add, itemgetter
 
 from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add
-from .instance import EnergyInstance, Labeling, evaluate, scored_labelings
+from .instance import EnergyInstance, Labeling, _scored_blocks, evaluate, scored_labelings
 
 DEFAULT_BRUTE_LIMIT = 2**24
 DEFAULT_ELIM_LIMIT = 2**24
@@ -84,9 +87,34 @@ def check_enumerable(domain_sizes) -> None:
 
 
 def solve_brute_force(instance: EnergyInstance) -> SolveResult:
-    """Global minimum by full enumeration, lexicographically smallest argmin."""
+    """Global minimum by full enumeration, lexicographically smallest argmin.
+
+    While |constant| + finite_sum fits in int64, an instance of at least two
+    nodes is scored by instance._scored_blocks, one block per labeling of
+    every node but the last two: each block gives its minimum, and only a
+    block whose minimum is below every earlier one has its first argmin
+    copied out.  When every labeling costs INF the answer is the first, all
+    zeros.  Otherwise the minimum is taken over scored_labelings, which
+    past that bound raises CostOverflowError at the first labeling whose
+    sum leaves int64.
+    """
     check_enumerable(instance.labels.values())
-    best_x, best = min(scored_labelings(instance), key=itemgetter(1))
+    nodes = instance.nodes
+    bound = abs(instance.constant) + instance.finite_sum
+    if bound > I64_MAX or len(nodes) < 2:
+        best_x, best = min(scored_labelings(instance), key=itemgetter(1))
+        return SolveResult(best_x, best, "brute", True)
+    s, t = nodes[-2:]
+    k = instance.labels[t]
+    best = best_x = None
+    for x, block in _scored_blocks(instance, bound):
+        low = min(block)
+        if best is None or low < best:
+            best = low
+            x[s], x[t] = divmod(block.index(low), k)
+            best_x = x.copy()
+    if best > bound:
+        return SolveResult(dict.fromkeys(nodes, 0), INF, "brute", True)
     return SolveResult(best_x, best, "brute", True)
 
 
@@ -181,7 +209,13 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
 
     Each factor sits in the bucket of its scope's first node along the order
     (Dechter 1999), in creation order, as a flat row-major list over its
-    scope's domains in that bucket's axis order.  One pass back over the
+    scope's domains in that bucket's axis order.  Each distinct unary row,
+    and each table object per orientation and pair of domains, is
+    restricted, oriented and coded once per call, and every bucket that
+    reads it shares that list, since no factor is changed in place.  While
+    finite_sum fits in int64, a unary that is zero on its node's domain
+    gives no factor: an empty bucket is the zero table, whose message is
+    the zero constant and whose node takes label 0.  One pass back over the
     plan fixes each bucket's consumer, the bucket of its separator's first
     node along the order, which its message joins, and its joint scope: its
     separator in the order of the consumer's joint, then u last and fastest.
@@ -239,41 +273,61 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
                 sep = [w for w in joints[c] if w in sep]
         joints[i] = (*sep, u)
 
-    if instance.all_finite or instance.finite_sum > I64_MAX:
-        domains = {u: range(k) for u, k in labels.items()}
-    else:
-        domains = {u: [a for a, c in enumerate(row) if c is not INF or a == 0]
-                   for u, row in instance.unary.items()}
-    sizes = {u: len(dom) for u, dom in domains.items()}
     # A value above bound holds an INF term, and a finite partial sum can
     # leave int64 only if finite_sum does.
     bound = instance.finite_sum
     inf = 2 * bound + 1
     check = bound > I64_MAX
-
-    def restrict(row, u):
-        dom = domains[u]
-        return row if len(dom) == len(row) else [row[a] for a in dom]
+    full = instance.all_finite or check  # every domain holds all its node's labels
+    domains = {}  # when not full, each node's domain, a tuple
+    sizes = labels if full else {}
 
     def coded(entries):  # a fresh list, INF as inf
         return list(entries) if instance.all_finite else [inf if c is INF else c
                                                           for c in entries]
 
+    rows_made = {}  # id of a unary row: its domain and its coded factor, or None
+    tables_made = {}  # (id of a table, orientation[, the two domains]): its coded factor
     buckets = [[] for _ in plan]  # (scope, flat table) per node along the plan
     for u in instance.nodes:
-        buckets[position[u]].append(((u,), coded(restrict(instance.unary[u], u))))
+        row = instance.unary[u]
+        made = rows_made.get(id(row))
+        if made is None:
+            dom = None if full else tuple([a for a, c in enumerate(row)
+                                           if c is not INF or a == 0])
+            flat = coded(row if full or len(dom) == len(row) else map(row.__getitem__, dom))
+            # Off the overflow check, a unary zero on its domain gives no factor.
+            made = rows_made[id(row)] = dom, (flat if check or any(flat) else None)
+        dom, flat = made
+        if not full:
+            domains[u] = dom
+            sizes[u] = len(dom)
+        if flat is not None:
+            buckets[position[u]].append(((u,), flat))
     for e in instance.edges:  # scope (other node, bucket node)
         u, v = e
-        rows = restrict(instance.pairwise[e], u)
-        if sizes[v] < labels[v]:
-            rows = [restrict(row, v) for row in rows]
-        if position[u] < position[v]:
-            e, rows = (v, u), zip(*rows)
-        buckets[position[e[1]]].append((e, coded(chain.from_iterable(rows))))
+        table = instance.pairwise[e]
+        flip = position[u] < position[v]
+        key = (id(table), flip) if full else (id(table), flip, domains[u], domains[v])
+        flat = tables_made.get(key)
+        if flat is None:
+            rows = table
+            if not full:
+                if sizes[u] < labels[u]:
+                    rows = list(map(rows.__getitem__, domains[u]))
+                if sizes[v] < labels[v]:
+                    rows = [list(map(row.__getitem__, domains[v])) for row in rows]
+            flat = tables_made[key] = coded(chain.from_iterable(zip(*rows) if flip else rows))
+        if flip:
+            buckets[position[u]].append(((v, u), flat))
+        else:
+            buckets[position[v]].append((e, flat))
 
     constants = []  # each empty-separator message's one entry
     for i, joint in enumerate(joints):
         bucket = buckets[i]
+        if not bucket:  # a node with no edge and a zero unary: a zero constant
+            continue
         if not check and len(bucket) > 1:
             buckets[i] = bucket = _fold(bucket, sizes)
         k = sizes[joint[-1]]
@@ -303,17 +357,19 @@ def solve_elimination(instance: EnergyInstance, order=None) -> SolveResult:
     for joint, bucket in zip(reversed(joints), reversed(buckets)):
         u = joint[-1]
         k = sizes[u]
-        index[u] = 0
-        total = None
-        for scope, table in bucket:
-            base = 0
-            for w in scope:
-                base = base * sizes[w] + index[w]
-            column = table[base:base + k]
-            total = column if total is None else list(map(add, total, column))
-        best = min(total)
-        index[u] = 0 if best > bound else total.index(best)
-        x[u] = domains[u][index[u]]
+        index[u] = 0  # also the choice of an empty bucket, where every label costs 0
+        if bucket:
+            total = None
+            for scope, table in bucket:
+                base = 0
+                for w in scope:
+                    base = base * sizes[w] + index[w]
+                column = table[base:base + k]
+                total = column if total is None else list(map(add, total, column))
+            best = min(total)
+            if best <= bound:
+                index[u] = total.index(best)
+        x[u] = index[u] if full else domains[u][index[u]]
     return SolveResult(x, value, "elimination", True, stats=stats)
 
 

@@ -229,6 +229,73 @@ def test_bad_order_raises():
         solve_elimination(inst, order=list(inst.nodes) + [max(inst.nodes) + 1])
 
 
+# --- shared tables and zero unaries --------------------------------------
+
+def _shared_table_instance(rng, n, k, inf):
+    """A chain with random chords whose edges all hold one table object, over
+    unary rows that are often zero on their node's domain: all zeros (one
+    shared row), or 0 and INF entries with one 0; node n has no edge and a
+    zero unary.  With inf false no entry is INF."""
+    def cost(high):
+        return INF if inf and rng.random() < 0.25 else rng.randint(0, high)
+
+    table = tuple(tuple(cost(5) for _ in range(k)) for _ in range(k))
+    zero = (0,) * k
+    unary = {}
+    for u in range(n):
+        kind = rng.randrange(3)
+        if kind == 0:
+            unary[u] = zero
+        else:
+            row = [0 if kind == 1 and c is not INF else c for c in (cost(4) for _ in range(k))]
+            row[rng.randrange(k)] = 0
+            unary[u] = tuple(row)
+    unary[n] = zero
+    pairwise = {(u, v): table for u in range(n) for v in range(u + 1, n)
+                if v == u + 1 or rng.random() < 0.3}
+    return make_instance({u: k for u in range(n + 1)}, unary, pairwise)
+
+
+def test_one_table_object_shared_both_ways_round_over_restricted_domains():
+    # Along a shuffled order an edge's bucket node comes first or second in
+    # its stored key, so one table object is read both ways round, over
+    # domains that INF unary entries cut down; zero unaries sit beside INF
+    # entries, and an isolated node's zero unary leaves its bucket empty.
+    rng = random.Random(31)
+    both_ways = restricted = zero_on_domain = 0
+    for i in range(300):
+        inst = _shared_table_instance(rng, rng.randint(2, 7), rng.randint(2, 3), i % 3 != 0)
+        assert len({id(t) for t in inst.pairwise.values()}) == 1
+        order = list(inst.nodes)
+        rng.shuffle(order)
+        assert isinstance(assert_same(inst, order), SolveResult)
+        assert isinstance(assert_same(inst), SolveResult)
+        position = {u: p for p, u in enumerate(order)}
+        both_ways += len({position[u] < position[v] for u, v in inst.edges}) == 2
+        rows = [row for u, row in inst.unary.items() if u != len(inst.nodes) - 1]
+        restricted += any(INF in row[1:] for row in rows)
+        zero_on_domain += any(INF in row and all(c is INF or c == 0 for c in row) for row in rows)
+    assert both_ways > 100 and restricted > 60 and zero_on_domain > 50, (
+        both_ways, restricted, zero_on_domain)
+
+
+def test_a_solve_leaves_the_tables_as_they_were_and_repeats(criterion5_outputs):
+    rng = random.Random(37)
+    instances = [out for out, _, _ in criterion5_outputs[:20]]
+    instances += [_shared_table_instance(rng, 6, 3, True) for _ in range(20)]
+
+    def entries(inst):
+        return ({u: list(row) for u, row in inst.unary.items()},
+                {e: [list(row) for row in table] for e, table in inst.pairwise.items()})
+
+    for inst in instances:
+        before = entries(inst)
+        first = solve_elimination(inst)
+        second = solve_elimination(inst)
+        assert (first, first.stats) == (second, second.stats)
+        assert entries(inst) == before
+
+
 # --- label domains: each node's finite-unary labels ----------------------
 
 def _sparse_unary_instance(rng, n, k):

@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 import pytest
 
@@ -347,6 +348,90 @@ def test_brute_force_keeps_the_smallest_argmin():
         best = min(_reference(inst), key=lambda p: p[1])  # first minimum
         r = solve_brute_force(inst)
         assert (r.labeling, r.value) == best
+
+
+# --- two-node blocks: every node but the last two runs the odometer ------
+
+def _first_minimum(pairs):
+    return min(pairs, key=itemgetter(1))
+
+
+def test_two_node_blocks_with_the_last_two_joined_to_each_other_and_every_earlier_node():
+    # The last two nodes share an edge and each has an edge to every earlier
+    # node.  Node ids run in random order along instance.nodes, so each of
+    # these tables is stored both ways round; one-label nodes and INF occur.
+    rng = random.Random(13)
+    stored = {"first": 0, "second": 0}
+    between = set()  # whether the second-to-last node's id is below the last's
+    one_label = inf_optima = 0
+    for _ in range(250):
+        nodes = rng.sample(range(10), rng.randint(2, 6))
+        labels = {u: rng.randint(1, 3) for u in nodes}
+        s, t = nodes[-2:]
+        edges = {normalize_edge(s, t)} | {normalize_edge(u, w) for u in nodes[:-2]
+                                          for w in (s, t)}
+        edges |= {normalize_edge(u, v) for i, u in enumerate(nodes[:-2]) for v in nodes[:i]
+                  if rng.random() < 0.4}
+        inst = _random_instance(rng, nodes, labels, sorted(edges), inf_prob=0.15)
+        expected = list(_reference(inst))
+        assert list(scored_labelings(inst)) == expected
+        r = solve_brute_force(inst)
+        assert (r.labeling, r.value) == _first_minimum(expected)
+        for u in nodes[:-2]:
+            for w in (s, t):
+                stored["first" if w < u else "second"] += 1
+        between.add(s < t)
+        one_label += 1 in (labels[s], labels[t])
+        inf_optima += r.value is INF
+    assert min(stored.values()) > 200 and between == {True, False}, stored
+    assert one_label > 50 and inf_optima > 5, (one_label, inf_optima)
+
+
+def test_one_and_two_node_instances():
+    rng = random.Random(17)
+    sizes = set()
+    for _ in range(150):
+        nodes = rng.sample(range(5), rng.randint(1, 2))
+        labels = {u: rng.randint(1, 4) for u in nodes}
+        edges = [normalize_edge(*nodes)] if len(nodes) == 2 and rng.random() < 0.7 else []
+        inst = _random_instance(rng, nodes, labels, edges)
+        expected = list(_reference(inst))
+        assert list(scored_labelings(inst)) == expected
+        r = solve_brute_force(inst)
+        assert (r.labeling, r.value) == _first_minimum(expected)
+        sizes.add((len(nodes), len(edges)))
+    assert sizes == {(1, 0), (2, 0), (2, 1)}
+
+
+def test_brute_force_when_every_labeling_costs_inf():
+    # The finite parts riding on the INF terms differ, smallest away from
+    # label 0, yet every value is INF: the first labeling, all zeros, wins.
+    inst = make_instance({0: 2, 1: 3, 2: 2, 3: 2},
+                         {0: (4, -1), 1: (0, 2, -5), 2: (3, 0), 3: (0, -5)},
+                         {(0, 1): ((1, 0, 2), (0, 3, 1)), (2, 3): ((INF, INF), (INF, INF)),
+                          (1, 3): ((0, INF), (INF, 0), (2, -9))})
+    r = solve_brute_force(inst)
+    assert (r.labeling, r.value) == ({0: 0, 1: 0, 2: 0, 3: 0}, INF)
+    assert (r.labeling, r.value) == _first_minimum(_reference(inst))
+    assert all(value is INF for _, value in scored_labelings(inst))
+
+
+def test_brute_force_past_int64_raises_the_reference_overflow():
+    raised = solved = 0
+    for seed in range(300):
+        base = random_general(seed, max_nodes=5, max_labels=3, inf_prob=0.2)
+        inst = _with_big_entries(seed, base)
+        expected = _outcomes(_reference(inst))
+        try:
+            r = solve_brute_force(inst)
+        except CostOverflowError as exc:
+            assert expected[-1] == ("raised", str(exc)), seed
+            raised += 1
+        else:
+            assert expected[-1][0] != "raised", seed
+            assert (r.labeling, r.value) == _first_minimum(expected), seed
+            solved += 1
+    assert raised > 30 and solved > 30, (raised, solved)
 
 
 # --- the enumeration bound ---------------------------------------------

@@ -91,6 +91,46 @@ def test_noncontiguous_ids_round_trip():
     assert back == inst
 
 
+def _reference_serialize(instance, d=None):
+    """serialize_instance written record by record, each unary row and each
+    edge's table turned into text anew."""
+    ids = sorted(instance.nodes)
+    out = ["MINE 1", f"nodes {len(ids)}", "ids " + " ".join(map(str, ids)),
+           "labels " + " ".join(str(instance.labels[u]) for u in ids),
+           f"constant {instance.constant}"]
+    if d is not None:
+        for u in ids:
+            x, y = map(F, d.coords[u])
+            out.append(f"coord {u} {x.numerator}/{x.denominator} {y.numerator}/{y.denominator}")
+    out += [f"unary {u} " + " ".join(str(c) for c in instance.unary[u]) for u in ids]
+    out += [f"edge {u} {v} " + " ".join(str(c) for row in instance.pairwise[(u, v)] for c in row)
+            for u, v in instance.edges]
+    return "\n".join(out) + "\n"
+
+
+def test_instances_that_share_tables_write_what_the_per_edge_writer_writes():
+    # Planarized outputs share the crossing template's rows and tables, a
+    # parsed grid shares one table per distinct record, and an edge written
+    # v u shares its transposition with every other such edge.
+    cases = []
+    for seed in range(15):
+        cases.append(planarize(*random_crossed_3label(seed))[:2])
+    grid = make_instance({u: 3 for u in range(9)}, {u: (u % 3, 0, 1) for u in range(9)},
+                         {(u, v): tuple(tuple((v - u) * (a != b) for b in range(3))
+                                        for a in range(3))
+                          for u in range(9) for v in (u + 1, u + 3)
+                          if v < 9 and (v == u + 3 or v % 3)})
+    cases.append((parse_instance(serialize_instance(grid))[0], None))
+    row, table = (0, INF, 2), ((0, 1, INF), (3, 0, 0), (INF, 2, 0))
+    keys = [(u, u + 1) if u % 2 else (u + 1, u) for u in range(5)] + [(0, 3), (4, 1)]
+    shared = make_instance({u: 3 for u in range(6)}, dict.fromkeys(range(6), row),
+                           dict.fromkeys(keys, table))
+    cases.append((shared, circle_layout(shared.nodes)))
+    for inst, d in cases:
+        assert len({id(t) for t in inst.pairwise.values()}) < len(inst.edges)
+        assert serialize_instance(inst, d) == _reference_serialize(inst, d)
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("nodes 1\nlabels 2\n", "header"),
     ("MINE 1\nlabels 2\n", "nodes"),
