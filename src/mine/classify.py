@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from .geometry import Drawing, list_crossings
 from .instance import EnergyInstance
-from .solvers import is_binary, is_forest, is_metric, is_potts, is_submodular_lattice
+from .solvers import (is_binary, is_forest, is_metric, is_potts, is_submodular_lattice,
+                      is_uniform)
 
 UNDETECTED_FAMILIES = ("outerplanar", "bounded treewidth > 1", "permuted submodular")
 
@@ -48,8 +49,7 @@ class ComplexityReport:
 def classify(instance: EnergyInstance, d: Drawing | None = None) -> ComplexityReport:
     forest = is_forest(instance)
     binary = is_binary(instance)
-    counts = {instance.labels[u] for u in instance.nodes}
-    uniform_k = len(counts) <= 1
+    uniform_k = is_uniform(instance)
     finite = instance.all_finite
 
     planar = None

@@ -133,11 +133,12 @@ def random_drawing(seed, instance: EnergyInstance) -> Drawing:
     return Drawing(coords)
 
 
-def random_crossed_3label(seed, max_nodes: int = 6) -> tuple[EnergyInstance, Drawing]:
-    """3-label instance plus a general-position drawing with 1-3 crossings (2000 tries)."""
+def random_crossed_3label(seed) -> tuple[EnergyInstance, Drawing]:
+    """3-label instance of 4-6 nodes plus a general-position drawing with 1-3
+    crossings (2000 tries)."""
     for attempt in range(2000):
         rng = _rng(seed, attempt)
-        n = rng.randint(4, max_nodes)
+        n = rng.randint(4, 6)
         labels = {u: 3 for u in range(n)}
         unary = {u: tuple(rng.randint(0, 6) for _ in range(3)) for u in range(n)}
         edges = _random_edges(rng, range(n), 0.6)

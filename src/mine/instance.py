@@ -20,6 +20,8 @@ from .costs import I64_MAX, I64_MIN, INF, Cost, check_range, ext_add, is_finite
 
 Labeling = dict[int, int]
 LABEL_TYPES = frozenset({int, bool})  # the types a labeling's labels may have
+# The entry types of a unary row with no finite entry: none, or only INF's.
+_NO_FINITE_ROW = {frozenset(), frozenset({type(INF)})}
 
 
 class InstanceError(ValueError):
@@ -55,6 +57,12 @@ def _check_costs(entries: list) -> tuple[int, bool]:
     if total > I64_MAX and not (I64_MIN <= min(entries) and max(entries) <= I64_MAX):
         raise InstanceError("cost entry outside signed 64-bit range")
     return total, all_finite
+
+
+def _some_row_has_no_finite_entry(rows) -> bool:
+    """Whether a unary row is empty or all INF, testing each row object once."""
+    distinct = dict(zip(map(id, rows), rows)).values()
+    return not _NO_FINITE_ROW.isdisjoint(map(frozenset, map(map, repeat(type), distinct)))
 
 
 def _edges_fit(nodes: set, labels: dict[int, int], edges: tuple, tables: list) -> bool:
@@ -102,10 +110,12 @@ class EnergyInstance:
         edges = tuple(sorted(pairwise))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", edges)
-        entries = list(chain.from_iterable(unary.values()))
+        rows = unary.values()
+        entries = list(chain.from_iterable(rows))
         # Whole-table checks first; the loops below only name the first
         # defect, in node and then edge order, when one of them fails.
-        if min(labels.values(), default=1) < 1 or type(INF) in set(map(type, entries)):
+        if ((min(labels.values(), default=1) < 1 or type(INF) in set(map(type, entries)))
+                and _some_row_has_no_finite_entry(rows)):
             for u in nodes:
                 if labels[u] < 1:
                     raise InstanceError(f"node {u}: label count must be positive")
@@ -196,11 +206,10 @@ def scored_labelings(instance: EnergyInstance):
     """Every (labeling, evaluate(instance, labeling)) pair, in all_labelings order.
 
     When the bound |constant| + finite_sum fits in int64 and the instance
-    has at least two nodes, the values come from _scored_blocks, one list
-    per labeling of every node but the last two, and each labeling yielded
-    is a copy of its running labeling with the last two nodes' labels
-    written in.  Otherwise every labeling is scored by evaluate, which
-    raises CostOverflowError where a partial sum overflows.
+    has at least two nodes, the values come from _scored_blocks, and each
+    labeling yielded is a copy of its running labeling with the last two
+    nodes' labels written in.  Otherwise every labeling is scored by
+    evaluate, which raises CostOverflowError where a partial sum overflows.
     """
     bound = abs(instance.constant) + instance.finite_sum
     nodes = instance.nodes

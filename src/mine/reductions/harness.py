@@ -8,25 +8,23 @@ R1(sigma(y)) <= 1 + alpha (R2(y) - 1).  Ratios need positive optima;
 instances where either side's optimum is non-positive are flagged
 "ratio-undefined" and skipped for the ratio check only.
 
-Energy instances are enumerated with `scored_labelings`, which copies one
-running labeling per labeling, updates the energy of every node but the
-last two from the nodes that changed, and scores the last two nodes'
-labels as one list per setting of the others; a value is INF exactly when
-it is the INF singleton, so the harness tests it by identity.  Energy instances and
-weighted 3-SAT sources are enumerated only up to the brute-force bound
-(`solvers.check_enumerable`, MINE_BRUTE_LIMIT): a larger one raises
-SolverError before anything is enumerated.  Sigma binds once per reduced
-instance, sigma(s, trace), and returns that instance's reverse map; the
-map runs once per target labeling, reverse(y, value), on the value the
-oracle gave y.  The source scores each distinct reverse-map output of an
-instance once, so the source's feasibility and measure functions must be
-pure.  Each output is compared with a copy of the one before it, and only
-an output that differs is keyed and looked up in that memo, so each run of
-equal outputs costs one lookup.  Runs are long because `all_labelings`
-varies the last nodes fastest, and those are a reduction's auxiliary and
-padding nodes.  Since the previous output is copied, a reverse map may
-mutate and return one dict on every call.  The ratio transfer is tested in
-exact integers.
+Energy instances are enumerated with `scored_labelings` (how it scores
+them is stated in `instance._scored_blocks`); a value is INF exactly when
+it is the INF singleton, so the harness tests it by identity.  Energy
+instances and weighted 3-SAT sources are enumerated only up to the
+brute-force bound (`solvers.check_enumerable`, MINE_BRUTE_LIMIT): a larger
+one raises SolverError before anything is enumerated.  Sigma binds once
+per reduced instance, sigma(s, trace), and returns that instance's reverse
+map; the map runs once per target labeling, reverse(y, value), on the
+value the oracle gave y.  The source scores each distinct reverse-map
+output of an instance once, so the source's feasibility and measure
+functions must be pure.  Each output is compared with a copy of the one
+before it, and only an output that differs is keyed and looked up in that
+memo, so each run of equal outputs costs one lookup.  Runs are long
+because `all_labelings` varies the last nodes fastest, and those are a
+reduction's auxiliary and padding nodes.  Since the previous output is
+copied, a reverse map may mutate and return one dict on every call.  The
+ratio transfer is tested in exact integers.
 """
 
 from __future__ import annotations

@@ -12,18 +12,17 @@ instance order, so it breaks ties the same way, and past the int64 bound
 each node's bucket adds its unary, then the edge to its parent, then its
 children's messages in edge order, range-checking every partial sum; the
 flow-based solver returns the canonical reachable-set cut.  One max-flow
-core, Boykov and Kolmogorov's two-tree augmenting-path algorithm over node
-indices, with one signed terminal residual per node and one-way arcs
-between nodes, has one caller: the posiform min cut that submodular
-min-cut and every alpha-expansion move share, each building its node
-index once per solve; both report the core's augmenting-path and orphan
-counts in ``SolveResult.stats``.  Alpha-expansion stops as soon as every
-label is known not to improve its labeling.
+core, _bk_max_flow (Boykov and Kolmogorov's two-tree augmenting-path
+algorithm; its docstring states the tree state, which lets one walk serve
+both trees), has one caller: the posiform min cut that submodular min-cut
+and every alpha-expansion move share, each building its node index once
+per solve; both report the core's augmenting-path and orphan counts in
+``SolveResult.stats``.  Alpha-expansion stops as soon as every label is
+known not to improve its labeling.
 
 Costs stay exact everywhere, and a partial sum of finite costs that
 leaves the signed 64-bit range raises CostOverflowError.  Brute force
-reads the energies of the last two nodes' labels as one list per labeling
-of the others and copies out only an improving list's first argmin.
+scores by instance._scored_blocks; solve_brute_force states its contract.
 Elimination plans every separator first, fixes each bucket's joint axes
 and the bucket its message joins in one pass back over the plan, and then
 builds flat tables in one pass, each distinct unary row and table object
@@ -90,13 +89,12 @@ def solve_brute_force(instance: EnergyInstance) -> SolveResult:
     """Global minimum by full enumeration, lexicographically smallest argmin.
 
     While |constant| + finite_sum fits in int64, an instance of at least two
-    nodes is scored by instance._scored_blocks, one block per labeling of
-    every node but the last two: each block gives its minimum, and only a
-    block whose minimum is below every earlier one has its first argmin
-    copied out.  When every labeling costs INF the answer is the first, all
-    zeros.  Otherwise the minimum is taken over scored_labelings, which
-    past that bound raises CostOverflowError at the first labeling whose
-    sum leaves int64.
+    nodes is scored by instance._scored_blocks: each block gives its
+    minimum, and only a block whose minimum is below every earlier one has
+    its first argmin copied out.  When every labeling costs INF the answer
+    is the first, all zeros.  Otherwise the minimum is taken over
+    scored_labelings, which past that bound raises CostOverflowError at the
+    first labeling whose sum leaves int64.
     """
     check_enumerable(instance.labels.values())
     nodes = instance.nodes
@@ -472,7 +470,7 @@ def solve_tree_dp(instance: EnergyInstance) -> SolveResult:
 # Max flow / min cut
 
 
-_ROOT = -1  # a tree root's parent: its own terminal arc
+_ROOT = -1  # a tree root's parent: its own terminal
 _FREE = -2  # the parent of a free node or of an orphan
 
 
@@ -490,20 +488,25 @@ def _bk_max_flow(terminal: list[int], arcs, counters: dict) -> tuple[int, list[b
     The one-arc paths (source, i, arc i->j, j, sink) are saturated first,
     in arc order.  Then a source tree and a sink tree grow from the nodes
     with a terminal residual left, breadth first from a queue of active
-    nodes.  parent[u] is the arc from u to its parent (_ROOT at a root,
-    _FREE off the trees); in the source tree the parent reaches u through
-    residual capacity, in the sink tree u reaches its parent.  An arc from
-    the source tree into the sink tree closes an augmenting path; its
-    bottleneck is pushed, and each node whose arc to its parent, or whose
-    terminal residual, it saturates becomes an orphan.  An orphan takes the
-    first neighbour in its tree that it is linked to that way and whose
-    parent arcs lead up to a root; with none, it leaves the tree, its
-    children become orphans and its tree neighbours linked to it become
-    active again.  The trees are kept across augmentations.  When no node
-    is active, the source tree is the set of nodes that the source reaches
-    in the final residual graph, the same after any maximum flow, whatever
-    the arc order.  Returns the flow value and, per node, whether it is in
-    that set; adds the augmenting paths and the orphans to counters.
+    nodes.  tree[u] is 1 in the source tree, -1 in the sink tree, 0 off
+    both; parent[u] is u's parent node (_ROOT at a root, _FREE off the
+    trees or while u is an orphan), and arc[u] the arc that flow crosses
+    between them: parent to u in the source tree, u to parent in the sink
+    tree.  residual[u] is then the magnitude of a root's terminal residual,
+    toward the terminal that tree[u] names, so both halves of a path are
+    walked alike: from each end up to its root, over arc[v] and then the
+    root's residual.  An arc from the source tree into the sink tree closes
+    an augmenting path; its bottleneck is pushed, and each node whose arc
+    or terminal residual it saturates becomes an orphan, source half first.
+    An orphan v takes the first neighbour w in its tree whose parents lead
+    up to a root and whose arc a ^ 1 to v (source tree) or arc a from v
+    (sink tree) has capacity; with none, it leaves the tree, its children
+    become orphans and its tree neighbours so linked to it become active
+    again.  The trees are kept across augmentations.  When no node is
+    active, the source tree is the set of nodes that the source reaches in
+    the final residual graph, the same after any maximum flow, whatever the
+    arc order.  Returns the flow value and, per node, whether it is in that
+    set; adds the augmenting paths and the orphans to counters.
     """
     n = len(terminal)
     for r in (max(terminal, default=0), -min(terminal, default=0)):
@@ -533,7 +536,9 @@ def _bk_max_flow(terminal: list[int], arcs, counters: dict) -> tuple[int, list[b
             flow = check_range(flow + f)
             paths += 1
     tree = [(r > 0) - (r < 0) for r in residual]  # 1 source tree, -1 sink tree, 0 free
+    residual = [abs(r) for r in residual]
     parent = [_ROOT if r else _FREE for r in residual]
+    arc = [-1] * n
     active = deque(u for u in range(n) if tree[u])
     orphans: list[int] = []
     while active:
@@ -547,96 +552,82 @@ def _bk_max_flow(terminal: list[int], arcs, counters: dict) -> tuple[int, list[b
                     tv = tree[v]
                     if not tv:
                         tree[v] = 1
-                        parent[v] = a ^ 1
+                        parent[v] = u
+                        arc[v] = a
                         active.append(v)
                     elif tv < 0:
                         middle = a
                         break
         elif side < 0:
             for a in adj[u]:
-                if cap[a ^ 1]:
+                b = a ^ 1
+                if cap[b]:
                     v = head[a]
                     tv = tree[v]
                     if not tv:
                         tree[v] = -1
-                        parent[v] = a ^ 1
+                        parent[v] = u
+                        arc[v] = b
                         active.append(v)
                     elif tv > 0:
-                        middle = a ^ 1
+                        middle = b
                         break
         if middle < 0:
             active.popleft()
             continue
 
         # The path: source tree root ... x, arc middle, y ... sink tree root.
-        x, y = head[middle ^ 1], head[middle]
+        ends = head[middle ^ 1], head[middle]
         f = cap[middle]
-        v = x
-        while (a := parent[v]) >= 0:
-            if cap[a ^ 1] < f:
-                f = cap[a ^ 1]
-            v = head[a]
-        if residual[v] < f:
-            f = residual[v]
-        v = y
-        while (a := parent[v]) >= 0:
-            if cap[a] < f:
-                f = cap[a]
-            v = head[a]
-        if -residual[v] < f:
-            f = -residual[v]
+        for v in ends:
+            while (p := parent[v]) >= 0:
+                if cap[arc[v]] < f:
+                    f = cap[arc[v]]
+                v = p
+            if residual[v] < f:
+                f = residual[v]
         cap[middle] -= f
         cap[middle ^ 1] += f
-        v = x
-        while (a := parent[v]) >= 0:
-            cap[a] += f
-            cap[a ^ 1] -= f
-            if not cap[a ^ 1]:
+        for v in ends:
+            while (p := parent[v]) >= 0:
+                a = arc[v]
+                cap[a] -= f
+                cap[a ^ 1] += f
+                if not cap[a]:
+                    parent[v] = _FREE
+                    orphans.append(v)
+                v = p
+            residual[v] -= f
+            if not residual[v]:
                 parent[v] = _FREE
                 orphans.append(v)
-            v = head[a]
-        residual[v] -= f
-        if not residual[v]:
-            parent[v] = _FREE
-            orphans.append(v)
-        v = y
-        while (a := parent[v]) >= 0:
-            cap[a] -= f
-            cap[a ^ 1] += f
-            if not cap[a]:
-                parent[v] = _FREE
-                orphans.append(v)
-            v = head[a]
-        residual[v] += f
-        if not residual[v]:
-            parent[v] = _FREE
-            orphans.append(v)
         flow = check_range(flow + f)
         paths += 1
 
-        # Adoption: a source-tree parent w must reach v (cap[a ^ 1] of the
-        # arc a from v to w), a sink-tree parent be reached from v (cap[a]).
+        # Adoption: w may be v's parent if arc a ^ flip, the one that flow
+        # would cross between them, has capacity.
         while orphans:
             v = orphans.pop()
             orphaned += 1
             side = tree[v]
+            flip = side > 0
             for a in adj[v]:
-                if cap[a ^ 1] if side > 0 else cap[a]:
-                    w = head[a]
+                if cap[a ^ flip]:
+                    w = r = head[a]
                     if tree[w] == side:
-                        while (p := parent[w]) >= 0:
-                            w = head[p]
+                        while (p := parent[r]) >= 0:
+                            r = p
                         if p == _ROOT:
-                            parent[v] = a
+                            parent[v] = w
+                            arc[v] = a ^ flip
                             break
             else:
                 for a in adj[v]:
                     w = head[a]
                     if tree[w] == side:
-                        if cap[a ^ 1] if side > 0 else cap[a]:
+                        if cap[a ^ flip]:
                             active.append(w)
-                        p = parent[w]
-                        if p >= 0 and head[p] == v:
+                        if parent[w] == v:
                             parent[w] = _FREE
                             orphans.append(w)
                 tree[v] = 0
@@ -718,11 +709,16 @@ def is_submodular_lattice(instance: EnergyInstance) -> bool:
     return True
 
 
+def is_uniform(instance: EnergyInstance) -> bool:
+    """Every node has the same label count; an instance with no nodes has."""
+    return len(set(instance.labels.values())) <= 1
+
+
 def _uniform_label_count(instance: EnergyInstance) -> int:
-    counts = {instance.labels[u] for u in instance.nodes}
-    if len(counts) != 1:
+    """The label count that every node has, 0 with no nodes."""
+    if not is_uniform(instance):
         raise SolverError("uniform label count required")
-    return counts.pop()
+    return max(instance.labels.values(), default=0)
 
 
 def is_potts(instance: EnergyInstance) -> bool:

@@ -137,6 +137,20 @@ def test_the_first_of_two_defects_is_reported(nodes, unary, pairwise, constant, 
     assert str(exc.value) == message
 
 
+def test_unary_rows_with_no_finite_entry():
+    # Rows are tested once per row object; the loop then names the first node.
+    shared = (INF, INF)
+    with pytest.raises(InstanceError, match="^node 1: no label with finite unary cost$"):
+        EnergyInstance(nodes=(0, 1, 2), unary={0: (0, INF), 1: shared, 2: shared}, pairwise={})
+    # Any entry but INF counts as finite here; the entry type check comes later.
+    for row, kind in (((INF, 1.5), "float"), ((INF, [1]), "list")):
+        with pytest.raises(InstanceError, match=rf"got \['{kind}'\]"):
+            EnergyInstance(nodes=(0,), unary={0: row}, pairwise={})
+    row = (INF, 3)
+    inst = EnergyInstance(nodes=(0, 1), unary={0: row, 1: row}, pairwise={})
+    assert not inst.all_finite and inst.finite_sum == 6
+
+
 @pytest.mark.parametrize("labels, unary, pairwise, message", [
     ({0: 2, 1: 2}, {0: _ONE}, {(0, 1): (_TWO, _TWO), (1, 0): (_TWO, _TWO)},
      "node 0: unary table has wrong length"),

@@ -440,6 +440,18 @@ def test_cli_classify_renders_report(tmp_path, capsys):
     assert "undetected families:" in out
 
 
+def test_cli_classify_and_solve_the_instance_with_no_nodes(tmp_path, capsys):
+    # No nodes counts as one uniform label count, as the solvers read it.
+    path = _write(tmp_path, "empty.mine", "MINE 1\nnodes 0\nlabels\n")
+    assert run_cli(["classify", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("verdict: PO\nsolver: tree\n")
+    assert "uniform-k=True" in out and "potts=True metric=True" in out
+    for method in ("brute", "elim", "tree", "mincut", "alphaexp"):
+        assert run_cli(["solve", path, "--method", method]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "value 0"
+
+
 def test_cli_gen_is_deterministic(tmp_path, capsys):
     for family in ("w3sat", "potts", "submodular", "random3label"):
         a = str(tmp_path / f"{family}-a")

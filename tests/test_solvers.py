@@ -713,6 +713,28 @@ def test_min_cut_networks_match_edmonds_karp_and_networkx(monkeypatch):
         assert nx.minimum_cut_value(g, s, t) == flow
 
 
+def test_max_flow_treats_its_two_trees_alike(monkeypatch):
+    # Reversing every arc and swapping the terminals makes the source tree
+    # grow where the sink tree grew, so a slip on one side of a walk moves
+    # the counts.
+    networks = [(terminal, arcs) for terminal, arcs, _ in _grid_cut_networks(monkeypatch)]
+    rng = random.Random(3401)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        arcs = [(*rng.sample(range(n), 2), rng.choice((0, rng.randint(1, 9))))
+                for _ in range(rng.randint(1, 3 * n))]
+        networks.append(([rng.randint(-9, 9) for _ in range(n)], arcs))
+    orphaned = 0
+    for terminal, arcs in networks:
+        counts, mirror_counts = {}, {}
+        flow = _bk_max_flow(terminal, arcs, counts)[0]
+        mirrored = [-r for r in terminal], [(j, i, c) for i, j, c in arcs]
+        assert _bk_max_flow(*mirrored, mirror_counts)[0] == flow
+        assert mirror_counts == counts
+        orphaned += counts["orphans"] > 0
+    assert orphaned > 50  # adoption runs on over 50 of the networks
+
+
 # --- interaction checks -------------------------------------------------
 
 def test_is_submodular_binary_tables():
@@ -845,6 +867,14 @@ def test_alpha_expansion_at_optimum_is_stable():
     assert r.value == 0
     assert r.labeling == {0: 0, 1: 0}
     assert not r.exact
+
+
+def test_alpha_expansion_on_the_empty_instance():
+    # No nodes is a uniform label count of 0: no move is tried.
+    r = alpha_expansion(make_instance({}, constant=4))
+    assert (r.labeling, r.value, r.move_values) == ({}, 4, (4,))
+    assert r.stats == {"augmenting_paths": 0, "orphans": 0, "moves_tried": 0}
+    assert is_potts(make_instance({})) and is_metric(make_instance({}))
 
 
 def test_alpha_expansion_requires_metric():
